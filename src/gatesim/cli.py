@@ -322,8 +322,26 @@ def _history_row(stats):
     }
 
 
+PGR_CONFIG_KEYS = (
+    "platform", "per_gate_counts", "iterations", "beta", "lambda_pos", "initial_per_cell",
+    "samples_per_iteration", "val_per_cell", "tick_hz", "n0",
+)
+
+
+def _load_pgr_overrides(path) -> dict:
+    overrides = _load_json(path)
+    if not isinstance(overrides, dict):
+        raise ValueError(f"{path}: pgr config must be a JSON object, "
+                         f"got {type(overrides).__name__}")
+    unknown = sorted(set(overrides) - set(PGR_CONFIG_KEYS))
+    if unknown:
+        raise ValueError(f"{path}: unknown pgr config key(s) {', '.join(unknown)}; "
+                         f"accepted: {', '.join(PGR_CONFIG_KEYS)}")
+    return overrides
+
+
 def cmd_pgr(args) -> int:
-    overrides = _load_json(args.config)
+    overrides = _load_pgr_overrides(args.config)
     platform = overrides.get("platform", "uav")
     per_gate = tuple(overrides.get("per_gate_counts", (2, 2, 2, 2)))
     config = PgrConfig(
@@ -591,6 +609,16 @@ def cmd_render(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gatesim",
@@ -602,7 +630,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, trials_default=10):
         p.add_argument("--seed", type=int, default=0, help="master seed")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers")
+        p.add_argument("--jobs", type=_positive_int, default=1, help="parallel workers")
         p.add_argument("--trials", type=int, default=trials_default,
                        help="initial conditions per track")
         p.add_argument("--tick-hz", type=float, default=50.0, help="policy rate")

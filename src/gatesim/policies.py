@@ -182,6 +182,20 @@ class ZeroPolicy(Policy):
 # ---------------------------------------------------------------------------
 
 
+def _mask_window(mask: np.ndarray, pad: int = 0):
+    """(rows, cols) slices of the mask's bounding box grown by pad px and
+    clipped to the frame; None for an empty mask."""
+    rows = np.flatnonzero(mask.any(axis=1))
+    if not len(rows):
+        return None
+    cols = np.flatnonzero(mask.any(axis=0))
+    h, w = mask.shape
+    return (
+        slice(max(0, rows[0] - pad), min(h, rows[-1] + pad + 1)),
+        slice(max(0, cols[0] - pad), min(w, cols[-1] + pad + 1)),
+    )
+
+
 def largest_component_centroid(mask: np.ndarray):
     """Centroid (x, y) px and area of the largest 4-connected white component.
 
@@ -189,12 +203,17 @@ def largest_component_centroid(mask: np.ndarray):
     raster order.
     """
     mask = np.asarray(mask, dtype=bool)
-    if not mask.any():
+    window = _mask_window(mask)
+    if window is None:
         return None
-    labels, count = ndimage.label(mask)  # default structure is 4-connected
+    # default structure is 4-connected; raster order inside the bounding box
+    # is the frame's raster order, so labels and the tie-break carry over
+    labels, count = ndimage.label(mask[window])
     areas = np.bincount(labels.ravel())[1:]
     best = int(np.argmax(areas)) + 1
     ys, xs = np.nonzero(labels == best)
+    ys += window[0].start
+    xs += window[1].start
     return (float(xs.mean()), float(ys.mean())), int(areas[best - 1])
 
 
@@ -264,11 +283,14 @@ def noisy_perception(mask: np.ndarray, params: NoiseParams, rng: np.random.Gener
     mask = np.asarray(mask, dtype=bool)
     out = mask.copy()
     if params.flip_prob > 0.0:
-        grown = ndimage.binary_dilation(mask)
-        shrunk = ndimage.binary_erosion(mask)
-        band = grown & ~shrunk
-        flips = band & (rng.random(mask.shape) < params.flip_prob)
-        out ^= flips
+        draws = rng.random(mask.shape)  # full frame, so the stream never depends on the mask
+        # the band lies within 1 px of the mask, and the zeros around the
+        # padded window stand in for the frame's zero border
+        window = _mask_window(mask, pad=2)
+        if window is not None:
+            sub = mask[window]
+            band = ndimage.binary_dilation(sub) & ~ndimage.binary_erosion(sub)
+            out[window] ^= band & (draws[window] < params.flip_prob)
     n_blobs = int(rng.poisson(params.blob_rate))
     h, w = mask.shape
     for _ in range(n_blobs):

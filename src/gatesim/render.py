@@ -8,6 +8,7 @@ index as the tie-break.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -23,6 +24,8 @@ ALPHA_CAP = 0.99
 ALPHA_MIN = 1.0 / 255.0
 TRANSMITTANCE_FLOOR = 1e-4
 CONDITION_LIMIT = 1e12
+RING_WINDOW_PAD = 2          # px around a ring's projected bounding box
+BEHIND_MARGIN = 1e-6         # m; orders above the rounding of a ray-plane hit
 
 
 @dataclass(frozen=True)
@@ -195,34 +198,82 @@ def render_mask(
     return render_scene(scene, camera, pose).alpha >= threshold
 
 
+_CORNER_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+
+
+@functools.lru_cache(maxsize=8)
+def _camera_rays(camera: PinholeCamera) -> np.ndarray:
+    """Read-only (H, W, 3) camera-frame ray directions (z = 1) through every
+    pixel center."""
+    uu, vv = np.meshgrid(
+        np.arange(camera.width, dtype=np.float64), np.arange(camera.height, dtype=np.float64)
+    )
+    dirs = np.stack(
+        [(uu - camera.cx) / camera.fx, (vv - camera.cy) / camera.fy, np.ones_like(uu)], axis=-1
+    )
+    dirs.flags.writeable = False
+    return dirs
+
+
+def _ring_window(camera: PinholeCamera, r_wc, origin, center, lateral, up, outer_half):
+    """(rows, cols) slices holding every pixel whose ray can hit the ring.
+
+    The window is the pixel bounding box of the outer ring square's projected
+    corners, padded by RING_WINDOW_PAD and clipped to the frame. It is None
+    when that leaves no pixel, or when the whole square lies more than
+    BEHIND_MARGIN behind the camera, where no ray of positive depth reaches
+    it. It is the full frame when the square straddles the camera plane,
+    since the projection is then unbounded.
+    """
+    h, w = camera.height, camera.width
+    corners = center + outer_half * (_CORNER_SIGNS @ np.stack([lateral, up]))
+    xs, ys, zs = ((corners - origin) @ r_wc).T.tolist()
+    if all(z < -BEHIND_MARGIN for z in zs):
+        return None
+    if not all(z > 0.0 for z in zs):
+        return slice(0, h), slice(0, w)
+    # clamped so that corners at a tiny depth still give finite bounds
+    us = [min(max(camera.fx * x / z + camera.cx, -w), 2 * w) for x, z in zip(xs, zs)]
+    vs = [min(max(camera.fy * y / z + camera.cy, -h), 2 * h) for y, z in zip(ys, zs)]
+    x0 = max(0, math.ceil(min(us)) - RING_WINDOW_PAD)
+    x1 = min(w, math.floor(max(us)) + RING_WINDOW_PAD + 1)
+    y0 = max(0, math.ceil(min(vs)) - RING_WINDOW_PAD)
+    y1 = min(h, math.floor(max(vs)) + RING_WINDOW_PAD + 1)
+    if x0 >= x1 or y0 >= y1:
+        return None
+    return slice(y0, y1), slice(x0, x1)
+
+
 def gate_mask(
     gates,
     camera: PinholeCamera = DEFAULT_CAMERA,
     pose: RigidTransform | None = None,
     t: float = 0.0,
 ) -> np.ndarray:
-    """Exact gate-ring mask by ray casting through every pixel center.
+    """Exact gate-ring mask by ray casting through pixel centers.
 
     A pixel is set when its ray hits any gate's ring solid (between the inner
     and outer boundary, both inclusive) at positive depth. Square rings use
-    the max-norm in the gate plane, circular rings the euclidean norm.
+    the max-norm in the gate plane, circular rings the euclidean norm. Rays
+    are cast only inside each ring's projected pixel window, with the
+    per-pixel expressions of a full-frame cast; the window's padding keeps
+    every pixel the ring can cover inside it, so the mask is the same.
     """
     pose = pose if pose is not None else RigidTransform.identity()
     if isinstance(gates, Gate):
         gates = [gates]
-    h, w = camera.height, camera.width
-    uu, vv = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
-    dirs_cam = np.stack(
-        [(uu - camera.cx) / camera.fx, (vv - camera.cy) / camera.fy, np.ones_like(uu)], axis=-1
-    )
+    rays = _camera_rays(camera)
     r_wc = pose.rotation_matrix()
-    dirs = dirs_cam @ r_wc.T
     origin = pose.translation
 
-    mask = np.zeros((h, w), dtype=bool)
+    mask = np.zeros((camera.height, camera.width), dtype=bool)
     for gate in gates:
         center, yaw = gate.pose_at(t)
         normal, lateral, up = gate_axes(yaw)
+        window = _ring_window(camera, r_wc, origin, center, lateral, up, gate.outer_half)
+        if window is None:
+            continue
+        dirs = rays[window] @ r_wc.T
         denom = dirs @ normal
         with np.errstate(divide="ignore", invalid="ignore"):
             t_hit = (normal @ (center - origin)) / denom
@@ -235,7 +286,7 @@ def gate_mask(
             d = np.maximum(np.abs(a), np.abs(b))
         else:
             d = np.hypot(a, b)
-        mask |= ok & (d >= gate.inner_half) & (d <= gate.outer_half)
+        mask[window] |= ok & (d >= gate.inner_half) & (d <= gate.outer_half)
     return mask
 
 

@@ -83,21 +83,6 @@ class GaussianScene:
             np.zeros((0, 3)), np.zeros((0, 4)), np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0)
         )
 
-    @staticmethod
-    def from_gaussians(gaussians, objects=None) -> "GaussianScene":
-        if not gaussians:
-            scene = GaussianScene.empty()
-            scene.objects = {k: np.asarray(v, dtype=np.int64) for k, v in (objects or {}).items()}
-            return scene
-        return GaussianScene(
-            np.stack([g.mean for g in gaussians]),
-            np.stack([g.rotation for g in gaussians]),
-            np.stack([g.scale for g in gaussians]),
-            np.stack([g.color for g in gaussians]),
-            np.array([g.opacity for g in gaussians]),
-            objects,
-        )
-
     def __len__(self) -> int:
         return len(self.means)
 

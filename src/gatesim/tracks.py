@@ -127,9 +127,6 @@ class Gate:
     def yaw_at(self, t: float) -> float:
         return self.pose_at(t)[1]
 
-    def axes_at(self, t: float):
-        return gate_axes(self.yaw_at(t))
-
     def success_threshold(self, vehicle_half_width: float) -> float:
         """Largest center error still clearing the opening."""
         return self.inner_half - vehicle_half_width

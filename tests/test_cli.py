@@ -172,6 +172,8 @@ def test_pgr_skip_uniform(tmp_path, capsys):
     assert main(["pgr", "--config", cfg, "--skip-uniform", "--out", str(tmp_path / "r")]) == 0
     hist = json.loads((tmp_path / "r/history.json").read_text())
     assert "uniform" not in hist and "top_decile_allocation" not in hist
+    # the hash of a valid config is pinned: validation must not move it
+    assert hist["config_hash"] == "1360b36e20762a6d"
     assert len(hist["pgr"]) == 1
     capsys.readouterr()
 
@@ -181,6 +183,29 @@ def test_pgr_malformed_config(tmp_path, capsys):
     bad.write_text("{not json")
     assert main(["pgr", "--config", str(bad)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("text,message", [
+    ("[1, 2]", "must be a JSON object, got list"),
+    ("3", "must be a JSON object, got int"),
+    ('"uav"', "must be a JSON object, got str"),
+    ('{"iteration": 1}', "unknown pgr config key(s) iteration"),
+    ('{"iterations": 1, "seed": 4, "betta": 0.1}', "unknown pgr config key(s) betta, seed"),
+])
+def test_pgr_config_must_be_an_object_of_known_keys(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert main(["pgr", "--config", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and message in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_one_is_a_parse_error(capsys, jobs):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["evaluate", "--jobs", jobs])
+    assert exit_info.value.code == 2
+    assert f"argument --jobs: must be >= 1, got {jobs}" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

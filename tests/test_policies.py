@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from gatesim.policies import (
     CONTROL_LIMITS,
@@ -263,6 +264,83 @@ def test_centroid_matches_flood_fill_oracle(rng):
         assert got[0] == pytest.approx(want[0], abs=1e-12)
 
 
+def _full_frame_centroid(mask):
+    """Reference: label the whole frame."""
+    if not mask.any():
+        return None
+    labels, _ = ndimage.label(mask)
+    areas = np.bincount(labels.ravel())[1:]
+    best = int(np.argmax(areas)) + 1
+    ys, xs = np.nonzero(labels == best)
+    return (float(xs.mean()), float(ys.mean())), int(areas[best - 1])
+
+
+def _edge_masks():
+    """Masks touching each image border, the corners, a single pixel, an
+    empty frame, and equal-area components that only the tie-break splits."""
+    h, w = 120, 160
+    masks = []
+    for rows, cols in [
+        (slice(0, 7), slice(40, 90)),       # top border
+        (slice(110, 120), slice(40, 90)),   # bottom border
+        (slice(30, 80), slice(0, 9)),       # left border
+        (slice(30, 80), slice(151, 160)),   # right border
+        (slice(0, 120), slice(0, 160)),     # the whole frame
+        (slice(0, 1), slice(0, 1)),         # corner pixel
+        (slice(119, 120), slice(159, 160)), # opposite corner pixel
+        (slice(60, 61), slice(80, 81)),     # single interior pixel
+        (slice(0, 0), slice(0, 0)),         # empty
+    ]:
+        mask = np.zeros((h, w), dtype=bool)
+        mask[rows, cols] = True
+        masks.append(mask)
+    ring = np.zeros((h, w), dtype=bool)     # a ring leaving the frame on the left
+    yy, xx = np.mgrid[0:h, 0:w]
+    r = np.hypot(yy - 60.0, xx - 10.0)
+    ring[(r >= 30.0) & (r <= 36.0)] = True
+    masks.append(ring)
+    tie = np.zeros((h, w), dtype=bool)      # equal areas, later one larger x
+    tie[50:54, 120:124] = True
+    tie[52:56, 20:24] = True
+    masks.append(tie)
+    tie_row = np.zeros((h, w), dtype=bool)  # equal areas on the same rows
+    tie_row[10:12, 150:160] = True
+    tie_row[10:12, 0:10] = True
+    masks.append(tie_row)
+    return masks
+
+
+@pytest.mark.parametrize("index", range(12))
+def test_centroid_window_matches_full_frame(index):
+    mask = _edge_masks()[index]
+    assert largest_component_centroid(mask) == _full_frame_centroid(mask)
+
+
+def test_centroid_window_tie_break():
+    mask = _edge_masks()[10]
+    (x, y), area = largest_component_centroid(mask)
+    assert area == 16 and (x, y) == (121.5, 51.5)  # the first one in raster order
+    mask = _edge_masks()[11]
+    assert largest_component_centroid(mask) == ((4.5, 10.5), 20)
+
+
+def _random_patch_masks(rng, n):
+    """Random 12 x 12 speckle patches, some cut by the border, plus a stray pixel."""
+    for _ in range(n):
+        noise = rng.random((120, 160)) < 0.5
+        mask = np.zeros((120, 160), dtype=bool)
+        y0, x0 = rng.integers(-6, 120), rng.integers(-6, 160)
+        rows, cols = slice(max(0, y0), y0 + 12), slice(max(0, x0), x0 + 12)
+        mask[rows, cols] = noise[rows, cols]
+        mask[rng.integers(0, 120), rng.integers(0, 160)] = True
+        yield mask
+
+
+def test_centroid_window_matches_full_frame_random(rng):
+    for mask in _random_patch_masks(rng, 40):
+        assert largest_component_centroid(mask) == _full_frame_centroid(mask)
+
+
 # ---------------------------------------------------------------------------
 # mask-centroid controller
 # ---------------------------------------------------------------------------
@@ -409,6 +487,50 @@ def test_noisy_mask_policy_reproducible():
 
     np.testing.assert_array_equal(run(5), run(5))
     assert not np.array_equal(run(5), run(6))
+
+
+def _full_frame_noisy_perception(mask, params, rng):
+    """Reference: boundary band over the whole frame."""
+    out = mask.copy()
+    if params.flip_prob > 0.0:
+        band = ndimage.binary_dilation(mask) & ~ndimage.binary_erosion(mask)
+        out ^= band & (rng.random(mask.shape) < params.flip_prob)
+    n_blobs = int(rng.poisson(params.blob_rate))
+    h, w = mask.shape
+    for _ in range(n_blobs):
+        cy = rng.integers(0, h)
+        cx = rng.integers(0, w)
+        r = params.blob_radius
+        ys, xs = np.ogrid[-r : r + 1, -r : r + 1]
+        disk = ys * ys + xs * xs <= r * r
+        y0, y1 = max(0, cy - r), min(h, cy + r + 1)
+        x0, x1 = max(0, cx - r), min(w, cx + r + 1)
+        out[y0:y1, x0:x1] |= disk[r - (cy - y0) : r + (y1 - cy), r - (cx - x0) : r + (x1 - cx)]
+    return out
+
+
+@pytest.mark.parametrize("params", [NoiseParams(), NoiseParams(flip_prob=1.0, blob_rate=0.0),
+                                    NoiseParams(flip_prob=0.5, blob_rate=4.0)])
+@pytest.mark.parametrize("index", range(12))
+def test_noise_window_matches_full_frame(index, params):
+    mask = _edge_masks()[index]
+    for seed in range(3):
+        got_rng = np.random.default_rng(seed)
+        want_rng = np.random.default_rng(seed)
+        got = noisy_perception(mask, params, got_rng)
+        want = _full_frame_noisy_perception(mask, params, want_rng)
+        np.testing.assert_array_equal(got, want)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_noise_window_matches_full_frame_random(rng):
+    params = NoiseParams()
+    for seed, mask in enumerate(_random_patch_masks(rng, 40)):
+        got_rng = np.random.default_rng(seed)
+        want_rng = np.random.default_rng(seed)
+        np.testing.assert_array_equal(noisy_perception(mask, params, got_rng),
+                                      _full_frame_noisy_perception(mask, params, want_rng))
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_scene
 from gatesim.geometry import RigidTransform
@@ -12,6 +14,8 @@ from gatesim.render import (
     COV2D_DILATION,
     DEFAULT_CAMERA,
     PinholeCamera,
+    _camera_rays,
+    _ring_window,
     camera_pose,
     gate_mask,
     pgm_bytes,
@@ -25,7 +29,7 @@ from gatesim.render import (
     world_to_camera,
 )
 from gatesim.scene import GaussianScene
-from gatesim.tracks import Gate
+from gatesim.tracks import Gate, gate_axes
 from gatesim.edits import translate
 
 
@@ -246,6 +250,132 @@ def test_gate_mask_moving_gate_uses_schedule_time():
     # gate drifts from the camera's right toward center
     assert xs0.mean() > xs2.mean()
     assert abs(xs2.mean() - 80.0) < 1.0
+
+
+def _full_frame_mask(gates, camera, pose, t=0.0):
+    """Reference: every gate ray-cast over every pixel of the frame."""
+    h, w = camera.height, camera.width
+    uu, vv = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
+    dirs_cam = np.stack(
+        [(uu - camera.cx) / camera.fx, (vv - camera.cy) / camera.fy, np.ones_like(uu)], axis=-1
+    )
+    r_wc = pose.rotation_matrix()
+    dirs = dirs_cam @ r_wc.T
+    origin = pose.translation
+
+    mask = np.zeros((h, w), dtype=bool)
+    for gate in gates:
+        center, yaw = gate.pose_at(t)
+        normal, lateral, up = gate_axes(yaw)
+        denom = dirs @ normal
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_hit = (normal @ (center - origin)) / denom
+        ok = (np.abs(denom) > 1e-12) & (t_hit > 0.0)
+        hit = origin + t_hit[:, :, None] * dirs
+        q = hit - center
+        a = q @ lateral
+        b = q @ up
+        if gate.shape == "square":
+            d = np.maximum(np.abs(a), np.abs(b))
+        else:
+            d = np.hypot(a, b)
+        mask |= ok & (d >= gate.inner_half) & (d <= gate.outer_half)
+    return mask
+
+
+_coord = st.floats(-4.0, 4.0, allow_nan=False)
+_angle = st.floats(-math.pi, math.pi, allow_nan=False)
+
+
+@st.composite
+def _gate_and_pose(draw):
+    """A gate and a camera pose, with the camera anywhere, looking toward the
+    ring, near its plane (the ring straddles the camera plane), close in
+    front of it (the ring outgrows the frame) or facing away from it."""
+    shape = draw(st.sampled_from(["square", "circular"]))
+    inner = draw(st.floats(0.05, 2.0))
+    ring = draw(st.floats(0.02, 0.6))
+    center = np.array([draw(_coord) for _ in range(3)])
+    yaw = draw(_angle)
+    if draw(st.booleans()):
+        end = center + np.array([draw(_coord) for _ in range(3)])
+        gate = Gate(shape, inner, ring, ((0.5, center, yaw), (3.0, end, yaw + draw(_angle))))
+        t = draw(st.floats(-1.0, 5.0))  # before, inside and after the schedule
+    else:
+        gate = Gate.static(shape, inner, ring, center, yaw)
+        t = 0.0
+    c, gyaw = gate.pose_at(t)
+    normal, lateral, up = gate_axes(gyaw)
+    place = draw(st.sampled_from(["free", "looking", "plane", "close", "away"]))
+    side = draw(st.floats(-1.0, 1.0))
+    lift = draw(st.floats(-1.0, 1.0))
+    if place in ("free", "looking"):
+        pos = np.array([draw(_coord) for _ in range(3)])
+        cam_yaw = draw(_angle)
+        if place == "looking":
+            cam_yaw = math.atan2(c[1] - pos[1], c[0] - pos[0]) + 0.5 * side
+    elif place == "plane":
+        pos = c + draw(st.floats(-0.3, 0.3)) * normal + 2.0 * (side * lateral + lift * up)
+        cam_yaw = draw(_angle)
+    else:
+        depth = draw(st.floats(0.02, 0.6))
+        pos = c - depth * normal + 0.3 * (side * lateral + lift * up)
+        cam_yaw = gyaw + (math.pi if place == "away" else 0.0) + 0.3 * draw(st.floats(-1.0, 1.0))
+    pitch = draw(st.floats(-1.2, 1.2))
+    pose = camera_pose(pos, cam_yaw, 0.3 * pitch if place == "looking" else pitch)
+    camera = draw(st.sampled_from([DEFAULT_CAMERA, DEFAULT_CAMERA.scaled(2.0)]))
+    return gate, camera, pose, t
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(_gate_and_pose())
+def test_gate_mask_window_matches_full_frame(case):
+    gate, camera, pose, t = case
+    assert np.array_equal(gate_mask(gate, camera, pose, t=t),
+                          _full_frame_mask([gate], camera, pose, t=t))
+
+
+def test_gate_mask_several_gates_match_full_frame(rng):
+    gates = [Gate.static(shape, 0.39, 0.10, rng.uniform(-3.0, 3.0, size=3), rng.uniform(-3, 3))
+             for shape in ("circular", "square", "circular", "square")]
+    for _ in range(40):
+        pose = camera_pose(rng.uniform(-3.0, 3.0, size=3), rng.uniform(-3, 3), rng.uniform(-1, 1))
+        assert np.array_equal(gate_mask(gates, DEFAULT_CAMERA, pose),
+                              _full_frame_mask(gates, DEFAULT_CAMERA, pose))
+
+
+def _window_of(gate, camera, pose):
+    center, yaw = gate.pose_at(0.0)
+    _, lateral, up = gate_axes(yaw)
+    return _ring_window(camera, pose.rotation_matrix(), pose.translation, center,
+                        lateral, up, gate.outer_half)
+
+
+def test_ring_window_kinds():
+    cam = DEFAULT_CAMERA
+    full = (slice(0, cam.height), slice(0, cam.width))
+    pose = camera_pose((0.0, 0.0, 1.5), yaw=0.0)
+    far = Gate.static("circular", 0.39, 0.10, (5.0, 0.0, 1.5), math.pi)
+    rows, cols = _window_of(far, cam, pose)
+    # 0.49 m at 5 m with fx = 60 spans 5.88 px each side of the center:
+    # pixels 55..65 and 75..85, padded by 2
+    assert (rows, cols) == (slice(53, 68), slice(73, 88))
+    behind = Gate.static("circular", 0.39, 0.10, (-5.0, 0.0, 1.5), 0.0)
+    assert _window_of(behind, cam, pose) is None
+    # the camera sits in the ring's plane, beside it: corners on both sides
+    straddle = Gate.static("square", 1.0, 0.2, (0.0, 3.0, 1.5), math.pi / 2 - 0.2)
+    assert _window_of(straddle, cam, pose) == full
+    off_frame = Gate.static("circular", 0.39, 0.10, (5.0, 20.0, 1.5), math.pi)
+    assert _window_of(off_frame, cam, pose) is None
+
+
+def test_camera_rays_cached_read_only():
+    rays = _camera_rays(DEFAULT_CAMERA)
+    assert _camera_rays(PinholeCamera()) is rays
+    assert rays.shape == (DEFAULT_CAMERA.height, DEFAULT_CAMERA.width, 3)
+    assert not rays.flags.writeable
+    np.testing.assert_array_equal(rays[60, 80], [0.0, 0.0, 1.0])
+    assert _camera_rays(DEFAULT_CAMERA.scaled(2.0)).shape == (240, 320, 3)
 
 
 def test_mask_translation_consistency(rng):
