@@ -15,7 +15,7 @@ import json
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -96,38 +96,42 @@ def resolve_track(spec: str):
     )
 
 
-def _float(x):
-    return None if x is None else float(x)
-
-
 # ---------------------------------------------------------------------------
 # Trial running (parallelizable across trials with stable seeding)
 # ---------------------------------------------------------------------------
 
 
 def _trial_job(payload: dict):
+    """key -> (perturb the track) -> jittered start -> rollout.
+
+    The key's SeedSequence spawns one child per random stream: perturbation
+    (only when a level is given), initial-pose jitter, then the policy.
+    """
     track = track_from_dict(payload["track"])
-    seq = np.random.SeedSequence(tuple(payload["key"]))
-    init_seq, policy_seq = seq.spawn(2)
-    init_rng = np.random.default_rng(init_seq)
+    level = payload["level"]
+    children = np.random.SeedSequence(tuple(payload["key"])).spawn(2 if level is None else 3)
+    init_seq, policy_seq = children[-2:]
+    if level is not None:
+        track = perturb_track(track, level, np.random.default_rng(children[0]))
     policy = make_policy(payload["policy"], track.platform)
     dyn = platform_dynamics(track.platform)
-    pos, yaw = jittered_initial_pose(track, init_rng)
-    init = dyn.initial_state(pos, yaw)
+    pos, yaw = jittered_initial_pose(track, np.random.default_rng(init_seq))
     config = SimConfig(tick_hz=payload["tick_hz"])
     return rollout(policy, track, config, rng=np.random.default_rng(policy_seq),
-                   init_state=init)
+                   init_state=dyn.initial_state(pos, yaw))
 
 
 def run_trials(track, policy_name: str, trials: int, seed: int, stream: int,
-               tick_hz: float = 50.0, jobs: int = 1):
-    """Seeded, jittered rollouts; results do not depend on the job count."""
+               tick_hz: float = 50.0, jobs: int = 1, level: float | None = None):
+    """Seeded, jittered rollouts, on the track shifted by level cm when one
+    is given; results do not depend on the job count."""
     payloads = [
         {
             "track": track_to_dict(track),
             "policy": policy_name,
             "key": (seed, stream, k),
             "tick_hz": tick_hz,
+            "level": level,
         }
         for k in range(trials)
     ]
@@ -231,30 +235,15 @@ def cmd_perturb(args) -> int:
             "levels": levels,
             "tracks_per_level": args.tracks_per_level,
             "seed": args.seed,
+            "tick_hz": args.tick_hz,
         }
     )
 
     curve = []
     for li, level in enumerate(levels):
-        rolls = []
-        for k in range(args.tracks_per_level):
-            seq = np.random.SeedSequence((args.seed, li, k))
-            perturb_seq, init_seq, policy_seq = seq.spawn(3)
-            shifted = perturb_track(track, level, np.random.default_rng(perturb_seq))
-            policy = make_policy(args.policy, track.platform)
-            dyn = platform_dynamics(track.platform)
-            pos, yaw = jittered_initial_pose(shifted, np.random.default_rng(init_seq))
-            rolls.append(
-                rollout(
-                    policy,
-                    shifted,
-                    SimConfig(tick_hz=args.tick_hz),
-                    rng=np.random.default_rng(policy_seq),
-                    init_state=dyn.initial_state(pos, yaw),
-                )
-            )
-        m = metrics(rolls)
-        curve.append((level, m))
+        rolls = run_trials(track, args.policy, args.tracks_per_level, args.seed, li,
+                           tick_hz=args.tick_hz, jobs=args.jobs, level=level)
+        curve.append((level, metrics(rolls)))
 
     srs = [m["sr"] for _, m in curve]
     if len(levels) > 1:
@@ -322,64 +311,35 @@ def _history_row(stats):
     }
 
 
-PGR_CONFIG_KEYS = (
-    "platform", "per_gate_counts", "iterations", "beta", "lambda_pos", "initial_per_cell",
-    "samples_per_iteration", "val_per_cell", "tick_hz", "n0",
-)
-
-
-def _load_pgr_overrides(path) -> dict:
+def _load_pgr_config(path, seed: int) -> PgrConfig:
+    """The --config JSON object mapped onto PgrConfig; seed comes from --seed."""
     overrides = _load_json(path)
     if not isinstance(overrides, dict):
         raise ValueError(f"{path}: pgr config must be a JSON object, "
                          f"got {type(overrides).__name__}")
-    unknown = sorted(set(overrides) - set(PGR_CONFIG_KEYS))
+    accepted = [f.name for f in fields(PgrConfig) if f.name != "seed"]
+    unknown = sorted(set(overrides) - set(accepted))
     if unknown:
         raise ValueError(f"{path}: unknown pgr config key(s) {', '.join(unknown)}; "
-                         f"accepted: {', '.join(PGR_CONFIG_KEYS)}")
-    return overrides
+                         f"accepted: {', '.join(accepted)}")
+    try:
+        return PgrConfig(**overrides, seed=seed)
+    except (TypeError, ValueError) as e:   # out of range, or of the wrong JSON type
+        raise ValueError(f"{path}: {e}") from None
 
 
 def cmd_pgr(args) -> int:
-    overrides = _load_pgr_overrides(args.config)
-    platform = overrides.get("platform", "uav")
-    per_gate = tuple(overrides.get("per_gate_counts", (2, 2, 2, 2)))
-    config = PgrConfig(
-        platform=platform,
-        iterations=int(overrides.get("iterations", 3)),
-        beta=float(overrides.get("beta", 0.05)),
-        lambda_pos=float(overrides.get("lambda_pos", 1.0)),
-        initial_per_cell=int(overrides.get("initial_per_cell", 2)),
-        samples_per_iteration=overrides.get("samples_per_iteration"),
-        val_per_cell=int(overrides.get("val_per_cell", 1)),
-        tick_hz=float(overrides.get("tick_hz", 10.0)),
-        seed=args.seed,
-    )
-    partition = GridPartition.default(platform, per_gate)
-    chash = config_hash(
-        {
-            "cmd": "pgr",
-            "platform": platform,
-            "per_gate_counts": list(per_gate),
-            "iterations": config.iterations,
-            "beta": config.beta,
-            "lambda_pos": config.lambda_pos,
-            "initial_per_cell": config.initial_per_cell,
-            "samples_per_iteration": config.samples_per_iteration,
-            "val_per_cell": config.val_per_cell,
-            "tick_hz": config.tick_hz,
-            "seed": args.seed,
-            "n0": overrides.get("n0", 5.0),
-        }
-    )
+    config = _load_pgr_config(args.config, args.seed)
+    platform = config.platform
+    partition = GridPartition.default(platform, config.per_gate_counts)
+    chash = config_hash({"cmd": "pgr", **asdict(config)})
 
     expert = expert_policy(platform)
-    n0 = float(overrides.get("n0", 5.0))
 
     def fresh_learner(tag: int):
         return SyntheticLearner(
             partition, expert_policy(platform), CONTROL_LIMITS[platform],
-            n0=n0, seed=(args.seed, tag),
+            n0=config.n0, seed=(args.seed, tag),
         )
 
     print(f"building validation set ({partition.m} cells) ...")
@@ -424,20 +384,7 @@ def cmd_pgr(args) -> int:
     if args.out:
         out = Path(args.out)
         _write(out / "config.json", json.dumps(
-            {
-                "config_hash": chash,
-                "platform": platform,
-                "per_gate_counts": list(per_gate),
-                "iterations": config.iterations,
-                "beta": config.beta,
-                "lambda_pos": config.lambda_pos,
-                "initial_per_cell": config.initial_per_cell,
-                "val_per_cell": config.val_per_cell,
-                "tick_hz": config.tick_hz,
-                "seed": args.seed,
-                "n0": n0,
-            },
-            indent=2, sort_keys=True) + "\n")
+            {"config_hash": chash, **asdict(config)}, indent=2, sort_keys=True) + "\n")
         lines = ["iteration,grid_idx,loss,weight,samples"]
         for stats in guided.history:
             for i in range(partition.m):
@@ -457,6 +404,8 @@ def cmd_pgr(args) -> int:
 
 
 def cmd_export_dataset(args) -> int:
+    if args.out is None:
+        raise ValueError("export-dataset needs --out")
     track = resolve_track(args.track)
     scene = read_scene(args.scene) if args.scene else None
     out = Path(args.out)
@@ -476,16 +425,11 @@ def cmd_export_dataset(args) -> int:
     config = SimConfig(tick_hz=args.tick_hz)
     dt = config.resolve_dt(dyn)
     spt = max(1, round(1.0 / args.tick_hz / dt))
+    rolls = run_trials(track, args.policy, args.trials, args.seed, 0,
+                       tick_hz=args.tick_hz, jobs=args.jobs)
 
     total_frames = 0
-    for trial in range(args.trials):
-        seq = np.random.SeedSequence((args.seed, 0, trial))
-        init_seq, policy_seq = seq.spawn(2)
-        policy = make_policy(args.policy, track.platform)
-        pos, yaw = jittered_initial_pose(track, np.random.default_rng(init_seq))
-        roll = rollout(policy, track, config, rng=np.random.default_rng(policy_seq),
-                       init_state=dyn.initial_state(pos, yaw))
-
+    for trial, roll in enumerate(rolls):
         n_ticks = len(roll.controls) // spt + (1 if len(roll.controls) % spt else 0)
         crossing_times = [g.t_cross for g in roll.gates if g.t_cross is not None]
         for tick in range(n_ticks):
@@ -619,6 +563,22 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number > 0, got {text!r}") from None
+    if not 0.0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {value}")
+    return value
+
+
+def _serial_jobs(text: str) -> int:
+    if _positive_int(text) > 1:
+        raise argparse.ArgumentTypeError(f"pgr runs serially, so only 1 is accepted, got {text}")
+    return 1
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gatesim",
@@ -627,17 +587,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, trials_default=10):
+    def common(p):
         p.add_argument("--seed", type=int, default=0, help="master seed")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--jobs", type=_positive_int, default=1, help="parallel workers")
-        p.add_argument("--trials", type=int, default=trials_default,
-                       help="initial conditions per track")
-        p.add_argument("--tick-hz", type=float, default=50.0, help="policy rate")
-        p.add_argument("--config", default=None, help="JSON config overrides")
+
+    def trial_flags(p):
+        p.add_argument("--jobs", type=_positive_int, default=1,
+                       help="parallel workers (never changes results)")
+        p.add_argument("--tick-hz", type=_positive_float, default=50.0, help="policy rate")
 
     p = sub.add_parser("evaluate", help="SR/MGE over reference or custom tracks")
     common(p)
+    trial_flags(p)
+    p.add_argument("--trials", type=_positive_int, default=10, help="initial conditions per track")
     p.add_argument("--tracks", nargs="*", default=None,
                    help="track names or files (default: all bundled)")
     p.add_argument("--policy", default="expert", choices=POLICY_NAMES)
@@ -645,19 +607,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("perturb", help="SR under random gate offsets")
     common(p)
+    trial_flags(p)
     p.add_argument("--track", default="uav-slalom")
     p.add_argument("--policy", default="expert", choices=POLICY_NAMES)
     p.add_argument("--levels", default="0,20,40,60,80", help="cm, comma-separated")
-    p.add_argument("--tracks-per-level", type=int, default=10)
+    p.add_argument("--tracks-per-level", type=_positive_int, default=10)
     p.set_defaults(func=cmd_perturb)
 
     p = sub.add_parser("pgr", help="refinement loop vs uniform baseline")
     common(p)
+    p.add_argument("--config", default=None,
+                   help="JSON object of PgrConfig fields (all but seed)")
+    p.add_argument("--jobs", type=_serial_jobs, default=1, help="pgr runs serially: 1")
     p.add_argument("--skip-uniform", action="store_true")
     p.set_defaults(func=cmd_pgr)
 
     p = sub.add_parser("export-dataset", help="mask/RGB + control record triples")
-    common(p, trials_default=1)
+    common(p)
+    trial_flags(p)
+    p.add_argument("--trials", type=_positive_int, default=1, help="rollouts to record")
     p.add_argument("--track", required=True)
     p.add_argument("--policy", default="expert", choices=POLICY_NAMES)
     p.add_argument("--scene", default=None, help="PLY scene for RGB frames")

@@ -161,26 +161,40 @@ class IterationStats:
     val_mge: float | None
 
 
+# rejected draws a cell may take before one requested sample is skipped
+RETRY_CAP = 50
+
+
 @dataclass
 class PgrConfig:
+    """One refinement run; `gatesim pgr --config` JSON sets any field but seed."""
+
     platform: str = "uav"
+    per_gate_counts: tuple = (2, 2, 2, 2)   # bins per gate axis (x, y, z, yaw)
     iterations: int = 3
     beta: float = 0.05
     lambda_pos: float = 1.0
     initial_per_cell: int = 2
     samples_per_iteration: int | None = None   # None: m * initial_per_cell
     val_per_cell: int = 1
-    retry_cap: int = 50
     tick_hz: float = 10.0
+    n0: float = 5.0   # SyntheticLearner noise: sigma0 / sqrt(1 + n / n0)
     seed: int = 0
 
     def __post_init__(self):
+        self.per_gate_counts = tuple(self.per_gate_counts)
+        for name in ("iterations", "initial_per_cell", "val_per_cell"):
+            setattr(self, name, int(getattr(self, name)))
+        for name in ("beta", "lambda_pos", "tick_hz", "n0"):
+            setattr(self, name, float(getattr(self, name)))
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError("beta must be in [0, 1]")
         if self.lambda_pos < 0.0:
             raise ValueError("lambda_pos must be >= 0")
+        if not self.tick_hz > 0.0:
+            raise ValueError(f"tick_hz must be > 0, got {self.tick_hz}")
 
     def sim(self) -> SimConfig:
         return SimConfig(tick_hz=self.tick_hz, record_trajectory=False)
@@ -204,38 +218,38 @@ class _SeedChain:
         return np.random.default_rng(self._seq.spawn(1)[0])
 
 
-def _accepted_sample(partition, cell, platform, expert, sim, seeds, cap):
-    """Rejection-sample one feasible+observable layout from a cell.
+def accept_cells(partition, cells, platform, expert, sim, seeds, cap=RETRY_CAP):
+    """Rejection-sample one feasible+observable layout per requested cell.
 
-    Returns (layout, rollout) or None after cap rejected draws. The accepted
-    expert rollout is returned so callers can reuse it as training data.
+    Returns (samples, skipped): (cell, layout, expert rollout) triples in
+    request order, the rollout reusable as training data, and per-cell counts
+    of requests skipped after cap rejected draws.
     """
-    rng = seeds.rng()
-    for _ in range(cap):
-        layout = partition.sample(cell, rng)
-        if not observability_check(layout, platform):
-            continue
-        ok, roll = feasibility_check(layout, platform, expert, sim, rng=seeds.rng())
-        if ok:
-            return layout, roll
-    return None
+    samples = []
+    skipped: dict[int, int] = {}
+    for cell in cells:
+        rng = seeds.rng()
+        for _ in range(cap):
+            layout = partition.sample(cell, rng)
+            if not observability_check(layout, platform):
+                continue
+            ok, roll = feasibility_check(layout, platform, expert, sim, rng=seeds.rng())
+            if ok:
+                samples.append((cell, layout, roll))
+                break
+        else:
+            skipped[cell] = skipped.get(cell, 0) + 1
+    return samples, skipped
 
 
-def build_validation_set(partition, config: PgrConfig, expert, seeds=None):
+def build_validation_set(partition, config: PgrConfig, expert, seeds=None, cap=RETRY_CAP):
     """Fixed per-cell validation layouts, feasibility-filtered like training."""
-    seeds = seeds or _SeedChain((config.seed, 1))
-    sim = config.sim()
-    g_val = []
-    for cell in range(partition.m):
-        for _ in range(config.val_per_cell):
-            got = _accepted_sample(
-                partition, cell, config.platform, expert, sim, seeds, config.retry_cap
-            )
-            if got is not None:
-                g_val.append((cell, got[0]))
-    if not g_val:
+    cells = [c for c in range(partition.m) for _ in range(config.val_per_cell)]
+    samples, _ = accept_cells(partition, cells, config.platform, expert, config.sim(),
+                              seeds or _SeedChain((config.seed, 1)), cap)
+    if not samples:
         raise ValueError("validation set is empty: no feasible layouts found")
-    return g_val
+    return [(cell, layout) for cell, layout, _ in samples]
 
 
 def grid_losses(policy, g_val, partition, platform: str, lambda_pos: float,
@@ -264,7 +278,7 @@ def grid_losses(policy, g_val, partition, platform: str, lambda_pos: float,
 
 
 def resample(partition, w, n: int, platform: str, expert, sim: SimConfig, seeds,
-             cap: int = 50):
+             cap: int = RETRY_CAP):
     """Draw n layouts: cell by weight, point uniform in the cell.
 
     Infeasible draws retry within the same cell up to cap times, after which
@@ -274,16 +288,8 @@ def resample(partition, w, n: int, platform: str, expert, sim: SimConfig, seeds,
     w = np.asarray(w, dtype=np.float64)
     if abs(w.sum() - 1.0) > 1e-9:
         raise ValueError("weights must sum to 1")
-    cell_rng = seeds.rng()
-    cells = cell_rng.choice(partition.m, size=n, p=w)
-    samples = []
-    skipped: dict[int, int] = {}
-    for cell in cells:
-        got = _accepted_sample(partition, int(cell), platform, expert, sim, seeds, cap)
-        if got is None:
-            skipped[int(cell)] = skipped.get(int(cell), 0) + 1
-        else:
-            samples.append((int(cell), got[0], got[1]))
+    cells = seeds.rng().choice(partition.m, size=n, p=w).tolist()
+    samples, skipped = accept_cells(partition, cells, platform, expert, sim, seeds, cap)
     if not samples:
         raise RuntimeError("sampling failure: every drawn grid cell was infeasible")
     return samples, skipped
@@ -291,18 +297,9 @@ def resample(partition, w, n: int, platform: str, expert, sim: SimConfig, seeds,
 
 def initial_samples(partition, config: PgrConfig, expert, seeds):
     """Uniform start: initial_per_cell accepted layouts from every cell."""
-    sim = config.sim()
-    samples = []
-    skipped: dict[int, int] = {}
-    for cell in range(partition.m):
-        for _ in range(config.initial_per_cell):
-            got = _accepted_sample(
-                partition, cell, config.platform, expert, sim, seeds, config.retry_cap
-            )
-            if got is None:
-                skipped[cell] = skipped.get(cell, 0) + 1
-            else:
-                samples.append((cell, got[0], got[1]))
+    cells = [c for c in range(partition.m) for _ in range(config.initial_per_cell)]
+    samples, skipped = accept_cells(partition, cells, config.platform, expert,
+                                    config.sim(), seeds)
     if not samples:
         raise RuntimeError("sampling failure: every grid cell was infeasible")
     return samples, skipped
@@ -359,8 +356,7 @@ def pgr_run(partition: GridPartition, policy, expert, config: PgrConfig,
         )
         if it < config.iterations:
             batch, skipped = resample(
-                partition, w, n_iter, config.platform, expert, sim, seeds,
-                cap=config.retry_cap,
+                partition, w, n_iter, config.platform, expert, sim, seeds
             )
     return PgrResult(history=history, dataset=dataset, g_val=g_val, policy=policy)
 

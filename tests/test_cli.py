@@ -121,6 +121,29 @@ def test_perturb_outputs(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_perturb_hash_covers_tick_rate(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    save_track("mini-uav.json", _mini_track("uav"))
+    args = ["perturb", "--track", "mini-uav.json", "--levels", "0", "--tracks-per-level", "1"]
+    hashes = set()
+    for hz in ("10", "50"):
+        assert main(args + ["--tick-hz", hz, "--out", hz]) == 0
+        hashes.add(json.loads(Path(hz, "summary.json").read_text())["config_hash"])
+    assert len(hashes) == 2
+    capsys.readouterr()
+
+
+def test_perturb_job_count_does_not_change_results(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    save_track("mini-uav.json", _mini_track("uav"))
+    args = ["perturb", "--track", "mini-uav.json", "--levels", "0,30",
+            "--tracks-per-level", "2", "--tick-hz", "10", "--seed", "6"]
+    assert main(args + ["--jobs", "1", "--out", "j1"]) == 0
+    assert main(args + ["--jobs", "2", "--out", "j2"]) == 0
+    assert _bytes_of("j1") == _bytes_of("j2")
+    capsys.readouterr()
+
+
 # ---------------------------------------------------------------------------
 # pgr
 # ---------------------------------------------------------------------------
@@ -178,6 +201,30 @@ def test_pgr_skip_uniform(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_pgr_config_json_reproduces_its_hash(tmp_path, capsys):
+    cfg = _pgr_config(tmp_path, iterations=1, samples_per_iteration=3)
+    assert main(["pgr", "--config", cfg, "--skip-uniform", "--seed", "4",
+                 "--out", str(tmp_path / "r")]) == 0
+    rest = json.loads((tmp_path / "r/config.json").read_text())
+    chash = rest.pop("config_hash")
+    assert rest["samples_per_iteration"] == 3 and rest["seed"] == 4
+    assert config_hash({"cmd": "pgr", **rest}) == chash
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("extra,message", [
+    ({"tick_hz": 0}, "tick_hz must be > 0, got 0.0"),
+    ({"beta": 1.5}, "beta must be in [0, 1]"),
+    ({"beta": None}, "float() argument must be"),
+    ({"per_gate_counts": 3}, "'int' object is not iterable"),
+])
+def test_pgr_config_bad_values_are_config_errors(tmp_path, capsys, extra, message):
+    cfg = _pgr_config(tmp_path, **extra)
+    assert main(["pgr", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}: {message}" in err
+
+
 def test_pgr_malformed_config(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -206,6 +253,46 @@ def test_jobs_below_one_is_a_parse_error(capsys, jobs):
         main(["evaluate", "--jobs", jobs])
     assert exit_info.value.code == 2
     assert f"argument --jobs: must be >= 1, got {jobs}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "perturb", "export-dataset"])
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+def test_tick_rate_must_be_positive_and_finite(capsys, command, value):
+    with pytest.raises(SystemExit) as exit_info:
+        extra = ["--track", "uav-slalom"] if command == "export-dataset" else []
+        main([command, *extra, f"--tick-hz={value}"])
+    assert exit_info.value.code == 2
+    assert "argument --tick-hz: must be a finite number > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "--trials"],
+    ["export-dataset", "--track", "uav-slalom", "--trials"],
+    ["perturb", "--tracks-per-level"],
+], ids=" ".join)
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_trial_counts_below_one_are_parse_errors(capsys, argv, value):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + [value])
+    assert exit_info.value.code == 2
+    assert f"argument {argv[-1]}: must be >= 1, got {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "--config", "c.json"],
+    ["perturb", "--trials", "2"],
+    ["perturb", "--config", "c.json"],
+    ["pgr", "--trials", "2"],
+    ["pgr", "--tick-hz", "50"],
+    ["pgr", "--jobs", "2"],
+    ["export-dataset", "--track", "uav-slalom", "--config", "c.json"],
+], ids=" ".join)
+def test_flags_a_command_does_not_read_are_refused(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "pgr runs serially" in err if argv[1] == "--jobs" else "unrecognized arguments" in err
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +333,24 @@ def test_export_dataset(tmp_path, monkeypatch, capsys):
     rec1 = json.loads(Path("d1/t00/frame00001.json").read_text())
     assert rec1["history"][-1] == rec0["control"]
     capsys.readouterr()
+
+
+def test_export_dataset_job_count_does_not_change_results(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    save_track("mini-quad.json", _mini_track("quad"))
+    args = ["export-dataset", "--track", "mini-quad.json", "--trials", "2",
+            "--tick-hz", "10", "--seed", "2"]
+    assert main(args + ["--jobs", "1", "--out", "j1"]) == 0
+    assert main(args + ["--jobs", "2", "--out", "j2"]) == 0
+    j1 = _bytes_of("j1")
+    assert {rel.split("/")[0] for rel in j1} == {"meta.json", "t00", "t01"}
+    assert j1 == _bytes_of("j2")
+    capsys.readouterr()
+
+
+def test_export_dataset_needs_an_output_directory(capsys):
+    assert main(["export-dataset", "--track", "uav-slalom"]) == 2
+    assert "export-dataset needs --out" in capsys.readouterr().err
 
 
 def test_export_dataset_with_scene(tmp_path, monkeypatch, capsys):

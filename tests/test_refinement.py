@@ -362,9 +362,25 @@ def test_build_validation_set_empty_raises():
     lo = np.array([-8.0, -0.5, 1.8, -0.05, -30.0, -0.5, 1.8, -0.05])
     hi = np.array([-4.0, 0.5, 2.2, 0.05, -20.0, 0.5, 2.2, 0.05])
     part = GridPartition(lo, hi, (1, 1, 1, 1, 1, 1, 1, 1))
-    config = PgrConfig(platform="uav", retry_cap=3, tick_hz=10.0)
+    config = PgrConfig(platform="uav", tick_hz=10.0)
     with pytest.raises(ValueError):
-        build_validation_set(part, config, expert_policy("uav"))
+        build_validation_set(part, config, expert_policy("uav"), cap=3)
+
+
+def test_pgr_config_coerces_json_numbers():
+    config = PgrConfig(per_gate_counts=[2, 1, 1, 1], iterations=2.0, beta=1, lambda_pos=2,
+                       initial_per_cell=1.0, val_per_cell=3.0, tick_hz=10, n0=2)
+    assert config.per_gate_counts == (2, 1, 1, 1)
+    for name, kind in [("iterations", int), ("initial_per_cell", int), ("val_per_cell", int),
+                       ("beta", float), ("lambda_pos", float), ("tick_hz", float),
+                       ("n0", float)]:
+        assert type(getattr(config, name)) is kind, name
+
+
+@pytest.mark.parametrize("tick_hz", [0, -10.0, float("nan")])
+def test_pgr_config_rejects_non_positive_tick_rate(tick_hz):
+    with pytest.raises(ValueError, match="tick_hz must be > 0"):
+        PgrConfig(tick_hz=tick_hz)
 
 
 # ---------------------------------------------------------------------------
