@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -50,14 +51,13 @@ from .simulator import (
     metrics,
     rollout,
     trajectory_csv,
+    vehicle_camera_pose,
 )
 from .tracks import (
     load_track,
     perturb_track,
     reference_track,
     reference_track_names,
-    track_from_dict,
-    track_to_dict,
     track_splats,
 )
 
@@ -106,9 +106,10 @@ def _trial_job(payload: dict):
 
     The key's SeedSequence spawns one child per random stream: perturbation
     (only when a level is given), initial-pose jitter, then the policy.
+    Returns the rollout, or with "ticks" set the (t, state, target, history,
+    control) the rollout observed on each policy tick.
     """
-    track = track_from_dict(payload["track"])
-    level = payload["level"]
+    track, level = payload["track"], payload["level"]
     children = np.random.SeedSequence(tuple(payload["key"])).spawn(2 if level is None else 3)
     init_seq, policy_seq = children[-2:]
     if level is not None:
@@ -117,28 +118,34 @@ def _trial_job(payload: dict):
     dyn = platform_dynamics(track.platform)
     pos, yaw = jittered_initial_pose(track, np.random.default_rng(init_seq))
     config = SimConfig(tick_hz=payload["tick_hz"])
-    return rollout(policy, track, config, rng=np.random.default_rng(policy_seq),
-                   init_state=dyn.initial_state(pos, yaw))
+    ticks = [] if payload["ticks"] else None
+    roll = rollout(policy, track, config, rng=np.random.default_rng(policy_seq),
+                   init_state=dyn.initial_state(pos, yaw),
+                   observer=None if ticks is None else lambda *tick: ticks.append(tick))
+    return roll if ticks is None else ticks
 
 
-def run_trials(track, policy_name: str, trials: int, seed: int, stream: int,
-               tick_hz: float = 50.0, jobs: int = 1, level: float | None = None):
-    """Seeded, jittered rollouts, on the track shifted by level cm when one
-    is given; results do not depend on the job count."""
+def run_trials(runs, policy_name: str, trials: int, seed: int, tick_hz: float = 50.0,
+               jobs: int = 1, ticks: bool = False):
+    """Seeded, jittered trials of each (stream, track, level) run, on the
+    track shifted by level cm when one is given; one list of results per run.
+
+    All trials go through one pool of at most os.cpu_count() workers, and
+    results do not depend on the job count.
+    """
     payloads = [
-        {
-            "track": track_to_dict(track),
-            "policy": policy_name,
-            "key": (seed, stream, k),
-            "tick_hz": tick_hz,
-            "level": level,
-        }
+        {"track": track, "policy": policy_name, "key": (seed, stream, k),
+         "tick_hz": tick_hz, "level": level, "ticks": ticks}
+        for stream, track, level in runs
         for k in range(trials)
     ]
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_trial_job, payloads))
-    return [_trial_job(p) for p in payloads]
+            results = list(pool.map(_trial_job, payloads))
+    else:
+        results = [_trial_job(p) for p in payloads]
+    return [results[i:i + trials] for i in range(0, len(results), trials)]
 
 
 def _write(path: Path, text: str) -> None:
@@ -174,22 +181,21 @@ def cmd_evaluate(args) -> int:
         }
     )
 
+    # mask policies fly only quad tracks; the stream is the index among all named tracks
+    flown = [(idx, name, track) for idx, (name, track) in enumerate(tracks)
+             if args.policy not in ("classical", "classical-noisy") or track.platform == "quad"]
+    if not flown:
+        raise ValueError(f"policy {args.policy!r} matched no requested track")
+    results = run_trials([(idx, track, None) for idx, _, track in flown], args.policy,
+                         args.trials, args.seed, args.tick_hz, args.jobs)
+
     rows = []
     per_track = {}
-    all_rollouts = []
-    for idx, (name, track) in enumerate(tracks):
-        if args.policy in ("classical", "classical-noisy") and track.platform != "quad":
-            continue
-        rolls = run_trials(track, args.policy, args.trials, args.seed, idx,
-                           tick_hz=args.tick_hz, jobs=args.jobs)
+    for (_, name, track), rolls in zip(flown, results):
         m = metrics(rolls)
         per_track[name] = m
-        all_rollouts.append((name, rolls))
         mge = "n/a" if m["mge"] is None else f"{m['mge']:.3f}"
         rows.append([name, track.platform, args.trials, f"{100*m['sr']:.1f}%", mge])
-
-    if not rows:
-        raise ValueError(f"policy {args.policy!r} matched no requested track")
     _print_table(rows, ["track", "platform", "trials", "SR", "MGE [m]"])
 
     if args.out:
@@ -212,7 +218,7 @@ def cmd_evaluate(args) -> int:
             )
             + "\n",
         )
-        for name, rolls in all_rollouts:
+        for (_, name, _), rolls in zip(flown, results):
             _write(out / "events" / f"{name}.csv", events_csv(rolls))
             for k, roll in enumerate(rolls):
                 _write(out / "trajectories" / f"{name}_{k:02d}.csv", trajectory_csv(roll))
@@ -239,11 +245,9 @@ def cmd_perturb(args) -> int:
         }
     )
 
-    curve = []
-    for li, level in enumerate(levels):
-        rolls = run_trials(track, args.policy, args.tracks_per_level, args.seed, li,
-                           tick_hz=args.tick_hz, jobs=args.jobs, level=level)
-        curve.append((level, metrics(rolls)))
+    results = run_trials([(li, track, level) for li, level in enumerate(levels)], args.policy,
+                         args.tracks_per_level, args.seed, args.tick_hz, args.jobs)
+    curve = [(level, metrics(rolls)) for level, rolls in zip(levels, results)]
 
     srs = [m["sr"] for _, m in curve]
     if len(levels) > 1:
@@ -422,44 +426,29 @@ def cmd_export_dataset(args) -> int:
     )
     dyn = platform_dynamics(track.platform)
     expert = expert_policy(track.platform)
-    config = SimConfig(tick_hz=args.tick_hz)
-    dt = config.resolve_dt(dyn)
-    spt = max(1, round(1.0 / args.tick_hz / dt))
-    rolls = run_trials(track, args.policy, args.trials, args.seed, 0,
-                       tick_hz=args.tick_hz, jobs=args.jobs)
+    camera = DEFAULT_CAMERA
+    [trial_ticks] = run_trials([(0, track, None)], args.policy, args.trials, args.seed,
+                               args.tick_hz, args.jobs, ticks=True)
 
     total_frames = 0
-    for trial, roll in enumerate(rolls):
-        n_ticks = len(roll.controls) // spt + (1 if len(roll.controls) % spt else 0)
-        crossing_times = [g.t_cross for g in roll.gates if g.t_cross is not None]
-        for tick in range(n_ticks):
-            si = tick * spt
-            t = float(roll.times[si])
-            state = roll.states[si]
-            control = roll.controls[si]
-            pitch = float(state[4]) if track.platform == "uav" else 0.0
-            pose = camera_pose(dyn.position(state), dyn.yaw(state), pitch)
-            mask = gate_mask(list(track.gates), config.camera, pose, t=t)
+    for trial, ticks in enumerate(trial_ticks):
+        for tick, (t, state, target, history, control) in enumerate(ticks):
+            pose = vehicle_camera_pose(dyn, state)
+            mask = gate_mask(list(track.gates), camera, pose, t=t)
             stem = out / f"t{trial:02d}" / f"frame{tick:05d}"
             _write_bytes(stem.with_suffix(".pgm"), pgm_bytes(mask))
             if scene is not None:
-                img = render_scene(scene, config.camera, pose)
+                img = render_scene(scene, camera, pose)
                 _write_bytes(stem.with_suffix(".ppm"), ppm_bytes(img.rgb))
-            target = sum(1 for tc in crossing_times if tc <= t)
-            expert_u = expert.evaluate(
-                FullStateObs(t, state, track.gates, min(target, len(track.gates) - 1))
-            )
-            history = np.zeros((4, len(control)))
-            for h in range(1, 5):
-                hi = si - h * spt
-                if hi >= 0:
-                    history[-h] = roll.controls[hi]
+            # past the last gate the rollout targets len(gates); the record names the last
+            target = min(target, len(track.gates) - 1)
+            expert_u = expert.evaluate(FullStateObs(t, state, track.gates, target))
             record = {
                 "t": t,
                 "control": [float(v) for v in control],
                 "expert_control": [float(v) for v in expert_u],
                 "history": [[float(v) for v in row] for row in history],
-                "target_gate": int(min(target, len(track.gates) - 1)),
+                "target_gate": target,
             }
             _write(stem.with_suffix(".json"), json.dumps(record, indent=2, sort_keys=True) + "\n")
             total_frames += 1
@@ -476,12 +465,12 @@ def cmd_export_dataset(args) -> int:
                 "tick_hz": args.tick_hz,
                 "frames": total_frames,
                 "camera": {
-                    "width": config.camera.width,
-                    "height": config.camera.height,
-                    "fx": config.camera.fx,
-                    "fy": config.camera.fy,
-                    "cx": config.camera.cx,
-                    "cy": config.camera.cy,
+                    "width": camera.width,
+                    "height": camera.height,
+                    "fx": camera.fx,
+                    "fy": camera.fy,
+                    "cx": camera.cx,
+                    "cy": camera.cy,
                 },
             },
             indent=2,

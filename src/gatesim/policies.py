@@ -84,7 +84,7 @@ def _aim_point(gate: Gate, t: float, position: np.ndarray, speed: float):
 
 def gate_velocity(gate: Gate, t: float, h: float = 0.05) -> np.ndarray:
     """Finite-difference center velocity of the pose schedule."""
-    return (gate.center_at(t + h) - gate.center_at(max(t - h, 0.0))) / (
+    return (gate.pose_at(t + h)[0] - gate.pose_at(max(t - h, 0.0))[0]) / (
         t + h - max(t - h, 0.0)
     )
 

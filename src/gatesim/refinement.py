@@ -187,8 +187,17 @@ class PgrConfig:
             setattr(self, name, int(getattr(self, name)))
         for name in ("beta", "lambda_pos", "tick_hz", "n0"):
             setattr(self, name, float(getattr(self, name)))
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+        if self.platform not in LAYOUT_BOXES:
+            raise ValueError(f"unknown platform {self.platform!r}; "
+                             f"accepted: {', '.join(sorted(LAYOUT_BOXES))}")
+        counts = self.per_gate_counts
+        if len(counts) != 4 or not all(isinstance(c, (int, np.integer)) and c >= 1
+                                       for c in counts):
+            raise ValueError(f"per_gate_counts must be four ints >= 1, got {list(counts)}")
+        for name in ("iterations", "initial_per_cell", "val_per_cell", "samples_per_iteration"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError("beta must be in [0, 1]")
         if self.lambda_pos < 0.0:

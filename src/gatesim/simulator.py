@@ -143,10 +143,16 @@ def jittered_initial_pose(track: Track, rng: np.random.Generator,
     return pos, yaw + rng.uniform(-yaw_jitter, yaw_jitter)
 
 
+def vehicle_camera_pose(dynamics, state: np.ndarray):
+    """Pose of the onboard camera: it pitches with a uav airframe and stays
+    level on a quad."""
+    pitch = float(state[4]) if dynamics.platform == "uav" else 0.0
+    return camera_pose(dynamics.position(state), dynamics.yaw(state), pitch)
+
+
 def _observe(policy, dynamics, track, t, state, target, camera, history):
     if policy.observes == "mask":
-        pitch = float(state[4]) if dynamics.platform == "uav" else 0.0
-        pose = camera_pose(dynamics.position(state), dynamics.yaw(state), pitch)
+        pose = vehicle_camera_pose(dynamics, state)
         mask = gate_mask(list(track.gates), camera, pose, t=t)
         return MaskObs(mask, history.copy())
     return FullStateObs(t, state.copy(), track.gates, target)
@@ -158,9 +164,16 @@ def rollout(
     config: SimConfig | None = None,
     rng: np.random.Generator | None = None,
     init_state: np.ndarray | None = None,
+    observer=None,
 ) -> Rollout:
     """Run one episode; terminal on last-gate success, ring strike, arena
-    exit, or timeout. A miss advances the target gate without terminating."""
+    exit, or timeout. A miss advances the target gate without terminating.
+
+    observer(t, state, target, history, control), when given, is called once
+    per policy tick with the history the policy was given and the control it
+    returned; target is len(track.gates) after a missed last gate. The loop
+    never mutates these arrays afterwards, and the observer must not either.
+    """
     if policy.platform not in ("any", track.platform):
         raise ValueError(
             f"policy for {policy.platform!r} cannot fly a {track.platform!r} track"
@@ -194,6 +207,8 @@ def rollout(
     while terminal is None:
         obs = _observe(policy, dynamics, track, t, state, target, config.camera, history)
         control = np.asarray(policy.evaluate(obs), dtype=np.float64)
+        if observer is not None:
+            observer(t, state, target, history, control)
         history = np.roll(history, -1, axis=0)
         history[-1] = control
 

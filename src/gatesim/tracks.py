@@ -44,14 +44,6 @@ class Arena:
         p = np.asarray(p, dtype=np.float64)
         return bool(np.all(p >= self.lo) and np.all(p <= self.hi))
 
-    def margin_box(self, margin: float) -> tuple[np.ndarray, np.ndarray]:
-        """Interior box used when sampling gate positions."""
-        return self.lo + margin, self.hi - margin
-
-    @property
-    def size(self) -> np.ndarray:
-        return self.hi - self.lo
-
 
 ARENAS = {
     "uav": Arena("uav", np.array([-20.0, -10.0, 0.0]), np.array([20.0, 10.0, 4.0])),
@@ -121,12 +113,6 @@ class Gate:
                 return center, yaw
         raise AssertionError("unreachable")
 
-    def center_at(self, t: float) -> np.ndarray:
-        return self.pose_at(t)[0]
-
-    def yaw_at(self, t: float) -> float:
-        return self.pose_at(t)[1]
-
     def success_threshold(self, vehicle_half_width: float) -> float:
         """Largest center error still clearing the opening."""
         return self.inner_half - vehicle_half_width
@@ -171,7 +157,7 @@ class Track:
         t = 0.0
         prev = pos
         for g in self.gates:
-            c = g.center_at(0.0)
+            c = g.pose_at(0.0)[0]
             t += float(np.linalg.norm(c - prev)) / self.nominal_speed
             prev = c
         return max(4.0, 3.0 * t)

@@ -1,17 +1,20 @@
 """End-to-end command-line runs: determinism of written artifacts, exit
 codes, and the file formats."""
 
+import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gatesim.cli import config_hash, main, make_policy, resolve_track
+from gatesim import cli
+from gatesim.cli import _trial_job, config_hash, main, make_policy, resolve_track
 from gatesim.policies import MaskCentroidPolicy, NoisyMaskPolicy
 from gatesim.render import DEFAULT_CAMERA, camera_pose, gate_mask, pgm_bytes, read_pgm, read_ppm
 from gatesim.scene import read_scene, write_scene
-from gatesim.simulator import jittered_initial_pose
+from gatesim.simulator import MISS, jittered_initial_pose
 from gatesim.tracks import ARENAS, GATE_GEOMETRY, Gate, Track, save_track, track_splats
 
 from conftest import random_scene
@@ -30,6 +33,34 @@ def _tree(root):
 
 def _bytes_of(root):
     return {rel: (Path(root) / rel).read_bytes() for rel in _tree(root)}
+
+
+class _CountingPool:
+    """Stand-in for ProcessPoolExecutor that maps in this process and
+    records the worker count of every pool built."""
+
+    built = []
+
+    def __init__(self, max_workers):
+        self.built.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Worker counts of the pools a command builds, on a 2-cpu machine."""
+    monkeypatch.setattr(_CountingPool, "built", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _CountingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    return _CountingPool.built
 
 
 # ---------------------------------------------------------------------------
@@ -70,6 +101,26 @@ def test_evaluate_job_count_does_not_change_results(tmp_path, capsys):
     assert main(base + ["--jobs", "1", "--out", str(tmp_path / "j1")]) == 0
     assert main(base + ["--jobs", "2", "--out", str(tmp_path / "j2")]) == 0
     assert _bytes_of(tmp_path / "j1") == _bytes_of(tmp_path / "j2")
+    capsys.readouterr()
+
+
+def test_evaluate_maps_all_tracks_through_one_pool(tmp_path, monkeypatch, capsys, pools):
+    monkeypatch.chdir(tmp_path)
+    save_track("mini-uav.json", _mini_track("uav"))
+    save_track("mini-quad.json", _mini_track("quad"))
+    assert main(["evaluate", "--tracks", "mini-uav.json", "mini-quad.json", "--trials", "2",
+                 "--tick-hz", "10", "--jobs", "2"]) == 0
+    assert pools == [2]
+    capsys.readouterr()
+
+
+def test_jobs_are_capped_at_the_cpu_count(tmp_path, monkeypatch, capsys, pools):
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.chdir(tmp_path)
+    save_track("mini-uav.json", _mini_track("uav"))
+    assert main(["evaluate", "--tracks", "mini-uav.json", "--trials", "2",
+                 "--tick-hz", "10", "--jobs", "2"]) == 0
+    assert pools == []
     capsys.readouterr()
 
 
@@ -141,6 +192,15 @@ def test_perturb_job_count_does_not_change_results(tmp_path, monkeypatch, capsys
     assert main(args + ["--jobs", "1", "--out", "j1"]) == 0
     assert main(args + ["--jobs", "2", "--out", "j2"]) == 0
     assert _bytes_of("j1") == _bytes_of("j2")
+    capsys.readouterr()
+
+
+def test_perturb_maps_all_levels_through_one_pool(tmp_path, monkeypatch, capsys, pools):
+    monkeypatch.chdir(tmp_path)
+    save_track("mini-uav.json", _mini_track("uav"))
+    assert main(["perturb", "--track", "mini-uav.json", "--levels", "0,20,40",
+                 "--tracks-per-level", "1", "--tick-hz", "10", "--jobs", "2"]) == 0
+    assert pools == [2]
     capsys.readouterr()
 
 
@@ -217,6 +277,14 @@ def test_pgr_config_json_reproduces_its_hash(tmp_path, capsys):
     ({"beta": 1.5}, "beta must be in [0, 1]"),
     ({"beta": None}, "float() argument must be"),
     ({"per_gate_counts": 3}, "'int' object is not iterable"),
+    ({"platform": "boat"}, "unknown platform 'boat'; accepted: quad, uav"),
+    ({"per_gate_counts": [2, 2]}, "per_gate_counts must be four ints >= 1, got [2, 2]"),
+    ({"per_gate_counts": [2, 0, 1, 1]}, "per_gate_counts must be four ints >= 1"),
+    ({"per_gate_counts": [2, 1.5, 1, 1]}, "per_gate_counts must be four ints >= 1"),
+    ({"initial_per_cell": 0}, "initial_per_cell must be >= 1, got 0"),
+    ({"val_per_cell": 0}, "val_per_cell must be >= 1, got 0"),
+    ({"samples_per_iteration": 0}, "samples_per_iteration must be >= 1, got 0"),
+    ({"iterations": -1}, "iterations must be >= 1, got -1"),
 ])
 def test_pgr_config_bad_values_are_config_errors(tmp_path, capsys, extra, message):
     cfg = _pgr_config(tmp_path, **extra)
@@ -345,6 +413,49 @@ def test_export_dataset_job_count_does_not_change_results(tmp_path, monkeypatch,
     j1 = _bytes_of("j1")
     assert {rel.split("/")[0] for rel in j1} == {"meta.json", "t00", "t01"}
     assert j1 == _bytes_of("j2")
+    capsys.readouterr()
+
+
+def test_export_dataset_bytes_are_pinned(tmp_path, monkeypatch, capsys):
+    # any drift in what the export writes, or in the rollouts behind it, moves this digest
+    monkeypatch.chdir(tmp_path)
+    save_track("mini-quad.json", _mini_track("quad"))
+    assert main(["export-dataset", "--track", "mini-quad.json", "--trials", "2",
+                 "--tick-hz", "10", "--seed", "2", "--out", "d"]) == 0
+    digest = hashlib.sha256()
+    for rel, data in _bytes_of("d").items():
+        digest.update(f"{rel}\0{len(data)}\0".encode())
+        digest.update(data)
+    assert digest.hexdigest() == (
+        "6858cf69960bb635a8e4feb53b13b480d7c1a68cf4918573a8b5cf00278787fa")
+    capsys.readouterr()
+
+
+def test_export_dataset_clips_the_target_after_a_missed_last_gate(tmp_path, monkeypatch,
+                                                                  capsys):
+    # straight flight clears gate 1, then crosses gate 2's plane 4-5 m off-center
+    geo = GATE_GEOMETRY["uav"]
+    gates = tuple(Gate.static(geo["shape"], geo["inner_half"], geo["ring"], c, 0.0)
+                  for c in [(0.0, 0.0, 2.0), (6.0, 4.0, 2.0)])
+    track = Track("miss-last", "uav", gates, ARENAS["uav"])
+    monkeypatch.chdir(tmp_path)
+    save_track("miss-last.json", track)
+    assert main(["export-dataset", "--track", "miss-last.json", "--policy", "zero",
+                 "--tick-hz", "10", "--out", "d"]) == 0
+    records = [json.loads(p.read_text()) for p in sorted(Path("d/t00").glob("frame*.json"))]
+
+    # the same trial, run directly: its rollout and the targets the policy saw
+    job = {"track": track, "policy": "zero", "key": (0, 0, 0), "tick_hz": 10.0,
+           "level": None, "ticks": False}
+    roll, ticks = _trial_job(job), _trial_job(dict(job, ticks=True))
+    first, last = roll.gates
+    assert first.crossed and last.outcome == MISS
+    assert len(records) == len(ticks)
+    after = [(rec, tick[2]) for rec, tick in zip(records, ticks) if rec["t"] > last.t_cross]
+    assert len(after) > 10
+    assert all(rec["target_gate"] == 1 and target == 2 for rec, target in after)
+    assert [rec["target_gate"] for rec in records] == [
+        int(rec["t"] >= first.t_cross) for rec in records]
     capsys.readouterr()
 
 

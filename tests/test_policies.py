@@ -109,9 +109,9 @@ def test_aim_point_leads_moving_gate():
     )
     pos = np.array([0.0, 0.0, 1.0])
     aim, center, _, t_hit = _aim_point(gate, 0.0, pos, 1.0)
-    t1 = float(np.linalg.norm(gate.center_at(0.0) - pos))          # first pass
-    t2 = float(np.linalg.norm(gate.center_at(t1) - pos))           # second pass
-    np.testing.assert_allclose(center, gate.center_at(t2))
+    t1 = float(np.linalg.norm(gate.pose_at(0.0)[0] - pos))          # first pass
+    t2 = float(np.linalg.norm(gate.pose_at(t1)[0] - pos))           # second pass
+    np.testing.assert_allclose(center, gate.pose_at(t2)[0])
     assert t_hit == pytest.approx(t2)
     np.testing.assert_allclose(aim, center - [1.0, 0.0, 0.0])
 

@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from gatesim.dynamics import platform_dynamics
 from gatesim.policies import ExpertUavPolicy, MaskCentroidPolicy, Policy, ZeroPolicy, expert_policy
 from gatesim.simulator import (
     ARENA_EXIT,
@@ -311,6 +312,52 @@ def test_mask_observation_history():
     np.testing.assert_array_equal(hist[2][-2], [0.0, 0.0, 0.0, 0.1])
     # history buffers are copies, not views of simulator state
     assert hist[1] is not hist[2]
+
+
+def _assert_same_rollout(a, b):
+    np.testing.assert_array_equal(a.times, b.times)
+    np.testing.assert_array_equal(a.states, b.states)
+    np.testing.assert_array_equal(a.controls, b.controls)
+
+    def records(roll):
+        return [(g.index, g.outcome, g.crossed, g.t_cross, g.error,
+                 None if g.point is None else g.point.tolist()) for g in roll.gates]
+
+    assert records(a) == records(b)
+    assert (a.terminal, a.duration) == (b.terminal, b.duration)
+
+
+def test_observer_sees_every_tick_without_changing_the_rollout():
+    track = _track([(1.5, 0.0, 1.0)], platform="quad")
+    config = SimConfig(tick_hz=10.0, timeout=0.5)
+    ticks = []
+    probe = _HistoryProbe()
+    observed = rollout(probe, track, config, observer=lambda *tick: ticks.append(tick))
+    _assert_same_rollout(observed, rollout(_HistoryProbe(), track, config))
+
+    # once per policy tick, with what the policy was given and what it returned
+    assert len(ticks) == probe.calls == 5
+    spt = round(0.1 / platform_dynamics("quad").params.dt)
+    for k, ((t, state, target, history, control), seen) in enumerate(zip(ticks, probe.histories)):
+        np.testing.assert_array_equal(history, seen)
+        assert t == observed.times[k * spt]
+        np.testing.assert_array_equal(state, observed.states[k * spt])
+        np.testing.assert_array_equal(control, observed.controls[k * spt])
+        assert target == 0
+
+
+def test_observer_targets_follow_the_gate_records():
+    track = reference_track("uav-slalom")
+    config = SimConfig(tick_hz=10.0)
+    ticks = []
+    observed = rollout(expert_policy("uav"), track, config, rng=np.random.default_rng(3),
+                       observer=lambda *tick: ticks.append(tick))
+    _assert_same_rollout(observed, rollout(expert_policy("uav"), track, config,
+                                           rng=np.random.default_rng(3)))
+    assert observed.success_count > 1
+    crossings = [g.t_cross for g in observed.gates if g.crossed]
+    for t, _, target, _, _ in ticks:
+        assert target == sum(1 for tc in crossings if tc <= t)
 
 
 # ---------------------------------------------------------------------------

@@ -80,7 +80,7 @@ def test_static_gate_pose_is_constant():
     # returned centers are copies, not views into the schedule
     c, _ = g.pose_at(0.0)
     c[0] = 99.0
-    np.testing.assert_array_equal(g.center_at(0.0), [2.0, -1.0, 1.5])
+    np.testing.assert_array_equal(g.pose_at(0.0)[0], [2.0, -1.0, 1.5])
 
 
 def test_moving_gate_linear_interpolation():
@@ -299,10 +299,10 @@ def test_track_from_layout():
     track = track_from_layout(layout, "quad", name="probe")
     assert track.name == "probe" and track.platform == "quad"
     assert len(track.gates) == 2 and not any(g.moving for g in track.gates)
-    np.testing.assert_array_equal(track.gates[0].center_at(0), [0.0, 1.0, 2.0])
-    assert track.gates[0].yaw_at(0) == 0.3
-    np.testing.assert_array_equal(track.gates[1].center_at(0), [4.0, -1.0, 1.5])
-    assert track.gates[1].yaw_at(0) == -0.2
+    np.testing.assert_array_equal(track.gates[0].pose_at(0)[0], [0.0, 1.0, 2.0])
+    assert track.gates[0].pose_at(0)[1] == 0.3
+    np.testing.assert_array_equal(track.gates[1].pose_at(0)[0], [4.0, -1.0, 1.5])
+    assert track.gates[1].pose_at(0)[1] == -0.2
     with pytest.raises(ValueError):
         track_from_layout([0.0] * 7, "quad")
 
@@ -312,7 +312,7 @@ def test_gate_splats_tile_the_ring():
     scene = gate_splats(g)
     assert len(scene) > 0
     normal, lateral, up = gate_axes(0.6)
-    rel = scene.means - g.center_at(0.0)
+    rel = scene.means - g.pose_at(0.0)[0]
     # splats lie in the gate plane
     assert np.abs(rel @ normal).max() < 1e-12
     # square ring: max-norm distance from the axis inside [inner, outer]
