@@ -169,6 +169,10 @@ def _print_table(rows, header):
 
 def cmd_evaluate(args) -> int:
     names = args.tracks if args.tracks else reference_track_names()
+    # every output file is keyed by the track's name
+    repeated = next((n for i, n in enumerate(names) if n in names[:i]), None)
+    if repeated is not None:
+        raise ValueError(f"track {repeated!r} is named more than once")
     tracks = [(n, resolve_track(n)) for n in names]
     chash = config_hash(
         {

@@ -18,9 +18,13 @@ from .geometry import wrap_angle
 GRAVITY = 9.81
 
 
-def _require_finite(arr, what: str) -> None:
-    if not np.all(np.isfinite(arr)):
+def _floats(arr, what: str) -> list:
+    """arr as a list of Python floats; ValueError naming what if any is
+    NaN or infinite."""
+    values = np.asarray(arr, dtype=np.float64).tolist()
+    if not all(map(math.isfinite, values)):
         raise ValueError(f"non-finite {what}: {np.asarray(arr).tolist()}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -91,10 +95,8 @@ class UavDynamics:
         dt = self.params.dt if dt is None else dt
         if not 0.0 < dt <= 0.1:
             raise ValueError(f"uav dt must be in (0, 0.1], got {dt}")
-        _require_finite(state, "uav state")
-        _require_finite(control, "uav control")
-        u_psi, u_th = self.clamp_control(control)
-        x, y, z, psi, th = (float(v) for v in state)
+        x, y, z, psi, th = _floats(state, "uav state")
+        u_psi, u_th = self.clamp_control(_floats(control, "uav control"))
 
         k1 = self._deriv(x, y, z, psi, th, u_psi, u_th)
         h = dt / 2.0
@@ -213,10 +215,8 @@ class QuadDynamics:
         dt = self.params.dt if dt is None else dt
         if not 0.0 < dt <= 0.05:
             raise ValueError(f"quad dt must be in (0, 0.05], got {dt}")
-        _require_finite(state, "quad state")
-        _require_finite(control, "quad control")
-        vx_c, vy_c, vz_c, r_cmd = self.clamp_control(control)
-        s = tuple(float(v) for v in state)
+        s = tuple(_floats(state, "quad state"))
+        vx_c, vy_c, vz_c, r_cmd = self.clamp_control(_floats(control, "quad control"))
 
         def add(a, k, h):
             return tuple(ai + h * ki for ai, ki in zip(a, k))

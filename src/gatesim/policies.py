@@ -16,7 +16,7 @@ from scipy import ndimage
 
 from .geometry import wrap_angle
 from .render import DEFAULT_CAMERA, PinholeCamera
-from .tracks import Gate, gate_axes
+from .tracks import Gate
 
 AIM_STANDOFF = 1.0   # m before/behind the gate plane the experts steer for
 
@@ -70,10 +70,9 @@ def _aim_point(gate: Gate, t: float, position: np.ndarray, speed: float):
     """
     t_go = 0.0
     for _ in range(2):
-        center, yaw = gate.pose_at(t + t_go)
+        center = gate.frame_at(t + t_go).center
         t_go = float(np.linalg.norm(center - position)) / speed
-    center, yaw = gate.pose_at(t + t_go)
-    normal, _, _ = gate_axes(yaw)
+    center, yaw, normal, _, _ = gate.frame_at(t + t_go)
     signed = float(normal @ (position - center))
     if signed < -AIM_STANDOFF:
         aim = center - AIM_STANDOFF * normal
@@ -354,6 +353,7 @@ class SyntheticLearner(Policy):
         self.counts = np.zeros(partition.m, dtype=np.int64)
         self.seed = seed
         self._rng = np.random.default_rng(seed)
+        self._gates = self._cell = None   # the last obs.gates and its layout cell
 
     def reset(self, rng=None) -> None:
         self._rng = rng if rng is not None else np.random.default_rng(self.seed)
@@ -363,9 +363,11 @@ class SyntheticLearner(Policy):
 
     def evaluate(self, obs: FullStateObs) -> np.ndarray:
         u = self.expert.evaluate(obs)
-        layout = layout_of_gates(obs.gates)
-        cell = self.partition.cell_of(layout)
-        return u + self._rng.normal(0.0, self.sigma(cell))
+        # a rollout passes the same gates tuple on every tick
+        if obs.gates is not self._gates:
+            self._cell = self.partition.cell_of(layout_of_gates(obs.gates))
+            self._gates = obs.gates
+        return u + self._rng.normal(0.0, self.sigma(self._cell))
 
     def train(self, records) -> None:
         for rec in records:

@@ -18,7 +18,7 @@ import numpy as np
 from .dynamics import platform_dynamics
 from .policies import FullStateObs, MaskObs
 from .render import DEFAULT_CAMERA, PinholeCamera, camera_pose, gate_mask
-from .tracks import Gate, Track, gate_axes
+from .tracks import Gate, Track
 
 SUCCESS = "success"
 FRAME_COLLISION = "frame_collision"
@@ -80,8 +80,7 @@ class Rollout:
 
 
 def signed_gate_distance(gate: Gate, t: float, position: np.ndarray) -> float:
-    center, yaw = gate.pose_at(t)
-    normal, _, _ = gate_axes(yaw)
+    center, _, normal, _, _ = gate.frame_at(t)
     return float(normal @ (position - center))
 
 
@@ -111,8 +110,7 @@ def detect_crossing(gate: Gate, t0: float, p0: np.ndarray, t1: float, p1: np.nda
         s = d0 / (d0 - d1)
     t_cross = t0 + s * (t1 - t0)
     p = p0 + s * (p1 - p0)
-    center, yaw = gate.pose_at(t_cross)
-    normal, lateral, up = gate_axes(yaw)
+    center, _, normal, lateral, up = gate.frame_at(t_cross)
     p_prime = p - (normal @ (p - center)) * normal
     q = p_prime - center
     error = math.hypot(float(q @ lateral), float(q @ up))
@@ -173,6 +171,10 @@ def rollout(
     per policy tick with the history the policy was given and the control it
     returned; target is len(track.gates) after a missed last gate. The loop
     never mutates these arrays afterwards, and the observer must not either.
+
+    The loop copies nothing per dynamics step: the steppers return fresh
+    state arrays, and each tick's control is copied once from what the policy
+    returned, so the recorded trajectory can share them.
     """
     if policy.platform not in ("any", track.platform):
         raise ValueError(
@@ -194,38 +196,39 @@ def rollout(
     else:
         state = np.asarray(init_state, dtype=np.float64).copy()
 
-    n_gates = len(track.gates)
+    gates, arena = track.gates, track.arena
+    n_gates = len(gates)
     records = [GateRecord(i, outcome=TIMEOUT) for i in range(n_gates)]
     history = np.zeros((HISTORY_LEN, dynamics.control_dim))
+    record = config.record_trajectory
     times = [0.0]
-    states = [state.copy()]
+    states = [state]
     controls = []
     t = 0.0
     target = 0
     terminal = None
+    p0 = dynamics.position(state)
 
     while terminal is None:
         obs = _observe(policy, dynamics, track, t, state, target, config.camera, history)
-        control = np.asarray(policy.evaluate(obs), dtype=np.float64)
+        control = np.array(policy.evaluate(obs), dtype=np.float64)
         if observer is not None:
             observer(t, state, target, history, control)
-        history = np.roll(history, -1, axis=0)
-        history[-1] = control
+        history = np.concatenate((history[1:], control[None]))
 
         for _ in range(steps_per_tick):
-            new_state = dynamics.step(state, control, dt)
+            state = dynamics.step(state, control, dt)
             t_new = t + dt
-            p0 = dynamics.position(state).copy()
-            p1 = dynamics.position(new_state).copy()
+            p1 = dynamics.position(state)
 
             # the same transition can cross several coincident gate planes
             while target < n_gates:
-                hit = detect_crossing(track.gates[target], t, p0, t_new, p1)
+                hit = detect_crossing(gates[target], t, p0, t_new, p1)
                 if hit is None:
                     break
                 t_cross, p_prime, error = hit
                 outcome = classify_crossing(
-                    error, track.gates[target], track.vehicle_half_width,
+                    error, gates[target], track.vehicle_half_width,
                     config.success_threshold,
                 )
                 records[target] = GateRecord(target, outcome, True, t_cross, p_prime, error)
@@ -236,13 +239,13 @@ def rollout(
                 if target == n_gates and outcome == SUCCESS:
                     terminal = SUCCESS
 
-            state = new_state
             t = t_new
-            if config.record_trajectory:
+            p0 = p1
+            if record:
                 times.append(t)
-                states.append(state.copy())
-                controls.append(control.copy())
-            if terminal is None and not track.arena.contains(dynamics.position(state)):
+                states.append(state)
+                controls.append(control)
+            if terminal is None and not arena.contains(p1):
                 terminal = ARENA_EXIT
             if terminal is not None:
                 break

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,9 +41,16 @@ class Arena:
     lo: np.ndarray
     hi: np.ndarray
 
+    def __post_init__(self):
+        # the bounds as Python floats, so a containment test is six comparisons
+        lo, hi = (np.asarray(b, dtype=np.float64).tolist() for b in (self.lo, self.hi))
+        object.__setattr__(self, "_bounds", tuple(zip(lo, hi)))
+
     def contains(self, p) -> bool:
-        p = np.asarray(p, dtype=np.float64)
-        return bool(np.all(p >= self.lo) and np.all(p <= self.hi))
+        """Inside the closed box; False for a NaN coordinate."""
+        x, y, z = np.asarray(p, dtype=np.float64).tolist()
+        (xl, xh), (yl, yh), (zl, zh) = self._bounds
+        return xl <= x <= xh and yl <= y <= yh and zl <= z <= zh
 
 
 ARENAS = {
@@ -61,13 +69,30 @@ def gate_axes(yaw: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     )
 
 
+class GateFrame(NamedTuple):
+    """A gate's pose at one time: center, yaw, and the (normal, lateral, up)
+    axes of gate_axes(yaw)."""
+
+    center: np.ndarray
+    yaw: float
+    normal: np.ndarray
+    lateral: np.ndarray
+    up: np.ndarray
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class Gate:
     """One ring gate with a piecewise-linear pose schedule.
 
     keyframes: tuple of (time, center(3,), yaw), strictly increasing times.
     Pose is linearly interpolated (yaw along the shortest arc) and clamped to
-    the first/last keyframe outside the schedule.
+    the first/last keyframe outside the schedule. A static gate computes its
+    frame once, with read-only arrays.
     """
 
     shape: str
@@ -85,10 +110,19 @@ class Gate:
         times = [k[0] for k in self.keyframes]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("keyframe times must be strictly increasing")
+        frame = None
+        if not self.moving:
+            center, yaw = self.pose_at(0.0)
+            frame = GateFrame(_read_only(center), yaw, *map(_read_only, gate_axes(yaw)))
+        object.__setattr__(self, "_static_frame", frame)
+
+    def __reduce__(self):
+        # unpickling goes through __init__, which rebuilds the read-only frame
+        return Gate, (self.shape, self.inner_half, self.ring, self.keyframes)
 
     @staticmethod
     def static(shape, inner_half, ring, center, yaw) -> "Gate":
-        c = np.asarray(center, dtype=np.float64)
+        c = np.array(center, dtype=np.float64)
         return Gate(shape, inner_half, ring, ((0.0, c, float(yaw)),))
 
     @property
@@ -112,6 +146,14 @@ class Gate:
                 yaw = wrap_angle(y0 + s * wrap_angle(y1 - y0))
                 return center, yaw
         raise AssertionError("unreachable")
+
+    def frame_at(self, t: float) -> GateFrame:
+        """The pose at t with its axes; a static gate's cached frame is shared
+        by every caller and must not be mutated."""
+        if self._static_frame is not None:
+            return self._static_frame
+        center, yaw = self.pose_at(t)
+        return GateFrame(center, yaw, *gate_axes(yaw))
 
     def success_threshold(self, vehicle_half_width: float) -> float:
         """Largest center error still clearing the opening."""
@@ -145,8 +187,7 @@ class Track:
 
     def initial_pose(self) -> tuple[np.ndarray, float]:
         """Start pose: on gate 1's approach axis, facing it, inside the arena."""
-        center, yaw = self.gates[0].pose_at(0.0)
-        normal, _, _ = gate_axes(yaw)
+        center, yaw, normal, _, _ = self.gates[0].frame_at(0.0)
         pos = center - INIT_STANDOFF[self.platform] * normal
         pos = np.clip(pos, self.arena.lo + 0.5, self.arena.hi - 0.5)
         return pos, yaw
@@ -217,24 +258,44 @@ def track_to_dict(track: Track) -> dict:
     }
 
 
+def _keyframe_from_dict(i: int, k: dict) -> tuple:
+    t, yaw = float(k["t"]), float(k["yaw"])
+    center = np.asarray(k["center"], dtype=np.float64)
+    if center.shape != (3,) or not np.all(np.isfinite(center)):
+        raise ValueError(f"gates[{i}]: center must be 3 finite numbers, got {k['center']!r}")
+    if not (math.isfinite(t) and math.isfinite(yaw)):
+        raise ValueError(f"gates[{i}]: keyframe time and yaw must be finite, got t={t}, yaw={yaw}")
+    return t, center, yaw
+
+
 def track_from_dict(d: dict) -> Track:
-    gates = tuple(
-        Gate(
-            g["shape"],
-            float(g["inner_half"]),
-            float(g["ring"]),
-            tuple(
-                (float(k["t"]), np.asarray(k["center"], dtype=np.float64), float(k["yaw"]))
-                for k in g["keyframes"]
-            ),
-        )
-        for g in d["gates"]
-    )
-    return Track(d["name"], d["platform"], gates, ARENAS[d["arena"]])
+    """The inverse of track_to_dict. ValueError for an unknown platform or
+    arena, a gate whose geometry is not its platform's GATE_GEOMETRY, or a
+    non-finite or malformed keyframe."""
+    for what, known in (("platform", GATE_GEOMETRY), ("arena", ARENAS)):
+        if d[what] not in known:
+            raise ValueError(f"unknown {what} {d[what]!r}; accepted: {', '.join(sorted(known))}")
+    platform = d["platform"]
+    geo = GATE_GEOMETRY[platform]
+    gates = []
+    for i, g in enumerate(d["gates"]):
+        shape, inner_half, ring = g["shape"], float(g["inner_half"]), float(g["ring"])
+        if (shape, inner_half, ring) != (geo["shape"], geo["inner_half"], geo["ring"]):
+            raise ValueError(
+                f"gates[{i}]: {platform} gates are {geo['shape']} with inner_half "
+                f"{geo['inner_half']} and ring {geo['ring']}, got {shape} with inner_half "
+                f"{inner_half} and ring {ring}"
+            )
+        keyframes = tuple(_keyframe_from_dict(i, k) for k in g["keyframes"])
+        gates.append(Gate(shape, inner_half, ring, keyframes))
+    return Track(d["name"], platform, tuple(gates), ARENAS[d["arena"]])
 
 
 def load_track(path) -> Track:
-    return track_from_dict(json.loads(Path(path).read_text()))
+    try:
+        return track_from_dict(json.loads(Path(path).read_text()))
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def save_track(path, track: Track) -> None:
@@ -278,8 +339,7 @@ def gate_splats(gate: Gate, t: float = 0.0, spacing: float | None = None,
     the ring depth, which keeps neighboring splats overlapping at 3 sigma.
     """
     spacing = spacing if spacing is not None else gate.ring / 3.0
-    center, yaw = gate.pose_at(t)
-    _, lateral, up = gate_axes(yaw)
+    center, _, _, lateral, up = gate.frame_at(t)
 
     r = gate.outer_half
     n_side = max(3, int(math.ceil(2 * r / spacing)) + 1)

@@ -15,6 +15,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 from scipy import ndimage
 from scipy import stats as scipy_stats
 from scipy.spatial.transform import Rotation
@@ -364,6 +365,7 @@ def test_expert_succeeds_on_all_reference_tracks(capsys, tmp_path):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_classical_mask_controller_srs(capsys, tmp_path):
     t0 = time.perf_counter()
     assert main(["evaluate", "--policy", "classical", "--trials", "10", "--seed", "1",
@@ -418,6 +420,7 @@ def test_weight_floor_and_uniform_sampler(capsys):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_refinement_beats_uniform_on_worst_cell(capsys):
     t0 = time.perf_counter()
     partition = GridPartition.default("uav")

@@ -15,7 +15,8 @@ from gatesim.policies import MaskCentroidPolicy, NoisyMaskPolicy
 from gatesim.render import DEFAULT_CAMERA, camera_pose, gate_mask, pgm_bytes, read_pgm, read_ppm
 from gatesim.scene import read_scene, write_scene
 from gatesim.simulator import MISS, jittered_initial_pose
-from gatesim.tracks import ARENAS, GATE_GEOMETRY, Gate, Track, save_track, track_splats
+from gatesim.tracks import (ARENAS, GATE_GEOMETRY, Gate, Track, save_track, track_splats,
+                            track_to_dict)
 
 from conftest import random_scene
 
@@ -27,12 +28,29 @@ def _mini_track(platform="uav"):
     return Track(f"mini-{platform}", platform, (gate,), ARENAS[platform])
 
 
+def _moving_uav_track():
+    geo = GATE_GEOMETRY["uav"]
+    static = Gate.static(geo["shape"], geo["inner_half"], geo["ring"], (0.0, 0.0, 2.0), 0.0)
+    moving = Gate(geo["shape"], geo["inner_half"], geo["ring"],
+                  ((0.0, np.array([8.0, -1.0, 2.0]), 0.0), (4.0, np.array([8.0, 1.0, 2.0]), 0.2)))
+    return Track("moving-uav", "uav", (static, moving), ARENAS["uav"])
+
+
 def _tree(root):
     return sorted(str(p.relative_to(root)) for p in Path(root).rglob("*") if p.is_file())
 
 
 def _bytes_of(root):
     return {rel: (Path(root) / rel).read_bytes() for rel in _tree(root)}
+
+
+def _digest(root):
+    """sha256 over a directory's files, in sorted relative-path order."""
+    digest = hashlib.sha256()
+    for rel, data in _bytes_of(root).items():
+        digest.update(f"{rel}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
 
 
 class _CountingPool:
@@ -104,6 +122,16 @@ def test_evaluate_job_count_does_not_change_results(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_evaluate_bytes_are_pinned(tmp_path, capsys):
+    # the expert on all six bundled tracks: uav and quad, static and moving
+    # gates; any drift in the rollout loop or what evaluate writes moves this
+    assert main(["evaluate", "--trials", "2", "--out", str(tmp_path / "e")]) == 0
+    assert len(_tree(tmp_path / "e")) == 2 + 6 + 12
+    assert _digest(tmp_path / "e") == (
+        "82152a38f6aa7866b3688635d85a235daad54858c48a07397a99bef7e9379143")
+    capsys.readouterr()
+
+
 def test_evaluate_maps_all_tracks_through_one_pool(tmp_path, monkeypatch, capsys, pools):
     monkeypatch.chdir(tmp_path)
     save_track("mini-uav.json", _mini_track("uav"))
@@ -147,6 +175,55 @@ def test_evaluate_classical_skips_uav_tracks(capsys):
 def test_unknown_track_is_a_config_error(capsys):
     assert main(["evaluate", "--tracks", "no-such-track"]) == 2
     capsys.readouterr()
+
+
+def test_repeated_track_is_a_config_error(tmp_path, capsys):
+    # outputs are keyed by track name, so a second run would overwrite the first
+    out = tmp_path / "out"
+    assert main(["evaluate", "--tracks", "quad-turn", "uav-slalom", "quad-turn",
+                 "--out", str(out)]) == 2
+    assert "track 'quad-turn' is named more than once" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _set_keyframe(d, **values):
+    d["gates"][1]["keyframes"][-1].update(values)
+
+
+def _set_gate(d, **values):
+    d["gates"][1].update(values)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda d: _set_gate(d, shape="circular"),
+     "gates[1]: uav gates are square with inner_half 1.0 and ring 0.2, "
+     "got circular with inner_half 1.0 and ring 0.2"),
+    (lambda d: _set_gate(d, inner_half=0.39), "got square with inner_half 0.39 and ring 0.2"),
+    (lambda d: _set_gate(d, ring=0.3), "got square with inner_half 1.0 and ring 0.3"),
+    (lambda d: _set_keyframe(d, center=[1.0, float("nan"), 2.0]),
+     "gates[1]: center must be 3 finite numbers, got [1.0, nan, 2.0]"),
+    (lambda d: _set_keyframe(d, center=[1.0, 2.0, float("inf")]),
+     "gates[1]: center must be 3 finite numbers, got [1.0, 2.0, inf]"),
+    (lambda d: _set_keyframe(d, center=[1.0, 2.0]),
+     "gates[1]: center must be 3 finite numbers, got [1.0, 2.0]"),
+    (lambda d: _set_keyframe(d, center=[[1.0, 2.0, 3.0]]),
+     "gates[1]: center must be 3 finite numbers, got [[1.0, 2.0, 3.0]]"),
+    (lambda d: _set_keyframe(d, yaw=float("nan")),
+     "gates[1]: keyframe time and yaw must be finite, got t=4.0, yaw=nan"),
+    (lambda d: _set_keyframe(d, t=float("inf")),
+     "gates[1]: keyframe time and yaw must be finite, got t=inf"),
+    (lambda d: d.update(arena="hangar"), "unknown arena 'hangar'; accepted: quad, uav"),
+    (lambda d: d.update(platform="boat"), "unknown platform 'boat'; accepted: quad, uav"),
+], ids=["shape", "opening", "ring", "nan-center", "inf-center", "short-center", "nested-center",
+        "nan-yaw", "inf-time", "arena", "platform"])
+def test_bad_track_file_is_a_config_error(tmp_path, capsys, edit, message):
+    d = track_to_dict(_moving_uav_track())
+    edit(d)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(d))   # json writes NaN and Infinity literals
+    assert main(["evaluate", "--tracks", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and message in err
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +335,16 @@ def test_pgr_skip_uniform(tmp_path, capsys):
     # the hash of a valid config is pinned: validation must not move it
     assert hist["config_hash"] == "1360b36e20762a6d"
     assert len(hist["pgr"]) == 1
+    capsys.readouterr()
+
+
+def test_pgr_bytes_are_pinned(tmp_path, capsys):
+    # learner rollouts on static uav gates, the sampler and the loss tables
+    cfg = _pgr_config(tmp_path, iterations=2)
+    assert main(["pgr", "--config", cfg, "--skip-uniform", "--seed", "5",
+                 "--out", str(tmp_path / "r")]) == 0
+    assert _digest(tmp_path / "r") == (
+        "cae1fe28500bad79ee894844bb234c1d0d21983c33ff251fed65ca317a8fa8c1")
     capsys.readouterr()
 
 
@@ -422,11 +509,7 @@ def test_export_dataset_bytes_are_pinned(tmp_path, monkeypatch, capsys):
     save_track("mini-quad.json", _mini_track("quad"))
     assert main(["export-dataset", "--track", "mini-quad.json", "--trials", "2",
                  "--tick-hz", "10", "--seed", "2", "--out", "d"]) == 0
-    digest = hashlib.sha256()
-    for rel, data in _bytes_of("d").items():
-        digest.update(f"{rel}\0{len(data)}\0".encode())
-        digest.update(data)
-    assert digest.hexdigest() == (
+    assert _digest("d") == (
         "6858cf69960bb635a8e4feb53b13b480d7c1a68cf4918573a8b5cf00278787fa")
     capsys.readouterr()
 

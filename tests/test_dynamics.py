@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gatesim.dynamics import (
     QuadDynamics,
@@ -211,3 +213,23 @@ def test_platform_factory():
     assert platform_dynamics("quad", QuadParams(tau_v=0.5)).params.tau_v == 0.5
     with pytest.raises(ValueError):
         platform_dynamics("boat")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["uav", "quad"]), st.sampled_from(["state", "control"]), st.data(),
+       st.sampled_from([math.nan, math.inf, -math.inf]), st.booleans())
+def test_steppers_refuse_non_finite_inputs(platform, slot, data, bad, as_list):
+    dyn = platform_dynamics(platform)
+    finite = st.floats(-3.0, 3.0)
+    state = np.array(data.draw(st.lists(finite, min_size=dyn.state_dim,
+                                        max_size=dyn.state_dim)))
+    control = np.array(data.draw(st.lists(finite, min_size=dyn.control_dim,
+                                          max_size=dyn.control_dim)))
+    target = state if slot == "state" else control
+    target[data.draw(st.integers(0, len(target) - 1))] = bad
+    if as_list:
+        state, control = state.tolist(), control.tolist()
+    with pytest.raises(ValueError) as err:
+        dyn.step(state, control)
+    # the message names the platform and slot and lists the whole vector
+    assert str(err.value) == f"non-finite {platform} {slot}: {np.asarray(target).tolist()}"

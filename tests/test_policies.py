@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 
 from gatesim.policies import (
@@ -30,7 +32,8 @@ from gatesim.policies import (
 )
 from gatesim.refinement import GridPartition, TrainingRecord
 from gatesim.render import DEFAULT_CAMERA
-from gatesim.tracks import GATE_GEOMETRY, Gate
+from gatesim.simulator import SimConfig, rollout
+from gatesim.tracks import GATE_GEOMETRY, Gate, track_from_layout
 
 
 def _gate(center, yaw=0.0, platform="uav", keyframes=None):
@@ -583,6 +586,41 @@ def test_learner_reset_reproducible():
     learner.reset(np.random.default_rng(77))
     b = np.stack([learner.evaluate(obs) for _ in range(3)])
     np.testing.assert_array_equal(a, b)
+
+
+class _UncachedLearner(SyntheticLearner):
+    """The learner without its cache: the layout cell recomputed every tick."""
+
+    def evaluate(self, obs):
+        u = self.expert.evaluate(obs)
+        cell = self.partition.cell_of(layout_of_gates(obs.gates))
+        return u + self._rng.normal(0.0, self.sigma(cell))
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["uav", "quad"]),
+       st.lists(st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8), min_size=2, max_size=3),
+       st.integers(0, 2**32 - 1))
+def test_learner_cell_cache_matches_an_uncached_learner(platform, unit_layouts, seed):
+    part = GridPartition.default(platform, per_gate_counts=(2, 2, 1, 1))
+
+    def learner(cls):
+        pol = cls(part, expert_policy(platform), CONTROL_LIMITS[platform], n0=2.0)
+        pol.counts[:] = np.arange(part.m)   # a different sigma in every cell
+        return pol
+
+    cached, reference = learner(SyntheticLearner), learner(_UncachedLearner)
+    # each learner flies every track in turn, as in a validation pass
+    for unit in unit_layouts:
+        track = track_from_layout(part.lo + np.array(unit) * (part.hi - part.lo), platform)
+        runs = []
+        for pol in (cached, reference):
+            roll = rollout(pol, track, SimConfig(tick_hz=10.0), rng=np.random.default_rng(seed))
+            runs.append((roll, pol._rng.bit_generator.state))
+        (a, state_a), (b, state_b) = runs
+        assert a.controls.tobytes() == b.controls.tobytes()
+        assert a.states.tobytes() == b.states.tobytes()
+        assert state_a == state_b
 
 
 def test_layout_of_gates():

@@ -314,6 +314,42 @@ def test_mask_observation_history():
     assert hist[1] is not hist[2]
 
 
+class _ReusedControl(Policy):
+    """Returns the same array every tick, rewriting it in place."""
+
+    platform = "uav"
+
+    def __init__(self):
+        self.control = np.zeros(2)
+        self.calls = 0
+
+    def evaluate(self, obs):
+        self.calls += 1
+        self.control[:] = [0.1 * self.calls, -0.05 * self.calls]
+        return self.control
+
+
+def test_rollout_records_each_tick_control_and_does_not_alias_the_start():
+    track = _track([(0.0, 0.0, 2.0)])
+    start = platform_dynamics("uav").initial_state((-6.0, 0.0, 2.0), 0.0)
+    given_start = start.copy()
+    policy = _ReusedControl()
+    roll = rollout(policy, track, SimConfig(tick_hz=10.0, timeout=0.5), init_state=start)
+    start += 1.0
+    np.testing.assert_array_equal(roll.states[0], given_start)
+    # each tick's control was copied before the policy rewrote its array
+    spt = 5
+    assert len(roll.controls) == policy.calls * spt
+    for k in range(policy.calls):
+        for row in roll.controls[k * spt:(k + 1) * spt]:
+            np.testing.assert_array_equal(row, [0.1 * (k + 1), -0.05 * (k + 1)])
+    # every recorded state is the step of the one before it
+    dyn = platform_dynamics("uav")
+    for i in range(len(roll.controls)):
+        np.testing.assert_array_equal(roll.states[i + 1],
+                                      dyn.step(roll.states[i], roll.controls[i]))
+
+
 def _assert_same_rollout(a, b):
     np.testing.assert_array_equal(a.times, b.times)
     np.testing.assert_array_equal(a.states, b.states)

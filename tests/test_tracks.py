@@ -2,9 +2,12 @@
 
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gatesim.tracks import (
     ARENAS,
@@ -357,3 +360,88 @@ def test_track_splats_object_tags():
     first = scene.objects["gate_1"]
     alone = gate_splats(track.gates[0], color=scene.colors[first[0]])
     np.testing.assert_array_equal(scene.means[first], alone.means)
+
+
+# ---------------------------------------------------------------------------
+# scalar fast paths against the array expressions they replaced
+# ---------------------------------------------------------------------------
+
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+def _array_contains(arena, p):
+    p = np.asarray(p, dtype=np.float64)
+    return bool(np.all(p >= arena.lo) and np.all(p <= arena.hi))
+
+
+def _coordinate(lo, hi):
+    edges = [lo, hi, math.nextafter(lo, -math.inf), math.nextafter(lo, math.inf),
+             math.nextafter(hi, -math.inf), math.nextafter(hi, math.inf),
+             0.0, -0.0, math.inf, -math.inf, math.nan]
+    return st.one_of(st.sampled_from(edges), st.floats(lo - 1.0, hi + 1.0))
+
+
+@PROPERTY
+@given(st.sampled_from(sorted(ARENAS)), st.data())
+def test_arena_contains_matches_the_array_test(name, data):
+    arena = ARENAS[name]
+    p = [data.draw(_coordinate(float(lo), float(hi))) for lo, hi in zip(arena.lo, arena.hi)]
+    want = _array_contains(arena, p)
+    assert arena.contains(p) is want
+    assert arena.contains(np.array(p)) is want
+    if any(math.isnan(v) for v in p):
+        assert want is False
+
+
+_finite = st.floats(-50.0, 50.0)
+_yaws = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([0.0, -0.0, math.pi, -math.pi]))
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).tobytes()
+
+
+@PROPERTY
+@given(st.sampled_from(sorted(GATE_GEOMETRY)), st.tuples(_finite, _finite, _finite), _yaws,
+       st.floats(-1e3, 1e3))
+def test_static_gate_frame_is_its_pose_and_axes(platform, center, yaw, t):
+    geo = GATE_GEOMETRY[platform]
+    g = Gate.static(geo["shape"], geo["inner_half"], geo["ring"], center, yaw)
+    frame = g.frame_at(t)
+    c, y = g.pose_at(t)
+    assert _bits(frame.center) == _bits(c) and _bits(frame.yaw) == _bits(y)
+    assert [_bits(a) for a in frame[2:]] == [_bits(a) for a in gate_axes(y)]
+    # computed once: every time gets the same frame
+    assert g.frame_at(t + 1.0) is frame
+
+
+@PROPERTY
+@given(st.tuples(_finite, _finite, _finite), st.tuples(_finite, _finite, _finite), _yaws,
+       _yaws, st.floats(-1.0, 5.0))
+def test_moving_gate_frame_is_its_pose_and_axes(c0, c1, y0, y1, t):
+    g = _uav_gate(None, keyframes=((0.0, np.array(c0), y0), (4.0, np.array(c1), y1)))
+    frame = g.frame_at(t)
+    c, y = g.pose_at(t)
+    assert _bits(frame.center) == _bits(c) and _bits(frame.yaw) == _bits(y)
+    assert [_bits(a) for a in frame[2:]] == [_bits(a) for a in gate_axes(y)]
+    assert frame.center.flags.writeable
+
+
+@PROPERTY
+@given(st.tuples(_finite, _finite, _finite), _yaws)
+def test_static_gate_frame_is_read_only_and_owns_its_center(center, yaw):
+    given_center = np.array(center)
+    g = _uav_gate(given_center, yaw)
+    frame = g.frame_at(0.0)
+    for a in (frame.center, frame.normal, frame.lateral, frame.up):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+    # mutating the caller's array moves neither the frame nor the schedule
+    given_center += 7.0
+    assert _bits(frame.center) == _bits(center)
+    assert _bits(g.pose_at(0.0)[0]) == _bits(center)
+    # a pickled gate (as sent to worker processes) rebuilds the same frame
+    copy = pickle.loads(pickle.dumps(g))
+    assert not copy.frame_at(0.0).center.flags.writeable
+    assert [_bits(a) for a in copy.frame_at(0.0)] == [_bits(a) for a in frame]
