@@ -13,7 +13,7 @@ from gatesim import cli
 from gatesim.cli import _trial_job, config_hash, main, make_policy, resolve_track
 from gatesim.policies import MaskCentroidPolicy, NoisyMaskPolicy
 from gatesim.render import DEFAULT_CAMERA, camera_pose, gate_mask, pgm_bytes, read_pgm, read_ppm
-from gatesim.scene import read_scene, write_scene
+from gatesim.scene import GaussianScene, read_scene, write_scene
 from gatesim.simulator import MISS, jittered_initial_pose
 from gatesim.tracks import (ARENAS, GATE_GEOMETRY, Gate, Track, save_track, track_splats,
                             track_to_dict)
@@ -560,6 +560,26 @@ def test_export_dataset_with_scene(tmp_path, monkeypatch, capsys):
     assert len(ppms) == len(pgms) > 0
     rgb = read_ppm(ppms[0].read_bytes())
     assert rgb.shape == (120, 160, 3)
+    capsys.readouterr()
+
+
+def test_export_dataset_scene_bytes_are_pinned(tmp_path, monkeypatch, capsys):
+    # the gate splats of a mini track among a seeded field of background
+    # splats; any drift in the compositor's output bytes moves this digest
+    monkeypatch.chdir(tmp_path)
+    track = _mini_track("uav")
+    save_track("mini-uav.json", track)
+    gates = track_splats(track)
+    background = random_scene(np.random.default_rng(5), 600, span=4.0)
+    background.means += [0.0, 0.0, 2.0]
+    scene = GaussianScene(*(np.concatenate([getattr(gates, f), getattr(background, f)]) for f in
+                            ("means", "rotations", "scales", "colors", "opacities")))
+    write_scene("splats.ply", scene)
+    assert main(["export-dataset", "--track", "mini-uav.json", "--scene", "splats.ply",
+                 "--trials", "1", "--tick-hz", "10", "--seed", "4", "--out", "d"]) == 0
+    assert len(list(Path("d/t00").glob("frame*.ppm"))) == 9
+    assert _digest("d") == (
+        "0c3b176a4d02d0d43755ce8eee39ec9fe5c3e14f78bc477080a62483ebb8453a")
     capsys.readouterr()
 
 

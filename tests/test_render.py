@@ -11,9 +11,15 @@ from hypothesis import strategies as st
 from conftest import random_scene
 from gatesim.geometry import RigidTransform
 from gatesim.render import (
+    ALPHA_CAP,
+    ALPHA_MIN,
+    CONDITION_LIMIT,
     COV2D_DILATION,
     DEFAULT_CAMERA,
+    TRANSMITTANCE_FLOOR,
+    ZNEAR,
     PinholeCamera,
+    RenderResult,
     _camera_rays,
     _ring_window,
     camera_pose,
@@ -194,6 +200,134 @@ def test_render_permutation_invariance(rng):
     again = render_scene(shuffled, DEFAULT_CAMERA, pose)
     np.testing.assert_allclose(again.rgb, base.rgb, atol=1e-12)
     np.testing.assert_allclose(again.alpha, base.alpha, atol=1e-12)
+
+
+def _reference_render(scene, camera=DEFAULT_CAMERA, pose=None, background=(0.0, 0.0, 0.0)):
+    """Reference: the one-splat-at-a-time compositor that render_scene must
+    reproduce bit for bit. Every in-front splat is visited in depth order and
+    composited over its whole clipped 3 sigma box."""
+    pose = pose if pose is not None else RigidTransform.identity()
+    h, w = camera.height, camera.width
+    rgb = np.zeros((h, w, 3))
+    trans = np.ones((h, w))
+    skipped = 0
+
+    if len(scene):
+        r_wc = pose.rotation_matrix()
+        pc = (scene.means - pose.translation) @ r_wc
+        visible = pc[:, 2] > ZNEAR
+        order = np.flatnonzero(visible)[np.argsort(pc[visible, 2], kind="stable")]
+    else:
+        order = np.array([], dtype=np.int64)
+
+    if len(order):
+        covs = scene.covariances()[order]
+        w_mat = r_wc.T
+        cov_cam = np.einsum("ij,njk,lk->nil", w_mat, covs, w_mat)
+        x, y, z = pc[order, 0], pc[order, 1], pc[order, 2]
+        u0 = camera.fx * x / z + camera.cx
+        v0 = camera.fy * y / z + camera.cy
+        j = np.zeros((len(order), 2, 3))
+        j[:, 0, 0] = camera.fx / z
+        j[:, 0, 2] = -camera.fx * x / z**2
+        j[:, 1, 1] = camera.fy / z
+        j[:, 1, 2] = -camera.fy * y / z**2
+        cov2d = np.einsum("nij,njk,nlk->nil", j, cov_cam, j)
+        cov2d[:, 0, 0] += COV2D_DILATION
+        cov2d[:, 1, 1] += COV2D_DILATION
+
+        colors = scene.colors[order]
+        opac = scene.opacities[order]
+
+        for k in range(len(order)):
+            a, b, c = cov2d[k, 0, 0], cov2d[k, 0, 1], cov2d[k, 1, 1]
+            det = a * c - b * b
+            if det <= 0.0:
+                skipped += 1
+                continue
+            mid = 0.5 * (a + c)
+            half = math.sqrt(max(mid * mid - det, 0.0))
+            lmax, lmin = mid + half, mid - half
+            if lmin <= 0.0 or lmax / lmin > CONDITION_LIMIT:
+                skipped += 1
+                continue
+            radius = 3.0 * math.sqrt(lmax)
+            x0 = max(0, int(math.floor(u0[k] - radius)))
+            x1 = min(w - 1, int(math.ceil(u0[k] + radius)))
+            y0 = max(0, int(math.floor(v0[k] - radius)))
+            y1 = min(h - 1, int(math.ceil(v0[k] + radius)))
+            if x0 > x1 or y0 > y1:
+                continue
+            tile = trans[y0 : y1 + 1, x0 : x1 + 1]
+            live = tile > TRANSMITTANCE_FLOOR
+            if not live.any():
+                continue
+            us = np.arange(x0, x1 + 1) - u0[k]
+            vs = np.arange(y0, y1 + 1) - v0[k]
+            du, dv = np.meshgrid(us, vs)
+            power = -0.5 * (c * du * du - 2.0 * b * du * dv + a * dv * dv) / det
+            alpha = np.minimum(opac[k] * np.exp(power), ALPHA_CAP)
+            alpha[(alpha < ALPHA_MIN) | ~live] = 0.0
+            weight = tile * alpha
+            rgb[y0 : y1 + 1, x0 : x1 + 1] += weight[:, :, None] * colors[k]
+            tile *= 1.0 - alpha
+
+    alpha_img = 1.0 - trans
+    rgb += trans[:, :, None] * np.asarray(background, dtype=np.float64)
+    return RenderResult(np.clip(rgb, 0.0, 1.0), alpha_img, skipped)
+
+
+@st.composite
+def _render_case(draw):
+    """A random scene in front of a camera at the origin looking along +x,
+    with optional near opaque splats that saturate the frame, ill-conditioned
+    splats behind them, and splats whose boxes cross the frame edge."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(0, 40))
+    scene = random_scene(rng, n, span=2.0)
+    scene.means[:, 0] = rng.uniform(-1.0, 9.0, size=n)  # some behind or inside ZNEAR
+    parts = [scene]
+    if draw(st.booleans()):
+        # a wall of wide near opaque splats: every pixel falls below the floor
+        k = draw(st.integers(1, 8))
+        wall = random_scene(rng, k, span=0.3)
+        wall.means[:, 0] = rng.uniform(0.5, 2.0, size=k)
+        wall.scales[:] = rng.uniform(2.0, 6.0, size=(k, 3))
+        wall.opacities[:] = rng.uniform(0.99, 1.0, size=k)
+        parts.append(wall)
+    if draw(st.booleans()):
+        # condition number far above CONDITION_LIMIT, deeper than the wall
+        k = draw(st.integers(1, 4))
+        bad = random_scene(rng, k, span=1.0)
+        bad.means[:, 0] = rng.uniform(3.0, 9.0, size=k)
+        bad.scales[:, 0] = rng.uniform(1e5, 1e7, size=k)
+        parts.append(bad)
+    if draw(st.booleans()):
+        # centers near or past the frame edge, so boxes are clipped
+        k = draw(st.integers(1, 12))
+        edge = random_scene(rng, k, span=1.0)
+        depth = rng.uniform(1.0, 6.0, size=k)
+        edge.means[:, 0] = depth
+        edge.means[:, 1] = depth * rng.choice([-1.0, 1.0], size=k) * rng.uniform(1.0, 1.6, size=k)
+        edge.means[:, 2] = depth * rng.uniform(-1.3, 1.3, size=k)
+        parts.append(edge)
+    merged = GaussianScene(*(np.concatenate([getattr(p, f) for p in parts]) for f in
+                             ("means", "rotations", "scales", "colors", "opacities")))
+    background = draw(st.sampled_from([(0.0, 0.0, 0.0), (0.2, 0.5, 0.9), (1.0, 1.0, 1.0)]))
+    camera = draw(st.sampled_from([DEFAULT_CAMERA, PinholeCamera(40, 30, 15.0, 15.0, 20.0, 15.0)]))
+    pose = camera_pose((0.0, 0.0, draw(st.floats(-0.5, 0.5))), yaw=draw(st.floats(-0.3, 0.3)))
+    return merged, camera, pose, background
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_render_case())
+def test_render_scene_matches_reference_bits(case):
+    scene, camera, pose, background = case
+    got = render_scene(scene, camera, pose, background)
+    want = _reference_render(scene, camera, pose, background)
+    assert np.array_equal(got.rgb.view(np.uint64), want.rgb.view(np.uint64))
+    assert np.array_equal(got.alpha.view(np.uint64), want.alpha.view(np.uint64))
+    assert got.skipped == want.skipped
 
 
 def test_gaussians_behind_camera_culled():
