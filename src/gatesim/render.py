@@ -26,6 +26,7 @@ TRANSMITTANCE_FLOOR = 1e-4
 CONDITION_LIMIT = 1e12
 RING_WINDOW_PAD = 2          # px around a ring's projected bounding box
 BEHIND_MARGIN = 1e-6         # m; orders above the rounding of a ray-plane hit
+CULL_BATCH = 128             # splats culled against one table of live pixels
 
 
 @dataclass(frozen=True)
@@ -114,10 +115,21 @@ def render_scene(
     dilated by COV2D_DILATION px^2, and splatted over its 3 sigma bounding
     box. Pixels whose transmittance falls below TRANSMITTANCE_FLOOR stop
     accumulating.
+
+    Splats are composited one at a time, in depth order with index as the
+    tie-break, but only those that can still change a pixel are visited.
+    Every CULL_BATCH splats a summed-area table of the live pixels (above
+    the floor) drops each splat whose box holds none, and compositing stops
+    once no pixel of the frame is live. A visited splat is evaluated only on
+    the rows and columns of its box that still hold a live pixel. Since
+    transmittance only falls, a dropped splat or pixel would have received
+    alpha 0, so the image is the same as visiting every splat over its whole
+    box.
     """
     pose = pose if pose is not None else RigidTransform.identity()
     h, w = camera.height, camera.width
-    rgb = np.zeros((h, w, 3))
+    # channel-major while compositing, so each channel's update runs along a row
+    planes = np.zeros((3, h, w))
     trans = np.ones((h, w))
     skipped = 0
 
@@ -130,7 +142,7 @@ def render_scene(
         order = np.array([], dtype=np.int64)
 
     if len(order):
-        covs = scene.covariances()[order]
+        covs = scene.covariances(order)
         w_mat = r_wc.T
         cov_cam = np.einsum("ij,njk,lk->nil", w_mat, covs, w_mat)
         x, y, z = pc[order, 0], pc[order, 1], pc[order, 2]
@@ -146,44 +158,58 @@ def render_scene(
         cov2d[:, 0, 0] += COV2D_DILATION
         cov2d[:, 1, 1] += COV2D_DILATION
 
-        colors = scene.colors[order]
+        a, b, c = cov2d[:, 0, 0], cov2d[:, 0, 1], cov2d[:, 1, 1]
+        det = a * c - b * b
+        mid = 0.5 * (a + c)
+        half = np.sqrt(np.maximum(mid * mid - det, 0.0))
+        lmax, lmin = mid + half, mid - half
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ill = (det <= 0.0) | (lmin <= 0.0) | (lmax / lmin > CONDITION_LIMIT)
+            radius = 3.0 * np.sqrt(lmax)
+        skipped = int(np.count_nonzero(ill))
+        # the clipped 3 sigma box, kept as floats until it is known to be
+        # non-empty, hence inside the frame
+        x0 = np.maximum(np.floor(u0 - radius), 0.0)
+        x1 = np.minimum(np.ceil(u0 + radius), w - 1.0)
+        y0 = np.maximum(np.floor(v0 - radius), 0.0)
+        y1 = np.minimum(np.ceil(v0 + radius), h - 1.0)
+        kept = np.flatnonzero(~ill & (x0 <= x1) & (y0 <= y1))
+        x0, x1, y0, y1 = (e[kept].astype(np.intp) for e in (x0, x1, y0, y1))
+        colors = scene.colors[order][:, :, None, None]
         opac = scene.opacities[order]
 
-        for k in range(len(order)):
-            a, b, c = cov2d[k, 0, 0], cov2d[k, 0, 1], cov2d[k, 1, 1]
-            det = a * c - b * b
-            if det <= 0.0:
-                skipped += 1
-                continue
-            mid = 0.5 * (a + c)
-            half = math.sqrt(max(mid * mid - det, 0.0))
-            lmax, lmin = mid + half, mid - half
-            if lmin <= 0.0 or lmax / lmin > CONDITION_LIMIT:
-                skipped += 1
-                continue
-            radius = 3.0 * math.sqrt(lmax)
-            x0 = max(0, int(math.floor(u0[k] - radius)))
-            x1 = min(w - 1, int(math.ceil(u0[k] + radius)))
-            y0 = max(0, int(math.floor(v0[k] - radius)))
-            y1 = min(h - 1, int(math.ceil(v0[k] + radius)))
-            if x0 > x1 or y0 > y1:
-                continue
-            tile = trans[y0 : y1 + 1, x0 : x1 + 1]
-            live = tile > TRANSMITTANCE_FLOOR
-            if not live.any():
-                continue
-            us = np.arange(x0, x1 + 1) - u0[k]
-            vs = np.arange(y0, y1 + 1) - v0[k]
-            du, dv = np.meshgrid(us, vs)
-            # inverse of [[a, b], [b, c]] scaled by det
-            power = -0.5 * (c * du * du - 2.0 * b * du * dv + a * dv * dv) / det
-            alpha = np.minimum(opac[k] * np.exp(power), ALPHA_CAP)
-            alpha[(alpha < ALPHA_MIN) | ~live] = 0.0
-            weight = tile * alpha
-            rgb[y0 : y1 + 1, x0 : x1 + 1] += weight[:, :, None] * colors[k]
-            tile *= 1.0 - alpha
+        table = np.zeros((h + 1, w + 1), dtype=np.intp)
+        for start in range(0, len(kept), CULL_BATCH):
+            np.cumsum(np.cumsum(trans > TRANSMITTANCE_FLOOR, axis=0), axis=1, out=table[1:, 1:])
+            if not table[h, w]:
+                break
+            part = slice(start, start + CULL_BATCH)
+            bx0, bx1, by0, by1 = x0[part], x1[part] + 1, y0[part], y1[part] + 1
+            live_in_box = table[by1, bx1] - table[by0, bx1] - table[by1, bx0] + table[by0, bx0]
+            for i in (start + np.flatnonzero(live_in_box)).tolist():
+                k = kept[i]
+                bx, by = x0[i], y0[i]
+                live = trans[by : y1[i] + 1, bx : x1[i] + 1] > TRANSMITTANCE_FLOOR
+                rows = np.flatnonzero(live.any(axis=1))
+                if not len(rows):
+                    continue
+                cols = np.flatnonzero(live.any(axis=0))
+                live = live[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]
+                rs = slice(by + rows[0], by + rows[-1] + 1)
+                cs = slice(bx + cols[0], bx + cols[-1] + 1)
+                tile = trans[rs, cs]
+                du = np.arange(cs.start, cs.stop) - u0[k]
+                dv = (np.arange(rs.start, rs.stop) - v0[k])[:, None]
+                ak, bk, ck = a[k], b[k], c[k]
+                # inverse of [[a, b], [b, c]] scaled by det
+                power = -0.5 * (ck * du * du - 2.0 * bk * du * dv + ak * dv * dv) / det[k]
+                alpha = np.minimum(opac[k] * np.exp(power), ALPHA_CAP)
+                alpha[(alpha < ALPHA_MIN) | ~live] = 0.0
+                planes[:, rs, cs] += (tile * alpha) * colors[k]
+                tile *= 1.0 - alpha
 
     alpha_img = 1.0 - trans
+    rgb = np.ascontiguousarray(np.moveaxis(planes, 0, -1))
     rgb += trans[:, :, None] * np.asarray(background, dtype=np.float64)
     return RenderResult(np.clip(rgb, 0.0, 1.0), alpha_img, skipped)
 

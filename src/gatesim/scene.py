@@ -139,10 +139,11 @@ class GaussianScene:
             if len(idx) and (idx.min() < 0 or idx.max() >= len(self)):
                 raise SceneValidationError(f"object '{name}' references out-of-range indices")
 
-    def covariances(self) -> np.ndarray:
-        """All covariances R diag(s^2) R^T, shape (n, 3, 3)."""
-        r = quat_to_mat(self.rotations)
-        d = self.scales**2
+    def covariances(self, rows=slice(None)) -> np.ndarray:
+        """Covariances R diag(s^2) R^T of the given rows (all by default),
+        shape (n, 3, 3)."""
+        r = quat_to_mat(self.rotations[rows])
+        d = self.scales[rows] ** 2
         return np.einsum("nij,nj,nkj->nik", r, d, r)
 
 
