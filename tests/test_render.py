@@ -20,7 +20,9 @@ from gatesim.render import (
     ZNEAR,
     PinholeCamera,
     RenderResult,
+    _annulus,
     _camera_rays,
+    _ring_hole,
     _ring_window,
     camera_pose,
     gate_mask,
@@ -425,7 +427,9 @@ _angle = st.floats(-math.pi, math.pi, allow_nan=False)
 def _gate_and_pose(draw):
     """A gate and a camera pose, with the camera anywhere, looking toward the
     ring, near its plane (the ring straddles the camera plane), close in
-    front of it (the ring outgrows the frame) or facing away from it."""
+    front of it (the ring outgrows the frame), facing away from it, or
+    flying through the opening (the opening fills the frame, and at a yaw
+    the ring's outer corners cross the camera plane)."""
     shape = draw(st.sampled_from(["square", "circular"]))
     inner = draw(st.floats(0.05, 2.0))
     ring = draw(st.floats(0.02, 0.6))
@@ -440,7 +444,7 @@ def _gate_and_pose(draw):
         t = 0.0
     c, gyaw = gate.pose_at(t)
     normal, lateral, up = gate_axes(gyaw)
-    place = draw(st.sampled_from(["free", "looking", "plane", "close", "away"]))
+    place = draw(st.sampled_from(["free", "looking", "plane", "close", "away", "through"]))
     side = draw(st.floats(-1.0, 1.0))
     lift = draw(st.floats(-1.0, 1.0))
     if place in ("free", "looking"):
@@ -451,12 +455,16 @@ def _gate_and_pose(draw):
     elif place == "plane":
         pos = c + draw(st.floats(-0.3, 0.3)) * normal + 2.0 * (side * lateral + lift * up)
         cam_yaw = draw(_angle)
+    elif place == "through":
+        depth = draw(st.floats(0.05, 1.5)) * inner
+        pos = c - depth * normal + 0.3 * inner * (side * lateral + lift * up)
+        cam_yaw = gyaw + 0.8 * draw(st.floats(-1.0, 1.0))
     else:
         depth = draw(st.floats(0.02, 0.6))
         pos = c - depth * normal + 0.3 * (side * lateral + lift * up)
         cam_yaw = gyaw + (math.pi if place == "away" else 0.0) + 0.3 * draw(st.floats(-1.0, 1.0))
     pitch = draw(st.floats(-1.2, 1.2))
-    pose = camera_pose(pos, cam_yaw, 0.3 * pitch if place == "looking" else pitch)
+    pose = camera_pose(pos, cam_yaw, 0.3 * pitch if place in ("looking", "through") else pitch)
     camera = draw(st.sampled_from([DEFAULT_CAMERA, DEFAULT_CAMERA.scaled(2.0)]))
     return gate, camera, pose, t
 
@@ -501,6 +509,31 @@ def test_ring_window_kinds():
     assert _window_of(straddle, cam, pose) == full
     off_frame = Gate.static("circular", 0.39, 0.10, (5.0, 20.0, 1.5), math.pi)
     assert _window_of(off_frame, cam, pose) is None
+
+
+def test_ring_hole_and_annulus():
+    cam = DEFAULT_CAMERA
+    pose = camera_pose((0.0, 0.0, 1.5), yaw=0.0)
+
+    def hole_and_bands(depth):
+        gate = Gate.static("square", 0.39, 0.10, (depth, 0.0, 1.5), math.pi)
+        center, yaw = gate.pose_at(0.0)
+        _, lateral, up = gate_axes(yaw)
+        hole = _ring_hole(cam, pose.rotation_matrix(), pose.translation, center, lateral, up,
+                          gate.inner_half)
+        return hole, _annulus(_window_of(gate, cam, pose), hole)
+
+    # the opening's 4.68 px half-size at 5 m, less the margin: too small to pay
+    hole, bands = hole_and_bands(5.0)
+    assert hole == (slice(58, 63), slice(78, 83))
+    assert bands == [(slice(53, 68), slice(73, 88))]
+    # 0.3 m ahead the opening spans 2..158 px across and the whole frame
+    # height: only the side columns are cast
+    hole, bands = hole_and_bands(0.3)
+    assert hole == (slice(0, 120), slice(4, 157))
+    assert bands == [(slice(0, 120), slice(0, 4)), (slice(0, 120), slice(157, 160))]
+    # an opening closer than ZNEAR gives no hole
+    assert hole_and_bands(0.03)[0] is None
 
 
 def test_camera_rays_cached_read_only():
