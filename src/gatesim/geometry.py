@@ -154,23 +154,11 @@ class RigidTransform:
     def identity() -> "RigidTransform":
         return RigidTransform()
 
-    @staticmethod
-    def from_yaw(yaw: float, translation=(0.0, 0.0, 0.0)) -> "RigidTransform":
-        return RigidTransform(quat_from_yaw(yaw), np.asarray(translation, dtype=np.float64))
-
     def apply(self, points) -> np.ndarray:
         return self.scale * quat_rotate(self.rotation, points) + self.translation
 
     def rotation_matrix(self) -> np.ndarray:
         return quat_to_mat(self.rotation)
-
-    def compose(self, other: "RigidTransform") -> "RigidTransform":
-        """self o other: apply `other` first, then `self`."""
-        return RigidTransform(
-            quat_normalize(quat_mul(self.rotation, other.rotation)),
-            self.apply(other.translation),
-            self.scale * other.scale,
-        )
 
     def inverse(self) -> "RigidTransform":
         q_inv = quat_conjugate(self.rotation)

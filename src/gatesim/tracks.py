@@ -258,9 +258,21 @@ def track_to_dict(track: Track) -> dict:
     }
 
 
-def _keyframe_from_dict(i: int, k: dict) -> tuple:
-    t, yaw = float(k["t"]), float(k["yaw"])
-    center = np.asarray(k["center"], dtype=np.float64)
+def _field(obj, key: str, where: str = ""):
+    """obj[key] from a parsed JSON object; ValueError naming where in the
+    file the object sits when it is not an object or has no such key."""
+    prefix = f"{where}: " if where else ""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{prefix}expected an object, got {obj!r}")
+    if key not in obj:
+        raise ValueError(f'{prefix}missing "{key}"')
+    return obj[key]
+
+
+def _keyframe_from_dict(i: int, j: int, k: dict) -> tuple:
+    where = f"gates[{i}].keyframes[{j}]"
+    t, yaw = float(_field(k, "t", where)), float(_field(k, "yaw", where))
+    center = np.asarray(_field(k, "center", where), dtype=np.float64)
     if center.shape != (3,) or not np.all(np.isfinite(center)):
         raise ValueError(f"gates[{i}]: center must be 3 finite numbers, got {k['center']!r}")
     if not (math.isfinite(t) and math.isfinite(yaw)):
@@ -271,24 +283,27 @@ def _keyframe_from_dict(i: int, k: dict) -> tuple:
 def track_from_dict(d: dict) -> Track:
     """The inverse of track_to_dict. ValueError for an unknown platform or
     arena, a gate whose geometry is not its platform's GATE_GEOMETRY, or a
-    non-finite or malformed keyframe."""
+    non-finite or malformed keyframe, or a missing key."""
     for what, known in (("platform", GATE_GEOMETRY), ("arena", ARENAS)):
-        if d[what] not in known:
+        if _field(d, what) not in known:
             raise ValueError(f"unknown {what} {d[what]!r}; accepted: {', '.join(sorted(known))}")
     platform = d["platform"]
     geo = GATE_GEOMETRY[platform]
     gates = []
-    for i, g in enumerate(d["gates"]):
-        shape, inner_half, ring = g["shape"], float(g["inner_half"]), float(g["ring"])
+    for i, g in enumerate(_field(d, "gates")):
+        where = f"gates[{i}]"
+        shape = _field(g, "shape", where)
+        inner_half, ring = float(_field(g, "inner_half", where)), float(_field(g, "ring", where))
         if (shape, inner_half, ring) != (geo["shape"], geo["inner_half"], geo["ring"]):
             raise ValueError(
                 f"gates[{i}]: {platform} gates are {geo['shape']} with inner_half "
                 f"{geo['inner_half']} and ring {geo['ring']}, got {shape} with inner_half "
                 f"{inner_half} and ring {ring}"
             )
-        keyframes = tuple(_keyframe_from_dict(i, k) for k in g["keyframes"])
+        keyframes = tuple(_keyframe_from_dict(i, j, k)
+                          for j, k in enumerate(_field(g, "keyframes", where)))
         gates.append(Gate(shape, inner_half, ring, keyframes))
-    return Track(d["name"], platform, tuple(gates), ARENAS[d["arena"]])
+    return Track(_field(d, "name"), platform, tuple(gates), ARENAS[d["arena"]])
 
 
 def load_track(path) -> Track:

@@ -214,8 +214,11 @@ def _set_gate(d, **values):
      "gates[1]: keyframe time and yaw must be finite, got t=inf"),
     (lambda d: d.update(arena="hangar"), "unknown arena 'hangar'; accepted: quad, uav"),
     (lambda d: d.update(platform="boat"), "unknown platform 'boat'; accepted: quad, uav"),
+    (lambda d: d.pop("gates"), 'missing "gates"'),
+    (lambda d: d["gates"][1]["keyframes"][1].pop("center"),
+     'gates[1].keyframes[1]: missing "center"'),
 ], ids=["shape", "opening", "ring", "nan-center", "inf-center", "short-center", "nested-center",
-        "nan-yaw", "inf-time", "arena", "platform"])
+        "nan-yaw", "inf-time", "arena", "platform", "no-gates", "no-center"])
 def test_bad_track_file_is_a_config_error(tmp_path, capsys, edit, message):
     d = track_to_dict(_moving_uav_track())
     edit(d)

@@ -117,13 +117,11 @@ def test_rigid_transform_apply_matches_scipy(rng):
     np.testing.assert_allclose(T.apply(pts), expect, atol=1e-12)
 
 
-def test_rigid_transform_compose_and_inverse(rng):
+def test_rigid_transform_inverse(rng):
     for _ in range(20):
-        qa, qb = random_unit_quats(rng, 2)
+        [qa] = random_unit_quats(rng, 1)
         a = RigidTransform(qa, rng.normal(size=3), float(rng.uniform(0.5, 2.0)))
-        b = RigidTransform(qb, rng.normal(size=3), float(rng.uniform(0.5, 2.0)))
         pts = rng.normal(size=(10, 3))
-        np.testing.assert_allclose(a.compose(b).apply(pts), a.apply(b.apply(pts)), atol=1e-10)
         np.testing.assert_allclose(a.inverse().apply(a.apply(pts)), pts, atol=1e-10)
 
 
@@ -134,11 +132,6 @@ def test_rigid_transform_validation():
         RigidTransform(np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3), scale=0.0)
     ident = RigidTransform.identity()
     np.testing.assert_array_equal(ident.apply(np.ones((2, 3))), np.ones((2, 3)))
-
-
-def test_rigid_transform_from_yaw():
-    T = RigidTransform.from_yaw(math.pi / 2.0, (1.0, 0.0, 0.0))
-    np.testing.assert_allclose(T.apply(np.array([[1.0, 0.0, 0.0]])), [[1.0, 1.0, 0.0]], atol=1e-12)
 
 
 def test_umeyama_recovers_known_transform(rng):
