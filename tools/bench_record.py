@@ -1,11 +1,12 @@
 """Record a benchmark comparison of two commits in BENCH_<short-sha>.json.
 
-    python3 tools/bench_record.py --base HEAD~1 [--change HEAD] [--pairs 5]
-        [--workloads refine vision] [--seeds 101 102 ...] [--scratch DIR]
+    python3 tools/bench_record.py --base HEAD~1 [--pairs 5] [--workloads refine vision]
+        [--seeds 101 102 ...] [--seconds 30] [--scratch DIR] [--out FILE]
 
-Both commits are exported with `git archive` into fresh directories under
---scratch (a new temporary directory by default), so only committed files
-are measured and the repository's own git metadata is left alone. In each
+HEAD is the change, measured against the commit that --base names. Both
+are exported with `git archive` into fresh directories under --scratch (a
+new temporary directory by default), so only committed files are measured
+and the repository's own git metadata is left alone. In each
 directory the benchmark command of BENCHMARK.json (`python3 perfbench/run.py`)
 runs one workload for one seed at a time:
 
@@ -115,7 +116,6 @@ def summarize(pairs: list, end_to_end: list) -> dict:
 def parse_args(argv):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--base", required=True, help="the parent commit")
-    p.add_argument("--change", default="HEAD", help="the commit under test (default HEAD)")
     p.add_argument("--pairs", type=int, default=5, help="alternating pairs per workload")
     p.add_argument("--workloads", nargs="+", default=None,
                    help="default: every workload of BENCHMARK.json")
@@ -140,7 +140,7 @@ def main(argv=None) -> int:
     workloads = args.workloads or [w["name"] for w in spec["workloads"]]
     seeds = args.seeds or [101 + k for k in range(args.pairs)]
     seconds = args.seconds or spec["run_seconds"]
-    shas = {"base": git("rev-parse", args.base), "change": git("rev-parse", args.change)}
+    shas = {"base": git("rev-parse", args.base), "change": git("rev-parse", "HEAD")}
     scratch = args.scratch or Path(tempfile.mkdtemp(prefix="bench_record_"))
     trees = {side: export(sha, scratch / f"{side}-{sha[:12]}") for side, sha in shas.items()}
 
