@@ -1,17 +1,17 @@
 """Record a benchmark comparison of two commits in BENCH_<short-sha>.json.
 
     python3 tools/bench_record.py --base HEAD~1 [--pairs 5] [--workloads refine vision]
-        [--seeds 101 102 ...] [--seconds 30] [--scratch DIR] [--out FILE]
+        [--scratch DIR] [--out FILE]
 
 HEAD is the change, measured against the commit that --base names. Both
 are exported with `git archive` into fresh directories under --scratch (a
-new temporary directory by default), so only committed files are measured
-and the repository's own git metadata is left alone. In each
+temporary directory, removed afterwards, by default), so only committed files
+are measured and the repository's own git metadata is left alone. In each
 directory the benchmark command of BENCHMARK.json (`python3 perfbench/run.py`)
-runs one workload for one seed at a time:
+runs one workload for one seed and BENCHMARK.json's run_seconds at a time:
 
-- K pairs per workload with `--trace 0`, one seed per pair, alternating which
-  commit runs first, for the end-to-end metrics;
+- K pairs per workload with `--trace 0`, seeds 101, 102, ... one per pair,
+  alternating which commit runs first, for the end-to-end metrics;
 - one `--trace 1` run per commit on the first seed, for the per-layer block.
 
 The file holds every run's end-to-end metrics, each side's median and
@@ -119,29 +119,30 @@ def parse_args(argv):
     p.add_argument("--pairs", type=int, default=5, help="alternating pairs per workload")
     p.add_argument("--workloads", nargs="+", default=None,
                    help="default: every workload of BENCHMARK.json")
-    p.add_argument("--seeds", type=int, nargs="+", default=None,
-                   help="one per pair; default 101, 102, ...")
-    p.add_argument("--seconds", type=float, default=None,
-                   help="measured window per run; default BENCHMARK.json's run_seconds")
     p.add_argument("--scratch", type=Path, default=None,
-                   help="where the commits are exported; default a new temporary directory")
+                   help="where the commits are exported; default a temporary directory")
     p.add_argument("--out", type=Path, default=None, help="default BENCH_<short-sha>.json")
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be >= 1")
-    if args.seeds is not None and len(args.seeds) != args.pairs:
-        p.error(f"--seeds needs one seed per pair ({args.pairs})")
     return args
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
+    if args.scratch is not None:
+        return compare(args, args.scratch)
+    with tempfile.TemporaryDirectory(prefix="bench_record_") as scratch:
+        return compare(args, Path(scratch))
+
+
+def compare(args, scratch: Path) -> int:
+    """Run the pairs with both commits exported under scratch; write the record."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = args.workloads or [w["name"] for w in spec["workloads"]]
-    seeds = args.seeds or [101 + k for k in range(args.pairs)]
-    seconds = args.seconds or spec["run_seconds"]
+    seeds = [101 + k for k in range(args.pairs)]
+    seconds = spec["run_seconds"]
     shas = {"base": git("rev-parse", args.base), "change": git("rev-parse", "HEAD")}
-    scratch = args.scratch or Path(tempfile.mkdtemp(prefix="bench_record_"))
     trees = {side: export(sha, scratch / f"{side}-{sha[:12]}") for side, sha in shas.items()}
 
     record = {
