@@ -217,8 +217,10 @@ def _set_gate(d, **values):
     (lambda d: d.pop("gates"), 'missing "gates"'),
     (lambda d: d["gates"][1]["keyframes"][1].pop("center"),
      'gates[1].keyframes[1]: missing "center"'),
+    (lambda d: d["gates"].__setitem__(1, [1.0, 2.0]),
+     "gates[1]: expected an object, got [1.0, 2.0]"),
 ], ids=["shape", "opening", "ring", "nan-center", "inf-center", "short-center", "nested-center",
-        "nan-yaw", "inf-time", "arena", "platform", "no-gates", "no-center"])
+        "nan-yaw", "inf-time", "arena", "platform", "no-gates", "no-center", "gate-list"])
 def test_bad_track_file_is_a_config_error(tmp_path, capsys, edit, message):
     d = track_to_dict(_moving_uav_track())
     edit(d)
