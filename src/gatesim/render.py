@@ -270,59 +270,6 @@ def _ring_window(camera: PinholeCamera, r_wc, origin, center, lateral, up, outer
     return slice(y0, y1), slice(x0, x1)
 
 
-def _ring_hole(camera: PinholeCamera, r_wc, origin, center, lateral, up, half):
-    """(rows, cols) slices of pixels whose rays all pass through the ring's
-    opening, or None.
-
-    `half` is the half-size of a square inside the opening. When that square
-    lies at least ZNEAR in front of the camera its projection is a convex
-    quadrilateral, and the ray through a pixel inside it hits the square. The
-    hole is an axis-aligned box inside the quadrilateral, shrunk by
-    RING_WINDOW_PAD so that rounding cannot put one of its pixels on the ring.
-    """
-    corners = center + half * (_CORNER_SIGNS[[0, 1, 3, 2]] @ np.stack([lateral, up]))
-    xs, ys, zs = ((corners - origin) @ r_wc).T.tolist()
-    if not all(z >= ZNEAR for z in zs):
-        return None
-    quad = [(camera.fx * x / z + camera.cx, camera.fy * y / z + camera.cy)
-            for x, y, z in zip(xs, ys, zs)]
-    # between the second smallest and second largest corner coordinates
-    us = sorted(u for u, _ in quad)
-    vs = sorted(v for _, v in quad)
-    box = [(us[1], vs[1]), (us[2], vs[1]), (us[2], vs[2]), (us[1], vs[2])]
-    # inside a convex polygon: on the same side of every edge
-    crosses = [(bu - au) * (pv - av) - (bv - av) * (pu - au)
-               for (au, av), (bu, bv) in zip(quad, quad[1:] + quad[:1]) for pu, pv in box]
-    if not (all(c >= 0.0 for c in crosses) or all(c <= 0.0 for c in crosses)):
-        return None
-    x0 = max(0, math.ceil(us[1]) + RING_WINDOW_PAD)
-    x1 = min(camera.width, math.floor(us[2]) - RING_WINDOW_PAD + 1)
-    y0 = max(0, math.ceil(vs[1]) + RING_WINDOW_PAD)
-    y1 = min(camera.height, math.floor(vs[2]) - RING_WINDOW_PAD + 1)
-    if x0 >= x1 or y0 >= y1:
-        return None
-    return slice(y0, y1), slice(x0, x1)
-
-
-def _annulus(window, hole):
-    """The window less the hole, as up to four (rows, cols) bands: above,
-    below, left of and right of the hole. The window alone when the hole
-    would hold less than a quarter of it, where the extra casts of the bands
-    cost more than the pixels they save."""
-    rows, cols = window
-    if hole is None:
-        return [window]
-    hr = slice(max(hole[0].start, rows.start), min(hole[0].stop, rows.stop))
-    hc = slice(max(hole[1].start, cols.start), min(hole[1].stop, cols.stop))
-    area = (hr.stop - hr.start) * (hc.stop - hc.start)
-    if hr.start >= hr.stop or hc.start >= hc.stop or \
-            4 * area < (rows.stop - rows.start) * (cols.stop - cols.start):
-        return [window]
-    bands = [(slice(rows.start, hr.start), cols), (slice(hr.stop, rows.stop), cols),
-             (hr, slice(cols.start, hc.start)), (hr, slice(hc.stop, cols.stop))]
-    return [(r, c) for r, c in bands if r.start < r.stop and c.start < c.stop]
-
-
 def gate_mask(
     gates,
     camera: PinholeCamera = DEFAULT_CAMERA,
@@ -334,11 +281,9 @@ def gate_mask(
     A pixel is set when its ray hits any gate's ring solid (between the inner
     and outer boundary, both inclusive) at positive depth. Square rings use
     the max-norm in the gate plane, circular rings the euclidean norm. Rays
-    are cast only inside each ring's projected pixel window, less a hole
-    inside the projected opening, with the per-pixel expressions of a
-    full-frame cast. The window's padding keeps every pixel the ring can
-    cover inside it, and the hole's margin keeps them all outside the hole,
-    so the mask is the same.
+    are cast only inside each ring's projected pixel window, with the
+    per-pixel expressions of a full-frame cast; the window's padding keeps
+    every pixel the ring can cover inside it, so the mask is the same.
     """
     pose = pose if pose is not None else RigidTransform.identity()
     if isinstance(gates, Gate):
@@ -354,24 +299,20 @@ def gate_mask(
         window = _ring_window(camera, r_wc, origin, center, lateral, up, gate.outer_half)
         if window is None:
             continue
-        # the largest square inside the opening
-        opening = gate.inner_half if gate.shape == "square" else gate.inner_half / math.sqrt(2.0)
-        hole = _ring_hole(camera, r_wc, origin, center, lateral, up, opening)
-        for band in _annulus(window, hole):
-            dirs = rays[band] @ r_wc.T
-            denom = dirs @ normal
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t_hit = (normal @ (center - origin)) / denom
-            ok = (np.abs(denom) > 1e-12) & (t_hit > 0.0)
-            hit = origin + t_hit[:, :, None] * dirs
-            q = hit - center
-            a = q @ lateral
-            b = q @ up
-            if gate.shape == "square":
-                d = np.maximum(np.abs(a), np.abs(b))
-            else:
-                d = np.hypot(a, b)
-            mask[band] |= ok & (d >= gate.inner_half) & (d <= gate.outer_half)
+        dirs = rays[window] @ r_wc.T
+        denom = dirs @ normal
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_hit = (normal @ (center - origin)) / denom
+        ok = (np.abs(denom) > 1e-12) & (t_hit > 0.0)
+        hit = origin + t_hit[:, :, None] * dirs
+        q = hit - center
+        a = q @ lateral
+        b = q @ up
+        if gate.shape == "square":
+            d = np.maximum(np.abs(a), np.abs(b))
+        else:
+            d = np.hypot(a, b)
+        mask[window] |= ok & (d >= gate.inner_half) & (d <= gate.outer_half)
     return mask
 
 

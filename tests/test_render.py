@@ -20,9 +20,7 @@ from gatesim.render import (
     ZNEAR,
     PinholeCamera,
     RenderResult,
-    _annulus,
     _camera_rays,
-    _ring_hole,
     _ring_window,
     camera_pose,
     gate_mask,
@@ -509,31 +507,6 @@ def test_ring_window_kinds():
     assert _window_of(straddle, cam, pose) == full
     off_frame = Gate.static("circular", 0.39, 0.10, (5.0, 20.0, 1.5), math.pi)
     assert _window_of(off_frame, cam, pose) is None
-
-
-def test_ring_hole_and_annulus():
-    cam = DEFAULT_CAMERA
-    pose = camera_pose((0.0, 0.0, 1.5), yaw=0.0)
-
-    def hole_and_bands(depth):
-        gate = Gate.static("square", 0.39, 0.10, (depth, 0.0, 1.5), math.pi)
-        center, yaw = gate.pose_at(0.0)
-        _, lateral, up = gate_axes(yaw)
-        hole = _ring_hole(cam, pose.rotation_matrix(), pose.translation, center, lateral, up,
-                          gate.inner_half)
-        return hole, _annulus(_window_of(gate, cam, pose), hole)
-
-    # the opening's 4.68 px half-size at 5 m, less the margin: too small to pay
-    hole, bands = hole_and_bands(5.0)
-    assert hole == (slice(58, 63), slice(78, 83))
-    assert bands == [(slice(53, 68), slice(73, 88))]
-    # 0.3 m ahead the opening spans 2..158 px across and the whole frame
-    # height: only the side columns are cast
-    hole, bands = hole_and_bands(0.3)
-    assert hole == (slice(0, 120), slice(4, 157))
-    assert bands == [(slice(0, 120), slice(0, 4)), (slice(0, 120), slice(157, 160))]
-    # an opening closer than ZNEAR gives no hole
-    assert hole_and_bands(0.03)[0] is None
 
 
 def test_camera_rays_cached_read_only():
