@@ -20,7 +20,6 @@ from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from .dynamics import platform_dynamics
 from .edits import apply_edit_script
@@ -236,7 +235,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_perturb(args) -> int:
     track = resolve_track(args.track)
-    levels = [float(v) for v in args.levels.split(",")]
+    levels = args.levels
     chash = config_hash(
         {
             "cmd": "perturb",
@@ -255,6 +254,10 @@ def cmd_perturb(args) -> int:
 
     srs = [m["sr"] for _, m in curve]
     if len(levels) > 1:
+        # imported here, not at module level: it is the slowest import of the
+        # package and no other command uses it
+        from scipy import stats as scipy_stats
+
         with warnings.catch_warnings():
             # a constant SR curve is a legitimate outcome, handled below
             warnings.simplefilter("ignore", scipy_stats.ConstantInputWarning)
@@ -566,6 +569,17 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _levels(text: str) -> list[float]:
+    try:
+        levels = [float(v) for v in text.split(",")]
+    except ValueError:
+        levels = []
+    if not levels or not all(0.0 <= v < float("inf") for v in levels):
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated finite numbers >= 0 cm, got {text!r}")
+    return levels
+
+
 def _serial_jobs(text: str) -> int:
     if _positive_int(text) > 1:
         raise argparse.ArgumentTypeError(f"pgr runs serially, so only 1 is accepted, got {text}")
@@ -603,7 +617,8 @@ def build_parser() -> argparse.ArgumentParser:
     trial_flags(p)
     p.add_argument("--track", default="uav-slalom")
     p.add_argument("--policy", default="expert", choices=POLICY_NAMES)
-    p.add_argument("--levels", default="0,20,40,60,80", help="cm, comma-separated")
+    p.add_argument("--levels", type=_levels, default="0,20,40,60,80",
+                   help="gate offsets in cm, comma-separated, each >= 0")
     p.add_argument("--tracks-per-level", type=_positive_int, default=10)
     p.set_defaults(func=cmd_perturb)
 

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .geometry import wrap_angle
 from .render import DEFAULT_CAMERA, PinholeCamera
@@ -70,8 +69,8 @@ def _aim_point(gate: Gate, t: float, position: np.ndarray, speed: float):
     """
     t_go = 0.0
     for _ in range(2):
-        center = gate.frame_at(t + t_go).center
-        t_go = float(np.linalg.norm(center - position)) / speed
+        d = gate.frame_at(t + t_go).center - position
+        t_go = math.sqrt(d @ d) / speed   # np.linalg.norm's sum and root, without its overhead
     center, yaw, normal, _, _ = gate.frame_at(t + t_go)
     signed = float(normal @ (position - center))
     if signed < -AIM_STANDOFF:
@@ -93,12 +92,12 @@ def expert_uav_control(
 ) -> np.ndarray:
     """Proportional guidance to the carrot: rate commands from bearing errors."""
     gate = _target_gate(obs)
-    x, y, z, psi, theta = (float(v) for v in obs.state[:5])
+    x, y, z, psi, theta = obs.state[:5].tolist()
     pos = np.array([x, y, z])
     aim, _, _, _ = _aim_point(gate, obs.t, pos, 7.0)
-    rel = aim - pos
-    bearing = math.atan2(rel[1], rel[0])
-    elevation = math.atan2(rel[2], math.hypot(rel[0], rel[1]))
+    rx, ry, rz = (aim - pos).tolist()
+    bearing = math.atan2(ry, rx)
+    elevation = math.atan2(rz, math.hypot(rx, ry))
     u_psi = k_yaw * wrap_angle(bearing - psi)
     u_theta = k_pitch * (elevation - theta)
     return np.array([u_psi, u_theta])
@@ -195,19 +194,26 @@ def _mask_window(mask: np.ndarray, pad: int = 0):
     )
 
 
+# 4-connectivity for component labelling
+_CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
+
+
 def largest_component_centroid(mask: np.ndarray):
     """Centroid (x, y) px and area of the largest 4-connected white component.
 
     None for an empty mask; area ties go to the component labeled first in
     raster order.
     """
+    # imported on first use: the commands that fly no mask policy never load it
+    from scipy import ndimage
+
     mask = np.asarray(mask, dtype=bool)
     window = _mask_window(mask)
     if window is None:
         return None
-    # default structure is 4-connected; raster order inside the bounding box
-    # is the frame's raster order, so labels and the tie-break carry over
-    labels, count = ndimage.label(mask[window])
+    # raster order inside the bounding box is the frame's raster order, so
+    # labels and the tie-break carry over
+    labels, count = ndimage.label(mask[window], structure=_CROSS)
     areas = np.bincount(labels.ravel())[1:]
     best = int(np.argmax(areas)) + 1
     ys, xs = np.nonzero(labels == best)
@@ -276,6 +282,17 @@ class NoiseParams:
     blob_radius: int = 2        # px
 
 
+def _boundary_band(mask: np.ndarray) -> np.ndarray:
+    """Pixels whose 4-neighbourhood holds both set and clear pixels: the
+    cross-structure dilation less the erosion, with zeros outside the array."""
+    padded = np.pad(mask, 1)
+    up, down = padded[:-2, 1:-1], padded[2:, 1:-1]
+    left, right = padded[1:-1, :-2], padded[1:-1, 2:]
+    dilated = mask | up | down | left | right
+    eroded = mask & up & down & left & right
+    return dilated & ~eroded
+
+
 def noisy_perception(mask: np.ndarray, params: NoiseParams, rng: np.random.Generator) -> np.ndarray:
     """Corrupt a mask: flip pixels in the 1 px boundary band with probability
     flip_prob and stamp Poisson-many small false blobs at uniform positions."""
@@ -287,9 +304,7 @@ def noisy_perception(mask: np.ndarray, params: NoiseParams, rng: np.random.Gener
         # padded window stand in for the frame's zero border
         window = _mask_window(mask, pad=2)
         if window is not None:
-            sub = mask[window]
-            band = ndimage.binary_dilation(sub) & ~ndimage.binary_erosion(sub)
-            out[window] ^= band & (draws[window] < params.flip_prob)
+            out[window] ^= _boundary_band(mask[window]) & (draws[window] < params.flip_prob)
     n_blobs = int(rng.poisson(params.blob_rate))
     h, w = mask.shape
     for _ in range(n_blobs):

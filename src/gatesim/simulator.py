@@ -208,6 +208,10 @@ def rollout(
     target = 0
     terminal = None
     p0 = dynamics.position(state)
+    # signed distance of p0 to the target's plane: one step's end distance is
+    # the next step's start distance, so each step computes one, and
+    # detect_crossing runs only on a sign change it will confirm
+    d0 = signed_gate_distance(gates[0], t, p0)
 
     while terminal is None:
         obs = _observe(policy, dynamics, track, t, state, target, config.camera, history)
@@ -221,23 +225,27 @@ def rollout(
             t_new = t + dt
             p1 = dynamics.position(state)
 
-            # the same transition can cross several coincident gate planes
-            while target < n_gates:
-                hit = detect_crossing(gates[target], t, p0, t_new, p1)
-                if hit is None:
-                    break
-                t_cross, p_prime, error = hit
-                outcome = classify_crossing(
-                    error, gates[target], track.vehicle_half_width,
-                    config.success_threshold,
-                )
-                records[target] = GateRecord(target, outcome, True, t_cross, p_prime, error)
-                if outcome == FRAME_COLLISION:
-                    terminal = FRAME_COLLISION
-                    break
-                target += 1
-                if target == n_gates and outcome == SUCCESS:
-                    terminal = SUCCESS
+            if target < n_gates:
+                d1 = signed_gate_distance(gates[target], t_new, p1)
+                # the same transition can cross several coincident gate planes
+                while d0 < 0.0 <= d1:
+                    t_cross, p_prime, error = detect_crossing(gates[target], t, p0, t_new, p1)
+                    outcome = classify_crossing(
+                        error, gates[target], track.vehicle_half_width,
+                        config.success_threshold,
+                    )
+                    records[target] = GateRecord(target, outcome, True, t_cross, p_prime, error)
+                    if outcome == FRAME_COLLISION:
+                        terminal = FRAME_COLLISION
+                        break
+                    target += 1
+                    if target == n_gates:
+                        if outcome == SUCCESS:
+                            terminal = SUCCESS
+                        break
+                    d0 = signed_gate_distance(gates[target], t, p0)
+                    d1 = signed_gate_distance(gates[target], t_new, p1)
+                d0 = d1
 
             t = t_new
             p0 = p1

@@ -4,6 +4,8 @@ codes, and the file formats."""
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -283,6 +285,30 @@ def test_perturb_maps_all_levels_through_one_pool(tmp_path, monkeypatch, capsys,
     assert main(["perturb", "--track", "mini-uav.json", "--levels", "0,20,40",
                  "--tracks-per-level", "1", "--tick-hz", "10", "--jobs", "2"]) == 0
     assert pools == [2]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("levels", ["nan", "inf", "-10,20", "20,", "abc", ""])
+def test_bad_perturbation_levels_are_parse_errors(monkeypatch, capsys, levels):
+    monkeypatch.setattr(cli, "run_trials", None)   # refused before any rollout
+    with pytest.raises(SystemExit) as exit_info:
+        main(["perturb", "--track", "quad-turn", f"--levels={levels}"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert ("argument --levels: expected comma-separated finite numbers >= 0 cm, "
+            f"got {levels!r}") in err
+    assert "Traceback" not in err
+
+
+def test_perturb_bytes_are_pinned(tmp_path, capsys):
+    # classical-noisy on quad-turn: perturbed tracks, masks, perception noise,
+    # labelling and a Spearman rho that is not 0; any drift moves this digest
+    assert main(["perturb", "--track", "quad-turn", "--policy", "classical-noisy",
+                 "--levels", "0,60,120", "--tracks-per-level", "2", "--seed", "3",
+                 "--out", str(tmp_path / "p")]) == 0
+    assert json.loads((tmp_path / "p/summary.json").read_text())["spearman_rho"] < -0.5
+    assert _digest(tmp_path / "p") == (
+        "621a73966c8c5e41e8c9267702e9f213746b736b34dcad2ceab53cba2f62626d")
     capsys.readouterr()
 
 
@@ -661,6 +687,30 @@ def test_render_argument_validation(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
+
+
+def test_commands_without_a_mask_policy_never_import_scipy(tmp_path):
+    # a fresh interpreter, as every CLI run starts: scipy.stats and
+    # scipy.ndimage are imported only inside the code that calls them
+    config = tmp_path / "pgr.json"
+    config.write_text(json.dumps({"platform": "uav", "per_gate_counts": [2, 1, 1, 1],
+                                  "iterations": 1, "initial_per_cell": 1,
+                                  "val_per_cell": 1, "tick_hz": 10.0}))
+    src = Path(cli.__file__).resolve().parents[1]
+    code = f"""
+import sys
+sys.path.insert(0, {str(src)!r})
+import gatesim.cli
+loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded(), loaded()
+for argv in (["pgr", "--config", {str(config)!r}, "--skip-uniform"],
+             ["evaluate", "--tracks", "uav-slalom", "quad-turn", "--trials", "1"]):
+    assert gatesim.cli.main(argv + ["--out", {str(tmp_path / "out")!r}]) == 0
+    assert not loaded(), (argv[0], loaded())
+"""
+    res = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+
 
 
 def test_config_hash_properties():

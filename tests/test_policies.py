@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
+from gatesim import policies
 from gatesim.policies import (
     CONTROL_LIMITS,
     ExpertQuadPolicy,
@@ -118,6 +119,26 @@ def test_aim_point_leads_moving_gate():
     assert t_hit == pytest.approx(t2)
     np.testing.assert_allclose(aim, center - [1.0, 0.0, 0.0])
 
+
+
+# zero, subnormal, ordinary and huge offsets; squares of the huge ones overflow
+_OFFSET = st.one_of(st.just(0.0), st.floats(-1e-160, 1e-160), st.floats(-1e3, 1e3),
+                    st.floats(-1e200, 1e200))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.tuples(_OFFSET, _OFFSET, _OFFSET), st.floats(0.5, 10.0))
+def test_aim_point_distance_is_np_linalg_norm_bit_for_bit(offset, speed):
+    # the gate starts at the origin, so the first pass measures exactly the
+    # drawn offset; it moves, so the second pass measures another vector
+    gate = _gate(None, keyframes=((0.0, np.zeros(3), 0.0), (8.0, np.array([3.0, 2.0, 1.0]), 0.0)))
+    pos = -np.array(offset)
+    t_go = 0.0
+    with np.errstate(over="ignore"):
+        for _ in range(2):
+            t_go = float(np.linalg.norm(gate.pose_at(t_go)[0] - pos)) / speed
+        _, _, _, t_hit = _aim_point(gate, 0.0, pos, speed)
+    assert np.float64(t_hit).tobytes() == np.float64(t_go).tobytes()
 
 def test_quad_expert_zero_on_collision_course():
     u = expert_quad_control(_quad_obs((0.0, 0.0, 1.0)))
@@ -510,6 +531,16 @@ def _full_frame_noisy_perception(mask, params, rng):
         x0, x1 = max(0, cx - r), min(w, cx + r + 1)
         out[y0:y1, x0:x1] |= disk[r - (cy - y0) : r + (y1 - cy), r - (cx - x0) : r + (x1 - cx)]
     return out
+
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 9), st.integers(1, 9), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_boundary_band_matches_scipy_morphology(h, w, density, seed):
+    # every mask touches the array border, where both operations see zeros
+    mask = np.random.default_rng(seed).random((h, w)) < density
+    want = ndimage.binary_dilation(mask) & ~ndimage.binary_erosion(mask)
+    np.testing.assert_array_equal(policies._boundary_band(mask), want)
 
 
 @pytest.mark.parametrize("params", [NoiseParams(), NoiseParams(flip_prob=1.0, blob_rate=0.0),

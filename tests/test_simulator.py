@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from gatesim import simulator
 from gatesim.dynamics import platform_dynamics
 from gatesim.policies import ExpertUavPolicy, MaskCentroidPolicy, Policy, ZeroPolicy, expert_policy
 from gatesim.simulator import (
@@ -242,6 +243,31 @@ def test_rollout_success_threshold_override():
     tight = rollout(ExpertUavPolicy(), track, SimConfig(success_threshold=1e-9), init_state=init)
     assert tight.terminal == FRAME_COLLISION
 
+
+
+def test_rollout_calls_detect_crossing_only_for_crossings(monkeypatch):
+    # each step's end distance is carried into the next step, so the full
+    # crossing test runs only on a sign change, and always confirms it
+    hits = []
+
+    def counting(*args):
+        hits.append(detect_crossing(*args))
+        return hits[-1]
+
+    monkeypatch.setattr(simulator, "detect_crossing", counting)
+    init = np.array([-6.0, 0.0, 2.0, 0.0, 0.0])
+    runs = [
+        (ZeroPolicy("uav"), _track([(0.0, -8.0, 2.0), (8.0, 0.0, 2.0)]), init),   # a miss
+        (ZeroPolicy("uav"), _track([(0.0, -1.0, 2.0), (8.0, 0.0, 2.0)]), init),   # a strike
+        (ZeroPolicy("uav"), _track([(0.0, 0.0, 2.0), (0.0, 0.0, 2.0)]), init),    # coincident
+    ] + [(expert_policy(t.platform), t, None) for t in map(reference_track, (
+        "uav-slalom", "uav-shift", "quad-drift", "quad-turn"))]
+    for policy, track, init_state in runs:
+        hits.clear()
+        roll = rollout(policy, track, init_state=init_state)
+        assert None not in hits
+        assert len(hits) == sum(g.crossed for g in roll.gates) > 0
+        assert [h[0] for h in hits] == [g.t_cross for g in roll.gates if g.crossed]
 
 def test_rollout_platform_mismatch():
     with pytest.raises(ValueError):
