@@ -712,7 +712,6 @@ for argv in (["pgr", "--config", {str(config)!r}, "--skip-uniform"],
     assert res.returncode == 0, res.stderr
 
 
-
 def test_config_hash_properties():
     a = config_hash({"x": 1, "y": [1, 2]})
     assert a == config_hash({"y": [1, 2], "x": 1})

@@ -120,7 +120,6 @@ def test_aim_point_leads_moving_gate():
     np.testing.assert_allclose(aim, center - [1.0, 0.0, 0.0])
 
 
-
 # zero, subnormal, ordinary and huge offsets; squares of the huge ones overflow
 _OFFSET = st.one_of(st.just(0.0), st.floats(-1e-160, 1e-160), st.floats(-1e3, 1e3),
                     st.floats(-1e200, 1e200))
@@ -139,6 +138,7 @@ def test_aim_point_distance_is_np_linalg_norm_bit_for_bit(offset, speed):
             t_go = float(np.linalg.norm(gate.pose_at(t_go)[0] - pos)) / speed
         _, _, _, t_hit = _aim_point(gate, 0.0, pos, speed)
     assert np.float64(t_hit).tobytes() == np.float64(t_go).tobytes()
+
 
 def test_quad_expert_zero_on_collision_course():
     u = expert_quad_control(_quad_obs((0.0, 0.0, 1.0)))
@@ -531,7 +531,6 @@ def _full_frame_noisy_perception(mask, params, rng):
         x0, x1 = max(0, cx - r), min(w, cx + r + 1)
         out[y0:y1, x0:x1] |= disk[r - (cy - y0) : r + (y1 - cy), r - (cx - x0) : r + (x1 - cx)]
     return out
-
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

@@ -244,7 +244,6 @@ def test_rollout_success_threshold_override():
     assert tight.terminal == FRAME_COLLISION
 
 
-
 def test_rollout_calls_detect_crossing_only_for_crossings(monkeypatch):
     # each step's end distance is carried into the next step, so the full
     # crossing test runs only on a sign change, and always confirms it
@@ -268,6 +267,7 @@ def test_rollout_calls_detect_crossing_only_for_crossings(monkeypatch):
         assert None not in hits
         assert len(hits) == sum(g.crossed for g in roll.gates) > 0
         assert [h[0] for h in hits] == [g.t_cross for g in roll.gates if g.crossed]
+
 
 def test_rollout_platform_mismatch():
     with pytest.raises(ValueError):
