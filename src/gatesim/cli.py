@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import warnings
@@ -524,8 +525,7 @@ def cmd_render(args) -> int:
         if args.position is None:
             pos, yaw = track.initial_pose()
         else:
-            pos = np.array([float(v) for v in args.position.split(",")])
-            yaw = args.yaw
+            pos, yaw = args.position, args.yaw
         pose = camera_pose(pos, yaw, args.pitch)
         if args.mask:
             mask = gate_mask(list(track.gates), camera, pose, t=args.time)
@@ -535,8 +535,7 @@ def cmd_render(args) -> int:
         scene = read_scene(args.scene)
         if args.position is None:
             raise ValueError("--position is required with --scene")
-        pos = np.array([float(v) for v in args.position.split(",")])
-        pose = camera_pose(pos, args.yaw, args.pitch)
+        pose = camera_pose(args.position, args.yaw, args.pitch)
     if args.out:
         img = render_scene(scene, camera, pose)
         _write_bytes(Path(args.out), ppm_bytes(img.rgb))
@@ -567,6 +566,36 @@ def _positive_float(text: str) -> float:
     if not 0.0 < value < float("inf"):
         raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {value}")
     return value
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _position(text: str) -> np.ndarray:
+    try:
+        xyz = [float(v) for v in text.split(",")]
+    except ValueError:
+        xyz = []
+    if len(xyz) != 3 or not all(math.isfinite(v) for v in xyz):
+        raise argparse.ArgumentTypeError(
+            f"expected three comma-separated finite numbers x,y,z, got {text!r}")
+    return np.array(xyz)
+
+
+def _camera_scale(text: str) -> float:
+    scale = _positive_float(text)
+    camera = DEFAULT_CAMERA.scaled(scale)
+    if camera.width < 1 or camera.height < 1:
+        raise argparse.ArgumentTypeError(
+            f"{scale} gives a {camera.width} x {camera.height} frame, smaller than 1 x 1")
+    return scale
 
 
 def _levels(text: str) -> list[float]:
@@ -648,11 +677,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("render", help="one-shot RGB (and mask) from a pose")
     p.add_argument("--scene", default=None, help="PLY scene")
     p.add_argument("--track", default=None, help="bundled track name or file")
-    p.add_argument("--position", default=None, help="camera position x,y,z")
-    p.add_argument("--yaw", type=float, default=0.0)
-    p.add_argument("--pitch", type=float, default=0.0)
-    p.add_argument("--time", type=float, default=0.0, help="gate schedule time")
-    p.add_argument("--camera-scale", type=float, default=1.0)
+    p.add_argument("--position", type=_position, default=None, help="camera position x,y,z")
+    p.add_argument("--yaw", type=_finite_float, default=0.0)
+    p.add_argument("--pitch", type=_finite_float, default=0.0)
+    p.add_argument("--time", type=_finite_float, default=0.0, help="gate schedule time")
+    p.add_argument("--camera-scale", type=_camera_scale, default=1.0)
     p.add_argument("--out", default=None, help="output PPM")
     p.add_argument("--mask", default=None, help="output PGM mask (track mode)")
     p.set_defaults(func=cmd_render)

@@ -68,7 +68,8 @@ def quat_rotate(q, v) -> np.ndarray:
 def quat_to_mat(q) -> np.ndarray:
     """Unit quaternion -> 3x3 rotation matrix (batched over leading axes)."""
     q = np.asarray(q, dtype=np.float64)
-    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    # one quaternion: the same arithmetic on Python floats, several times faster
+    w, x, y, z = q.tolist() if q.ndim == 1 else (q[..., 0], q[..., 1], q[..., 2], q[..., 3])
     m = np.empty(q.shape[:-1] + (3, 3), dtype=np.float64)
     m[..., 0, 0] = 1 - 2 * (y * y + z * z)
     m[..., 0, 1] = 2 * (x * y - w * z)
@@ -83,32 +84,32 @@ def quat_to_mat(q) -> np.ndarray:
 
 
 def mat_to_quat(m) -> np.ndarray:
-    """3x3 rotation matrix -> unit quaternion [w,x,y,z] with w >= 0."""
-    m = np.asarray(m, dtype=np.float64)
-    t = np.trace(m)
+    """3x3 rotation matrix -> unit quaternion [w,x,y,z] with w >= 0.
+
+    Scalar math on Python floats: the trace and the norm are summed left to
+    right, as np.trace and np.linalg.norm(axis=-1) sum them, so the result
+    has their bits.
+    """
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = np.asarray(m, dtype=np.float64).tolist()
+    t = m00 + m11 + m22
     if t > 0.0:
         s = math.sqrt(t + 1.0) * 2.0
-        q = np.array(
-            [0.25 * s, (m[2, 1] - m[1, 2]) / s, (m[0, 2] - m[2, 0]) / s, (m[1, 0] - m[0, 1]) / s]
-        )
-    elif m[0, 0] > m[1, 1] and m[0, 0] > m[2, 2]:
-        s = math.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2]) * 2.0
-        q = np.array(
-            [(m[2, 1] - m[1, 2]) / s, 0.25 * s, (m[0, 1] + m[1, 0]) / s, (m[0, 2] + m[2, 0]) / s]
-        )
-    elif m[1, 1] > m[2, 2]:
-        s = math.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2]) * 2.0
-        q = np.array(
-            [(m[0, 2] - m[2, 0]) / s, (m[0, 1] + m[1, 0]) / s, 0.25 * s, (m[1, 2] + m[2, 1]) / s]
-        )
+        w, x, y, z = 0.25 * s, (m21 - m12) / s, (m02 - m20) / s, (m10 - m01) / s
+    elif m00 > m11 and m00 > m22:
+        s = math.sqrt(1.0 + m00 - m11 - m22) * 2.0
+        w, x, y, z = (m21 - m12) / s, 0.25 * s, (m01 + m10) / s, (m02 + m20) / s
+    elif m11 > m22:
+        s = math.sqrt(1.0 + m11 - m00 - m22) * 2.0
+        w, x, y, z = (m02 - m20) / s, (m01 + m10) / s, 0.25 * s, (m12 + m21) / s
     else:
-        s = math.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1]) * 2.0
-        q = np.array(
-            [(m[1, 0] - m[0, 1]) / s, (m[0, 2] + m[2, 0]) / s, (m[1, 2] + m[2, 1]) / s, 0.25 * s]
-        )
-    if q[0] < 0.0:
-        q = -q
-    return quat_normalize(q)
+        s = math.sqrt(1.0 + m22 - m00 - m11) * 2.0
+        w, x, y, z = (m10 - m01) / s, (m02 + m20) / s, (m12 + m21) / s, 0.25 * s
+    if w < 0.0:
+        w, x, y, z = -w, -x, -y, -z
+    n = math.sqrt(w * w + x * x + y * y + z * z)
+    if n == 0.0:
+        raise ValueError("zero-norm quaternion")
+    return np.array([w / n, x / n, y / n, z / n])
 
 
 def quat_from_axis_angle(axis, angle: float) -> np.ndarray:

@@ -200,8 +200,10 @@ class PgrConfig:
                 raise ValueError(f"{name} must be >= 1, got {value}")
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError("beta must be in [0, 1]")
-        if self.lambda_pos < 0.0:
-            raise ValueError("lambda_pos must be >= 0")
+        if not 0.0 <= self.lambda_pos < math.inf:
+            raise ValueError(f"lambda_pos must be a finite number >= 0, got {self.lambda_pos}")
+        if not 0.0 < self.n0 < math.inf:
+            raise ValueError(f"n0 must be a finite number > 0, got {self.n0}")
         if not self.tick_hz > 0.0:
             raise ValueError(f"tick_hz must be > 0, got {self.tick_hz}")
 

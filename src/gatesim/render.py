@@ -16,7 +16,7 @@ import numpy as np
 
 from .geometry import RigidTransform, mat_to_quat
 from .scene import GaussianScene
-from .tracks import Gate, gate_axes
+from .tracks import Gate
 
 ZNEAR = 0.05
 COV2D_DILATION = 0.3         # px^2, keeps sub-pixel splats visible
@@ -62,10 +62,11 @@ def camera_pose(position, yaw: float, pitch: float = 0.0) -> RigidTransform:
     """
     cy, sy = math.cos(yaw), math.sin(yaw)
     cp, sp = math.cos(pitch), math.sin(pitch)
-    forward = np.array([cy * cp, sy * cp, sp])
-    right = np.array([sy, -cy, 0.0])
-    down = np.cross(forward, right)
-    r = np.column_stack([right, down, forward])
+    f0, f1, f2 = cy * cp, sy * cp, sp        # forward
+    r0, r1, r2 = sy, -cy, 0.0                # right
+    # down = forward x right, in np.cross's order of operations
+    d0, d1, d2 = f1 * r2 - f2 * r1, f2 * r0 - f0 * r2, f0 * r1 - f1 * r0
+    r = [[r0, d0, f0], [r1, d1, f1], [r2, d2, f2]]
     return RigidTransform(mat_to_quat(r), np.asarray(position, dtype=np.float64))
 
 
@@ -290,22 +291,32 @@ def gate_mask(
         gates = [gates]
     rays = _camera_rays(camera)
     r_wc = pose.rotation_matrix()
+    # matmul passes a C-contiguous right operand to BLAS but runs its own
+    # loop, about three times slower, on the transposed view; both sum each
+    # row with the same fused multiply-adds, so the bits are the same
+    r_cw = np.ascontiguousarray(r_wc.T)
     origin = pose.translation
 
     mask = np.zeros((camera.height, camera.width), dtype=bool)
     for gate in gates:
-        center, yaw = gate.pose_at(t)
-        normal, lateral, up = gate_axes(yaw)
+        center, _, normal, lateral, up = gate.frame_at(t)
         window = _ring_window(camera, r_wc, origin, center, lateral, up, gate.outer_half)
         if window is None:
             continue
-        dirs = rays[window] @ r_wc.T
+        dirs = rays[window] @ r_cw
         denom = dirs @ normal
         with np.errstate(divide="ignore", invalid="ignore"):
             t_hit = (normal @ (center - origin)) / denom
         ok = (np.abs(denom) > 1e-12) & (t_hit > 0.0)
-        hit = origin + t_hit[:, :, None] * dirs
-        q = hit - center
+        # q = (origin + t_hit * dirs) - center, one channel at a time: the same
+        # per-element operations as broadcasting the 3-vectors, two to five
+        # times faster
+        q = np.empty_like(dirs)
+        for k in range(3):
+            qk = q[..., k]
+            np.multiply(t_hit, dirs[..., k], out=qk)
+            qk += origin[k]
+            qk -= center[k]
         a = q @ lateral
         b = q @ up
         if gate.shape == "square":

@@ -134,6 +134,17 @@ def test_evaluate_bytes_are_pinned(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_evaluate_moving_gate_mask_bytes_are_pinned(tmp_path, capsys):
+    # classical-noisy on quad-drift: gate masks of a moving gate, so the
+    # per-tick gate frame, camera pose and ring window all enter the bytes
+    assert main(["evaluate", "--policy", "classical-noisy", "--tracks", "quad-drift",
+                 "--trials", "2", "--seed", "3", "--out", str(tmp_path / "d")]) == 0
+    assert len(_tree(tmp_path / "d")) == 2 + 1 + 2
+    assert _digest(tmp_path / "d") == (
+        "c85b4c7d526362a57a03d3d1d34d64cca8dde83b7196493e0229aa56a2fe0b6c")
+    capsys.readouterr()
+
+
 def test_evaluate_maps_all_tracks_through_one_pool(tmp_path, monkeypatch, capsys, pools):
     monkeypatch.chdir(tmp_path)
     save_track("mini-uav.json", _mini_track("uav"))
@@ -403,6 +414,13 @@ def test_pgr_config_json_reproduces_its_hash(tmp_path, capsys):
     ({"val_per_cell": 0}, "val_per_cell must be >= 1, got 0"),
     ({"samples_per_iteration": 0}, "samples_per_iteration must be >= 1, got 0"),
     ({"iterations": -1}, "iterations must be >= 1, got -1"),
+    ({"lambda_pos": -0.5}, "lambda_pos must be a finite number >= 0, got -0.5"),
+    ({"lambda_pos": float("nan")}, "lambda_pos must be a finite number >= 0, got nan"),
+    ({"lambda_pos": float("inf")}, "lambda_pos must be a finite number >= 0, got inf"),
+    ({"n0": float("nan")}, "n0 must be a finite number > 0, got nan"),
+    ({"n0": float("inf")}, "n0 must be a finite number > 0, got inf"),
+    ({"n0": 0}, "n0 must be a finite number > 0, got 0.0"),
+    ({"n0": -1.0}, "n0 must be a finite number > 0, got -1.0"),
 ])
 def test_pgr_config_bad_values_are_config_errors(tmp_path, capsys, extra, message):
     cfg = _pgr_config(tmp_path, **extra)
@@ -681,6 +699,41 @@ def test_render_argument_validation(tmp_path, capsys):
     assert main(["render", "--scene", str(scene_path), "--track", "quad-turn"]) == 2
     # scene mode needs a camera position
     assert main(["render", "--scene", str(scene_path), "--out", str(tmp_path / "x.ppm")]) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--camera-scale", "0", "must be a finite number > 0, got 0.0"),
+    ("--camera-scale", "-1", "must be a finite number > 0, got -1.0"),
+    ("--camera-scale", "inf", "must be a finite number > 0, got inf"),
+    ("--camera-scale", "nan", "must be a finite number > 0, got nan"),
+    ("--camera-scale", "0.004", "0.004 gives a 1 x 0 frame, smaller than 1 x 1"),
+    ("--position", "nan,0,1", "expected three comma-separated finite numbers x,y,z, got 'nan,0,1'"),
+    ("--position", "1,2", "expected three comma-separated finite numbers x,y,z, got '1,2'"),
+    ("--position", "1,2,3,4", "expected three comma-separated finite numbers x,y,z, got '1,2,3,4'"),
+    ("--position", "1,inf,3", "expected three comma-separated finite numbers x,y,z, got '1,inf,3'"),
+    ("--position", "a,b,c", "expected three comma-separated finite numbers x,y,z, got 'a,b,c'"),
+    ("--yaw", "nan", "expected a finite number, got 'nan'"),
+    ("--pitch", "-inf", "expected a finite number, got '-inf'"),
+    ("--time", "inf", "expected a finite number, got 'inf'"),
+    ("--time", "soon", "expected a finite number, got 'soon'"),
+])
+def test_bad_render_flags_are_parse_errors(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "r.ppm"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["render", "--track", "quad-turn", f"{flag}={value}", "--out", str(out)])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: {message}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_smallest_camera_scale_renders_one_pixel(tmp_path, capsys):
+    out = tmp_path / "r.ppm"
+    assert main(["render", "--track", "quad-turn", "--camera-scale=0.005",
+                 "--out", str(out)]) == 0
+    assert read_ppm(out.read_bytes()).shape == (1, 1, 3)
     capsys.readouterr()
 
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 from conftest import random_unit_quats, scipy_rotation
@@ -20,6 +22,7 @@ from gatesim.geometry import (
     umeyama_alignment,
     wrap_angle,
 )
+from gatesim.render import camera_pose
 
 
 def test_wrap_angle_range_and_identity(rng):
@@ -77,6 +80,99 @@ def test_mat_to_quat_round_trip_all_branches():
         q = mat_to_quat(rot.as_matrix())
         assert q[0] >= 0.0
         np.testing.assert_allclose(quat_to_mat(q), rot.as_matrix(), atol=1e-9)
+
+
+def _mat_to_quat_reference(m):
+    """The numpy construction mat_to_quat replaced (np.trace, arrays,
+    np.linalg.norm(axis=-1)), kept as the oracle for its bits; also returns
+    the branch taken."""
+    m = np.asarray(m, dtype=np.float64)
+    t = np.trace(m)
+    if t > 0.0:
+        s = math.sqrt(t + 1.0) * 2.0
+        q = np.array(
+            [0.25 * s, (m[2, 1] - m[1, 2]) / s, (m[0, 2] - m[2, 0]) / s, (m[1, 0] - m[0, 1]) / s]
+        )
+        branch = 0
+    elif m[0, 0] > m[1, 1] and m[0, 0] > m[2, 2]:
+        s = math.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2]) * 2.0
+        q = np.array(
+            [(m[2, 1] - m[1, 2]) / s, 0.25 * s, (m[0, 1] + m[1, 0]) / s, (m[0, 2] + m[2, 0]) / s]
+        )
+        branch = 1
+    elif m[1, 1] > m[2, 2]:
+        s = math.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2]) * 2.0
+        q = np.array(
+            [(m[0, 2] - m[2, 0]) / s, (m[0, 1] + m[1, 0]) / s, 0.25 * s, (m[1, 2] + m[2, 1]) / s]
+        )
+        branch = 2
+    else:
+        s = math.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1]) * 2.0
+        q = np.array(
+            [(m[1, 0] - m[0, 1]) / s, (m[0, 2] + m[2, 0]) / s, (m[1, 2] + m[2, 1]) / s, 0.25 * s]
+        )
+        branch = 3
+    if q[0] < 0.0:
+        q = -q
+    return q / np.linalg.norm(q, axis=-1, keepdims=True), branch
+
+
+def _camera_pose_reference(position, yaw, pitch):
+    """The numpy construction camera_pose replaced: (quaternion, translation)."""
+    cy, sy = math.cos(yaw), math.sin(yaw)
+    cp, sp = math.cos(pitch), math.sin(pitch)
+    forward = np.array([cy * cp, sy * cp, sp])
+    right = np.array([sy, -cy, 0.0])
+    down = np.cross(forward, right)
+    r = np.column_stack([right, down, forward])
+    return _mat_to_quat_reference(r)[0], np.asarray(position, dtype=np.float64)
+
+
+_unit = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def _rotation_matrices(draw):
+    """Rotations about random axes by angles up to pi (every branch of
+    mat_to_quat), and the SVD products umeyama_alignment builds, which are
+    orthonormal only to rounding."""
+    if draw(st.booleans()):
+        axis = np.array([draw(_unit) for _ in range(3)])
+        if not np.linalg.norm(axis) > 1e-3:
+            axis = np.array([0.0, 0.0, 1.0])
+        angle = draw(st.floats(0.0, math.pi))
+        return Rotation.from_rotvec(angle * axis / np.linalg.norm(axis)).as_matrix()
+    cov = np.array([[draw(_unit) for _ in range(3)] for _ in range(3)])
+    u, _, vt = np.linalg.svd(cov + np.eye(3) * draw(st.floats(-1.0, 1.0)))
+    s = np.eye(3)
+    if np.linalg.det(u) * np.linalg.det(vt) < 0.0:
+        s[2, 2] = -1.0
+    return u @ s @ vt
+
+
+def test_mat_to_quat_has_the_bits_of_the_numpy_construction():
+    branches = set()
+
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(_rotation_matrices())
+    def check(m):
+        expect, branch = _mat_to_quat_reference(m)
+        assert np.array_equal(mat_to_quat(m), expect)
+        branches.add(branch)
+
+    check()
+    assert branches == {0, 1, 2, 3}
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(st.tuples(*[st.floats(-50.0, 50.0)] * 3), st.floats(-10.0, 10.0), st.floats(-3.2, 3.2))
+def test_camera_pose_has_the_bits_of_the_numpy_construction(position, yaw, pitch):
+    pose = camera_pose(position, yaw, pitch)
+    rotation, translation = _camera_pose_reference(position, yaw, pitch)
+    assert np.array_equal(pose.rotation, rotation)
+    assert np.array_equal(pose.translation, translation)
+    # one quaternion's matrix, on floats, against the batched array path
+    assert np.array_equal(pose.rotation_matrix(), quat_to_mat(rotation[None])[0])
 
 
 def test_quat_conjugate_is_inverse(rng):
