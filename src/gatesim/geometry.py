@@ -107,8 +107,6 @@ def mat_to_quat(m) -> np.ndarray:
     if w < 0.0:
         w, x, y, z = -w, -x, -y, -z
     n = math.sqrt(w * w + x * x + y * y + z * z)
-    if n == 0.0:
-        raise ValueError("zero-norm quaternion")
     return np.array([w / n, x / n, y / n, z / n])
 
 
