@@ -62,6 +62,7 @@ from .tracks import (
 )
 
 POLICY_NAMES = ("expert", "classical", "classical-noisy", "zero")
+MAX_FRAME_SIDE = 4096        # px; render refuses a wider or taller frame
 
 
 def config_hash(payload: dict) -> str:
@@ -595,6 +596,10 @@ def _camera_scale(text: str) -> float:
     if camera.width < 1 or camera.height < 1:
         raise argparse.ArgumentTypeError(
             f"{scale} gives a {camera.width} x {camera.height} frame, smaller than 1 x 1")
+    if max(camera.width, camera.height) > MAX_FRAME_SIDE:
+        raise argparse.ArgumentTypeError(
+            f"{scale} gives a {camera.width} x {camera.height} frame, "
+            f"wider or taller than {MAX_FRAME_SIDE} px")
     return scale
 
 

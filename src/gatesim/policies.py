@@ -8,6 +8,7 @@ policies, so the refinement loop can be exercised end to end).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -285,12 +286,27 @@ class NoiseParams:
 def _boundary_band(mask: np.ndarray) -> np.ndarray:
     """Pixels whose 4-neighbourhood holds both set and clear pixels: the
     cross-structure dilation less the erosion, with zeros outside the array."""
-    padded = np.pad(mask, 1)
-    up, down = padded[:-2, 1:-1], padded[2:, 1:-1]
-    left, right = padded[1:-1, :-2], padded[1:-1, 2:]
-    dilated = mask | up | down | left | right
-    eroded = mask & up & down & left & right
-    return dilated & ~eroded
+    band = mask.copy()
+    band[1:] |= mask[:-1]
+    band[:-1] |= mask[1:]
+    band[:, 1:] |= mask[:, :-1]
+    band[:, :-1] |= mask[:, 1:]
+    # the erosion; it is clear on the border, whose outer neighbours are zeros
+    core = mask[1:-1, 1:-1] & mask[:-2, 1:-1]
+    core &= mask[2:, 1:-1]
+    core &= mask[1:-1, :-2]
+    core &= mask[1:-1, 2:]
+    band[1:-1, 1:-1] &= ~core
+    return band
+
+
+@functools.lru_cache(maxsize=8)
+def _disk(r: int) -> np.ndarray:
+    """Read-only (2r+1, 2r+1) disk of the pixels within r of the center."""
+    ys, xs = np.ogrid[-r : r + 1, -r : r + 1]
+    disk = ys * ys + xs * xs <= r * r
+    disk.flags.writeable = False
+    return disk
 
 
 def noisy_perception(mask: np.ndarray, params: NoiseParams, rng: np.random.Generator) -> np.ndarray:
@@ -307,12 +323,11 @@ def noisy_perception(mask: np.ndarray, params: NoiseParams, rng: np.random.Gener
             out[window] ^= _boundary_band(mask[window]) & (draws[window] < params.flip_prob)
     n_blobs = int(rng.poisson(params.blob_rate))
     h, w = mask.shape
+    r = params.blob_radius
+    disk = _disk(r)
     for _ in range(n_blobs):
-        cy = rng.integers(0, h)
-        cx = rng.integers(0, w)
-        r = params.blob_radius
-        ys, xs = np.ogrid[-r : r + 1, -r : r + 1]
-        disk = ys * ys + xs * xs <= r * r
+        cy = int(rng.integers(0, h))
+        cx = int(rng.integers(0, w))
         y0, y1 = max(0, cy - r), min(h, cy + r + 1)
         x0, x1 = max(0, cx - r), min(w, cx + r + 1)
         out[y0:y1, x0:x1] |= disk[r - (cy - y0) : r + (y1 - cy), r - (cx - x0) : r + (x1 - cx)]

@@ -104,6 +104,22 @@ class RenderResult:
         return np.clip(np.rint(self.rgb * 255.0), 0, 255).astype(np.uint8)
 
 
+def _ordered_sum(a: np.ndarray, m: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """out[i, l] = sum over j, then k, of (a[i, j] * m[j, k]) * b[l, k], on
+    channel-major (I, J, n), (J, K, n) and (L, K, n) arrays; a and b may hold
+    1 in place of n.
+
+    This is np.einsum("ij,njk,lk->nil") and np.einsum("nij,njk,nlk->nil")
+    laid out as (I, L, n): the same products, summed from zero in the same
+    order, so the bits are the same, including the sign of a zero.
+    """
+    out = np.zeros((a.shape[0], b.shape[0], m.shape[-1]))
+    for j in range(a.shape[1]):
+        for k in range(b.shape[1]):
+            out += (a[:, j] * m[j, k])[:, None] * b[None, :, k]
+    return out
+
+
 def render_scene(
     scene: GaussianScene,
     camera: PinholeCamera = DEFAULT_CAMERA,
@@ -143,23 +159,24 @@ def render_scene(
         order = np.array([], dtype=np.int64)
 
     if len(order):
-        covs = scene.covariances(order)
-        w_mat = r_wc.T
-        cov_cam = np.einsum("ij,njk,lk->nil", w_mat, covs, w_mat)
+        # channel-major (3, 3, n): the transpose of covariances()'s view, no copy
+        covs = scene.covariances(order).transpose(1, 2, 0)
+        w_mat = r_wc.T[:, :, None]
+        cov_cam = _ordered_sum(w_mat, covs, w_mat)
         x, y, z = pc[order, 0], pc[order, 1], pc[order, 2]
         u0 = camera.fx * x / z + camera.cx
         v0 = camera.fy * y / z + camera.cy
         # jacobian rows of the pinhole map at each mean
-        j = np.zeros((len(order), 2, 3))
-        j[:, 0, 0] = camera.fx / z
-        j[:, 0, 2] = -camera.fx * x / z**2
-        j[:, 1, 1] = camera.fy / z
-        j[:, 1, 2] = -camera.fy * y / z**2
-        cov2d = np.einsum("nij,njk,nlk->nil", j, cov_cam, j)
-        cov2d[:, 0, 0] += COV2D_DILATION
-        cov2d[:, 1, 1] += COV2D_DILATION
+        jac = np.zeros((2, 3, len(order)))
+        jac[0, 0] = camera.fx / z
+        jac[0, 2] = -camera.fx * x / z**2
+        jac[1, 1] = camera.fy / z
+        jac[1, 2] = -camera.fy * y / z**2
+        cov2d = _ordered_sum(jac, cov_cam, jac)
+        cov2d[0, 0] += COV2D_DILATION
+        cov2d[1, 1] += COV2D_DILATION
 
-        a, b, c = cov2d[:, 0, 0], cov2d[:, 0, 1], cov2d[:, 1, 1]
+        a, b, c = cov2d[0, 0], cov2d[0, 1], cov2d[1, 1]
         det = a * c - b * b
         mid = 0.5 * (a + c)
         half = np.sqrt(np.maximum(mid * mid - det, 0.0))

@@ -141,10 +141,19 @@ class GaussianScene:
 
     def covariances(self, rows=slice(None)) -> np.ndarray:
         """Covariances R diag(s^2) R^T of the given rows (all by default),
-        shape (n, 3, 3)."""
-        r = quat_to_mat(self.rotations[rows])
-        d = self.scales[rows] ** 2
-        return np.einsum("nij,nj,nkj->nik", r, d, r)
+        shape (n, 3, 3).
+
+        Entry (i, k) is summed from zero over j = 0, 1, 2 of
+        (r_ij * s_j^2) * r_kj, the order of np.einsum("nij,nj,nkj->nik"), so
+        it has the einsum's bits. The sum runs channel-major and the result
+        is the (n, 3, 3) transpose view of a C-contiguous (3, 3, n) array.
+        """
+        r = np.ascontiguousarray(quat_to_mat(self.rotations[rows]).transpose(1, 2, 0))
+        d = (self.scales[rows] ** 2).T
+        out = np.zeros((3, 3, r.shape[-1]))
+        for j in range(3):
+            out += (r[:, j] * d[j])[:, None] * r[None, :, j]
+        return out.transpose(2, 0, 1)
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,13 @@ def random_scene(rng, n, span=5.0):
     )
 
 
+def with_signed_zeros(rng, x, fraction):
+    """x with about `fraction` of its entries set to exactly 0.0 or -0.0."""
+    hit = rng.random(x.shape) < fraction
+    x[hit] = rng.choice([0.0, -0.0], size=x.shape)[hit]
+    return x
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -708,6 +708,8 @@ def test_render_argument_validation(tmp_path, capsys):
     ("--camera-scale", "inf", "must be a finite number > 0, got inf"),
     ("--camera-scale", "nan", "must be a finite number > 0, got nan"),
     ("--camera-scale", "0.004", "0.004 gives a 1 x 0 frame, smaller than 1 x 1"),
+    ("--camera-scale", "25.7", "25.7 gives a 4112 x 3084 frame, wider or taller than 4096 px"),
+    ("--camera-scale", "200", "200.0 gives a 32000 x 24000 frame, wider or taller than 4096 px"),
     ("--position", "nan,0,1", "expected three comma-separated finite numbers x,y,z, got 'nan,0,1'"),
     ("--position", "1,2", "expected three comma-separated finite numbers x,y,z, got '1,2'"),
     ("--position", "1,2,3,4", "expected three comma-separated finite numbers x,y,z, got '1,2,3,4'"),
@@ -727,6 +729,13 @@ def test_bad_render_flags_are_parse_errors(tmp_path, capsys, flag, value, messag
     assert f"argument {flag}: {message}" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_largest_camera_scale_is_accepted():
+    # parsed only: a 4096 x 3072 render is not worth its time here
+    args = cli.build_parser().parse_args(["render", "--track", "quad-turn", "--camera-scale=25.6"])
+    assert args.camera_scale == 25.6
+    assert DEFAULT_CAMERA.scaled(args.camera_scale).width == cli.MAX_FRAME_SIDE
 
 
 def test_smallest_camera_scale_renders_one_pixel(tmp_path, capsys):

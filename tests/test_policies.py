@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
@@ -513,14 +513,10 @@ def test_noisy_mask_policy_reproducible():
     assert not np.array_equal(run(5), run(6))
 
 
-def _full_frame_noisy_perception(mask, params, rng):
-    """Reference: boundary band over the whole frame."""
-    out = mask.copy()
-    if params.flip_prob > 0.0:
-        band = ndimage.binary_dilation(mask) & ~ndimage.binary_erosion(mask)
-        out ^= band & (rng.random(mask.shape) < params.flip_prob)
+def _reference_blobs(out, params, rng):
+    """Stamp the Poisson-many blobs into out, with a fresh disk per blob."""
     n_blobs = int(rng.poisson(params.blob_rate))
-    h, w = mask.shape
+    h, w = out.shape
     for _ in range(n_blobs):
         cy = rng.integers(0, h)
         cx = rng.integers(0, w)
@@ -531,6 +527,15 @@ def _full_frame_noisy_perception(mask, params, rng):
         x0, x1 = max(0, cx - r), min(w, cx + r + 1)
         out[y0:y1, x0:x1] |= disk[r - (cy - y0) : r + (y1 - cy), r - (cx - x0) : r + (x1 - cx)]
     return out
+
+
+def _full_frame_noisy_perception(mask, params, rng):
+    """Reference: boundary band over the whole frame."""
+    out = mask.copy()
+    if params.flip_prob > 0.0:
+        band = ndimage.binary_dilation(mask) & ~ndimage.binary_erosion(mask)
+        out ^= band & (rng.random(mask.shape) < params.flip_prob)
+    return _reference_blobs(out, params, rng)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -564,6 +569,54 @@ def test_noise_window_matches_full_frame_random(rng):
         np.testing.assert_array_equal(noisy_perception(mask, params, got_rng),
                                       _full_frame_noisy_perception(mask, params, want_rng))
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def _reference_noisy_perception(mask, params, rng):
+    """Reference: the windowed noisy_perception with a padded boundary band,
+    as first written."""
+    out = mask.copy()
+    if params.flip_prob > 0.0:
+        draws = rng.random(mask.shape)
+        window = policies._mask_window(mask, pad=2)
+        if window is not None:
+            padded = np.pad(mask[window], 1)
+            up, down = padded[:-2, 1:-1], padded[2:, 1:-1]
+            left, right = padded[1:-1, :-2], padded[1:-1, 2:]
+            dilated = mask[window] | up | down | left | right
+            eroded = mask[window] & up & down & left & right
+            out[window] ^= dilated & ~eroded & (draws[window] < params.flip_prob)
+    return _reference_blobs(out, params, rng)
+
+
+@st.composite
+def _perception_mask(draw):
+    """Empty, full, random, or random with a set pixel on every frame edge."""
+    h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["empty", "full", "random", "edges"]))
+    if kind == "empty":
+        return np.zeros((h, w), dtype=bool)
+    if kind == "full":
+        return np.ones((h, w), dtype=bool)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = rng.random((h, w)) < draw(st.floats(0.0, 1.0))
+    if kind == "edges":
+        mask[0, rng.integers(0, w)] = mask[-1, rng.integers(0, w)] = True
+        mask[rng.integers(0, h), 0] = mask[rng.integers(0, h), -1] = True
+    return mask
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_perception_mask(),
+       st.builds(NoiseParams, st.sampled_from([0.0, 0.15, 1.0]), st.floats(0.0, 20.0),
+                 st.integers(0, 3)),
+       st.integers(0, 2**32 - 1))
+@example(_rect_mask(), NoiseParams(), 0)
+def test_noisy_perception_matches_reference(mask, params, seed):
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = noisy_perception(mask, params, got_rng)
+    want = _reference_noisy_perception(mask, params, want_rng)
+    np.testing.assert_array_equal(got, want)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_scene
+from conftest import random_scene, with_signed_zeros
 from gatesim.geometry import RigidTransform
 from gatesim.render import (
     ALPHA_CAP,
@@ -21,6 +21,7 @@ from gatesim.render import (
     PinholeCamera,
     RenderResult,
     _camera_rays,
+    _ordered_sum,
     _ring_window,
     camera_pose,
     gate_mask,
@@ -328,6 +329,24 @@ def test_render_scene_matches_reference_bits(case):
     assert np.array_equal(got.rgb.view(np.uint64), want.rgb.view(np.uint64))
     assert np.array_equal(got.alpha.view(np.uint64), want.alpha.view(np.uint64))
     assert got.skipped == want.skipped
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 64), st.floats(0.0, 0.5), st.integers(0, 2**32 - 1))
+def test_ordered_sum_has_the_einsum_bits(n, zeros, seed):
+    rng = np.random.default_rng(seed)
+    w_mat = with_signed_zeros(rng, rng.normal(size=(3, 3)), zeros)
+    covs = rng.normal(size=(n, 3, 3)) * 10.0 ** rng.uniform(-6.0, 2.0, size=(n, 1, 1))
+    covs = with_signed_zeros(rng, covs, zeros)
+    jac = with_signed_zeros(rng, rng.normal(size=(n, 2, 3)), zeros)
+    # the oracles: the two einsums of the camera-frame and image-plane covariances
+    cov_cam = np.einsum("ij,njk,lk->nil", w_mat, covs, w_mat)
+    cov2d = np.einsum("nij,njk,nlk->nil", jac, cov_cam, jac)
+    got_cam = _ordered_sum(w_mat[:, :, None], covs.transpose(1, 2, 0), w_mat[:, :, None])
+    assert np.array_equal(got_cam.transpose(2, 0, 1).view(np.int64), cov_cam.view(np.int64))
+    jac_cm = jac.transpose(1, 2, 0)
+    got_2d = _ordered_sum(jac_cm, got_cam, jac_cm)
+    assert np.array_equal(got_2d.transpose(2, 0, 1).view(np.int64), cov2d.view(np.int64))
 
 
 def test_gaussians_behind_camera_culled():

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
-from conftest import random_scene, random_unit_quats, scipy_rotation
-from gatesim.geometry import RigidTransform, quat_from_yaw
+from conftest import random_scene, random_unit_quats, scipy_rotation, with_signed_zeros
+from gatesim.geometry import RigidTransform, quat_from_yaw, quat_to_mat
 from gatesim.scene import (
     Gaussian,
     GaussianScene,
@@ -40,6 +42,23 @@ def test_scene_covariances_spd(rng):
         np.testing.assert_allclose(covs[i], covs[i].T, atol=1e-12)
         assert np.linalg.eigvalsh(covs[i]).min() > 0.0
         np.testing.assert_allclose(covs[i], scene[i].covariance(), atol=1e-12)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 64), st.floats(0.0, 0.5), st.integers(0, 2**32 - 1))
+def test_covariances_have_the_einsum_bits(n, zeros, seed):
+    rng = np.random.default_rng(seed)
+    q = with_signed_zeros(rng, rng.normal(size=(n, 4)), zeros)
+    q[~q.any(axis=1), 0] = 1.0
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    s = np.exp(rng.uniform(np.log(1e-3), np.log(10.0), size=(n, 3)))
+    scene = GaussianScene(np.zeros((n, 3)), q, s, np.zeros((n, 3)), np.ones(n))
+    rows = rng.permutation(n)[: rng.integers(1, n + 1)]
+    for got, sel in ((scene.covariances(), slice(None)), (scene.covariances(rows), rows)):
+        r = quat_to_mat(q[sel])
+        want = np.einsum("nij,nj,nkj->nik", r, s[sel] ** 2, r)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_scene_length_mismatch_rejected(rng):
