@@ -45,6 +45,7 @@ from .refinement import (
     feasibility_check,
     grid_losses,
     observability_check,
+    pgr_pair,
     pgr_run,
     resample,
     task_loss,

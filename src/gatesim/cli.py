@@ -17,7 +17,7 @@ import os
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +38,7 @@ from .refinement import (
     GridPartition,
     PgrConfig,
     build_validation_set,
+    pgr_pair,
     pgr_run,
     top_decile_allocation,
     worst_grid_loss,
@@ -360,13 +361,12 @@ def cmd_pgr(args) -> int:
     print(f"validation layouts: {len(g_val)}")
 
     print(f"refinement run: T={config.iterations}, beta={config.beta}")
-    guided = pgr_run(partition, fresh_learner(0), expert, config, g_val=g_val)
-    uniform = None
-    if not args.skip_uniform:
+    if args.skip_uniform:
+        guided, uniform = pgr_run(partition, fresh_learner(0), expert, config, g_val=g_val), None
+    else:
         print("uniform baseline run (beta=1)")
-        uniform = pgr_run(
-            partition, fresh_learner(1), expert, replace(config, beta=1.0), g_val=g_val
-        )
+        guided, uniform = pgr_pair(partition, fresh_learner(0), fresh_learner(1), expert,
+                                   config, g_val=g_val)
 
     rows = []
     for stats in guided.history:

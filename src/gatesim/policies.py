@@ -384,6 +384,9 @@ class SyntheticLearner(Policy):
         self.seed = seed
         self._rng = np.random.default_rng(seed)
         self._gates = self._cell = None   # the last obs.gates and its layout cell
+        # the last sigma and its (cell, count) key; keyed on the count rather
+        # than cleared by train(), since counts may be written directly
+        self._sigma_key = self._sigma = None
 
     def reset(self, rng=None) -> None:
         self._rng = rng if rng is not None else np.random.default_rng(self.seed)
@@ -397,7 +400,11 @@ class SyntheticLearner(Policy):
         if obs.gates is not self._gates:
             self._cell = self.partition.cell_of(layout_of_gates(obs.gates))
             self._gates = obs.gates
-        return u + self._rng.normal(0.0, self.sigma(self._cell))
+        key = (self._cell, self.counts[self._cell])
+        if key != self._sigma_key:
+            self._sigma_key, self._sigma = key, self.sigma(self._cell)
+        # the bits and generator state of rng.normal(0.0, sigma), drawn faster
+        return u + (0.0 + self._sigma * self._rng.standard_normal(len(self._sigma)))
 
     def train(self, records) -> None:
         for rec in records:

@@ -10,6 +10,7 @@ baseline.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field, replace
 
@@ -43,7 +44,8 @@ class GridPartition:
 
     @property
     def m(self) -> int:
-        return int(np.prod(self.counts))
+        # on Python ints: np.prod wraps around int64 for large grids
+        return math.prod(self.counts.tolist())
 
     @property
     def widths(self) -> np.ndarray:
@@ -164,6 +166,10 @@ class IterationStats:
 # rejected draws a cell may take before one requested sample is skipped
 RETRY_CAP = 50
 
+# the most grid cells a pgr config may ask for: every iteration rolls out at
+# least one validation layout per cell, and the per-cell arrays grow with it
+MAX_CELLS = 65_536
+
 
 @dataclass
 class PgrConfig:
@@ -194,6 +200,10 @@ class PgrConfig:
         if len(counts) != 4 or not all(isinstance(c, (int, np.integer)) and c >= 1
                                        for c in counts):
             raise ValueError(f"per_gate_counts must be four ints >= 1, got {list(counts)}")
+        cells = math.prod(int(c) for c in counts) ** 2
+        if cells > MAX_CELLS:
+            raise ValueError(f"per_gate_counts {list(counts)} give {cells} grid cells; "
+                             f"at most {MAX_CELLS} are accepted")
         for name in ("iterations", "initial_per_cell", "val_per_cell", "samples_per_iteration"):
             value = getattr(self, name)
             if value is not None and value < 1:
@@ -316,6 +326,76 @@ def initial_samples(partition, config: PgrConfig, expert, seeds):
     return samples, skipped
 
 
+@dataclass
+class _Run:
+    """One refinement run between iterations: its policy, generators and
+    accumulated data."""
+
+    partition: GridPartition
+    policy: object
+    expert: object
+    config: PgrConfig
+    g_val: list
+    seeds: _SeedChain
+    dataset: list = field(default_factory=list)
+    history: list = field(default_factory=list)
+
+
+def _start(partition, policy, expert, config: PgrConfig, g_val):
+    """A run with its validation set, and its first iteration trained and scored."""
+    seeds = _SeedChain(config.seed)
+    if g_val is None:
+        g_val = build_validation_set(partition, config, expert, seeds)
+    run = _Run(partition, policy, expert, config, g_val, seeds)
+    return run, _train_and_score(run, *initial_samples(partition, config, expert, seeds))
+
+
+def _train_and_score(run: _Run, batch, skipped):
+    """Train on a batch of accepted samples and score the grid: the
+    iteration's (sample counts, skipped, losses, validation stats)."""
+    config = run.config
+    counts = np.zeros(run.partition.m, dtype=np.int64)
+    new_records = []
+    for cell, layout, roll in batch:
+        counts[cell] += 1
+        new_records.append(TrainingRecord(layout, cell, task_loss(roll, config.lambda_pos)))
+    run.dataset.extend(new_records)
+    run.policy.train(new_records)
+    ell, val_stats = grid_losses(run.policy, run.g_val, run.partition, config.platform,
+                                 config.lambda_pos, config.sim(), run.seeds)
+    return counts, skipped, ell, val_stats
+
+
+def _iterate(run: _Run, scored) -> PgrResult:
+    """The loop from a scored iteration on: mix the weights, record the
+    iteration, then resample, train and score the next one."""
+    config, partition = run.config, run.partition
+    n_iter = (
+        config.samples_per_iteration
+        if config.samples_per_iteration is not None
+        else partition.m * config.initial_per_cell
+    )
+    while True:
+        counts, skipped, ell, val_stats = scored
+        w = weights(ell, config.beta)
+        run.history.append(
+            IterationStats(
+                iteration=len(run.history) + 1,
+                losses=ell,
+                weights=w,
+                sample_counts=counts,
+                skipped=skipped,
+                val_sr=val_stats["sr"],
+                val_mge=val_stats["mge"],
+            )
+        )
+        if len(run.history) == config.iterations:
+            return PgrResult(history=run.history, dataset=run.dataset, g_val=run.g_val,
+                             policy=run.policy)
+        scored = _train_and_score(run, *resample(partition, w, n_iter, config.platform,
+                                                 run.expert, config.sim(), run.seeds))
+
+
 def pgr_run(partition: GridPartition, policy, expert, config: PgrConfig,
             g_val=None) -> PgrResult:
     """The refinement loop.
@@ -325,51 +405,28 @@ def pgr_run(partition: GridPartition, policy, expert, config: PgrConfig,
     mix weights, and resample the next batch. The returned history carries
     losses, weights, and per-grid sample counts for every iteration.
     """
-    seeds = _SeedChain(config.seed)
-    sim = config.sim()
-    if g_val is None:
-        g_val = build_validation_set(partition, config, expert, seeds)
-    n_iter = (
-        config.samples_per_iteration
-        if config.samples_per_iteration is not None
-        else partition.m * config.initial_per_cell
-    )
+    return _iterate(*_start(partition, policy, expert, config, g_val))
 
-    batch, skipped = initial_samples(partition, config, expert, seeds)
-    dataset: list[TrainingRecord] = []
-    history: list[IterationStats] = []
 
-    for it in range(1, config.iterations + 1):
-        counts = np.zeros(partition.m, dtype=np.int64)
-        new_records = []
-        for cell, layout, roll in batch:
-            counts[cell] += 1
-            new_records.append(
-                TrainingRecord(layout, cell, task_loss(roll, config.lambda_pos))
-            )
-        dataset.extend(new_records)
-        policy.train(new_records)
+def pgr_pair(partition: GridPartition, policy, uniform_policy, expert, config: PgrConfig,
+             g_val=None) -> tuple[PgrResult, PgrResult]:
+    """(guided, uniform): pgr_run with config and with beta = 1, sharing the
+    first iteration's sampling, training and scoring.
 
-        ell, val_stats = grid_losses(
-            policy, g_val, partition, config.platform, config.lambda_pos, sim, seeds
-        )
-        w = weights(ell, config.beta)
-        history.append(
-            IterationStats(
-                iteration=it,
-                losses=ell,
-                weights=w,
-                sample_counts=counts,
-                skipped=skipped,
-                val_sr=val_stats["sr"],
-                val_mge=val_stats["mge"],
-            )
-        )
-        if it < config.iterations:
-            batch, skipped = resample(
-                partition, w, n_iter, config.platform, expert, sim, seeds
-            )
-    return PgrResult(history=history, dataset=dataset, g_val=g_val, policy=policy)
+    The two runs are equal up to the first weights: both start from the
+    seed's chain, the expert is deterministic, and every rollout reseeds the
+    policy. So the prefix runs once on policy, and uniform_policy, a fresh
+    policy like it, is trained on the same records. The results equal two
+    pgr_run calls and share no mutable array; both hold the same g_val.
+    """
+    run, (counts, skipped, ell, val_stats) = _start(partition, policy, expert, config, g_val)
+    # the copied chain hands out the generators the guided run draws next
+    twin = _Run(partition, uniform_policy, expert, replace(config, beta=1.0), run.g_val,
+                copy.deepcopy(run.seeds),
+                [replace(r, layout=r.layout.copy()) for r in run.dataset])
+    uniform_policy.train(twin.dataset)
+    twin_scored = (counts.copy(), dict(skipped), ell.copy(), dict(val_stats))
+    return (_iterate(run, (counts, skipped, ell, val_stats)), _iterate(twin, twin_scored))
 
 
 def worst_grid_loss(stats: IterationStats) -> float:

@@ -84,6 +84,15 @@ def signed_gate_distance(gate: Gate, t: float, position: np.ndarray) -> float:
     return float(normal @ (position - center))
 
 
+def _static_plane(gate: Gate):
+    """(center, normal) of a static gate's cached frame; (None, None) for a
+    moving gate, whose plane depends on time."""
+    if gate.moving:
+        return None, None
+    frame = gate.frame_at(0.0)
+    return frame.center, frame.normal
+
+
 def detect_crossing(gate: Gate, t0: float, p0: np.ndarray, t1: float, p1: np.ndarray):
     """Negative-to-positive plane transit between two states, or None.
 
@@ -212,6 +221,7 @@ def rollout(
     # the next step's start distance, so each step computes one, and
     # detect_crossing runs only on a sign change it will confirm
     d0 = signed_gate_distance(gates[0], t, p0)
+    center, normal = _static_plane(gates[0])
 
     while terminal is None:
         obs = _observe(policy, dynamics, track, t, state, target, config.camera, history)
@@ -226,7 +236,10 @@ def rollout(
             p1 = dynamics.position(state)
 
             if target < n_gates:
-                d1 = signed_gate_distance(gates[target], t_new, p1)
+                if normal is not None:   # signed_gate_distance on the cached frame
+                    d1 = float(normal @ (p1 - center))
+                else:
+                    d1 = signed_gate_distance(gates[target], t_new, p1)
                 # the same transition can cross several coincident gate planes
                 while d0 < 0.0 <= d1:
                     t_cross, p_prime, error = detect_crossing(gates[target], t, p0, t_new, p1)
@@ -243,6 +256,7 @@ def rollout(
                         if outcome == SUCCESS:
                             terminal = SUCCESS
                         break
+                    center, normal = _static_plane(gates[target])
                     d0 = signed_gate_distance(gates[target], t, p0)
                     d1 = signed_gate_distance(gates[target], t_new, p1)
                 d0 = d1

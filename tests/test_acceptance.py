@@ -11,7 +11,6 @@ import json
 import math
 import statistics
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +28,7 @@ from gatesim.refinement import (
     GridPartition,
     PgrConfig,
     build_validation_set,
-    pgr_run,
+    pgr_pair,
     top_decile_allocation,
     weights,
     worst_grid_loss,
@@ -437,9 +436,8 @@ def test_refinement_beats_uniform_on_worst_cell(capsys):
             return SyntheticLearner(partition, expert_policy("uav"), CONTROL_LIMITS["uav"],
                                     n0=2.0, seed=(master, tag))
 
-        guided = pgr_run(partition, learner(0), expert, config, g_val=g_val)
-        uniform = pgr_run(partition, learner(1), expert, replace(config, beta=1.0),
-                          g_val=g_val)
+        guided, uniform = pgr_pair(partition, learner(0), learner(1), expert, config,
+                                   g_val=g_val)
         worst_g.append(worst_grid_loss(guided.history[-1]))
         worst_u.append(worst_grid_loss(uniform.history[-1]))
         for it in (1, 2):

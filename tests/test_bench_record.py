@@ -1,4 +1,5 @@
-"""The benchmark recorder's summary: quartiles, median change and pairs won."""
+"""The benchmark recorder's summaries: quartiles, median change and pairs won,
+and the median layer block of the traced runs."""
 
 import importlib.util
 from pathlib import Path
@@ -32,3 +33,23 @@ def test_summary_counts_pairs_won_by_direction_and_ties_for_neither():
 
 def test_single_pair_has_zero_spread():
     assert bench_record.quartiles([3.0]) == {"median": 3.0, "q1": 3.0, "q3": 3.0, "iqr": 0.0}
+
+
+def _traced(wall, steps_us, steps):
+    return {"correct": True, "metrics": {"wall_s": wall, "dynamics.step.us_per_call": steps_us,
+                                         "dynamics.step.calls": steps},
+            "simulated": {"dynamics_steps": steps, "rollouts": 3}}
+
+
+def test_traced_block_is_the_per_metric_median_of_the_runs():
+    block = bench_record.traced_median([_traced(2.0, 9.0, 100), _traced(1.0, 7.0, 100),
+                                        _traced(3.0, 8.5, 100)])
+    assert block["metrics"] == {"wall_s": 2.0, "dynamics.step.us_per_call": 8.5,
+                                "dynamics.step.calls": 100}
+    assert block["simulated"] == {"dynamics_steps": 100, "rollouts": 3}
+    assert (block["runs"], block["correct"]) == (3, True)
+
+
+def test_traced_runs_of_one_commit_must_agree_on_their_counts():
+    with pytest.raises(RuntimeError, match="disagree on their simulated counts"):
+        bench_record.traced_median([_traced(2.0, 9.0, 100), _traced(2.0, 9.0, 101)])

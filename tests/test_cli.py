@@ -429,6 +429,18 @@ def test_pgr_config_bad_values_are_config_errors(tmp_path, capsys, extra, messag
     assert f"{cfg}: {message}" in err
 
 
+@pytest.mark.parametrize("counts,cells", [([4, 4, 4, 5], 102_400),
+                                          ([256, 256, 256, 256], 256 ** 8),
+                                          ([1000, 1000, 1000, 1000], 1000 ** 8)])
+def test_pgr_refuses_too_many_cells_before_any_run(tmp_path, capsys, counts, cells):
+    cfg = _pgr_config(tmp_path, per_gate_counts=counts)
+    assert main(["pgr", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+    out, err = capsys.readouterr()
+    assert f"{cfg}: per_gate_counts {counts} give {cells} grid cells; at most 65536" in err
+    assert "validation" not in out
+    assert not (tmp_path / "r").exists()
+
+
 def test_pgr_malformed_config(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -8,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gatesim.dynamics import (
+    GRAVITY,
     QuadDynamics,
     QuadParams,
     UavDynamics,
     UavParams,
     platform_dynamics,
 )
+from gatesim.geometry import wrap_angle
 
 
 def _run(dyn, state, control, duration, dt):
@@ -233,3 +235,128 @@ def test_steppers_refuse_non_finite_inputs(platform, slot, data, bad, as_list):
         dyn.step(state, control)
     # the message names the platform and slot and lists the whole vector
     assert str(err.value) == f"non-finite {platform} {slot}: {np.asarray(target).tolist()}"
+
+
+# ---------------------------------------------------------------------------
+# the fused steppers against the stage-function RK4 they replaced
+# ---------------------------------------------------------------------------
+
+
+def _uav_reference_step(dyn, state, control, dt):
+    """RK4 through a per-stage derivative function, as the stepper was
+    written before its stages were inlined."""
+    p = dyn.params
+
+    def deriv(x, y, z, psi, th, u_psi, u_th):
+        if (th >= p.theta_max and u_th > 0.0) or (th <= -p.theta_max and u_th < 0.0):
+            u_th = 0.0
+        v = p.speed
+        cth = math.cos(th)
+        return (v * math.cos(psi) * cth, v * math.sin(psi) * cth, v * math.sin(th), u_psi, u_th)
+
+    x, y, z, psi, th = np.asarray(state, dtype=np.float64).tolist()
+    u_psi, u_th = dyn.clamp_control(np.asarray(control, dtype=np.float64).tolist())
+    k1 = deriv(x, y, z, psi, th, u_psi, u_th)
+    h = dt / 2.0
+    k2 = deriv(x + h * k1[0], y + h * k1[1], z + h * k1[2],
+               psi + h * k1[3], th + h * k1[4], u_psi, u_th)
+    k3 = deriv(x + h * k2[0], y + h * k2[1], z + h * k2[2],
+               psi + h * k2[3], th + h * k2[4], u_psi, u_th)
+    k4 = deriv(x + dt * k3[0], y + dt * k3[1], z + dt * k3[2],
+               psi + dt * k3[3], th + dt * k3[4], u_psi, u_th)
+    w = dt / 6.0
+    th_new = th + w * (k1[4] + 2 * k2[4] + 2 * k3[4] + k4[4])
+    return np.array([
+        x + w * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
+        y + w * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]),
+        z + w * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2]),
+        wrap_angle(psi + w * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])),
+        min(max(th_new, -p.theta_max), p.theta_max),
+    ])
+
+
+def _quad_reference_step(dyn, state, control, dt):
+    """The quad's stage-function RK4, as written before its stages were
+    inlined."""
+    p = dyn.params
+
+    def deriv(s, vx_c, vy_c, vz_c, r_cmd):
+        vx, vy, vz = s[3], s[4], s[5]
+        roll, pitch, yaw = s[6], s[7], s[8]
+        pb, qb, rb = s[9], s[10], s[11]
+        cy, sy = math.cos(yaw), math.sin(yaw)
+        ax = (cy * vx_c - sy * vy_c - vx) / p.tau_v
+        ay = (sy * vx_c + cy * vy_c - vy) / p.tau_v
+        az = (vz_c - vz) / p.tau_v
+        tilt = p.tilt_max
+        pitch_des = min(max((ax * cy + ay * sy) / GRAVITY, -tilt), tilt)
+        roll_des = min(max((ax * sy - ay * cy) / GRAVITY, -tilt), tilt)
+        droll = (roll_des - roll) / p.tau_att
+        dpitch = (pitch_des - pitch) / p.tau_att
+        dyaw = rb
+        sr, cr = math.sin(roll), math.cos(roll)
+        sp, cp = math.sin(pitch), math.cos(pitch)
+        p_t = droll - dyaw * sp
+        q_t = dpitch * cr + dyaw * cp * sr
+        return (vx, vy, vz, ax, ay, az, droll, dpitch, dyaw,
+                (p_t - pb) / p.tau_att, (q_t - qb) / p.tau_att, (r_cmd - rb) / p.tau_att)
+
+    def add(a, k, h):
+        return tuple(ai + h * ki for ai, ki in zip(a, k))
+
+    s = tuple(np.asarray(state, dtype=np.float64).tolist())
+    u = dyn.clamp_control(np.asarray(control, dtype=np.float64).tolist())
+    k1 = deriv(s, *u)
+    k2 = deriv(add(s, k1, dt / 2.0), *u)
+    k3 = deriv(add(s, k2, dt / 2.0), *u)
+    k4 = deriv(add(s, k3, dt), *u)
+    out = np.array([si + dt / 6.0 * (a + 2 * b + 2 * c + d)
+                    for si, a, b, c, d in zip(s, k1, k2, k3, k4)])
+    out[8] = wrap_angle(out[8])
+    return out
+
+
+def _edge_floats(lo, hi, edges):
+    """Floats in [lo, hi], with the given edge values drawn often."""
+    return st.one_of(st.sampled_from(edges), st.floats(lo, hi))
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_fused_uav_step_matches_stage_function_rk4(data):
+    dyn = UavDynamics()
+    p = dyn.params
+    tm, ym, pm = p.theta_max, p.yaw_rate_max, p.pitch_rate_max
+    state = [data.draw(st.floats(-50.0, 50.0)) for _ in range(3)]
+    state.append(data.draw(_edge_floats(-math.pi, math.pi, [-math.pi, math.pi, 0.0, -0.0])))
+    # pitch at the pin, just inside it, and past it (the clamp pulls it back)
+    state.append(data.draw(_edge_floats(-0.5, 0.5, [tm, -tm, math.nextafter(tm, 0.0),
+                                                    math.nextafter(-tm, 0.0), 0.0, -0.0])))
+    # rates inside, at and beyond saturation, both signs: outward and inward at a pin
+    control = [data.draw(_edge_floats(-5.0, 5.0, [ym, -ym, 0.0, 4.0, -4.0])),
+               data.draw(_edge_floats(-5.0, 5.0, [pm, -pm, 0.0, -0.0, 3.0, -3.0]))]
+    dt = data.draw(_edge_floats(1e-9, 0.1, [0.1, math.nextafter(0.0, 1.0), 1e-6, p.dt]))
+    got = dyn.step(np.array(state), np.array(control), dt)
+    want = _uav_reference_step(dyn, state, control, dt)
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_fused_quad_step_matches_stage_function_rk4(data):
+    dyn = QuadDynamics()
+    p = dyn.params
+    state = [data.draw(st.floats(-20.0, 20.0)) for _ in range(3)]
+    state += [data.draw(_edge_floats(-4.0, 4.0, [0.0, -0.0, 2.0])) for _ in range(3)]
+    state += [data.draw(_edge_floats(-0.7, 0.7, [0.0, p.tilt_max, -p.tilt_max]))
+              for _ in range(2)]
+    state.append(data.draw(_edge_floats(-math.pi, math.pi, [-math.pi, math.pi, 0.0])))
+    state += [data.draw(_edge_floats(-3.0, 3.0, [0.0, -0.0])) for _ in range(3)]
+    # command norms inside and beyond v_cmd_max, yaw rates beyond saturation
+    control = [data.draw(_edge_floats(-6.0, 6.0, [0.0, p.v_cmd_max, -p.v_cmd_max, 5.0]))
+               for _ in range(3)]
+    control.append(data.draw(_edge_floats(-4.0, 4.0, [p.yaw_rate_max, -p.yaw_rate_max, 3.0])))
+    dt = data.draw(_edge_floats(1e-9, 0.05, [0.05, math.nextafter(0.0, 1.0), 1e-6, p.dt]))
+    got = dyn.step(np.array(state), np.array(control), dt)
+    want = _quad_reference_step(dyn, state, control, dt)
+    assert got.tobytes() == want.tobytes()

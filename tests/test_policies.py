@@ -672,7 +672,8 @@ def test_learner_reset_reproducible():
 
 
 class _UncachedLearner(SyntheticLearner):
-    """The learner without its cache: the layout cell recomputed every tick."""
+    """The learner without its caches: the layout cell and sigma recomputed
+    every tick, and the noise drawn with rng.normal."""
 
     def evaluate(self, obs):
         u = self.expert.evaluate(obs)
@@ -693,11 +694,16 @@ def test_learner_cell_cache_matches_an_uncached_learner(platform, unit_layouts, 
         return pol
 
     cached, reference = learner(SyntheticLearner), learner(_UncachedLearner)
-    # each learner flies every track in turn, as in a validation pass
-    for unit in unit_layouts:
-        track = track_from_layout(part.lo + np.array(unit) * (part.hi - part.lo), platform)
+    # each learner flies every track in turn, as in a validation pass, and
+    # then each track again after its counts were written directly, which
+    # the cached sigma must notice although train() never ran
+    tracks = [track_from_layout(part.lo + np.array(unit) * (part.hi - part.lo), platform)
+              for unit in unit_layouts]
+    for k, track in enumerate(tracks + tracks):
         runs = []
         for pol in (cached, reference):
+            if k >= len(tracks):
+                pol.counts[:] = (pol.counts * 7 + k) % 13
             roll = rollout(pol, track, SimConfig(tick_hz=10.0), rng=np.random.default_rng(seed))
             runs.append((roll, pol._rng.bit_generator.state))
         (a, state_a), (b, state_b) = runs

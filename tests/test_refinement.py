@@ -2,6 +2,7 @@
 refinement loop."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from gatesim.refinement import (
     grid_losses,
     initial_samples,
     observability_check,
+    pgr_pair,
     pgr_run,
     resample,
     task_loss,
@@ -52,6 +54,19 @@ def test_partition_validation():
         GridPartition(np.ones(8), np.ones(8), np.ones(8, dtype=int))
     with pytest.raises(ValueError):
         GridPartition(np.zeros(8), np.ones(8), (2, 1, 1, 1, 0, 1, 1, 1))
+
+
+def test_partition_size_is_exact_for_large_grids():
+    # np.prod wraps around int64 on these: 256**8 gave 0
+    for n in (256, 1000):
+        assert GridPartition(np.zeros(8), np.ones(8), [n] * 8).m == n ** 8
+
+
+def test_pgr_config_caps_the_cell_count():
+    assert PgrConfig(per_gate_counts=(4, 4, 4, 4)).per_gate_counts == (4, 4, 4, 4)   # 65,536
+    with pytest.raises(ValueError, match=r"per_gate_counts \[4, 4, 4, 5\] give 102400 grid "
+                                         r"cells; at most 65536 are accepted"):
+        PgrConfig(per_gate_counts=(4, 4, 4, 5))
 
 
 def test_partition_size_and_widths():
@@ -442,6 +457,59 @@ def test_pgr_run_shared_validation_set():
                                n0=2.0, seed=(5, 0))
     result = pgr_run(part, learner, expert, config, g_val=g_val)
     assert result.g_val is g_val
+    guided, uniform = pgr_pair(
+        part, *(SyntheticLearner(part, expert_policy("uav"), CONTROL_LIMITS["uav"], n0=2.0,
+                                 seed=(5, tag)) for tag in (0, 1)),
+        expert, config, g_val=g_val)
+    assert guided.g_val is g_val and uniform.g_val is g_val
+
+
+def _same_result(got, want):
+    """Every history field, the dataset, the validation set and the learner's
+    counts, compared as bytes."""
+    assert len(got.history) == len(want.history)
+    for a, b in zip(got.history, want.history):
+        assert (a.iteration, a.skipped, a.val_sr, a.val_mge) == \
+            (b.iteration, b.skipped, b.val_sr, b.val_mge)
+        for name in ("losses", "weights", "sample_counts"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
+    assert [(r.cell, r.loss, r.layout.tobytes()) for r in got.dataset] == \
+        [(r.cell, r.loss, r.layout.tobytes()) for r in want.dataset]
+    assert [(c, v.tobytes()) for c, v in got.g_val] == [(c, v.tobytes()) for c, v in want.g_val]
+    assert got.policy.counts.tobytes() == want.policy.counts.tobytes()
+
+
+def _arrays(result):
+    """The arrays a result owns (its g_val is the caller's or shared)."""
+    out = [result.policy.counts] + [r.layout for r in result.dataset]
+    for h in result.history:
+        out += [h.losses, h.weights, h.sample_counts]
+    return out
+
+
+@pytest.mark.parametrize("iterations", [1, 3])
+@pytest.mark.parametrize("beta", [0.05, 1.0])
+@pytest.mark.parametrize("seed", [3, 19, 123])
+def test_pgr_pair_equals_two_independent_runs(seed, beta, iterations):
+    part = _friendly_partition((2, 1, 1, 1, 2, 1, 1, 1))
+    expert = expert_policy("uav")
+    config = PgrConfig(platform="uav", iterations=iterations, beta=beta, initial_per_cell=1,
+                       val_per_cell=1, tick_hz=10.0, seed=seed)
+
+    def learner(tag):
+        return SyntheticLearner(part, expert_policy("uav"), CONTROL_LIMITS["uav"],
+                                n0=2.0, seed=(seed, tag))
+
+    guided, uniform = pgr_pair(part, learner(0), learner(1), expert, config)
+    _same_result(guided, pgr_run(part, learner(0), expert, config))
+    _same_result(uniform, pgr_run(part, learner(1), expert, replace(config, beta=1.0)))
+    # the runs fork after the first scoring: their histories share no array
+    for a in _arrays(guided):
+        for b in _arrays(uniform):
+            assert not np.shares_memory(a, b)
+    assert guided.dataset is not uniform.dataset
+    assert guided.history[0].skipped is not uniform.history[0].skipped
 
 
 def test_worst_grid_loss_and_allocation():

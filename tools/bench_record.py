@@ -12,13 +12,17 @@ runs one workload for one seed and BENCHMARK.json's run_seconds at a time:
 
 - K pairs per workload with `--trace 0`, seeds 101, 102, ... one per pair,
   alternating which commit runs first, for the end-to-end metrics;
-- one `--trace 1` run per commit on the first seed, for the per-layer block.
+- TRACED_RUNS `--trace 1` runs per commit on the first seed, alternating
+  which commit runs first, for the per-layer block: each metric's median
+  over one side's traced runs, so that one run's host drift does not read
+  as a layer change. A side's traced runs must agree on every simulated
+  count.
 
 The file holds every run's end-to-end metrics, each side's median and
 quartiles, the pairs the change won (ties count for neither), the result
-digests and simulated counts of every run, the traced per-layer metrics, and
-a machine block with both shas. It is written next to this checkout's
-BENCHMARK.json unless --out says otherwise.
+digests and simulated counts of every run, the median traced per-layer
+metrics, and a machine block with both shas. It is written next to this
+checkout's BENCHMARK.json unless --out says otherwise.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TRACED_RUNS = 3
 
 
 def git(*args: str) -> str:
@@ -113,6 +118,21 @@ def summarize(pairs: list, end_to_end: list) -> dict:
     return out
 
 
+def traced_median(runs: list) -> dict:
+    """One side's per-layer block: each metric's median over its traced runs,
+    which must agree on every simulated count."""
+    if any(r["simulated"] != runs[0]["simulated"] for r in runs[1:]):
+        raise RuntimeError(f"traced runs of one commit disagree on their simulated counts: "
+                           f"{[r['simulated'] for r in runs]}")
+    return {
+        "runs": len(runs),
+        "metrics": {name: statistics.median(r["metrics"][name] for r in runs)
+                    for name in runs[0]["metrics"]},
+        "simulated": runs[0]["simulated"],
+        "correct": all(r["correct"] for r in runs),
+    }
+
+
 def parse_args(argv):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--base", required=True, help="the parent commit")
@@ -166,8 +186,12 @@ def compare(args, scratch: Path) -> int:
             for side in order:
                 pair[side] = run_once(trees[side], spec["command"], workload, seed, seconds, 0)
             pairs.append(pair)
-        traced = {side: run_once(trees[side], spec["command"], workload, seeds[0], seconds, 1)
-                  for side in ("base", "change")}
+        traced_runs = {"base": [], "change": []}
+        for k in range(TRACED_RUNS):
+            for side in (("base", "change") if k % 2 == 0 else ("change", "base")):
+                traced_runs[side].append(
+                    run_once(trees[side], spec["command"], workload, seeds[0], seconds, 1))
+        traced = {side: traced_median(runs) for side, runs in traced_runs.items()}
         runs = [p[side] for p in pairs for side in ("base", "change")]
         record["workloads"][workload] = {
             "summary": summarize(pairs, spec["end_to_end"]),
@@ -180,8 +204,7 @@ def compare(args, scratch: Path) -> int:
             "trace": {
                 "seed": seeds[0],
                 "simulated_equal": traced["base"]["simulated"] == traced["change"]["simulated"],
-                **{side: {"metrics": r["metrics"], "simulated": r["simulated"],
-                          "correct": r["correct"]} for side, r in traced.items()},
+                **traced,
             },
         }
     out = args.out or ROOT / f"BENCH_{shas['change'][:7]}.json"
