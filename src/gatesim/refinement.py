@@ -419,14 +419,15 @@ def pgr_pair(partition: GridPartition, policy, uniform_policy, expert, config: P
     policy like it, is trained on the same records. The results equal two
     pgr_run calls and share no mutable array; both hold the same g_val.
     """
-    run, (counts, skipped, ell, val_stats) = _start(partition, policy, expert, config, g_val)
+    run, scored = _start(partition, policy, expert, config, g_val)
+    counts, skipped, ell, val_stats = scored
     # the copied chain hands out the generators the guided run draws next
     twin = _Run(partition, uniform_policy, expert, replace(config, beta=1.0), run.g_val,
                 copy.deepcopy(run.seeds),
                 [replace(r, layout=r.layout.copy()) for r in run.dataset])
     uniform_policy.train(twin.dataset)
-    twin_scored = (counts.copy(), dict(skipped), ell.copy(), dict(val_stats))
-    return (_iterate(run, (counts, skipped, ell, val_stats)), _iterate(twin, twin_scored))
+    return (_iterate(run, scored),
+            _iterate(twin, (counts.copy(), dict(skipped), ell.copy(), dict(val_stats))))
 
 
 def worst_grid_loss(stats: IterationStats) -> float:
