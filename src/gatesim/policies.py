@@ -67,11 +67,16 @@ def _aim_point(gate: Gate, t: float, position: np.ndarray, speed: float):
     The carrot sits AIM_STANDOFF before the plane on the approach side and
     flips to the far side once the vehicle is inside the standoff, so the
     bearing never becomes singular at the hand-off.
+
+    A static gate's frame does not depend on time, so it skips the passes:
+    its aim, center and yaw are the same, and the returned time is t itself.
+    Only the quad expert reads that time, and only for a moving gate.
     """
     t_go = 0.0
-    for _ in range(2):
-        d = gate.frame_at(t + t_go).center - position
-        t_go = math.sqrt(d @ d) / speed   # np.linalg.norm's sum and root, without its overhead
+    if gate.moving:
+        for _ in range(2):
+            d = gate.frame_at(t + t_go).center - position
+            t_go = math.sqrt(d @ d) / speed   # np.linalg.norm's sum and root, without its overhead
     center, yaw, normal, _, _ = gate.frame_at(t + t_go)
     signed = float(normal @ (position - center))
     if signed < -AIM_STANDOFF:

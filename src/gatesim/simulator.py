@@ -45,6 +45,20 @@ class SimConfig:
     success_threshold: float | None = None
     record_trajectory: bool = True
 
+    def __post_init__(self):
+        # a NaN timeout never fires and a negative one ends the first tick;
+        # a zero or NaN tick rate cannot be turned into steps per tick
+        if not (math.isfinite(self.tick_hz) and self.tick_hz > 0.0):
+            raise ValueError(f"tick_hz must be finite and > 0, got {self.tick_hz!r}")
+        for name in ("dt", "timeout"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be None or finite and > 0, got {value!r}")
+        threshold = self.success_threshold
+        if threshold is not None and not (math.isfinite(threshold) and threshold >= 0.0):
+            raise ValueError(
+                f"success_threshold must be None or finite and >= 0, got {threshold!r}")
+
     def resolve_dt(self, dynamics) -> float:
         return self.dt if self.dt is not None else dynamics.params.dt
 
@@ -84,13 +98,42 @@ def signed_gate_distance(gate: Gate, t: float, position: np.ndarray) -> float:
     return float(normal @ (position - center))
 
 
-def _static_plane(gate: Gate):
-    """(center, normal) of a static gate's cached frame; (None, None) for a
-    moving gate, whose plane depends on time."""
-    if gate.moving:
-        return None, None
-    frame = gate.frame_at(0.0)
-    return frame.center, frame.normal
+class StaticPlane:
+    """A static gate's plane, with float copies of its cached frame's center
+    and normal for the rollout's per-step side test."""
+
+    __slots__ = ("center", "normal", "_floats")
+
+    def __init__(self, gate: Gate):
+        frame = gate.frame_at(0.0)
+        self.center, self.normal = frame.center, frame.normal
+        self._floats = (*frame.center.tolist(), *frame.normal.tolist())
+
+    def side(self, state: np.ndarray, x: float, y: float, z: float) -> float:
+        """A signed distance of the position (x, y, z) = state[:3] to the
+        plane, with the sign and zero-ness of
+        float(normal @ (state[:3] - center)), which it returns when unsure.
+
+        The float sum d and the dot product each differ from the true
+        distance by a few ulps of |a0| + |a1| + |a2|. Where |d| clears 1e-14
+        of that sum, both have the true distance's sign and neither is zero.
+        The 1e-300 floor sends subnormal products, whose rounding error is
+        absolute, to the fallback; so does NaN or inf, which fails the test.
+        """
+        cx, cy, cz, nx, ny, nz = self._floats
+        a0 = nx * (x - cx)
+        a1 = ny * (y - cy)
+        a2 = nz * (z - cz)
+        d = a0 + a1 + a2
+        if abs(d) > 1e-14 * (abs(a0) + abs(a1) + abs(a2)) + 1e-300:
+            return d
+        return float(self.normal @ (state[:3] - self.center))
+
+
+def _static_plane(gate: Gate) -> StaticPlane | None:
+    """The plane of a static gate; None for a moving gate, whose plane
+    depends on time."""
+    return None if gate.moving else StaticPlane(gate)
 
 
 def detect_crossing(gate: Gate, t0: float, p0: np.ndarray, t1: float, p1: np.ndarray):
@@ -183,7 +226,10 @@ def rollout(
 
     The loop copies nothing per dynamics step: the steppers return fresh
     state arrays, and each tick's control is copied once from what the policy
-    returned, so the recorded trajectory can share them.
+    returned, so the recorded trajectory can share them. Each step reads its
+    position once as Python floats, for the arena test and, on a static
+    target, the gate side (StaticPlane.side); position arrays are built only
+    for a moving target or to resolve a crossing.
     """
     if policy.platform not in ("any", track.platform):
         raise ValueError(
@@ -198,16 +244,24 @@ def rollout(
         raise ValueError(f"tick rate {config.tick_hz} Hz is not a multiple of dt {dt}")
     timeout = config.timeout if config.timeout is not None else track.timeout()
 
-    policy.reset(rng if rng is not None else np.random.default_rng(0))
     if init_state is None:
         pos, yaw = track.initial_pose()
         state = dynamics.initial_state(pos, yaw)
     else:
         state = np.asarray(init_state, dtype=np.float64).copy()
+        if state.shape != (dynamics.state_dim,):
+            raise ValueError(
+                f"init_state for a {track.platform!r} track must have shape "
+                f"({dynamics.state_dim},), got {state.shape}"
+            )
+    policy.reset(rng if rng is not None else np.random.default_rng(0))
 
-    gates, arena = track.gates, track.arena
+    gates = track.gates
+    (xl, xh), (yl, yh), (zl, zh) = track.arena.bounds
     n_gates = len(gates)
     records = [GateRecord(i, outcome=TIMEOUT) for i in range(n_gates)]
+    # only mask policies and observers read the history
+    keep_history = observer is not None or policy.observes == "mask"
     history = np.zeros((HISTORY_LEN, dynamics.control_dim))
     record = config.record_trajectory
     times = [0.0]
@@ -216,58 +270,63 @@ def rollout(
     t = 0.0
     target = 0
     terminal = None
-    p0 = dynamics.position(state)
-    # signed distance of p0 to the target's plane: one step's end distance is
-    # the next step's start distance, so each step computes one, and
-    # detect_crossing runs only on a sign change it will confirm
-    d0 = signed_gate_distance(gates[0], t, p0)
-    center, normal = _static_plane(gates[0])
+    # signed distance of the position to the target's plane: one step's end
+    # distance is the next step's start distance, so each step computes one,
+    # and detect_crossing runs only on a sign change it will confirm
+    d0 = signed_gate_distance(gates[0], t, state[:3])
+    plane = _static_plane(gates[0])
 
     while terminal is None:
         obs = _observe(policy, dynamics, track, t, state, target, config.camera, history)
         control = np.array(policy.evaluate(obs), dtype=np.float64)
         if observer is not None:
             observer(t, state, target, history, control)
-        history = np.concatenate((history[1:], control[None]))
+        if keep_history:
+            history = np.concatenate((history[1:], control[None]))
 
         for _ in range(steps_per_tick):
-            state = dynamics.step(state, control, dt)
+            prev, state = state, dynamics.step(state, control, dt)
             t_new = t + dt
-            p1 = dynamics.position(state)
+            x, y, z = state[:3].tolist()
 
             if target < n_gates:
-                if normal is not None:   # signed_gate_distance on the cached frame
-                    d1 = float(normal @ (p1 - center))
+                if plane is not None:
+                    d1 = plane.side(state, x, y, z)
                 else:
-                    d1 = signed_gate_distance(gates[target], t_new, p1)
-                # the same transition can cross several coincident gate planes
-                while d0 < 0.0 <= d1:
-                    t_cross, p_prime, error = detect_crossing(gates[target], t, p0, t_new, p1)
-                    outcome = classify_crossing(
-                        error, gates[target], track.vehicle_half_width,
-                        config.success_threshold,
-                    )
-                    records[target] = GateRecord(target, outcome, True, t_cross, p_prime, error)
-                    if outcome == FRAME_COLLISION:
-                        terminal = FRAME_COLLISION
-                        break
-                    target += 1
-                    if target == n_gates:
-                        if outcome == SUCCESS:
-                            terminal = SUCCESS
-                        break
-                    center, normal = _static_plane(gates[target])
-                    d0 = signed_gate_distance(gates[target], t, p0)
-                    d1 = signed_gate_distance(gates[target], t_new, p1)
+                    d1 = signed_gate_distance(gates[target], t_new, state[:3])
+                if d0 < 0.0 <= d1:
+                    p0, p1 = dynamics.position(prev), dynamics.position(state)
+                    # the same transition can cross several coincident gate planes
+                    while d0 < 0.0 <= d1:
+                        t_cross, p_prime, error = detect_crossing(
+                            gates[target], t, p0, t_new, p1)
+                        outcome = classify_crossing(
+                            error, gates[target], track.vehicle_half_width,
+                            config.success_threshold,
+                        )
+                        records[target] = GateRecord(
+                            target, outcome, True, t_cross, p_prime, error)
+                        if outcome == FRAME_COLLISION:
+                            terminal = FRAME_COLLISION
+                            break
+                        target += 1
+                        if target == n_gates:
+                            if outcome == SUCCESS:
+                                terminal = SUCCESS
+                            break
+                        plane = _static_plane(gates[target])
+                        d0 = signed_gate_distance(gates[target], t, p0)
+                        d1 = signed_gate_distance(gates[target], t_new, p1)
                 d0 = d1
 
             t = t_new
-            p0 = p1
             if record:
                 times.append(t)
                 states.append(state)
                 controls.append(control)
-            if terminal is None and not arena.contains(p1):
+            # Arena.contains on the same floats: inside the closed box, and
+            # False for a NaN coordinate
+            if terminal is None and not (xl <= x <= xh and yl <= y <= yh and zl <= z <= zh):
                 terminal = ARENA_EXIT
             if terminal is not None:
                 break

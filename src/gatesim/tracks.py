@@ -42,14 +42,15 @@ class Arena:
     hi: np.ndarray
 
     def __post_init__(self):
-        # the bounds as Python floats, so a containment test is six comparisons
+        # bounds: ((xlo, xhi), (ylo, yhi), (zlo, zhi)) as Python floats, so a
+        # containment test is six comparisons
         lo, hi = (np.asarray(b, dtype=np.float64).tolist() for b in (self.lo, self.hi))
-        object.__setattr__(self, "_bounds", tuple(zip(lo, hi)))
+        object.__setattr__(self, "bounds", tuple(zip(lo, hi)))
 
     def contains(self, p) -> bool:
         """Inside the closed box; False for a NaN coordinate."""
         x, y, z = np.asarray(p, dtype=np.float64).tolist()
-        (xl, xh), (yl, yh), (zl, zh) = self._bounds
+        (xl, xh), (yl, yh), (zl, zh) = self.bounds
         return xl <= x <= xh and yl <= y <= yh and zl <= z <= zh
 
 

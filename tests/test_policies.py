@@ -11,6 +11,7 @@ from scipy import ndimage
 
 from gatesim import policies
 from gatesim.policies import (
+    AIM_STANDOFF,
     CONTROL_LIMITS,
     ExpertQuadPolicy,
     ExpertUavPolicy,
@@ -118,6 +119,19 @@ def test_aim_point_leads_moving_gate():
     np.testing.assert_allclose(center, gate.pose_at(t2)[0])
     assert t_hit == pytest.approx(t2)
     np.testing.assert_allclose(aim, center - [1.0, 0.0, 0.0])
+
+
+def test_aim_point_of_a_static_gate_skips_the_lead_passes(rng):
+    # a static frame does not depend on time, so the lead passes cannot move
+    # the aim, center or yaw; the returned time is the query time itself
+    for _ in range(50):
+        gate = _gate(rng.uniform(-5.0, 5.0, 3), yaw=rng.uniform(-math.pi, math.pi))
+        pos, t = rng.uniform(-8.0, 8.0, 3), rng.uniform(0.0, 10.0)
+        aim, center, yaw, t_aim = _aim_point(gate, t, pos, 7.0)
+        frame = gate.frame_at(t + 123.0)
+        side = -1.0 if float(frame.normal @ (pos - frame.center)) < -AIM_STANDOFF else 1.0
+        np.testing.assert_array_equal(aim, frame.center + side * AIM_STANDOFF * frame.normal)
+        assert center is frame.center and yaw == frame.yaw and t_aim == t
 
 
 # zero, subnormal, ordinary and huge offsets; squares of the huge ones overflow

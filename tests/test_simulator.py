@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gatesim import simulator
 from gatesim.dynamics import platform_dynamics
@@ -22,6 +24,7 @@ from gatesim.simulator import (
     GateRecord,
     Rollout,
     SimConfig,
+    StaticPlane,
     classify_crossing,
     detect_crossing,
     events_csv,
@@ -269,6 +272,90 @@ def test_rollout_calls_detect_crossing_only_for_crossings(monkeypatch):
         assert [h[0] for h in hits] == [g.t_cross for g in roll.gates if g.crossed]
 
 
+CROSSING_PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+def _rollout_counting_crossings(policy, track, init_state):
+    """The rollout and each detect_crossing call it made, as (gate, hit)."""
+    calls = []
+
+    def counting(gate, *args):
+        calls.append((gate, detect_crossing(gate, *args)))
+        return calls[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulator, "detect_crossing", counting)
+        roll = rollout(policy, track, init_state=init_state)
+    return roll, calls
+
+
+@CROSSING_PROPERTY
+@given(st.floats(-3.0, 3.0), st.floats(-0.4, 0.4), st.floats(-0.4, 0.4))
+def test_static_gate_transit_records_exactly_one_crossing(y0, yaw, gate_yaw):
+    # straight flight through gate 1's plane, whatever its outcome, then on
+    # toward gate 2
+    track = _track([(0.0, 0.0, 2.0), (12.0, 0.0, 2.0)], yaws=[gate_yaw, 0.0])
+    roll, calls = _rollout_counting_crossings(
+        ZeroPolicy("uav"), track, np.array([-6.0, y0, 2.0, yaw, 0.0]))
+    first = [hit for gate, hit in calls if gate is track.gates[0]]
+    assert len(first) == 1 and first[0] is not None
+    assert roll.gates[0].crossed and roll.gates[0].t_cross == first[0][0]
+    assert len(calls) == sum(g.crossed for g in roll.gates)
+
+
+def test_rollout_step_ending_on_the_plane_counts_once():
+    init = np.array([-6.0, 0.0, 2.0, 0.0, 0.0])
+    free = rollout(ZeroPolicy("uav"), _track([(15.0, 0.0, 2.0)]), init_state=init)
+    k = 40
+    x_on = float(free.states[k][0])
+    track = _track([(x_on, 0.0, 2.0), (15.0, 0.0, 2.0)])
+    roll, calls = _rollout_counting_crossings(ZeroPolicy("uav"), track, init)
+    # the same flight, whose k-th step ends exactly on gate 1's plane
+    np.testing.assert_array_equal(roll.states[k], free.states[k])
+    assert signed_gate_distance(track.gates[0], 0.0, roll.states[k][:3]) == 0.0
+    first = [hit for gate, hit in calls if gate is track.gates[0]]
+    assert len(first) == 1 and first[0] is not None
+    assert roll.gates[0].outcome == SUCCESS
+    assert roll.gates[0].t_cross == pytest.approx(roll.times[k], abs=1e-12)
+    assert roll.terminal == SUCCESS
+
+
+@CROSSING_PROPERTY
+@given(st.floats(-2.0, 2.0), st.floats(-0.5, 0.5), st.floats(-0.5, 0.5),
+       st.floats(-5.0, 5.0), st.floats(0.5, 3.5))
+def test_rollout_records_both_coincident_planes_in_one_step(y0, a, b, dy, dz):
+    # gate 1 sits on the flight line; gate 2 anywhere in the same plane x = 0
+    track = _track([(0.0, y0 + a, 2.0 + b), (0.0, dy, dz)])
+    roll, calls = _rollout_counting_crossings(
+        ZeroPolicy("uav"), track, np.array([-6.0, y0, 2.0, 0.0, 0.0]))
+    assert roll.gates[0].outcome == SUCCESS
+    assert roll.gates[1].crossed
+    assert roll.gates[0].t_cross == roll.gates[1].t_cross
+    assert roll.gates[1].error == pytest.approx(math.hypot(dy - y0, dz - 2.0), abs=1e-9)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize(
+    "axis,init,gate,gate_yaw",
+    [
+        (2, (-6.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.5), 0.0),            # floor
+        (2, (-6.0, 0.0, 4.0, 0.0), (0.0, 0.0, 3.5), 0.0),            # ceiling
+        (1, (-6.0, -10.0, 2.0, 0.0), (0.0, -9.5, 2.0), 0.0),         # -y wall
+        (1, (-6.0, 10.0, 2.0, 0.0), (0.0, 9.5, 2.0), 0.0),           # +y wall
+        (0, (-20.0, -6.0, 2.0, math.pi / 2), (-19.5, 0.0, 2.0), math.pi / 2),   # -x wall
+        (0, (20.0, -6.0, 2.0, math.pi / 2), (19.5, 0.0, 2.0), math.pi / 2),     # +x wall
+    ],
+)
+def test_rollout_on_the_arena_boundary_stays_inside(axis, init, gate, gate_yaw):
+    # level flight along a face of the closed box keeps that coordinate on
+    # the boundary at every step, and the flight still ends at the gate
+    track = _track([gate], yaws=[gate_yaw])
+    roll = rollout(ZeroPolicy("uav"), track, init_state=np.array([*init, 0.0]))
+    assert len(roll.states) > 10
+    assert (roll.states[:, axis] == init[axis]).all()
+    assert roll.terminal == SUCCESS
+
+
 def test_rollout_platform_mismatch():
     with pytest.raises(ValueError):
         rollout(ExpertUavPolicy(), _track([(1.0, 0.0, 1.0)], platform="quad"))
@@ -420,6 +507,99 @@ def test_observer_targets_follow_the_gate_records():
     crossings = [g.t_cross for g in observed.gates if g.crossed]
     for t, _, target, _, _ in ticks:
         assert target == sum(1 for tc in crossings if tc <= t)
+
+
+# ---------------------------------------------------------------------------
+# the float gate side against the dot product it stands in for
+# ---------------------------------------------------------------------------
+
+_SPECIAL = [math.nan, math.inf, -math.inf, 1e300, -1e300, 1e308, -1e308, 0.0, -0.0]
+
+
+def _sign(d: float):
+    return "nan" if math.isnan(d) else (d > 0.0) - (d < 0.0)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1.0, 20.0, 1e6, 1e150]),
+       st.sampled_from(["near", "near", "random", "special"]), st.data())
+def test_static_plane_side_has_the_sign_and_zero_ness_of_the_dot_product(seed, scale, kind,
+                                                                        data):
+    # points on, or within rounding of, the plane are where a plain float sum
+    # and the dot product disagree; far and non-finite points must agree too.
+    # Coordinates come from a seeded generator: hypothesis's own floats favour
+    # short values, whose products round exactly
+    rng = np.random.default_rng(seed)
+    gate = _gate(rng.uniform(-scale, scale, 3), yaw=rng.uniform(-math.pi, math.pi))
+    frame = gate.frame_at(0.0)
+    if kind == "near":
+        s, t = rng.uniform(-scale, scale, 2)
+        k = data.draw(st.sampled_from([0.0, 1e-15, -1e-15, 1e-12, -1e-12]))
+        p = frame.center + s * frame.lateral + t * frame.up + k * frame.normal
+    elif kind == "random":
+        p = rng.uniform(-2 * scale, 2 * scale, 3)
+    else:
+        p = np.array([data.draw(st.sampled_from(_SPECIAL + [float(v)]))
+                      for v in rng.uniform(-scale, scale, 3)])
+    # the side test reads the position from the front of a longer state
+    state = np.concatenate((p, [0.1, -0.2]))
+    with np.errstate(all="ignore"):
+        want = float(frame.normal @ (p - frame.center))
+        got = StaticPlane(gate).side(state, *p.tolist())
+    assert _sign(got) == _sign(want)
+
+
+def test_static_plane_side_is_the_float_sum_away_from_the_plane():
+    gate = _gate((5.0, 0.0, 2.0))
+    plane = StaticPlane(gate)
+    assert plane.side(np.array([3.0, 1.0, 4.0]), 3.0, 1.0, 4.0) == -2.0
+    assert plane.side(np.array([6.5, -9.0, 0.0]), 6.5, -9.0, 0.0) == 1.5
+    assert plane.side(np.array([5.0, 7.0, 1.0]), 5.0, 7.0, 1.0) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# refused configurations and starts
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "kwargs,name",
+    [
+        (dict(tick_hz=0.0), "tick_hz"),
+        (dict(tick_hz=-50.0), "tick_hz"),
+        (dict(tick_hz=math.nan), "tick_hz"),
+        (dict(tick_hz=math.inf), "tick_hz"),
+        (dict(dt=0.0), "dt"),
+        (dict(dt=-0.02), "dt"),
+        (dict(dt=math.nan), "dt"),
+        (dict(dt=math.inf), "dt"),
+        (dict(timeout=0.0), "timeout"),
+        (dict(timeout=-1.0), "timeout"),
+        (dict(timeout=math.nan), "timeout"),
+        (dict(timeout=math.inf), "timeout"),
+        (dict(success_threshold=-0.1), "success_threshold"),
+        (dict(success_threshold=math.nan), "success_threshold"),
+        (dict(success_threshold=math.inf), "success_threshold"),
+    ],
+)
+def test_sim_config_refuses_values_that_break_a_rollout(kwargs, name):
+    # constructions only: a config that slipped through could hover forever
+    with pytest.raises(ValueError, match=name):
+        SimConfig(**kwargs)
+
+
+def test_sim_config_accepts_its_edge_values():
+    SimConfig(dt=1e-6, tick_hz=1e-3, timeout=1e-9, success_threshold=0.0)
+    SimConfig(dt=None, timeout=None, success_threshold=None)
+
+
+@pytest.mark.parametrize("platform,shape", [("uav", (3,)), ("uav", (12,)), ("quad", (5,)),
+                                            ("quad", (1, 12)), ("uav", ())])
+def test_rollout_refuses_an_init_state_of_the_wrong_shape(platform, shape):
+    track = _track([(1.0, 0.0, 1.0)], platform=platform)
+    n = platform_dynamics(platform).state_dim
+    with pytest.raises(ValueError, match=rf"{platform!r} track must have shape \({n},\)"):
+        rollout(ZeroPolicy(platform), track, init_state=np.zeros(shape))
 
 
 # ---------------------------------------------------------------------------
