@@ -247,34 +247,6 @@ def test_rollout_success_threshold_override():
     assert tight.terminal == FRAME_COLLISION
 
 
-def test_rollout_calls_detect_crossing_only_for_crossings(monkeypatch):
-    # each step's end distance is carried into the next step, so the full
-    # crossing test runs only on a sign change, and always confirms it
-    hits = []
-
-    def counting(*args):
-        hits.append(detect_crossing(*args))
-        return hits[-1]
-
-    monkeypatch.setattr(simulator, "detect_crossing", counting)
-    init = np.array([-6.0, 0.0, 2.0, 0.0, 0.0])
-    runs = [
-        (ZeroPolicy("uav"), _track([(0.0, -8.0, 2.0), (8.0, 0.0, 2.0)]), init),   # a miss
-        (ZeroPolicy("uav"), _track([(0.0, -1.0, 2.0), (8.0, 0.0, 2.0)]), init),   # a strike
-        (ZeroPolicy("uav"), _track([(0.0, 0.0, 2.0), (0.0, 0.0, 2.0)]), init),    # coincident
-    ] + [(expert_policy(t.platform), t, None) for t in map(reference_track, (
-        "uav-slalom", "uav-shift", "quad-drift", "quad-turn"))]
-    for policy, track, init_state in runs:
-        hits.clear()
-        roll = rollout(policy, track, init_state=init_state)
-        assert None not in hits
-        assert len(hits) == sum(g.crossed for g in roll.gates) > 0
-        assert [h[0] for h in hits] == [g.t_cross for g in roll.gates if g.crossed]
-
-
-CROSSING_PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
-
-
 def _rollout_counting_crossings(policy, track, init_state):
     """The rollout and each detect_crossing call it made, as (gate, hit)."""
     calls = []
@@ -287,6 +259,27 @@ def _rollout_counting_crossings(policy, track, init_state):
         mp.setattr(simulator, "detect_crossing", counting)
         roll = rollout(policy, track, init_state=init_state)
     return roll, calls
+
+
+def test_rollout_calls_detect_crossing_only_for_crossings():
+    # each step's end distance is carried into the next step, so the full
+    # crossing test runs only on a sign change, and always confirms it
+    init = np.array([-6.0, 0.0, 2.0, 0.0, 0.0])
+    runs = [
+        (ZeroPolicy("uav"), _track([(0.0, -8.0, 2.0), (8.0, 0.0, 2.0)]), init),   # a miss
+        (ZeroPolicy("uav"), _track([(0.0, -1.0, 2.0), (8.0, 0.0, 2.0)]), init),   # a strike
+        (ZeroPolicy("uav"), _track([(0.0, 0.0, 2.0), (0.0, 0.0, 2.0)]), init),    # coincident
+    ] + [(expert_policy(t.platform), t, None) for t in map(reference_track, (
+        "uav-slalom", "uav-shift", "quad-drift", "quad-turn"))]
+    for policy, track, init_state in runs:
+        roll, calls = _rollout_counting_crossings(policy, track, init_state)
+        hits = [hit for _, hit in calls]
+        assert None not in hits
+        assert len(hits) == sum(g.crossed for g in roll.gates) > 0
+        assert [h[0] for h in hits] == [g.t_cross for g in roll.gates if g.crossed]
+
+
+CROSSING_PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
 
 @CROSSING_PROPERTY
