@@ -84,7 +84,6 @@ from .simulator import (
     events_csv,
     metrics,
     rollout,
-    summary_json,
     trajectory_csv,
 )
 from .tracks import (

@@ -71,7 +71,7 @@ def config_hash(payload: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
-def make_policy(name: str, platform: str, seed: int = 0):
+def make_policy(name: str, platform: str):
     if name == "expert":
         return expert_policy(platform)
     if name == "zero":
@@ -82,7 +82,7 @@ def make_policy(name: str, platform: str, seed: int = 0):
         inner = MaskCentroidPolicy()
         if name == "classical":
             return inner
-        return NoisyMaskPolicy(inner, NoiseParams(), seed=seed)
+        return NoisyMaskPolicy(inner, NoiseParams())
     raise ValueError(f"unknown policy {name!r}; choose from {POLICY_NAMES}")
 
 
@@ -171,10 +171,17 @@ def _print_table(rows, header):
 
 def cmd_evaluate(args) -> int:
     names = args.tracks if args.tracks else reference_track_names()
-    # every output file is keyed by the track's name
-    repeated = next((n for i, n in enumerate(names) if n in names[:i]), None)
-    if repeated is not None:
-        raise ValueError(f"track {repeated!r} is named more than once")
+    # a track's events and trajectory files are named by its spec's file
+    # name, so a track given by path writes inside --out like a bundled one
+    by_file = {}
+    for name in names:
+        stem = Path(name).name
+        if stem in by_file:
+            if by_file[stem] == name:
+                raise ValueError(f"track {name!r} is named more than once")
+            raise ValueError(f"tracks {by_file[stem]!r} and {name!r} would both write "
+                             f"files named {stem!r}")
+        by_file[stem] = name
     tracks = [(n, resolve_track(n)) for n in names]
     chash = config_hash(
         {
@@ -225,9 +232,10 @@ def cmd_evaluate(args) -> int:
             + "\n",
         )
         for (_, name, _), rolls in zip(flown, results):
-            _write(out / "events" / f"{name}.csv", events_csv(rolls))
+            stem = Path(name).name
+            _write(out / "events" / f"{stem}.csv", events_csv(rolls))
             for k, roll in enumerate(rolls):
-                _write(out / "trajectories" / f"{name}_{k:02d}.csv", trajectory_csv(roll))
+                _write(out / "trajectories" / f"{stem}_{k:02d}.csv", trajectory_csv(roll))
     return 0
 
 
@@ -350,11 +358,10 @@ def cmd_pgr(args) -> int:
 
     expert = expert_policy(platform)
 
-    def fresh_learner(tag: int):
-        return SyntheticLearner(
-            partition, expert_policy(platform), CONTROL_LIMITS[platform],
-            n0=config.n0, seed=(args.seed, tag),
-        )
+    def fresh_learner():
+        # its noise stream is the rng each rollout resets it with
+        return SyntheticLearner(partition, expert_policy(platform), CONTROL_LIMITS[platform],
+                                n0=config.n0)
 
     print(f"building validation set ({partition.m} cells) ...")
     g_val = build_validation_set(partition, config, expert)
@@ -362,11 +369,11 @@ def cmd_pgr(args) -> int:
 
     print(f"refinement run: T={config.iterations}, beta={config.beta}")
     if args.skip_uniform:
-        guided, uniform = pgr_run(partition, fresh_learner(0), expert, config, g_val=g_val), None
+        guided, uniform = pgr_run(partition, fresh_learner(), expert, config, g_val), None
     else:
         print("uniform baseline run (beta=1)")
-        guided, uniform = pgr_pair(partition, fresh_learner(0), fresh_learner(1), expert,
-                                   config, g_val=g_val)
+        guided, uniform = pgr_pair(partition, fresh_learner(), fresh_learner(), expert,
+                                   config, g_val)
 
     rows = []
     for stats in guided.history:

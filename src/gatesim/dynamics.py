@@ -176,111 +176,53 @@ class QuadDynamics:
             vx, vy, vz = vx * k, vy * k, vz * k
         return vx, vy, vz, min(max(r, -p.yaw_rate_max), p.yaw_rate_max)
 
-    def step(self, state: np.ndarray, control, dt: float | None = None) -> np.ndarray:
-        """One RK4 step, its four stages inline on floats (suffix i: stage
-        i). The rates read no position, so a stage's position rate is its
-        velocity.
+    def _rates(self, s, vx_c, vy_c, vz_c, r_cmd) -> tuple:
+        """The rates of s = [vx, vy, vz, roll, pitch, yaw, p, q, r] at one RK4
+        stage: the yaw-rotated command with first-order velocity convergence,
+        the small-angle tilt carrying the horizontal acceleration, the yaw
+        rate as the body rate r, and body rates that converge to the
+        euler-rate map's targets."""
+        vx, vy, vz, roll, pitch, yaw, pb, qb, rb = s
+        p = self.params
+        tau_v, tau_att, tilt = p.tau_v, p.tau_att, p.tilt_max
+        cy, sy = math.cos(yaw), math.sin(yaw)
+        ax = (cy * vx_c - sy * vy_c - vx) / tau_v
+        ay = (sy * vx_c + cy * vy_c - vy) / tau_v
+        az = (vz_c - vz) / tau_v
+        pitch_des = min(max((ax * cy + ay * sy) / GRAVITY, -tilt), tilt)
+        roll_des = min(max((ax * sy - ay * cy) / GRAVITY, -tilt), tilt)
+        droll = (roll_des - roll) / tau_att
+        dpitch = (pitch_des - pitch) / tau_att
+        sr, cr = math.sin(roll), math.cos(roll)
+        sp, cp = math.sin(pitch), math.cos(pitch)
+        return (ax, ay, az, droll, dpitch, rb,
+                (droll - rb * sp - pb) / tau_att,
+                (dpitch * cr + rb * cp * sr - qb) / tau_att,
+                (r_cmd - rb) / tau_att)
 
-        Each stage's rates: the yaw-rotated command with first-order
-        velocity convergence, the small-angle tilt carrying the horizontal
-        acceleration, the yaw rate as the body rate r, and body rates that
-        converge to the euler-rate map's targets.
-        """
+    def step(self, state: np.ndarray, control, dt: float | None = None) -> np.ndarray:
+        """One RK4 step on floats. The rates read no position, so only the
+        other nine entries form stages, and a stage's position rate is its
+        velocity."""
         p = self.params
         dt = p.dt if dt is None else dt
         if not 0.0 < dt <= 0.05:
             raise ValueError(f"quad dt must be in (0, 0.05], got {dt}")
-        x1, y1, z1, vx1, vy1, vz1, roll1, pitch1, yaw1, pb1, qb1, rb1 = _floats(
-            state, "quad state")
-        vx_c, vy_c, vz_c, r_cmd = self.clamp_control(_floats(control, "quad control"))
-        tau_v, tau_att, tilt = p.tau_v, p.tau_att, p.tilt_max
+        x, y, z, *s1 = _floats(state, "quad state")
+        u = self.clamp_control(_floats(control, "quad control"))
         h = dt / 2.0
-
-        cy, sy = math.cos(yaw1), math.sin(yaw1)
-        ax1 = (cy * vx_c - sy * vy_c - vx1) / tau_v
-        ay1 = (sy * vx_c + cy * vy_c - vy1) / tau_v
-        az1 = (vz_c - vz1) / tau_v
-        pitch_des = min(max((ax1 * cy + ay1 * sy) / GRAVITY, -tilt), tilt)
-        roll_des = min(max((ax1 * sy - ay1 * cy) / GRAVITY, -tilt), tilt)
-        dr1 = (roll_des - roll1) / tau_att
-        dp1 = (pitch_des - pitch1) / tau_att
-        sr, cr = math.sin(roll1), math.cos(roll1)
-        sp, cp = math.sin(pitch1), math.cos(pitch1)
-        dpb1 = (dr1 - rb1 * sp - pb1) / tau_att
-        dqb1 = (dp1 * cr + rb1 * cp * sr - qb1) / tau_att
-        drb1 = (r_cmd - rb1) / tau_att
-
-        # stage 2: the state plus dt/2 times stage 1's rates
-        vx2, vy2, vz2 = vx1 + h * ax1, vy1 + h * ay1, vz1 + h * az1
-        roll2, pitch2, yaw2 = roll1 + h * dr1, pitch1 + h * dp1, yaw1 + h * rb1
-        pb2, qb2, rb2 = pb1 + h * dpb1, qb1 + h * dqb1, rb1 + h * drb1
-        cy, sy = math.cos(yaw2), math.sin(yaw2)
-        ax2 = (cy * vx_c - sy * vy_c - vx2) / tau_v
-        ay2 = (sy * vx_c + cy * vy_c - vy2) / tau_v
-        az2 = (vz_c - vz2) / tau_v
-        pitch_des = min(max((ax2 * cy + ay2 * sy) / GRAVITY, -tilt), tilt)
-        roll_des = min(max((ax2 * sy - ay2 * cy) / GRAVITY, -tilt), tilt)
-        dr2 = (roll_des - roll2) / tau_att
-        dp2 = (pitch_des - pitch2) / tau_att
-        sr, cr = math.sin(roll2), math.cos(roll2)
-        sp, cp = math.sin(pitch2), math.cos(pitch2)
-        dpb2 = (dr2 - rb2 * sp - pb2) / tau_att
-        dqb2 = (dp2 * cr + rb2 * cp * sr - qb2) / tau_att
-        drb2 = (r_cmd - rb2) / tau_att
-
-        # stage 3: the state plus dt/2 times stage 2's rates
-        vx3, vy3, vz3 = vx1 + h * ax2, vy1 + h * ay2, vz1 + h * az2
-        roll3, pitch3, yaw3 = roll1 + h * dr2, pitch1 + h * dp2, yaw1 + h * rb2
-        pb3, qb3, rb3 = pb1 + h * dpb2, qb1 + h * dqb2, rb1 + h * drb2
-        cy, sy = math.cos(yaw3), math.sin(yaw3)
-        ax3 = (cy * vx_c - sy * vy_c - vx3) / tau_v
-        ay3 = (sy * vx_c + cy * vy_c - vy3) / tau_v
-        az3 = (vz_c - vz3) / tau_v
-        pitch_des = min(max((ax3 * cy + ay3 * sy) / GRAVITY, -tilt), tilt)
-        roll_des = min(max((ax3 * sy - ay3 * cy) / GRAVITY, -tilt), tilt)
-        dr3 = (roll_des - roll3) / tau_att
-        dp3 = (pitch_des - pitch3) / tau_att
-        sr, cr = math.sin(roll3), math.cos(roll3)
-        sp, cp = math.sin(pitch3), math.cos(pitch3)
-        dpb3 = (dr3 - rb3 * sp - pb3) / tau_att
-        dqb3 = (dp3 * cr + rb3 * cp * sr - qb3) / tau_att
-        drb3 = (r_cmd - rb3) / tau_att
-
-        # stage 4: the state plus dt times stage 3's rates
-        vx4, vy4, vz4 = vx1 + dt * ax3, vy1 + dt * ay3, vz1 + dt * az3
-        roll4, pitch4, yaw4 = roll1 + dt * dr3, pitch1 + dt * dp3, yaw1 + dt * rb3
-        pb4, qb4, rb4 = pb1 + dt * dpb3, qb1 + dt * dqb3, rb1 + dt * drb3
-        cy, sy = math.cos(yaw4), math.sin(yaw4)
-        ax4 = (cy * vx_c - sy * vy_c - vx4) / tau_v
-        ay4 = (sy * vx_c + cy * vy_c - vy4) / tau_v
-        az4 = (vz_c - vz4) / tau_v
-        pitch_des = min(max((ax4 * cy + ay4 * sy) / GRAVITY, -tilt), tilt)
-        roll_des = min(max((ax4 * sy - ay4 * cy) / GRAVITY, -tilt), tilt)
-        dr4 = (roll_des - roll4) / tau_att
-        dp4 = (pitch_des - pitch4) / tau_att
-        sr, cr = math.sin(roll4), math.cos(roll4)
-        sp, cp = math.sin(pitch4), math.cos(pitch4)
-        dpb4 = (dr4 - rb4 * sp - pb4) / tau_att
-        dqb4 = (dp4 * cr + rb4 * cp * sr - qb4) / tau_att
-        drb4 = (r_cmd - rb4) / tau_att
-
+        k1 = self._rates(s1, *u)
+        s2 = [a + h * k for a, k in zip(s1, k1)]
+        k2 = self._rates(s2, *u)
+        s3 = [a + h * k for a, k in zip(s1, k2)]
+        k3 = self._rates(s3, *u)
+        s4 = [a + dt * k for a, k in zip(s1, k3)]
+        k4 = self._rates(s4, *u)
         w = dt / 6.0
-        return np.array(
-            [
-                x1 + w * (vx1 + 2 * vx2 + 2 * vx3 + vx4),
-                y1 + w * (vy1 + 2 * vy2 + 2 * vy3 + vy4),
-                z1 + w * (vz1 + 2 * vz2 + 2 * vz3 + vz4),
-                vx1 + w * (ax1 + 2 * ax2 + 2 * ax3 + ax4),
-                vy1 + w * (ay1 + 2 * ay2 + 2 * ay3 + ay4),
-                vz1 + w * (az1 + 2 * az2 + 2 * az3 + az4),
-                roll1 + w * (dr1 + 2 * dr2 + 2 * dr3 + dr4),
-                pitch1 + w * (dp1 + 2 * dp2 + 2 * dp3 + dp4),
-                wrap_angle(yaw1 + w * (rb1 + 2 * rb2 + 2 * rb3 + rb4)),
-                pb1 + w * (dpb1 + 2 * dpb2 + 2 * dpb3 + dpb4),
-                qb1 + w * (dqb1 + 2 * dqb2 + 2 * dqb3 + dqb4),
-                rb1 + w * (drb1 + 2 * drb2 + 2 * drb3 + drb4),
-            ]
-        )
+        out = [a + w * (b + 2 * c + 2 * d + e) for a, b, c, d, e in zip((x, y, z), s1, s2, s3, s4)]
+        out += [a + w * (b + 2 * c + 2 * d + e) for a, b, c, d, e in zip(s1, k1, k2, k3, k4)]
+        out[8] = wrap_angle(out[8])
+        return np.array(out)
 
 
 def platform_dynamics(platform: str, params=None):

@@ -10,15 +10,17 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import wrap_angle
-from .render import DEFAULT_CAMERA, PinholeCamera
+from .render import DEFAULT_CAMERA
 from .tracks import Gate
 
 AIM_STANDOFF = 1.0   # m before/behind the gate plane the experts steer for
+VELOCITY_STEP = 0.05   # s, half-width of gate_velocity's central difference
+SIGMA_SCALE = 0.4    # the learner's sigma0, as a fraction of each control saturation
 
 
 @dataclass
@@ -86,8 +88,9 @@ def _aim_point(gate: Gate, t: float, position: np.ndarray, speed: float):
     return aim, center, yaw, t + t_go
 
 
-def gate_velocity(gate: Gate, t: float, h: float = 0.05) -> np.ndarray:
+def gate_velocity(gate: Gate, t: float) -> np.ndarray:
     """Finite-difference center velocity of the pose schedule."""
+    h = VELOCITY_STEP
     return (gate.pose_at(t + h)[0] - gate.pose_at(max(t - h, 0.0))[0]) / (
         t + h - max(t - h, 0.0)
     )
@@ -248,13 +251,11 @@ class MaskCentroidPolicy(Policy):
 
     def __init__(
         self,
-        camera: PinholeCamera = DEFAULT_CAMERA,
         k_y: float = 0.4,
         k_z: float = 2.0,
         k_yaw: float = 2.5,
         forward_speed: float = 1.0,
     ):
-        self.camera = camera
         self.k_y = k_y
         self.k_z = k_z
         self.k_yaw = k_yaw
@@ -270,8 +271,9 @@ class MaskCentroidPolicy(Policy):
             vy, r = self._hold
             return np.array([0.0, vy, 0.0, r])
         (ux, uy), _ = found
-        ex = (self.camera.cx - ux) / self.camera.width
-        ey = (self.camera.cy - uy) / self.camera.height
+        camera = DEFAULT_CAMERA
+        ex = (camera.cx - ux) / camera.width
+        ey = (camera.cy - uy) / camera.height
         vy = self.k_y * ex
         vz = self.k_z * ey
         r = self.k_yaw * ex
@@ -340,19 +342,19 @@ def noisy_perception(mask: np.ndarray, params: NoiseParams, rng: np.random.Gener
 
 
 class NoisyMaskPolicy(Policy):
-    """A mask policy seen through imperfect perception; seeded per rollout."""
+    """A mask policy seen through imperfect perception; its noise generator
+    is the one reset() is given, default_rng(0) until then or without one."""
 
     platform = "quad"
     observes = "mask"
 
-    def __init__(self, inner: Policy, params: NoiseParams | None = None, seed: int = 0):
+    def __init__(self, inner: Policy, params: NoiseParams | None = None):
         self.inner = inner
         self.params = params or NoiseParams()
-        self.seed = seed
-        self._rng = np.random.default_rng(seed)
+        self.reset()
 
     def reset(self, rng=None) -> None:
-        self._rng = rng if rng is not None else np.random.default_rng(self.seed)
+        self._rng = rng if rng is not None else np.random.default_rng(0)
         self.inner.reset()
 
     def evaluate(self, obs: MaskObs) -> np.ndarray:
@@ -372,29 +374,28 @@ class SyntheticLearner(Policy):
     sigma_i = sigma0 / sqrt(1 + n_i / n0), where n_i counts training records
     whose layout fell in grid i. train() only increments those counts, which
     is the whole point: data allocation, not gradient descent, is what the
-    refinement loop is being tested on. sigma0 defaults to 0.4x each control
-    channel's saturation.
+    refinement loop is being tested on. sigma0 is SIGMA_SCALE (0.4) times each
+    control channel's saturation. The noise generator is the one reset() is
+    given, default_rng(0) until then or without one.
     """
 
     observes = "full_state"
 
-    def __init__(self, partition, expert: Policy, control_limits, n0: float = 20.0,
-                 sigma_scale: float = 0.4, seed: int = 0):
+    def __init__(self, partition, expert: Policy, control_limits, n0: float = 20.0):
         self.partition = partition
         self.expert = expert
         self.platform = expert.platform
-        self.sigma0 = sigma_scale * np.asarray(control_limits, dtype=np.float64)
+        self.sigma0 = SIGMA_SCALE * np.asarray(control_limits, dtype=np.float64)
         self.n0 = float(n0)
         self.counts = np.zeros(partition.m, dtype=np.int64)
-        self.seed = seed
-        self._rng = np.random.default_rng(seed)
+        self.reset()
         self._gates = self._cell = None   # the last obs.gates and its layout cell
         # the last sigma and its (cell, count) key; keyed on the count rather
         # than cleared by train(), since counts may be written directly
         self._sigma_key = self._sigma = None
 
     def reset(self, rng=None) -> None:
-        self._rng = rng if rng is not None else np.random.default_rng(self.seed)
+        self._rng = rng if rng is not None else np.random.default_rng(0)
 
     def sigma(self, cell: int) -> np.ndarray:
         return self.sigma0 / math.sqrt(1.0 + self.counts[cell] / self.n0)

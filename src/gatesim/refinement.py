@@ -16,9 +16,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .render import DEFAULT_CAMERA, PinholeCamera, camera_pose, point_in_view
-from .simulator import SUCCESS, Rollout, SimConfig, metrics, rollout
-from .tracks import ARENAS, Track, track_from_layout
+from .dynamics import platform_dynamics
+from .render import DEFAULT_CAMERA, camera_pose, point_in_view
+from .simulator import SUCCESS, Rollout, SimConfig, metrics, rollout, steps_per_tick
+from .tracks import track_from_layout
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,7 @@ LAYOUT_BOXES = {
 }
 
 
-def observability_check(layout, platform: str, camera: PinholeCamera = DEFAULT_CAMERA) -> bool:
+def observability_check(layout, platform: str) -> bool:
     """Gate-2 center visible from a camera crossing gate-1 orthogonally.
 
     Additionally requires gate-1 to be visible from the track's start pose;
@@ -99,10 +100,10 @@ def observability_check(layout, platform: str, camera: PinholeCamera = DEFAULT_C
     g1, g2 = track.gates
     c1, yaw1 = g1.pose_at(0.0)
     c2, _ = g2.pose_at(0.0)
-    if not point_in_view(camera, camera_pose(c1, yaw1), c2):
+    if not point_in_view(DEFAULT_CAMERA, camera_pose(c1, yaw1), c2):
         return False
     pos, yaw = track.initial_pose()
-    return point_in_view(camera, camera_pose(pos, yaw), c1)
+    return point_in_view(DEFAULT_CAMERA, camera_pose(pos, yaw), c1)
 
 
 def feasibility_check(layout, platform: str, expert, sim: SimConfig,
@@ -214,8 +215,8 @@ class PgrConfig:
             raise ValueError(f"lambda_pos must be a finite number >= 0, got {self.lambda_pos}")
         if not 0.0 < self.n0 < math.inf:
             raise ValueError(f"n0 must be a finite number > 0, got {self.n0}")
-        if not self.tick_hz > 0.0:
-            raise ValueError(f"tick_hz must be > 0, got {self.tick_hz}")
+        # refused here, before the validation set, rather than by its first rollout
+        steps_per_tick(self.tick_hz, platform_dynamics(self.platform).params.dt)
 
     def sim(self) -> SimConfig:
         return SimConfig(tick_hz=self.tick_hz, record_trajectory=False)
@@ -263,11 +264,12 @@ def accept_cells(partition, cells, platform, expert, sim, seeds, cap=RETRY_CAP):
     return samples, skipped
 
 
-def build_validation_set(partition, config: PgrConfig, expert, seeds=None, cap=RETRY_CAP):
-    """Fixed per-cell validation layouts, feasibility-filtered like training."""
+def build_validation_set(partition, config: PgrConfig, expert, cap=RETRY_CAP):
+    """Fixed per-cell validation layouts, feasibility-filtered like training,
+    drawn from the stream (config.seed, 1), apart from the run's own."""
     cells = [c for c in range(partition.m) for _ in range(config.val_per_cell)]
     samples, _ = accept_cells(partition, cells, config.platform, expert, config.sim(),
-                              seeds or _SeedChain((config.seed, 1)), cap)
+                              _SeedChain((config.seed, 1)), cap)
     if not samples:
         raise ValueError("validation set is empty: no feasible layouts found")
     return [(cell, layout) for cell, layout, _ in samples]
@@ -342,10 +344,8 @@ class _Run:
 
 
 def _start(partition, policy, expert, config: PgrConfig, g_val):
-    """A run with its validation set, and its first iteration trained and scored."""
+    """A run on g_val, and its first iteration trained and scored."""
     seeds = _SeedChain(config.seed)
-    if g_val is None:
-        g_val = build_validation_set(partition, config, expert, seeds)
     run = _Run(partition, policy, expert, config, g_val, seeds)
     return run, _train_and_score(run, *initial_samples(partition, config, expert, seeds))
 
@@ -397,8 +397,8 @@ def _iterate(run: _Run, scored) -> PgrResult:
 
 
 def pgr_run(partition: GridPartition, policy, expert, config: PgrConfig,
-            g_val=None) -> PgrResult:
-    """The refinement loop.
+            g_val) -> PgrResult:
+    """The refinement loop, scored on g_val (see build_validation_set).
 
     Per iteration: collect expert rollouts on the current layout batch, train
     the policy on the accumulated dataset, score grids on the validation set,
@@ -409,7 +409,7 @@ def pgr_run(partition: GridPartition, policy, expert, config: PgrConfig,
 
 
 def pgr_pair(partition: GridPartition, policy, uniform_policy, expert, config: PgrConfig,
-             g_val=None) -> tuple[PgrResult, PgrResult]:
+             g_val) -> tuple[PgrResult, PgrResult]:
     """(guided, uniform): pgr_run with config and with beta = 1, sharing the
     first iteration's sampling, training and scoring.
 

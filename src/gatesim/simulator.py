@@ -9,15 +9,14 @@ and mean gate error summarize batches of rollouts.
 from __future__ import annotations
 
 import io
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import platform_dynamics
 from .policies import FullStateObs, MaskObs
-from .render import DEFAULT_CAMERA, PinholeCamera, camera_pose, gate_mask
+from .render import DEFAULT_CAMERA, camera_pose, gate_mask
 from .tracks import Gate, Track
 
 SUCCESS = "success"
@@ -28,6 +27,9 @@ ARENA_EXIT = "arena_exit"
 
 HISTORY_LEN = 4
 
+POS_JITTER = 0.3   # m, per axis, of a trial's start position
+YAW_JITTER = 0.1   # rad, of a trial's start yaw
+
 STATE_COLUMNS = {
     "uav": ["x", "y", "z", "yaw", "pitch"],
     "quad": ["x", "y", "z", "vx", "vy", "vz", "roll", "pitch", "yaw", "p", "q", "r"],
@@ -36,13 +38,10 @@ STATE_COLUMNS = {
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Loop timing, camera, and scoring knobs; None picks platform defaults."""
+    """Loop timing and recording; a None timeout picks the track's own."""
 
-    dt: float | None = None
     tick_hz: float = 50.0
     timeout: float | None = None
-    camera: PinholeCamera = DEFAULT_CAMERA
-    success_threshold: float | None = None
     record_trajectory: bool = True
 
     def __post_init__(self):
@@ -50,17 +49,26 @@ class SimConfig:
         # a zero or NaN tick rate cannot be turned into steps per tick
         if not (math.isfinite(self.tick_hz) and self.tick_hz > 0.0):
             raise ValueError(f"tick_hz must be finite and > 0, got {self.tick_hz!r}")
-        for name in ("dt", "timeout"):
-            value = getattr(self, name)
-            if value is not None and not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be None or finite and > 0, got {value!r}")
-        threshold = self.success_threshold
-        if threshold is not None and not (math.isfinite(threshold) and threshold >= 0.0):
-            raise ValueError(
-                f"success_threshold must be None or finite and >= 0, got {threshold!r}")
+        if self.timeout is not None and not (math.isfinite(self.timeout) and self.timeout > 0.0):
+            raise ValueError(f"timeout must be None or finite and > 0, got {self.timeout!r}")
 
     def resolve_dt(self, dynamics) -> float:
-        return self.dt if self.dt is not None else dynamics.params.dt
+        """The rollout's step: the platform's own dt."""
+        return dynamics.params.dt
+
+
+def steps_per_tick(tick_hz: float, dt: float) -> int:
+    """Dynamics steps of dt in one policy tick at tick_hz; ValueError naming
+    tick_hz unless the tick period is a whole number (>= 1) of steps."""
+    if not tick_hz > 0.0:
+        raise ValueError(f"tick_hz must be > 0, got {tick_hz!r}")
+    period = 1.0 / tick_hz
+    # an infinite rate's period is 0 steps; a subnormal rate's overflows to inf
+    steps = round(period / dt) if period < math.inf else 0
+    if steps < 1 or abs(steps * dt - period) > 1e-9:
+        raise ValueError(f"tick_hz {tick_hz!r} gives a tick period that is not a whole "
+                         f"number of {dt} s dynamics steps")
+    return steps
 
 
 @dataclass
@@ -169,28 +177,21 @@ def detect_crossing(gate: Gate, t0: float, p0: np.ndarray, t1: float, p1: np.nda
     return t_cross, p_prime, error
 
 
-def classify_crossing(error: float, gate: Gate, vehicle_half_width: float,
-                      success_threshold: float | None = None) -> str:
+def classify_crossing(error: float, gate: Gate, vehicle_half_width: float) -> str:
     """Scalar-error taxonomy: clean pass, ring strike, or flew past outside."""
-    threshold = (
-        success_threshold
-        if success_threshold is not None
-        else gate.success_threshold(vehicle_half_width)
-    )
-    if error <= threshold:
+    if error <= gate.success_threshold(vehicle_half_width):
         return SUCCESS
     if error <= gate.collision_bound(vehicle_half_width):
         return FRAME_COLLISION
     return MISS
 
 
-def jittered_initial_pose(track: Track, rng: np.random.Generator,
-                          pos_jitter: float = 0.3, yaw_jitter: float = 0.1):
+def jittered_initial_pose(track: Track, rng: np.random.Generator):
     """The track's start pose with bounded position/yaw perturbation."""
     pos, yaw = track.initial_pose()
-    pos = pos + rng.uniform(-pos_jitter, pos_jitter, size=3)
+    pos = pos + rng.uniform(-POS_JITTER, POS_JITTER, size=3)
     pos = np.clip(pos, track.arena.lo + 0.2, track.arena.hi - 0.2)
-    return pos, yaw + rng.uniform(-yaw_jitter, yaw_jitter)
+    return pos, yaw + rng.uniform(-YAW_JITTER, YAW_JITTER)
 
 
 def vehicle_camera_pose(dynamics, state: np.ndarray):
@@ -200,10 +201,10 @@ def vehicle_camera_pose(dynamics, state: np.ndarray):
     return camera_pose(dynamics.position(state), dynamics.yaw(state), pitch)
 
 
-def _observe(policy, dynamics, track, t, state, target, camera, history):
+def _observe(policy, dynamics, track, t, state, target, history):
     if policy.observes == "mask":
         pose = vehicle_camera_pose(dynamics, state)
-        mask = gate_mask(list(track.gates), camera, pose, t=t)
+        mask = gate_mask(list(track.gates), DEFAULT_CAMERA, pose, t=t)
         return MaskObs(mask, history.copy())
     return FullStateObs(t, state.copy(), track.gates, target)
 
@@ -237,11 +238,8 @@ def rollout(
         )
     config = config or SimConfig()
     dynamics = platform_dynamics(track.platform)
-    dt = config.resolve_dt(dynamics)
-    tick_period = 1.0 / config.tick_hz
-    steps_per_tick = max(1, round(tick_period / dt))
-    if abs(steps_per_tick * dt - tick_period) > 1e-9:
-        raise ValueError(f"tick rate {config.tick_hz} Hz is not a multiple of dt {dt}")
+    dt = dynamics.params.dt
+    n_steps = steps_per_tick(config.tick_hz, dt)
     timeout = config.timeout if config.timeout is not None else track.timeout()
 
     if init_state is None:
@@ -277,14 +275,14 @@ def rollout(
     plane = _static_plane(gates[0])
 
     while terminal is None:
-        obs = _observe(policy, dynamics, track, t, state, target, config.camera, history)
+        obs = _observe(policy, dynamics, track, t, state, target, history)
         control = np.array(policy.evaluate(obs), dtype=np.float64)
         if observer is not None:
             observer(t, state, target, history, control)
         if keep_history:
             history = np.concatenate((history[1:], control[None]))
 
-        for _ in range(steps_per_tick):
+        for _ in range(n_steps):
             prev, state = state, dynamics.step(state, control, dt)
             t_new = t + dt
             x, y, z = state[:3].tolist()
@@ -300,10 +298,8 @@ def rollout(
                     while d0 < 0.0 <= d1:
                         t_cross, p_prime, error = detect_crossing(
                             gates[target], t, p0, t_new, p1)
-                        outcome = classify_crossing(
-                            error, gates[target], track.vehicle_half_width,
-                            config.success_threshold,
-                        )
+                        outcome = classify_crossing(error, gates[target],
+                                                    track.vehicle_half_width)
                         records[target] = GateRecord(
                             target, outcome, True, t_cross, p_prime, error)
                         if outcome == FRAME_COLLISION:
@@ -389,12 +385,3 @@ def events_csv(rollouts) -> str:
             err = repr(float(g.error)) if g.error is not None else ""
             out.write(f"{ri},{g.index},{g.outcome},{t_c},{err}\n")
     return out.getvalue()
-
-
-def summary_json(rollouts, extra: dict | None = None) -> str:
-    m = metrics(rollouts)
-    payload = dict(m)
-    payload["terminals"] = sorted(r.terminal for r in rollouts)
-    if extra:
-        payload.update(extra)
-    return json.dumps(payload, indent=2, sort_keys=True)

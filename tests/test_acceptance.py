@@ -432,12 +432,11 @@ def test_refinement_beats_uniform_on_worst_cell(capsys):
                            initial_per_cell=1, val_per_cell=2, tick_hz=10.0, seed=master)
         g_val = build_validation_set(partition, config, expert)
 
-        def learner(tag):
+        def learner():
             return SyntheticLearner(partition, expert_policy("uav"), CONTROL_LIMITS["uav"],
-                                    n0=2.0, seed=(master, tag))
+                                    n0=2.0)
 
-        guided, uniform = pgr_pair(partition, learner(0), learner(1), expert, config,
-                                   g_val=g_val)
+        guided, uniform = pgr_pair(partition, learner(), learner(), expert, config, g_val)
         worst_g.append(worst_grid_loss(guided.history[-1]))
         worst_u.append(worst_grid_loss(uniform.history[-1]))
         for it in (1, 2):

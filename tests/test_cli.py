@@ -190,6 +190,49 @@ def test_unknown_track_is_a_config_error(capsys):
     capsys.readouterr()
 
 
+def test_evaluate_writes_only_inside_out_for_tracks_given_by_path(tmp_path, monkeypatch, capsys):
+    # an absolute path and a nested relative one: each track's files are
+    # named by its spec's file name, so all of them land under --out
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "abs").mkdir()
+    (tmp_path / "sub" / "deep").mkdir(parents=True)
+    spec = str(tmp_path / "abs" / "mytrack.json")
+    save_track(spec, _mini_track("uav"))
+    save_track("sub/deep/other.json", _mini_track("quad"))
+    before = set(_tree(tmp_path))
+    assert main(["evaluate", "--tracks", spec, "sub/deep/other.json", "--trials", "1",
+                 "--tick-hz", "10", "--out", "out"]) == 0
+    assert set(_tree(tmp_path)) - before == {
+        "out/metrics.csv",
+        "out/summary.json",
+        "out/events/mytrack.json.csv",
+        "out/events/other.json.csv",
+        "out/trajectories/mytrack.json_00.csv",
+        "out/trajectories/other.json_00.csv",
+    }
+    # the tables still name each track by its spec
+    lines = Path("out/metrics.csv").read_text().split("\n")
+    assert lines[1].startswith(f"{spec},expert,1,")
+    assert lines[2].startswith("sub/deep/other.json,expert,1,")
+    assert set(json.loads(Path("out/summary.json").read_text())["tracks"]) == {
+        spec, "sub/deep/other.json"}
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("first,second", [("a/t.json", "b/t.json"), ("quad-turn", "x/quad-turn")])
+def test_two_tracks_with_one_file_name_are_a_config_error(tmp_path, monkeypatch, capsys,
+                                                           first, second):
+    monkeypatch.chdir(tmp_path)
+    for spec in (first, second):
+        if "/" in spec:
+            Path(spec).parent.mkdir()
+            save_track(spec, _mini_track("quad"))
+    assert main(["evaluate", "--tracks", first, second, "--trials", "1", "--out", "out"]) == 2
+    assert (f"tracks {first!r} and {second!r} would both write files named "
+            f"{Path(second).name!r}") in capsys.readouterr().err
+    assert not Path("out").exists()
+
+
 def test_repeated_track_is_a_config_error(tmp_path, capsys):
     # outputs are keyed by track name, so a second run would overwrite the first
     out = tmp_path / "out"
@@ -421,6 +464,12 @@ def test_pgr_config_json_reproduces_its_hash(tmp_path, capsys):
     ({"n0": float("inf")}, "n0 must be a finite number > 0, got inf"),
     ({"n0": 0}, "n0 must be a finite number > 0, got 0.0"),
     ({"n0": -1.0}, "n0 must be a finite number > 0, got -1.0"),
+    # JSON's Infinity parses to inf; 30 Hz is no whole number of either platform's steps
+    ({"tick_hz": float("inf")},
+     "tick_hz inf gives a tick period that is not a whole number of 0.02 s dynamics steps"),
+    ({"tick_hz": 30}, "tick_hz 30.0 gives a tick period that is not a whole number of 0.02 s"),
+    ({"platform": "quad", "tick_hz": 30},
+     "tick_hz 30.0 gives a tick period that is not a whole number of 0.01 s"),
 ])
 def test_pgr_config_bad_values_are_config_errors(tmp_path, capsys, extra, message):
     cfg = _pgr_config(tmp_path, **extra)
@@ -795,7 +844,7 @@ def test_config_hash_properties():
 
 def test_make_policy():
     assert make_policy("classical", "quad").__class__ is MaskCentroidPolicy
-    assert isinstance(make_policy("classical-noisy", "quad", seed=3), NoisyMaskPolicy)
+    assert isinstance(make_policy("classical-noisy", "quad"), NoisyMaskPolicy)
     with pytest.raises(ValueError):
         make_policy("classical", "uav")
     with pytest.raises(ValueError):

@@ -519,12 +519,25 @@ def test_noisy_mask_policy_reproducible():
     obs = MaskObs(mask, np.zeros((4, 4)))
 
     def run(seed):
-        policy = NoisyMaskPolicy(MaskCentroidPolicy(), NoiseParams(), seed=seed)
+        policy = NoisyMaskPolicy(MaskCentroidPolicy(), NoiseParams())
         policy.reset(np.random.default_rng(seed))
         return np.stack([policy.evaluate(obs) for _ in range(5)])
 
     np.testing.assert_array_equal(run(5), run(5))
     assert not np.array_equal(run(5), run(6))
+
+
+def test_noisy_mask_policy_starts_from_the_rollout_default_stream():
+    # rollout resets a policy with default_rng(0) when given no rng; an
+    # unreset policy draws that same stream
+    mask = _rect_mask()
+    obs = MaskObs(mask, np.zeros((4, 4)))
+    fresh = NoisyMaskPolicy(MaskCentroidPolicy(), NoiseParams())
+    reset = NoisyMaskPolicy(MaskCentroidPolicy(), NoiseParams())
+    reset.reset(np.random.default_rng(0))
+    for _ in range(3):
+        assert fresh.evaluate(obs).tobytes() == reset.evaluate(obs).tobytes()
+    assert fresh._rng.bit_generator.state == reset._rng.bit_generator.state
 
 
 def _reference_blobs(out, params, rng):
@@ -657,7 +670,7 @@ def test_learner_sigma_schedule():
 
 def test_learner_noise_matches_sigma():
     part = _unit_partition()
-    learner = SyntheticLearner(part, expert_policy("uav"), CONTROL_LIMITS["uav"], n0=20.0, seed=11)
+    learner = SyntheticLearner(part, expert_policy("uav"), CONTROL_LIMITS["uav"], n0=20.0)
     gate = _gate((0.25, 0.25, 0.25), yaw=0.25)
     obs = FullStateObs(0.0, np.array([0.0, 0.0, 0.25, 0.0, 0.0]), (gate,), 0)
     clean = expert_uav_control(obs)
@@ -675,7 +688,7 @@ def test_learner_noise_matches_sigma():
 
 def test_learner_reset_reproducible():
     part = _unit_partition()
-    learner = SyntheticLearner(part, expert_policy("quad"), CONTROL_LIMITS["quad"], seed=4)
+    learner = SyntheticLearner(part, expert_policy("quad"), CONTROL_LIMITS["quad"])
     gate = _gate((0.25, 0.25, 0.25), yaw=0.25, platform="quad")
     obs = FullStateObs(0.0, np.zeros(12), (gate,), 0)
     learner.reset(np.random.default_rng(77))
@@ -683,6 +696,17 @@ def test_learner_reset_reproducible():
     learner.reset(np.random.default_rng(77))
     b = np.stack([learner.evaluate(obs) for _ in range(3)])
     np.testing.assert_array_equal(a, b)
+
+
+def test_learner_starts_from_the_rollout_default_stream():
+    part = _unit_partition()
+    gate = _gate((0.25, 0.25, 0.25), yaw=0.25)
+    obs = FullStateObs(0.0, np.array([0.0, 0.0, 0.25, 0.0, 0.0]), (gate,), 0)
+    fresh, reset = (SyntheticLearner(part, expert_policy("uav"), CONTROL_LIMITS["uav"])
+                    for _ in range(2))
+    reset.reset(np.random.default_rng(0))
+    for _ in range(3):
+        assert fresh.evaluate(obs).tobytes() == reset.evaluate(obs).tobytes()
 
 
 class _UncachedLearner(SyntheticLearner):

@@ -398,6 +398,20 @@ def test_pgr_config_rejects_non_positive_tick_rate(tick_hz):
         PgrConfig(tick_hz=tick_hz)
 
 
+@pytest.mark.parametrize("platform,tick_hz", [("uav", float("inf")), ("uav", 30), ("uav", 100),
+                                              ("quad", 30), ("quad", 1000)])
+def test_pgr_config_rejects_a_tick_rate_its_rollouts_refuse(platform, tick_hz):
+    # the check the first rollout would make, at construction
+    with pytest.raises(ValueError, match=f"tick_hz {float(tick_hz)!r} gives a tick period"):
+        PgrConfig(platform=platform, tick_hz=tick_hz)
+
+
+@pytest.mark.parametrize("platform,tick_hz", [("uav", 50), ("uav", 10), ("uav", 0.5),
+                                              ("quad", 100), ("quad", 25)])
+def test_pgr_config_accepts_a_tick_rate_its_rollouts_run(platform, tick_hz):
+    assert PgrConfig(platform=platform, tick_hz=tick_hz).tick_hz == tick_hz
+
+
 # ---------------------------------------------------------------------------
 # the loop
 # ---------------------------------------------------------------------------
@@ -406,11 +420,10 @@ def test_pgr_config_rejects_non_positive_tick_rate(tick_hz):
 def _run_once(seed=123, beta=0.05):
     part = _friendly_partition()
     expert = expert_policy("uav")
-    learner = SyntheticLearner(part, expert_policy("uav"), CONTROL_LIMITS["uav"],
-                               n0=2.0, seed=(seed, 0))
+    learner = SyntheticLearner(part, expert_policy("uav"), CONTROL_LIMITS["uav"], n0=2.0)
     config = PgrConfig(platform="uav", iterations=2, beta=beta, initial_per_cell=1,
                        val_per_cell=1, tick_hz=10.0, seed=seed)
-    return pgr_run(part, learner, expert, config)
+    return pgr_run(part, learner, expert, config, build_validation_set(part, config, expert))
 
 
 def test_pgr_run_structure():
@@ -453,13 +466,12 @@ def test_pgr_run_shared_validation_set():
     config = PgrConfig(platform="uav", iterations=1, initial_per_cell=1,
                        val_per_cell=1, tick_hz=10.0, seed=5)
     g_val = build_validation_set(part, config, expert)
-    learner = SyntheticLearner(part, expert_policy("uav"), CONTROL_LIMITS["uav"],
-                               n0=2.0, seed=(5, 0))
+    learner = SyntheticLearner(part, expert_policy("uav"), CONTROL_LIMITS["uav"], n0=2.0)
     result = pgr_run(part, learner, expert, config, g_val=g_val)
     assert result.g_val is g_val
     guided, uniform = pgr_pair(
-        part, *(SyntheticLearner(part, expert_policy("uav"), CONTROL_LIMITS["uav"], n0=2.0,
-                                 seed=(5, tag)) for tag in (0, 1)),
+        part, *(SyntheticLearner(part, expert_policy("uav"), CONTROL_LIMITS["uav"], n0=2.0)
+                for _ in range(2)),
         expert, config, g_val=g_val)
     assert guided.g_val is g_val and uniform.g_val is g_val
 
@@ -497,13 +509,13 @@ def test_pgr_pair_equals_two_independent_runs(seed, beta, iterations):
     config = PgrConfig(platform="uav", iterations=iterations, beta=beta, initial_per_cell=1,
                        val_per_cell=1, tick_hz=10.0, seed=seed)
 
-    def learner(tag):
-        return SyntheticLearner(part, expert_policy("uav"), CONTROL_LIMITS["uav"],
-                                n0=2.0, seed=(seed, tag))
+    def learner():
+        return SyntheticLearner(part, expert_policy("uav"), CONTROL_LIMITS["uav"], n0=2.0)
 
-    guided, uniform = pgr_pair(part, learner(0), learner(1), expert, config)
-    _same_result(guided, pgr_run(part, learner(0), expert, config))
-    _same_result(uniform, pgr_run(part, learner(1), expert, replace(config, beta=1.0)))
+    g_val = build_validation_set(part, config, expert)
+    guided, uniform = pgr_pair(part, learner(), learner(), expert, config, g_val)
+    _same_result(guided, pgr_run(part, learner(), expert, config, g_val))
+    _same_result(uniform, pgr_run(part, learner(), expert, replace(config, beta=1.0), g_val))
     # the runs fork after the first scoring: their histories share no array
     for a in _arrays(guided):
         for b in _arrays(uniform):

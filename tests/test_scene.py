@@ -1,5 +1,9 @@
 """Scene storage, validation, selection semantics, PLY I/O, world alignment."""
 
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -264,6 +268,68 @@ def test_objects_json_text_round_trip(rng):
     other = random_scene(rng, 6)
     load_objects_json(other, text)
     np.testing.assert_array_equal(other.objects["x"], [1, 3])
+
+
+def _signed_zero_scene(n, seed, zeros, objects):
+    """A valid random scene of n gaussians with about a `zeros` fraction of
+    its means, colors, opacities and quaternion entries set to 0.0 or -0.0,
+    and the object index sets as given (kept in range, order and repeats
+    untouched)."""
+    rng = np.random.default_rng(seed)
+    scene = random_scene(rng, n)
+    q = with_signed_zeros(rng, scene.rotations, zeros)
+    q[~q.any(axis=1), 0] = 1.0   # an all-zero row is no rotation
+    return GaussianScene(
+        with_signed_zeros(rng, scene.means, zeros),
+        q / np.linalg.norm(q, axis=1, keepdims=True),
+        scene.scales,
+        with_signed_zeros(rng, scene.colors, zeros),
+        with_signed_zeros(rng, scene.opacities, zeros),
+        {name: [i for i in idx if i < n] for name, idx in objects.items()},
+    )
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 20), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.3, 1.0]),
+       st.booleans(),
+       st.dictionaries(st.text("abz_-", min_size=1, max_size=5),
+                       st.lists(st.integers(0, 19), max_size=12), max_size=3))
+def test_ply_and_objects_json_round_trip_as_bytes(n, seed, zeros, ascii_format, objects):
+    """write_scene, read_scene, write_scene, in binary or ASCII PLY.
+
+    The contract: every float comes back bit for bit, signed zeros included,
+    in either format, and the second PLY equals the first as bytes. Object
+    index sets come back through np.unique: sorted and without repeats
+    however they were given, as int64. So the second .objects.json is the
+    first with each set normalized, and a further round trip changes nothing.
+    """
+    scene = _signed_zero_scene(n, seed, zeros, objects)
+    normalized = {name: np.unique(np.asarray(idx, dtype=np.int64)).tolist()
+                  for name, idx in scene.objects.items()}
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp, f"{k}.ply") for k in "abc"]
+        sidecars = [p.with_suffix(".objects.json") for p in paths]
+        write_scene(paths[0], scene, ascii_format=ascii_format)
+        back = read_scene(paths[0])
+        write_scene(paths[1], back, ascii_format=ascii_format)
+        write_scene(paths[2], read_scene(paths[1]), ascii_format=ascii_format)
+
+        assert paths[1].read_bytes() == paths[0].read_bytes()
+        for name in ("means", "rotations", "scales", "colors", "opacities"):
+            assert getattr(back, name).tobytes() == getattr(scene, name).tobytes(), name
+        # either format reads back what the other would have written
+        assert save_scene(back, not ascii_format) == save_scene(scene, not ascii_format)
+
+        assert {k: (v.dtype, v.tolist()) for k, v in back.objects.items()} == \
+            {k: (np.dtype(np.int64), v) for k, v in normalized.items()}
+        if objects:
+            assert sidecars[1].read_text() == json.dumps(normalized, indent=2,
+                                                         sort_keys=True) + "\n"
+            assert sidecars[2].read_bytes() == sidecars[1].read_bytes()
+            if all(v.tolist() == normalized[k] for k, v in scene.objects.items()):
+                assert sidecars[1].read_bytes() == sidecars[0].read_bytes()
+        else:
+            assert not any(p.exists() for p in sidecars)
 
 
 def test_align_to_world_identity(rng):

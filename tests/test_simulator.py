@@ -3,7 +3,6 @@ output formats."""
 
 import csv
 import io
-import json
 import math
 
 import numpy as np
@@ -32,7 +31,7 @@ from gatesim.simulator import (
     metrics,
     rollout,
     signed_gate_distance,
-    summary_json,
+    steps_per_tick,
     trajectory_csv,
 )
 from gatesim.tracks import ARENAS, GATE_GEOMETRY, Gate, Track, reference_track
@@ -142,13 +141,6 @@ def test_classify_crossing_quad_taxonomy():
     assert classify_crossing(0.58, g, vhw) == FRAME_COLLISION
 
 
-def test_classify_crossing_override_threshold():
-    g = _gate((0, 0, 2))
-    vhw = GATE_GEOMETRY["uav"]["vehicle_half_width"]
-    assert classify_crossing(0.9, g, vhw) == FRAME_COLLISION
-    assert classify_crossing(0.9, g, vhw, success_threshold=1.0) == SUCCESS
-
-
 def test_jittered_initial_pose_bounds(rng):
     track = _track([(0.0, 0.0, 2.0)])
     base_pos, base_yaw = track.initial_pose()
@@ -234,17 +226,6 @@ def test_rollout_coincident_gates_in_one_step():
     assert roll.terminal == SUCCESS
     assert roll.all_success
     assert roll.gates[0].t_cross == roll.gates[1].t_cross
-
-
-def test_rollout_success_threshold_override():
-    # an offset start leaves a small residual crossing error; an absurdly
-    # tight threshold reclassifies that pass as a ring strike
-    track = _track([(0.0, 0.0, 2.0)])
-    init = np.array([-6.0, 0.8, 2.3, 0.0, 0.0])
-    loose = rollout(ExpertUavPolicy(), track, init_state=init)
-    assert loose.terminal == SUCCESS
-    tight = rollout(ExpertUavPolicy(), track, SimConfig(success_threshold=1e-9), init_state=init)
-    assert tight.terminal == FRAME_COLLISION
 
 
 def _rollout_counting_crossings(policy, track, init_state):
@@ -356,8 +337,28 @@ def test_rollout_platform_mismatch():
 
 def test_rollout_tick_rate_must_divide_dt():
     track = _track([(0.0, 0.0, 2.0)])
-    with pytest.raises(ValueError):
-        rollout(ExpertUavPolicy(), track, SimConfig(dt=0.02, tick_hz=30.0))
+    with pytest.raises(ValueError, match="tick_hz 30.0 gives a tick period"):
+        rollout(ExpertUavPolicy(), track, SimConfig(tick_hz=30.0))
+
+
+@pytest.mark.parametrize("tick_hz,dt,steps", [(50.0, 0.02, 1), (10.0, 0.02, 5), (10.0, 0.01, 10),
+                                              (0.5, 0.01, 200), (25.0, 0.01, 4)])
+def test_steps_per_tick(tick_hz, dt, steps):
+    assert steps_per_tick(tick_hz, dt) == steps
+
+
+@pytest.mark.parametrize("tick_hz", [30.0, 100.0, 1e9, math.inf, 5e-324, 1e-309])
+def test_steps_per_tick_refuses_a_period_that_is_not_whole_steps(tick_hz):
+    # a fraction of a step, a period shorter than one step (0 for an
+    # infinite rate), or a subnormal rate whose period overflows to inf
+    with pytest.raises(ValueError, match=f"tick_hz {tick_hz!r} gives a tick period"):
+        steps_per_tick(tick_hz, 0.02)
+
+
+@pytest.mark.parametrize("tick_hz", [0.0, -1.0, math.nan])
+def test_steps_per_tick_refuses_a_rate_that_is_not_positive(tick_hz):
+    with pytest.raises(ValueError, match="tick_hz must be > 0, got"):
+        steps_per_tick(tick_hz, 0.02)
 
 
 def test_rollout_without_recording():
@@ -562,17 +563,10 @@ def test_static_plane_side_is_the_float_sum_away_from_the_plane():
         (dict(tick_hz=-50.0), "tick_hz"),
         (dict(tick_hz=math.nan), "tick_hz"),
         (dict(tick_hz=math.inf), "tick_hz"),
-        (dict(dt=0.0), "dt"),
-        (dict(dt=-0.02), "dt"),
-        (dict(dt=math.nan), "dt"),
-        (dict(dt=math.inf), "dt"),
         (dict(timeout=0.0), "timeout"),
         (dict(timeout=-1.0), "timeout"),
         (dict(timeout=math.nan), "timeout"),
         (dict(timeout=math.inf), "timeout"),
-        (dict(success_threshold=-0.1), "success_threshold"),
-        (dict(success_threshold=math.nan), "success_threshold"),
-        (dict(success_threshold=math.inf), "success_threshold"),
     ],
 )
 def test_sim_config_refuses_values_that_break_a_rollout(kwargs, name):
@@ -582,8 +576,8 @@ def test_sim_config_refuses_values_that_break_a_rollout(kwargs, name):
 
 
 def test_sim_config_accepts_its_edge_values():
-    SimConfig(dt=1e-6, tick_hz=1e-3, timeout=1e-9, success_threshold=0.0)
-    SimConfig(dt=None, timeout=None, success_threshold=None)
+    SimConfig(tick_hz=1e-3, timeout=1e-9)
+    SimConfig(timeout=None)
 
 
 @pytest.mark.parametrize("platform,shape", [("uav", (3,)), ("uav", (12,)), ("quad", (5,)),
@@ -659,19 +653,3 @@ def test_events_csv_format():
     assert lines[0] == "rollout,gate_idx,outcome,t_cross,error"
     assert lines[1] == "0,0,success,0.0,0.125"
     assert lines[2] == "0,1,timeout,,"
-
-
-def test_summary_json_content():
-    r1 = _fake_rollout([(SUCCESS, 0.1)])
-    r2 = _fake_rollout([(MISS, 2.0)], terminal=TIMEOUT)
-    payload = json.loads(summary_json([r1, r2], extra={"note": "x"}))
-    assert payload["sr"] == 0.5
-    assert payload["terminals"] == ["success", "timeout"]
-    assert payload["note"] == "x"
-    # keys are emitted sorted, so the text is deterministic
-    assert summary_json([r1, r2]) == summary_json([r1, r2])
-
-
-def test_summary_json_null_mge():
-    payload = json.loads(summary_json([_fake_rollout([(TIMEOUT, None)], terminal=TIMEOUT)]))
-    assert payload["mge"] is None
