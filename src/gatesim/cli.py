@@ -25,10 +25,8 @@ import numpy as np
 from .dynamics import platform_dynamics
 from .edits import apply_edit_script
 from .policies import (
-    CONTROL_LIMITS,
     FullStateObs,
     MaskCentroidPolicy,
-    NoiseParams,
     NoisyMaskPolicy,
     SyntheticLearner,
     ZeroPolicy,
@@ -62,7 +60,8 @@ from .tracks import (
     track_splats,
 )
 
-POLICY_NAMES = ("expert", "classical", "classical-noisy", "zero")
+MASK_POLICIES = ("classical", "classical-noisy")   # they fly only the quad
+POLICY_NAMES = ("expert", *MASK_POLICIES, "zero")
 MAX_FRAME_SIDE = 4096        # px; render refuses a wider or taller frame
 
 
@@ -76,22 +75,23 @@ def make_policy(name: str, platform: str):
         return expert_policy(platform)
     if name == "zero":
         return ZeroPolicy(platform)
-    if name in ("classical", "classical-noisy"):
+    if name in MASK_POLICIES:
         if platform != "quad":
             raise ValueError(f"mask policies fly the quad platform, not {platform!r}")
         inner = MaskCentroidPolicy()
         if name == "classical":
             return inner
-        return NoisyMaskPolicy(inner, NoiseParams())
+        return NoisyMaskPolicy(inner)
     raise ValueError(f"unknown policy {name!r}; choose from {POLICY_NAMES}")
 
 
 def resolve_track(spec: str):
-    """A bundled track name, or a path to a track JSON file."""
+    """A bundled track name, or a path to a track JSON file; a directory,
+    or "" (which names "."), is neither."""
     if spec in reference_track_names():
         return reference_track(spec)
     path = Path(spec)
-    if path.exists():
+    if path.is_file():
         return load_track(path)
     raise ValueError(
         f"no track named {spec!r}; bundled tracks: {', '.join(reference_track_names())}"
@@ -196,7 +196,7 @@ def cmd_evaluate(args) -> int:
 
     # mask policies fly only quad tracks; the stream is the index among all named tracks
     flown = [(idx, name, track) for idx, (name, track) in enumerate(tracks)
-             if args.policy not in ("classical", "classical-noisy") or track.platform == "quad"]
+             if args.policy not in MASK_POLICIES or track.platform == "quad"]
     if not flown:
         raise ValueError(f"policy {args.policy!r} matched no requested track")
     results = run_trials([(idx, track, None) for idx, _, track in flown], args.policy,
@@ -360,8 +360,7 @@ def cmd_pgr(args) -> int:
 
     def fresh_learner():
         # its noise stream is the rng each rollout resets it with
-        return SyntheticLearner(partition, expert_policy(platform), CONTROL_LIMITS[platform],
-                                n0=config.n0)
+        return SyntheticLearner(partition, expert_policy(platform), n0=config.n0)
 
     print(f"building validation set ({partition.m} cells) ...")
     g_val = build_validation_set(partition, config, expert)

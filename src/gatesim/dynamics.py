@@ -9,7 +9,6 @@ identical inputs give bit-identical outputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,15 +26,15 @@ def _floats(arr, what: str) -> list:
     return values
 
 
-@dataclass(frozen=True)
 class UavParams:
-    """Fixed-wing rate-command model limits; airspeed is constant."""
+    """Fixed-wing rate-command model constants; airspeed is constant. Read as
+    UavParams.<name> or dyn.params.<name>; nothing sets them."""
 
-    speed: float = 7.0            # m/s
-    theta_max: float = 0.4        # rad, pitch clamp
-    yaw_rate_max: float = 1.5     # rad/s
-    pitch_rate_max: float = 1.0   # rad/s
-    dt: float = 0.02              # s
+    speed = 7.0            # m/s
+    theta_max = 0.4        # rad, pitch clamp
+    yaw_rate_max = 1.5     # rad/s
+    pitch_rate_max = 1.0   # rad/s
+    dt = 0.02              # s
 
 
 class UavDynamics:
@@ -49,15 +48,14 @@ class UavDynamics:
     """
 
     platform = "uav"
-    state_dim = 5
+    state_columns = ("x", "y", "z", "yaw", "pitch")
+    state_dim = len(state_columns)
     control_dim = 2
+    params = UavParams
 
-    def __init__(self, params: UavParams | None = None):
-        self.params = params or UavParams()
-
-    def initial_state(self, position, yaw: float, pitch: float = 0.0) -> np.ndarray:
+    def initial_state(self, position, yaw: float) -> np.ndarray:
         p = np.asarray(position, dtype=np.float64)
-        return np.array([p[0], p[1], p[2], wrap_angle(yaw), pitch])
+        return np.array([p[0], p[1], p[2], wrap_angle(yaw), 0.0])
 
     def position(self, state: np.ndarray) -> np.ndarray:
         return state[:3]
@@ -66,13 +64,13 @@ class UavDynamics:
         return float(state[3])
 
     def velocity(self, state: np.ndarray) -> np.ndarray:
-        v, psi, th = self.params.speed, state[3], state[4]
+        v, psi, th = UavParams.speed, state[3], state[4]
         return np.array(
             [v * math.cos(psi) * math.cos(th), v * math.sin(psi) * math.cos(th), v * math.sin(th)]
         )
 
     def clamp_control(self, control) -> tuple[float, float]:
-        p = self.params
+        p = UavParams
         u_psi = min(max(float(control[0]), -p.yaw_rate_max), p.yaw_rate_max)
         u_th = min(max(float(control[1]), -p.pitch_rate_max), p.pitch_rate_max)
         return u_psi, u_th
@@ -81,7 +79,7 @@ class UavDynamics:
         """One RK4 step, its four stages inline on floats. The rates read only
         yaw and pitch, so the stage positions are never formed; the pitch
         rate is zeroed while it pushes past the pin."""
-        p = self.params
+        p = UavParams
         dt = p.dt if dt is None else dt
         if not 0.0 < dt <= 0.1:
             raise ValueError(f"uav dt must be in (0, 0.1], got {dt}")
@@ -121,16 +119,16 @@ class UavDynamics:
         )
 
 
-@dataclass(frozen=True)
 class QuadParams:
-    """Quadrotor inner-loop constants for the velocity/yaw-rate interface."""
+    """Quadrotor inner-loop constants for the velocity/yaw-rate interface.
+    Read as QuadParams.<name> or dyn.params.<name>; nothing sets them."""
 
-    tau_v: float = 0.3        # s, velocity loop time constant
-    tau_att: float = 0.08     # s, attitude/yaw-rate loop time constant
-    tilt_max: float = 0.5     # rad, commanded roll/pitch clamp
-    v_cmd_max: float = 2.0    # m/s, command norm limit
-    yaw_rate_max: float = 1.5  # rad/s
-    dt: float = 0.01          # s
+    tau_v = 0.3            # s, velocity loop time constant
+    tau_att = 0.08         # s, attitude/yaw-rate loop time constant
+    tilt_max = 0.5         # rad, commanded roll/pitch clamp
+    v_cmd_max = 2.0        # m/s, command norm limit
+    yaw_rate_max = 1.5     # rad/s
+    dt = 0.01              # s
 
 
 class QuadDynamics:
@@ -146,11 +144,10 @@ class QuadDynamics:
     """
 
     platform = "quad"
-    state_dim = 12
+    state_columns = ("x", "y", "z", "vx", "vy", "vz", "roll", "pitch", "yaw", "p", "q", "r")
+    state_dim = len(state_columns)
     control_dim = 4
-
-    def __init__(self, params: QuadParams | None = None):
-        self.params = params or QuadParams()
+    params = QuadParams
 
     def initial_state(self, position, yaw: float) -> np.ndarray:
         s = np.zeros(12)
@@ -168,7 +165,7 @@ class QuadDynamics:
         return state[3:6]
 
     def clamp_control(self, control):
-        p = self.params
+        p = QuadParams
         vx, vy, vz, r = (float(v) for v in control)
         norm = math.sqrt(vx * vx + vy * vy + vz * vz)
         if norm > p.v_cmd_max:
@@ -183,7 +180,7 @@ class QuadDynamics:
         rate as the body rate r, and body rates that converge to the
         euler-rate map's targets."""
         vx, vy, vz, roll, pitch, yaw, pb, qb, rb = s
-        p = self.params
+        p = QuadParams
         tau_v, tau_att, tilt = p.tau_v, p.tau_att, p.tilt_max
         cy, sy = math.cos(yaw), math.sin(yaw)
         ax = (cy * vx_c - sy * vy_c - vx) / tau_v
@@ -204,8 +201,7 @@ class QuadDynamics:
         """One RK4 step on floats. The rates read no position, so only the
         other nine entries form stages, and a stage's position rate is its
         velocity."""
-        p = self.params
-        dt = p.dt if dt is None else dt
+        dt = QuadParams.dt if dt is None else dt
         if not 0.0 < dt <= 0.05:
             raise ValueError(f"quad dt must be in (0, 0.05], got {dt}")
         x, y, z, *s1 = _floats(state, "quad state")
@@ -225,10 +221,17 @@ class QuadDynamics:
         return np.array(out)
 
 
-def platform_dynamics(platform: str, params=None):
+PLATFORMS = {"uav": UavDynamics, "quad": QuadDynamics}
+
+
+def check_platform(platform: str) -> str:
+    """platform itself; ValueError naming the accepted platforms unless it is one."""
+    if platform not in PLATFORMS:
+        raise ValueError(f"unknown platform {platform!r}; "
+                         f"accepted: {', '.join(sorted(PLATFORMS))}")
+    return platform
+
+
+def platform_dynamics(platform: str):
     """Dynamics factory keyed by platform name."""
-    if platform == "uav":
-        return UavDynamics(params)
-    if platform == "quad":
-        return QuadDynamics(params)
-    raise ValueError(f"unknown platform: {platform!r}")
+    return PLATFORMS[check_platform(platform)]()

@@ -14,13 +14,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import QuadParams, UavParams, check_platform, platform_dynamics
 from .geometry import wrap_angle
 from .render import DEFAULT_CAMERA
-from .tracks import Gate
+from .tracks import NOMINAL_SPEED, Gate
 
 AIM_STANDOFF = 1.0   # m before/behind the gate plane the experts steer for
 VELOCITY_STEP = 0.05   # s, half-width of gate_velocity's central difference
 SIGMA_SCALE = 0.4    # the learner's sigma0, as a fraction of each control saturation
+QUAD_CRUISE_SPEED = NOMINAL_SPEED["quad"]   # m/s, the quad policies' forward command
+# gains: the uav expert's rate per rad of bearing (yaw) and elevation (pitch)
+# error; the quad expert's speed per m of carrot offset and yaw rate per rad of
+# gate yaw error; the mask controller's command per frame width (height, for
+# k_z) of centroid offset
+UAV_K_YAW, UAV_K_PITCH = 2.0, 2.0
+QUAD_K_Y, QUAD_K_Z, QUAD_K_YAW = 1.2, 1.2, 0.8
+MASK_K_Y, MASK_K_Z, MASK_K_YAW = 0.4, 2.0, 2.5
 
 
 @dataclass
@@ -96,78 +105,63 @@ def gate_velocity(gate: Gate, t: float) -> np.ndarray:
     )
 
 
-def expert_uav_control(
-    obs: FullStateObs, k_yaw: float = 2.0, k_pitch: float = 2.0
-) -> np.ndarray:
+def expert_uav_control(obs: FullStateObs) -> np.ndarray:
     """Proportional guidance to the carrot: rate commands from bearing errors."""
     gate = _target_gate(obs)
     x, y, z, psi, theta = obs.state[:5].tolist()
     pos = np.array([x, y, z])
-    aim, _, _, _ = _aim_point(gate, obs.t, pos, 7.0)
+    aim, _, _, _ = _aim_point(gate, obs.t, pos, UavParams.speed)
     rx, ry, rz = (aim - pos).tolist()
     bearing = math.atan2(ry, rx)
     elevation = math.atan2(rz, math.hypot(rx, ry))
-    u_psi = k_yaw * wrap_angle(bearing - psi)
-    u_theta = k_pitch * (elevation - theta)
+    u_psi = UAV_K_YAW * wrap_angle(bearing - psi)
+    u_theta = UAV_K_PITCH * (elevation - theta)
     return np.array([u_psi, u_theta])
 
 
-def expert_quad_control(
-    obs: FullStateObs,
-    k_y: float = 1.2,
-    k_z: float = 1.2,
-    k_yaw: float = 0.8,
-    forward_speed: float = 1.0,
-) -> np.ndarray:
+def expert_quad_control(obs: FullStateObs) -> np.ndarray:
     """Constant forward speed; lateral/vertical offsets of the carrot drive
     vy/vz (plus the known gate velocity as feedforward); yaw aligns with the
     gate normal."""
     gate = _target_gate(obs)
     pos = np.asarray(obs.state[:3], dtype=np.float64)
     psi = float(obs.state[8])
-    aim, _, gate_yaw, t_hit = _aim_point(gate, obs.t, pos, forward_speed)
+    aim, _, gate_yaw, t_hit = _aim_point(gate, obs.t, pos, QUAD_CRUISE_SPEED)
     rel = aim - pos
     left = np.array([-math.sin(psi), math.cos(psi), 0.0])
     ff = gate_velocity(gate, t_hit) if gate.moving else np.zeros(3)
-    vy = k_y * float(rel @ left) + float(ff @ left)
-    vz = k_z * float(rel[2]) + float(ff[2])
-    r = k_yaw * wrap_angle(gate_yaw - psi)
-    return np.array([forward_speed, vy, vz, r])
+    vy = QUAD_K_Y * float(rel @ left) + float(ff @ left)
+    vz = QUAD_K_Z * float(rel[2]) + float(ff[2])
+    r = QUAD_K_YAW * wrap_angle(gate_yaw - psi)
+    return np.array([QUAD_CRUISE_SPEED, vy, vz, r])
 
 
 class ExpertUavPolicy(Policy):
     platform = "uav"
     observes = "full_state"
 
-    def __init__(self, k_yaw: float = 2.0, k_pitch: float = 2.0):
-        self.k_yaw = k_yaw
-        self.k_pitch = k_pitch
-
     def evaluate(self, obs: FullStateObs) -> np.ndarray:
-        return expert_uav_control(obs, self.k_yaw, self.k_pitch)
+        return expert_uav_control(obs)
 
 
 class ExpertQuadPolicy(Policy):
     platform = "quad"
     observes = "full_state"
 
-    def __init__(self, k_y: float = 1.2, k_z: float = 1.2, k_yaw: float = 0.8):
-        self.k_y = k_y
-        self.k_z = k_z
-        self.k_yaw = k_yaw
-
     def evaluate(self, obs: FullStateObs) -> np.ndarray:
-        return expert_quad_control(obs, self.k_y, self.k_z, self.k_yaw)
+        return expert_quad_control(obs)
 
 
 def expert_policy(platform: str) -> Policy:
-    return ExpertUavPolicy() if platform == "uav" else ExpertQuadPolicy()
+    """The full-state expert of a platform; ValueError for an unknown one."""
+    return {"uav": ExpertUavPolicy, "quad": ExpertQuadPolicy}[check_platform(platform)]()
 
 
-# per-channel command saturations, used for noise scaling and as a reference
+# per-channel command saturations, for noise scaling: the steppers' clamp
+# bounds, with the quad's command norm limit bounding each velocity channel
 CONTROL_LIMITS = {
-    "uav": np.array([1.5, 1.0]),
-    "quad": np.array([2.0, 2.0, 2.0, 1.5]),
+    "uav": np.array([UavParams.yaw_rate_max, UavParams.pitch_rate_max]),
+    "quad": np.array([*[QuadParams.v_cmd_max] * 3, QuadParams.yaw_rate_max]),
 }
 
 
@@ -178,7 +172,7 @@ class ZeroPolicy(Policy):
 
     def __init__(self, platform: str):
         self.platform = platform
-        self._dim = len(CONTROL_LIMITS[platform])
+        self._dim = platform_dynamics(platform).control_dim
 
     def evaluate(self, obs) -> np.ndarray:
         return np.zeros(self._dim)
@@ -249,18 +243,8 @@ class MaskCentroidPolicy(Policy):
     platform = "quad"
     observes = "mask"
 
-    def __init__(
-        self,
-        k_y: float = 0.4,
-        k_z: float = 2.0,
-        k_yaw: float = 2.5,
-        forward_speed: float = 1.0,
-    ):
-        self.k_y = k_y
-        self.k_z = k_z
-        self.k_yaw = k_yaw
-        self.forward_speed = forward_speed
-        self._hold = np.zeros(2)
+    def __init__(self):
+        self.reset()
 
     def reset(self, rng=None) -> None:
         self._hold = np.zeros(2)
@@ -274,11 +258,11 @@ class MaskCentroidPolicy(Policy):
         camera = DEFAULT_CAMERA
         ex = (camera.cx - ux) / camera.width
         ey = (camera.cy - uy) / camera.height
-        vy = self.k_y * ex
-        vz = self.k_z * ey
-        r = self.k_yaw * ex
+        vy = MASK_K_Y * ex
+        vz = MASK_K_Z * ey
+        r = MASK_K_YAW * ex
         self._hold = np.array([vy, r])
-        return np.array([self.forward_speed, vy, vz, r])
+        return np.array([QUAD_CRUISE_SPEED, vy, vz, r])
 
 
 @dataclass(frozen=True)
@@ -288,6 +272,9 @@ class NoiseParams:
     flip_prob: float = 0.15     # per boundary-band pixel
     blob_rate: float = 1.5      # Poisson mean per frame
     blob_radius: int = 2        # px
+
+
+PERCEPTION_NOISE = NoiseParams()   # the noise every noisy mask policy sees
 
 
 def _boundary_band(mask: np.ndarray) -> np.ndarray:
@@ -348,9 +335,8 @@ class NoisyMaskPolicy(Policy):
     platform = "quad"
     observes = "mask"
 
-    def __init__(self, inner: Policy, params: NoiseParams | None = None):
+    def __init__(self, inner: Policy):
         self.inner = inner
-        self.params = params or NoiseParams()
         self.reset()
 
     def reset(self, rng=None) -> None:
@@ -358,7 +344,7 @@ class NoisyMaskPolicy(Policy):
         self.inner.reset()
 
     def evaluate(self, obs: MaskObs) -> np.ndarray:
-        noisy = noisy_perception(obs.mask, self.params, self._rng)
+        noisy = noisy_perception(obs.mask, PERCEPTION_NOISE, self._rng)
         return self.inner.evaluate(MaskObs(noisy, obs.history))
 
 
@@ -375,17 +361,18 @@ class SyntheticLearner(Policy):
     whose layout fell in grid i. train() only increments those counts, which
     is the whole point: data allocation, not gradient descent, is what the
     refinement loop is being tested on. sigma0 is SIGMA_SCALE (0.4) times each
-    control channel's saturation. The noise generator is the one reset() is
-    given, default_rng(0) until then or without one.
+    control channel's saturation on the expert's platform (CONTROL_LIMITS).
+    The noise generator is the one reset() is given, default_rng(0) until
+    then or without one.
     """
 
     observes = "full_state"
 
-    def __init__(self, partition, expert: Policy, control_limits, n0: float = 20.0):
+    def __init__(self, partition, expert: Policy, n0: float = 20.0):
         self.partition = partition
         self.expert = expert
         self.platform = expert.platform
-        self.sigma0 = SIGMA_SCALE * np.asarray(control_limits, dtype=np.float64)
+        self.sigma0 = SIGMA_SCALE * CONTROL_LIMITS[expert.platform]
         self.n0 = float(n0)
         self.counts = np.zeros(partition.m, dtype=np.int64)
         self.reset()

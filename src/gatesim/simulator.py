@@ -30,11 +30,6 @@ HISTORY_LEN = 4
 POS_JITTER = 0.3   # m, per axis, of a trial's start position
 YAW_JITTER = 0.1   # rad, of a trial's start yaw
 
-STATE_COLUMNS = {
-    "uav": ["x", "y", "z", "yaw", "pitch"],
-    "quad": ["x", "y", "z", "vx", "vy", "vz", "roll", "pitch", "yaw", "p", "q", "r"],
-}
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -219,6 +214,8 @@ def rollout(
 ) -> Rollout:
     """Run one episode; terminal on last-gate success, ring strike, arena
     exit, or timeout. A miss advances the target gate without terminating.
+    The timeout is tested after each whole policy tick, so a rollout may run
+    up to one tick period past it.
 
     observer(t, state, target, history, control), when given, is called once
     per policy tick with the history the policy was given and the control it
@@ -362,10 +359,10 @@ def metrics(rollouts) -> dict:
 
 
 def trajectory_csv(roll: Rollout) -> str:
-    cols = STATE_COLUMNS[roll.platform]
+    cols = platform_dynamics(roll.platform).state_columns
     n_u = roll.controls.shape[1] if len(roll.controls) else 0
     out = io.StringIO()
-    out.write(",".join(["t"] + cols + [f"u{i}" for i in range(n_u)]) + "\n")
+    out.write(",".join(["t", *cols] + [f"u{i}" for i in range(n_u)]) + "\n")
     for i, t in enumerate(roll.times):
         row = [repr(float(t))] + [repr(float(v)) for v in roll.states[i]]
         if i > 0 and len(roll.controls):

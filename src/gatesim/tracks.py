@@ -17,6 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .dynamics import UavParams
 from .geometry import wrap_angle
 from .scene import GaussianScene
 
@@ -29,7 +30,8 @@ GATE_GEOMETRY = {
     "quad": dict(shape=CIRCULAR, inner_half=0.39, ring=0.10, vehicle_half_width=0.09),
 }
 
-NOMINAL_SPEED = {"uav": 7.0, "quad": 1.0}
+# m/s: the uav's airspeed, and the forward command of the quad policies
+NOMINAL_SPEED = {"uav": UavParams.speed, "quad": 1.0}
 INIT_STANDOFF = {"uav": 6.0, "quad": 1.5}
 
 

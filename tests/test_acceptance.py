@@ -23,7 +23,7 @@ from gatesim.cli import main
 from gatesim.dynamics import UavDynamics
 from gatesim.edits import delete, duplicate, rotate, scale, translate
 from gatesim.geometry import quat_conjugate, umeyama_alignment
-from gatesim.policies import CONTROL_LIMITS, SyntheticLearner, expert_policy
+from gatesim.policies import SyntheticLearner, expert_policy
 from gatesim.refinement import (
     GridPartition,
     PgrConfig,
@@ -433,8 +433,7 @@ def test_refinement_beats_uniform_on_worst_cell(capsys):
         g_val = build_validation_set(partition, config, expert)
 
         def learner():
-            return SyntheticLearner(partition, expert_policy("uav"), CONTROL_LIMITS["uav"],
-                                    n0=2.0)
+            return SyntheticLearner(partition, expert_policy("uav"), n0=2.0)
 
         guided, uniform = pgr_pair(partition, learner(), learner(), expert, config, g_val)
         worst_g.append(worst_grid_loss(guided.history[-1]))

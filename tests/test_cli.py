@@ -185,9 +185,19 @@ def test_evaluate_classical_skips_uav_tracks(capsys):
     capsys.readouterr()
 
 
-def test_unknown_track_is_a_config_error(capsys):
-    assert main(["evaluate", "--tracks", "no-such-track"]) == 2
-    capsys.readouterr()
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "--tracks", "no-such-track"],
+    ["evaluate", "--tracks", "dir"],
+    ["evaluate", "--tracks", ""],
+    ["perturb", "--track", "dir"],
+    ["export-dataset", "--track", "dir", "--out", "out"],
+], ids=["evaluate-unknown", "evaluate-dir", "evaluate-empty", "perturb-dir", "export-dir"])
+def test_unknown_track_is_a_config_error(tmp_path, monkeypatch, capsys, argv):
+    # a directory is not a track file, and "" names the working directory
+    monkeypatch.chdir(tmp_path)
+    Path("dir").mkdir()
+    assert main(argv) == 2
+    assert f"error: no track named {argv[2]!r}; bundled tracks: " in capsys.readouterr().err
 
 
 def test_evaluate_writes_only_inside_out_for_tracks_given_by_path(tmp_path, monkeypatch, capsys):

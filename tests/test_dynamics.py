@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 from gatesim.dynamics import (
     GRAVITY,
     QuadDynamics,
-    QuadParams,
     UavDynamics,
-    UavParams,
     platform_dynamics,
 )
 from gatesim.geometry import wrap_angle
@@ -101,12 +99,6 @@ def test_uav_dt_and_finite_guards():
         dyn.step(np.array([0, 0, np.nan, 0, 0]), (0, 0), 0.02)
     with pytest.raises(ValueError):
         dyn.step(s, (np.inf, 0), 0.02)
-
-
-def test_uav_custom_params():
-    dyn = UavDynamics(UavParams(speed=3.0, dt=0.05))
-    s = dyn.step(dyn.initial_state((0, 0, 0), 0.0), (0, 0))
-    assert s[0] == pytest.approx(3.0 * 0.05, abs=1e-12)
 
 
 def test_quad_hover_is_equilibrium():
@@ -212,7 +204,6 @@ def test_steppers_are_deterministic(rng):
 def test_platform_factory():
     assert isinstance(platform_dynamics("uav"), UavDynamics)
     assert isinstance(platform_dynamics("quad"), QuadDynamics)
-    assert platform_dynamics("quad", QuadParams(tau_v=0.5)).params.tau_v == 0.5
     with pytest.raises(ValueError):
         platform_dynamics("boat")
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from gatesim import policies
+from gatesim.dynamics import platform_dynamics
 from gatesim.policies import (
     AIM_STANDOFF,
     CONTROL_LIMITS,
@@ -80,15 +81,6 @@ def test_uav_expert_pitch_channel():
     # carrot 9 m ahead and 9 m up: elevation pi/4, pitch 0, gain 2
     u = expert_uav_control(_uav_obs((0.0, 0.0, 2.0), gate=_gate((10.0, 0.0, 11.0))))
     assert u[1] == pytest.approx(2.0 * math.pi / 4.0, abs=1e-12)
-
-
-def test_uav_expert_custom_gains():
-    obs = _uav_obs((0.0, 0.0, 2.0), psi=-0.1, theta=-0.05)
-    u = expert_uav_control(obs, k_yaw=3.0, k_pitch=1.0)
-    assert u[0] == pytest.approx(0.3, abs=1e-12)
-    assert u[1] == pytest.approx(0.05, abs=1e-12)
-    policy = ExpertUavPolicy(k_yaw=3.0, k_pitch=1.0)
-    np.testing.assert_array_equal(policy.evaluate(obs), u)
 
 
 def test_aim_point_switches_sides():
@@ -219,6 +211,29 @@ def test_expert_factory_and_zero_policy():
     np.testing.assert_array_equal(CONTROL_LIMITS["quad"], [2.0, 2.0, 2.0, 1.5])
     with pytest.raises(NotImplementedError):
         Policy().evaluate(None)
+
+
+@pytest.mark.parametrize("factory", [expert_policy, ZeroPolicy], ids=lambda f: f.__name__)
+def test_unknown_platform_is_refused(factory):
+    with pytest.raises(ValueError, match=r"^unknown platform 'boat'; accepted: quad, uav$"):
+        factory("boat")
+
+
+@pytest.mark.parametrize("platform", ["uav", "quad"])
+def test_control_limits_are_the_clamp_bounds(platform):
+    # on each channel alone, a command at the limit passes the stepper's clamp
+    # unchanged and one beyond it comes back at the limit, in either direction
+    dyn = platform_dynamics(platform)
+    limits = CONTROL_LIMITS[platform].tolist()
+    assert len(limits) == dyn.control_dim
+    for i, limit in enumerate(limits):
+        for sign in (1.0, -1.0):
+            at = [0.0] * dyn.control_dim
+            at[i] = sign * limit
+            assert dyn.clamp_control(at) == tuple(at)
+            beyond = list(at)
+            beyond[i] = 2.0 * sign * limit
+            assert dyn.clamp_control(beyond) == tuple(at)
 
 
 # ---------------------------------------------------------------------------
@@ -396,12 +411,12 @@ def test_mask_controller_centered_target():
     np.testing.assert_array_equal(policy.evaluate(obs), [1.0, 0.0, 0.0, 0.0])
 
 
-def test_mask_controller_rightward_target_unit_gain():
-    # centroid 10% of the image width right of center commands vy = -0.1
-    policy = MaskCentroidPolicy(k_y=1.0)
+def test_mask_controller_rightward_target():
+    # centroid 10% of the image width right of center commands vy = 0.4 * -0.1
+    policy = MaskCentroidPolicy()
     obs = MaskObs(_mask_with_pixel(96, 60), np.zeros((4, 4)))
     u = policy.evaluate(obs)
-    assert u[1] == pytest.approx(-0.1, abs=1e-12)
+    assert u[1] == pytest.approx(0.4 * -0.1, abs=1e-12)
     assert u[2] == 0.0
     assert u[3] == pytest.approx(2.5 * -0.1, abs=1e-12)
 
@@ -519,7 +534,7 @@ def test_noisy_mask_policy_reproducible():
     obs = MaskObs(mask, np.zeros((4, 4)))
 
     def run(seed):
-        policy = NoisyMaskPolicy(MaskCentroidPolicy(), NoiseParams())
+        policy = NoisyMaskPolicy(MaskCentroidPolicy())
         policy.reset(np.random.default_rng(seed))
         return np.stack([policy.evaluate(obs) for _ in range(5)])
 
@@ -532,8 +547,8 @@ def test_noisy_mask_policy_starts_from_the_rollout_default_stream():
     # unreset policy draws that same stream
     mask = _rect_mask()
     obs = MaskObs(mask, np.zeros((4, 4)))
-    fresh = NoisyMaskPolicy(MaskCentroidPolicy(), NoiseParams())
-    reset = NoisyMaskPolicy(MaskCentroidPolicy(), NoiseParams())
+    fresh = NoisyMaskPolicy(MaskCentroidPolicy())
+    reset = NoisyMaskPolicy(MaskCentroidPolicy())
     reset.reset(np.random.default_rng(0))
     for _ in range(3):
         assert fresh.evaluate(obs).tobytes() == reset.evaluate(obs).tobytes()
@@ -657,7 +672,7 @@ def _unit_partition():
 
 def test_learner_sigma_schedule():
     part = _unit_partition()
-    learner = SyntheticLearner(part, expert_policy("uav"), CONTROL_LIMITS["uav"], n0=20.0)
+    learner = SyntheticLearner(part, expert_policy("uav"), n0=20.0)
     np.testing.assert_allclose(learner.sigma(0), 0.4 * CONTROL_LIMITS["uav"])
     layout = np.full(8, 0.25)
     cell = part.cell_of(layout)
@@ -670,7 +685,7 @@ def test_learner_sigma_schedule():
 
 def test_learner_noise_matches_sigma():
     part = _unit_partition()
-    learner = SyntheticLearner(part, expert_policy("uav"), CONTROL_LIMITS["uav"], n0=20.0)
+    learner = SyntheticLearner(part, expert_policy("uav"), n0=20.0)
     gate = _gate((0.25, 0.25, 0.25), yaw=0.25)
     obs = FullStateObs(0.0, np.array([0.0, 0.0, 0.25, 0.0, 0.0]), (gate,), 0)
     clean = expert_uav_control(obs)
@@ -688,7 +703,7 @@ def test_learner_noise_matches_sigma():
 
 def test_learner_reset_reproducible():
     part = _unit_partition()
-    learner = SyntheticLearner(part, expert_policy("quad"), CONTROL_LIMITS["quad"])
+    learner = SyntheticLearner(part, expert_policy("quad"))
     gate = _gate((0.25, 0.25, 0.25), yaw=0.25, platform="quad")
     obs = FullStateObs(0.0, np.zeros(12), (gate,), 0)
     learner.reset(np.random.default_rng(77))
@@ -702,7 +717,7 @@ def test_learner_starts_from_the_rollout_default_stream():
     part = _unit_partition()
     gate = _gate((0.25, 0.25, 0.25), yaw=0.25)
     obs = FullStateObs(0.0, np.array([0.0, 0.0, 0.25, 0.0, 0.0]), (gate,), 0)
-    fresh, reset = (SyntheticLearner(part, expert_policy("uav"), CONTROL_LIMITS["uav"])
+    fresh, reset = (SyntheticLearner(part, expert_policy("uav"))
                     for _ in range(2))
     reset.reset(np.random.default_rng(0))
     for _ in range(3):
@@ -727,7 +742,7 @@ def test_learner_cell_cache_matches_an_uncached_learner(platform, unit_layouts, 
     part = GridPartition.default(platform, per_gate_counts=(2, 2, 1, 1))
 
     def learner(cls):
-        pol = cls(part, expert_policy(platform), CONTROL_LIMITS[platform], n0=2.0)
+        pol = cls(part, expert_policy(platform), n0=2.0)
         pol.counts[:] = np.arange(part.m)   # a different sigma in every cell
         return pol
 

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gatesim.policies import CONTROL_LIMITS, SyntheticLearner, ZeroPolicy, expert_policy
+from gatesim.policies import SyntheticLearner, ZeroPolicy, expert_policy
 from gatesim.refinement import (
     LAYOUT_BOXES,
     GridPartition,
@@ -420,7 +420,7 @@ def test_pgr_config_accepts_a_tick_rate_its_rollouts_run(platform, tick_hz):
 def _run_once(seed=123, beta=0.05):
     part = _friendly_partition()
     expert = expert_policy("uav")
-    learner = SyntheticLearner(part, expert_policy("uav"), CONTROL_LIMITS["uav"], n0=2.0)
+    learner = SyntheticLearner(part, expert_policy("uav"), n0=2.0)
     config = PgrConfig(platform="uav", iterations=2, beta=beta, initial_per_cell=1,
                        val_per_cell=1, tick_hz=10.0, seed=seed)
     return pgr_run(part, learner, expert, config, build_validation_set(part, config, expert))
@@ -466,11 +466,11 @@ def test_pgr_run_shared_validation_set():
     config = PgrConfig(platform="uav", iterations=1, initial_per_cell=1,
                        val_per_cell=1, tick_hz=10.0, seed=5)
     g_val = build_validation_set(part, config, expert)
-    learner = SyntheticLearner(part, expert_policy("uav"), CONTROL_LIMITS["uav"], n0=2.0)
+    learner = SyntheticLearner(part, expert_policy("uav"), n0=2.0)
     result = pgr_run(part, learner, expert, config, g_val=g_val)
     assert result.g_val is g_val
     guided, uniform = pgr_pair(
-        part, *(SyntheticLearner(part, expert_policy("uav"), CONTROL_LIMITS["uav"], n0=2.0)
+        part, *(SyntheticLearner(part, expert_policy("uav"), n0=2.0)
                 for _ in range(2)),
         expert, config, g_val=g_val)
     assert guided.g_val is g_val and uniform.g_val is g_val
@@ -510,7 +510,7 @@ def test_pgr_pair_equals_two_independent_runs(seed, beta, iterations):
                        val_per_cell=1, tick_hz=10.0, seed=seed)
 
     def learner():
-        return SyntheticLearner(part, expert_policy("uav"), CONTROL_LIMITS["uav"], n0=2.0)
+        return SyntheticLearner(part, expert_policy("uav"), n0=2.0)
 
     g_val = build_validation_set(part, config, expert)
     guided, uniform = pgr_pair(part, learner(), learner(), expert, config, g_val)

@@ -210,6 +210,16 @@ def test_rollout_timeout():
     assert roll.gates[0].outcome == TIMEOUT
 
 
+def test_rollout_tests_the_timeout_after_each_whole_tick():
+    # at 0.5 Hz one tick is 2 s: the 1 s timeout is first checked at t = 2 s,
+    # the sum of 200 steps of 0.01 s
+    roll = rollout(ZeroPolicy("quad"), reference_track("quad-turn"),
+                   SimConfig(tick_hz=0.5, timeout=1.0))
+    assert roll.terminal == TIMEOUT
+    assert roll.duration == 2.0000000000000013
+    assert len(roll.times) == 201
+
+
 def test_rollout_arena_exit():
     track = _track([(8.0, 0.0, 2.0)])
     # facing away from the gate: straight flight leaves through the -x wall
