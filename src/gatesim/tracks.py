@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import UavParams
+from .dynamics import UavParams, check_platform
 from .geometry import wrap_angle
 from .scene import GaussianScene
 
@@ -175,8 +175,7 @@ class Track:
     arena: Arena
 
     def __post_init__(self):
-        if self.platform not in GATE_GEOMETRY:
-            raise ValueError(f"unknown platform: {self.platform!r}")
+        check_platform(self.platform)
         if not self.gates:
             raise ValueError("track needs at least one gate")
 

@@ -160,7 +160,7 @@ def test_clearance_thresholds():
 def test_track_validation():
     with pytest.raises(ValueError):
         Track("t", "uav", (), ARENAS["uav"])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^unknown platform 'boat'; accepted: quad, uav$"):
         Track("t", "boat", (_uav_gate((0, 0, 2)),), ARENAS["uav"])
 
 
