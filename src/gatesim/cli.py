@@ -60,8 +60,7 @@ from .tracks import (
     track_splats,
 )
 
-MASK_POLICIES = ("classical", "classical-noisy")   # they fly only the quad
-POLICY_NAMES = ("expert", *MASK_POLICIES, "zero")
+POLICY_NAMES = ("expert", "classical", "classical-noisy", "zero")
 MAX_FRAME_SIDE = 4096        # px; render refuses a wider or taller frame
 
 
@@ -70,19 +69,26 @@ def config_hash(payload: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
-def make_policy(name: str, platform: str):
+def _build_policy(name: str, platform: str):
+    """The named policy, built for platform where it takes one; a mask
+    policy's platform is its class's own."""
     if name == "expert":
         return expert_policy(platform)
     if name == "zero":
         return ZeroPolicy(platform)
-    if name in MASK_POLICIES:
-        if platform != "quad":
-            raise ValueError(f"mask policies fly the quad platform, not {platform!r}")
-        inner = MaskCentroidPolicy()
-        if name == "classical":
-            return inner
-        return NoisyMaskPolicy(inner)
+    if name == "classical":
+        return MaskCentroidPolicy()
+    if name == "classical-noisy":
+        return NoisyMaskPolicy(MaskCentroidPolicy())
     raise ValueError(f"unknown policy {name!r}; choose from {POLICY_NAMES}")
+
+
+def make_policy(name: str, platform: str):
+    """The named policy for platform; ValueError when it flies another."""
+    policy = _build_policy(name, platform)
+    if policy.platform != platform:
+        raise ValueError(f"mask policies fly the {policy.platform} platform, not {platform!r}")
+    return policy
 
 
 def resolve_track(spec: str):
@@ -194,9 +200,10 @@ def cmd_evaluate(args) -> int:
         }
     )
 
-    # mask policies fly only quad tracks; the stream is the index among all named tracks
+    # a mask policy flies only its own platform's tracks; the stream is the
+    # index among all named tracks
     flown = [(idx, name, track) for idx, (name, track) in enumerate(tracks)
-             if args.policy not in MASK_POLICIES or track.platform == "quad"]
+             if _build_policy(args.policy, track.platform).platform == track.platform]
     if not flown:
         raise ValueError(f"policy {args.policy!r} matched no requested track")
     results = run_trials([(idx, track, None) for idx, _, track in flown], args.policy,

@@ -9,6 +9,7 @@ identical inputs give bit-identical outputs.
 from __future__ import annotations
 
 import math
+from math import isfinite
 
 import numpy as np
 
@@ -17,13 +18,9 @@ from .geometry import wrap_angle
 GRAVITY = 9.81
 
 
-def _floats(arr, what: str) -> list:
-    """arr as a list of Python floats; ValueError naming what if any is
-    NaN or infinite."""
-    values = np.asarray(arr, dtype=np.float64).tolist()
-    if not all(map(math.isfinite, values)):
-        raise ValueError(f"non-finite {what}: {np.asarray(arr).tolist()}")
-    return values
+def _non_finite(what: str, values) -> ValueError:
+    """The refusal of a state or control vector holding NaN or inf."""
+    return ValueError(f"non-finite {what}: {np.asarray(values).tolist()}")
 
 
 class UavParams:
@@ -70,21 +67,30 @@ class UavDynamics:
         )
 
     def clamp_control(self, control) -> tuple[float, float]:
+        """The saturated rate commands; step applies the same clamp inline."""
         p = UavParams
         u_psi = min(max(float(control[0]), -p.yaw_rate_max), p.yaw_rate_max)
         u_th = min(max(float(control[1]), -p.pitch_rate_max), p.pitch_rate_max)
         return u_psi, u_th
 
-    def step(self, state: np.ndarray, control, dt: float | None = None) -> np.ndarray:
-        """One RK4 step, its four stages inline on floats. The rates read only
-        yaw and pitch, so the stage positions are never formed; the pitch
-        rate is zeroed while it pushes past the pin."""
+    def step(self, state, control, dt: float | None = None) -> np.ndarray:
+        """One RK4 step, its four stages inline on floats. state and control
+        may be arrays or sequences of floats; they are unpacked as given. The
+        rates read only yaw and pitch, so the stage positions are never
+        formed; the pitch rate is zeroed while it pushes past the pin."""
         p = UavParams
         dt = p.dt if dt is None else dt
         if not 0.0 < dt <= 0.1:
             raise ValueError(f"uav dt must be in (0, 0.1], got {dt}")
-        x, y, z, psi, th = _floats(state, "uav state")
-        u_psi, u_th = self.clamp_control(_floats(control, "uav control"))
+        x, y, z, psi, th = state
+        u_psi, u_th = control
+        if not (isfinite(x) and isfinite(y) and isfinite(z) and isfinite(psi)
+                and isfinite(th)):
+            raise _non_finite("uav state", state)
+        if not (isfinite(u_psi) and isfinite(u_th)):
+            raise _non_finite("uav control", control)
+        u_psi = min(max(u_psi, -p.yaw_rate_max), p.yaw_rate_max)
+        u_th = min(max(u_th, -p.pitch_rate_max), p.pitch_rate_max)
         v, th_max = p.speed, p.theta_max
         h = dt / 2.0
 
@@ -165,6 +171,7 @@ class QuadDynamics:
         return state[3:6]
 
     def clamp_control(self, control):
+        """The command with its velocity norm and yaw rate saturated."""
         p = QuadParams
         vx, vy, vz, r = (float(v) for v in control)
         norm = math.sqrt(vx * vx + vy * vy + vz * vz)
@@ -173,13 +180,22 @@ class QuadDynamics:
             vx, vy, vz = vx * k, vy * k, vz * k
         return vx, vy, vz, min(max(r, -p.yaw_rate_max), p.yaw_rate_max)
 
-    def _rates(self, s, vx_c, vy_c, vz_c, r_cmd) -> tuple:
-        """The rates of s = [vx, vy, vz, roll, pitch, yaw, p, q, r] at one RK4
-        stage: the yaw-rotated command with first-order velocity convergence,
-        the small-angle tilt carrying the horizontal acceleration, the yaw
-        rate as the body rate r, and body rates that converge to the
-        euler-rate map's targets."""
+    @staticmethod
+    def _rates(s, k, h, vx_c, vy_c, vz_c, r_cmd) -> tuple:
+        """The rates of all 12 entries at one RK4 stage, whose other nine
+        entries are s = [vx, vy, vz, roll, pitch, yaw, p, q, r] moved by h
+        along the rates k of the stage before (s itself when k is None).
+
+        The position rate is the stage velocity; then come the yaw-rotated
+        command with first-order velocity convergence, the small-angle tilt
+        carrying the horizontal acceleration, the yaw rate as the body rate
+        r, and body rates that converge to the euler-rate map's targets."""
         vx, vy, vz, roll, pitch, yaw, pb, qb, rb = s
+        if k is not None:
+            _, _, _, kvx, kvy, kvz, kroll, kpitch, kyaw, kp, kq, kr = k
+            vx, vy, vz = vx + h * kvx, vy + h * kvy, vz + h * kvz
+            roll, pitch, yaw = roll + h * kroll, pitch + h * kpitch, yaw + h * kyaw
+            pb, qb, rb = pb + h * kp, qb + h * kq, rb + h * kr
         p = QuadParams
         tau_v, tau_att, tilt = p.tau_v, p.tau_att, p.tilt_max
         cy, sy = math.cos(yaw), math.sin(yaw)
@@ -192,31 +208,32 @@ class QuadDynamics:
         dpitch = (pitch_des - pitch) / tau_att
         sr, cr = math.sin(roll), math.cos(roll)
         sp, cp = math.sin(pitch), math.cos(pitch)
-        return (ax, ay, az, droll, dpitch, rb,
+        return (vx, vy, vz, ax, ay, az, droll, dpitch, rb,
                 (droll - rb * sp - pb) / tau_att,
                 (dpitch * cr + rb * cp * sr - qb) / tau_att,
                 (r_cmd - rb) / tau_att)
 
-    def step(self, state: np.ndarray, control, dt: float | None = None) -> np.ndarray:
-        """One RK4 step on floats. The rates read no position, so only the
-        other nine entries form stages, and a stage's position rate is its
-        velocity."""
+    def step(self, state, control, dt: float | None = None) -> np.ndarray:
+        """One RK4 step on floats. state and control may be arrays or
+        sequences of floats; they are unpacked as given. The rates read no
+        position, so each stage moves only the other nine entries."""
         dt = QuadParams.dt if dt is None else dt
         if not 0.0 < dt <= 0.05:
             raise ValueError(f"quad dt must be in (0, 0.05], got {dt}")
-        x, y, z, *s1 = _floats(state, "quad state")
-        u = self.clamp_control(_floats(control, "quad control"))
+        if not all(map(isfinite, state)):
+            raise _non_finite("quad state", state)
+        if not all(map(isfinite, control)):
+            raise _non_finite("quad control", control)
+        _, _, _, *s = state
+        vx_c, vy_c, vz_c, r_c = self.clamp_control(control)
+        rates = self._rates
         h = dt / 2.0
-        k1 = self._rates(s1, *u)
-        s2 = [a + h * k for a, k in zip(s1, k1)]
-        k2 = self._rates(s2, *u)
-        s3 = [a + h * k for a, k in zip(s1, k2)]
-        k3 = self._rates(s3, *u)
-        s4 = [a + dt * k for a, k in zip(s1, k3)]
-        k4 = self._rates(s4, *u)
+        k1 = rates(s, None, h, vx_c, vy_c, vz_c, r_c)
+        k2 = rates(s, k1, h, vx_c, vy_c, vz_c, r_c)
+        k3 = rates(s, k2, h, vx_c, vy_c, vz_c, r_c)
+        k4 = rates(s, k3, dt, vx_c, vy_c, vz_c, r_c)
         w = dt / 6.0
-        out = [a + w * (b + 2 * c + 2 * d + e) for a, b, c, d, e in zip((x, y, z), s1, s2, s3, s4)]
-        out += [a + w * (b + 2 * c + 2 * d + e) for a, b, c, d, e in zip(s1, k1, k2, k3, k4)]
+        out = [a + w * (b + 2 * c + 2 * d + e) for a, b, c, d, e in zip(state, k1, k2, k3, k4)]
         out[8] = wrap_angle(out[8])
         return np.array(out)
 

@@ -22,6 +22,28 @@ def wrap_angle(a: float) -> float:
     return r - math.pi
 
 
+def sure_plane_offset(plane: tuple, x: float, y: float, z: float, level: float):
+    """The offset of the point (x, y, z) from the plane
+    (cx, cy, cz, nx, ny, nz) as the float sum d of the three products
+    n_i * (p_i - c_i), when d and float(normal @ (p - center)) surely lie on
+    the same side of level and neither equals it; None when unsure.
+
+    The float sum d and the dot product each differ from the true offset by
+    a few ulps of |a0| + |a1| + |a2|. Where |d - level| clears 1e-14 of that
+    sum, both lie on the true offset's side of level. The 1e-300 floor sends
+    subnormal products, whose rounding error is absolute, to the caller's
+    exact fallback; so does NaN or inf, which fails the test.
+    """
+    cx, cy, cz, nx, ny, nz = plane
+    a0 = nx * (x - cx)
+    a1 = ny * (y - cy)
+    a2 = nz * (z - cz)
+    d = a0 + a1 + a2
+    if abs(d - level) > 1e-14 * (abs(a0) + abs(a1) + abs(a2)) + 1e-300:
+        return d
+    return None
+
+
 def quat_normalize(q) -> np.ndarray:
     q = np.asarray(q, dtype=np.float64)
     n = np.linalg.norm(q, axis=-1, keepdims=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import QuadParams, UavParams, check_platform, platform_dynamics
-from .geometry import wrap_angle
+from .geometry import sure_plane_offset, wrap_angle
 from .render import DEFAULT_CAMERA
 from .tracks import NOMINAL_SPEED, Gate
 
@@ -70,8 +70,9 @@ def _target_gate(obs: FullStateObs) -> Gate:
     return obs.gates[min(obs.target_index, len(obs.gates) - 1)]
 
 
-def _aim_point(gate: Gate, t: float, position: np.ndarray, speed: float):
-    """Lead-predicted carrot point near the gate plane.
+def _aim_point(gate: Gate, t: float, position, speed: float):
+    """Lead-predicted carrot point near the gate plane, as (aim, center, yaw,
+    t_aim) with aim a tuple of three floats; position is any 3-sequence.
 
     The gate pose is predicted at the estimated arrival time (two fixed-point
     passes), which turns pursuit of a moving gate into a collision course.
@@ -82,19 +83,28 @@ def _aim_point(gate: Gate, t: float, position: np.ndarray, speed: float):
     A static gate's frame does not depend on time, so it skips the passes:
     its aim, center and yaw are the same, and the returned time is t itself.
     Only the quad expert reads that time, and only for a moving gate.
+
+    The side and the carrot come from floats with numpy's bits: the side test
+    float(normal @ (position - center)) < -AIM_STANDOFF is the float sum of
+    sure_plane_offset where that is sure and the dot product itself where
+    not, and center -+ AIM_STANDOFF * normal is elementwise.
     """
     t_go = 0.0
     if gate.moving:
         for _ in range(2):
             d = gate.frame_at(t + t_go).center - position
             t_go = math.sqrt(d @ d) / speed   # np.linalg.norm's sum and root, without its overhead
-    center, yaw, normal, _, _ = gate.frame_at(t + t_go)
-    signed = float(normal @ (position - center))
+    frame, plane = gate.frame_plane_at(t + t_go)
+    x, y, z = position
+    signed = sure_plane_offset(plane, x, y, z, -AIM_STANDOFF)
+    if signed is None:
+        signed = float(frame.normal @ (np.array([x, y, z]) - frame.center))
+    cx, cy, cz, nx, ny, nz = plane
     if signed < -AIM_STANDOFF:
-        aim = center - AIM_STANDOFF * normal
+        aim = (cx - AIM_STANDOFF * nx, cy - AIM_STANDOFF * ny, cz - AIM_STANDOFF * nz)
     else:
-        aim = center + AIM_STANDOFF * normal
-    return aim, center, yaw, t + t_go
+        aim = (cx + AIM_STANDOFF * nx, cy + AIM_STANDOFF * ny, cz + AIM_STANDOFF * nz)
+    return aim, frame.center, frame.yaw, t + t_go
 
 
 def gate_velocity(gate: Gate, t: float) -> np.ndarray:
@@ -109,9 +119,8 @@ def expert_uav_control(obs: FullStateObs) -> np.ndarray:
     """Proportional guidance to the carrot: rate commands from bearing errors."""
     gate = _target_gate(obs)
     x, y, z, psi, theta = obs.state[:5].tolist()
-    pos = np.array([x, y, z])
-    aim, _, _, _ = _aim_point(gate, obs.t, pos, UavParams.speed)
-    rx, ry, rz = (aim - pos).tolist()
+    (ax, ay, az), _, _, _ = _aim_point(gate, obs.t, (x, y, z), UavParams.speed)
+    rx, ry, rz = ax - x, ay - y, az - z
     bearing = math.atan2(ry, rx)
     elevation = math.atan2(rz, math.hypot(rx, ry))
     u_psi = UAV_K_YAW * wrap_angle(bearing - psi)
@@ -124,14 +133,14 @@ def expert_quad_control(obs: FullStateObs) -> np.ndarray:
     vy/vz (plus the known gate velocity as feedforward); yaw aligns with the
     gate normal."""
     gate = _target_gate(obs)
-    pos = np.asarray(obs.state[:3], dtype=np.float64)
+    x, y, z = obs.state[:3].tolist()
     psi = float(obs.state[8])
-    aim, _, gate_yaw, t_hit = _aim_point(gate, obs.t, pos, QUAD_CRUISE_SPEED)
-    rel = aim - pos
+    (ax, ay, az), _, gate_yaw, t_hit = _aim_point(gate, obs.t, (x, y, z), QUAD_CRUISE_SPEED)
+    rel = np.array([ax - x, ay - y, az - z])
     left = np.array([-math.sin(psi), math.cos(psi), 0.0])
     ff = gate_velocity(gate, t_hit) if gate.moving else np.zeros(3)
     vy = QUAD_K_Y * float(rel @ left) + float(ff @ left)
-    vz = QUAD_K_Z * float(rel[2]) + float(ff[2])
+    vz = QUAD_K_Z * (az - z) + float(ff[2])
     r = QUAD_K_YAW * wrap_angle(gate_yaw - psi)
     return np.array([QUAD_CRUISE_SPEED, vy, vz, r])
 

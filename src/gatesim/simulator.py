@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import platform_dynamics
+from .geometry import sure_plane_offset
 from .policies import FullStateObs, MaskObs
 from .render import DEFAULT_CAMERA, camera_pose, gate_mask
 from .tracks import Gate, Track
@@ -108,27 +109,16 @@ class StaticPlane:
     __slots__ = ("center", "normal", "_floats")
 
     def __init__(self, gate: Gate):
-        frame = gate.frame_at(0.0)
+        frame, self._floats = gate.frame_plane_at(0.0)
         self.center, self.normal = frame.center, frame.normal
-        self._floats = (*frame.center.tolist(), *frame.normal.tolist())
 
     def side(self, state: np.ndarray, x: float, y: float, z: float) -> float:
         """A signed distance of the position (x, y, z) = state[:3] to the
         plane, with the sign and zero-ness of
-        float(normal @ (state[:3] - center)), which it returns when unsure.
-
-        The float sum d and the dot product each differ from the true
-        distance by a few ulps of |a0| + |a1| + |a2|. Where |d| clears 1e-14
-        of that sum, both have the true distance's sign and neither is zero.
-        The 1e-300 floor sends subnormal products, whose rounding error is
-        absolute, to the fallback; so does NaN or inf, which fails the test.
-        """
-        cx, cy, cz, nx, ny, nz = self._floats
-        a0 = nx * (x - cx)
-        a1 = ny * (y - cy)
-        a2 = nz * (z - cz)
-        d = a0 + a1 + a2
-        if abs(d) > 1e-14 * (abs(a0) + abs(a1) + abs(a2)) + 1e-300:
+        float(normal @ (state[:3] - center)), which it returns when the float
+        sum of sure_plane_offset is unsure."""
+        d = sure_plane_offset(self._floats, x, y, z, 0.0)
+        if d is not None:
             return d
         return float(self.normal @ (state[:3] - self.center))
 
@@ -224,10 +214,11 @@ def rollout(
 
     The loop copies nothing per dynamics step: the steppers return fresh
     state arrays, and each tick's control is copied once from what the policy
-    returned, so the recorded trajectory can share them. Each step reads its
-    position once as Python floats, for the arena test and, on a static
-    target, the gate side (StaticPlane.side); position arrays are built only
-    for a moving target or to resolve a crossing.
+    returned, so the recorded trajectory can share them. The stepper reads
+    Python floats: the tick's control as one list, and each state as the one
+    list taken from it after the step, whose position also serves the arena
+    test and, on a static target, the gate side (StaticPlane.side); position
+    arrays are built only for a moving target or to resolve a crossing.
     """
     if policy.platform not in ("any", track.platform):
         raise ValueError(
@@ -270,6 +261,7 @@ def rollout(
     # and detect_crossing runs only on a sign change it will confirm
     d0 = signed_gate_distance(gates[0], t, state[:3])
     plane = _static_plane(gates[0])
+    floats = state.tolist()
 
     while terminal is None:
         obs = _observe(policy, dynamics, track, t, state, target, history)
@@ -278,11 +270,13 @@ def rollout(
             observer(t, state, target, history, control)
         if keep_history:
             history = np.concatenate((history[1:], control[None]))
+        u = control.tolist()
 
         for _ in range(n_steps):
-            prev, state = state, dynamics.step(state, control, dt)
+            prev, state = state, dynamics.step(floats, u, dt)
             t_new = t + dt
-            x, y, z = state[:3].tolist()
+            floats = state.tolist()
+            x, y, z = floats[0], floats[1], floats[2]
 
             if target < n_gates:
                 if plane is not None:

@@ -83,6 +83,11 @@ class GateFrame(NamedTuple):
     up: np.ndarray
 
 
+def _plane_floats(frame: GateFrame) -> tuple:
+    """(cx, cy, cz, nx, ny, nz): the frame's center and normal as Python floats."""
+    return (*frame.center.tolist(), *frame.normal.tolist())
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -95,7 +100,7 @@ class Gate:
     keyframes: tuple of (time, center(3,), yaw), strictly increasing times.
     Pose is linearly interpolated (yaw along the shortest arc) and clamped to
     the first/last keyframe outside the schedule. A static gate computes its
-    frame once, with read-only arrays.
+    frame once, with read-only arrays, and its plane's floats with it.
     """
 
     shape: str
@@ -113,11 +118,13 @@ class Gate:
         times = [k[0] for k in self.keyframes]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("keyframe times must be strictly increasing")
-        frame = None
+        frame = plane = None
         if not self.moving:
             center, yaw = self.pose_at(0.0)
             frame = GateFrame(_read_only(center), yaw, *map(_read_only, gate_axes(yaw)))
+            plane = _plane_floats(frame)
         object.__setattr__(self, "_static_frame", frame)
+        object.__setattr__(self, "_static_plane", plane)
 
     def __reduce__(self):
         # unpickling goes through __init__, which rebuilds the read-only frame
@@ -157,6 +164,14 @@ class Gate:
             return self._static_frame
         center, yaw = self.pose_at(t)
         return GateFrame(center, yaw, *gate_axes(yaw))
+
+    def frame_plane_at(self, t: float) -> tuple[GateFrame, tuple]:
+        """frame_at(t), and its center and normal as the six Python floats
+        (cx, cy, cz, nx, ny, nz); a static gate's are shared by every caller."""
+        if self._static_frame is not None:
+            return self._static_frame, self._static_plane
+        frame = self.frame_at(t)
+        return frame, _plane_floats(frame)
 
     def success_threshold(self, vehicle_half_width: float) -> float:
         """Largest center error still clearing the opening."""

@@ -42,3 +42,21 @@ class Other:
 
 def test_census_counts_defaulted_parameters_and_dataclass_fields():
     assert census.census(SOURCE) == 6
+
+
+# the settable values of each module of src/gatesim (91 in all); a change that
+# adds one must raise its module's limit here, in view, and a new module starts
+# at 0
+LIMITS = {
+    "__init__.py": 0, "cli.py": 4, "dynamics.py": 2, "edits.py": 8, "geometry.py": 5,
+    "policies.py": 9, "refinement.py": 19, "render.py": 16, "scene.py": 8,
+    "simulator.py": 11, "tracks.py": 9,
+}
+
+
+def test_no_module_gains_a_settable_value():
+    src = _PATH.parent.parent / "src" / "gatesim"
+    counts = {path.name: census.census(path.read_text()) for path in sorted(src.glob("*.py"))}
+    over = {name: (n, LIMITS.get(name, 0)) for name, n in counts.items()
+            if n > LIMITS.get(name, 0)}
+    assert not over, f"settable values (count, limit) above the limit: {over}"

@@ -228,6 +228,22 @@ def test_steppers_refuse_non_finite_inputs(platform, slot, data, bad, as_list):
     assert str(err.value) == f"non-finite {platform} {slot}: {np.asarray(target).tolist()}"
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["uav", "quad"]), st.data())
+def test_step_reads_arrays_lists_and_tuples_alike(platform, data):
+    # step unpacks state and control as given, so an array's numpy scalars and
+    # a sequence's Python floats must give the same bytes
+    dyn = platform_dynamics(platform)
+    value = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-6.0, 6.0))
+    state = data.draw(st.lists(value, min_size=dyn.state_dim, max_size=dyn.state_dim))
+    control = data.draw(st.lists(value, min_size=dyn.control_dim, max_size=dyn.control_dim))
+    want = dyn.step(np.array(state), np.array(control)).tobytes()
+    for as_state in (np.array, list, tuple):
+        for as_control in (np.array, list, tuple):
+            got = dyn.step(as_state(state), as_control(control))
+            assert type(got) is np.ndarray and got.tobytes() == want
+
+
 # ---------------------------------------------------------------------------
 # the fused steppers against the stage-function RK4 they replaced
 # ---------------------------------------------------------------------------

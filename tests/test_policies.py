@@ -11,6 +11,7 @@ from scipy import ndimage
 
 from gatesim import policies
 from gatesim.dynamics import platform_dynamics
+from gatesim.geometry import sure_plane_offset
 from gatesim.policies import (
     AIM_STANDOFF,
     CONTROL_LIMITS,
@@ -144,6 +145,89 @@ def test_aim_point_distance_is_np_linalg_norm_bit_for_bit(offset, speed):
             t_go = float(np.linalg.norm(gate.pose_at(t_go)[0] - pos)) / speed
         _, _, _, t_hit = _aim_point(gate, 0.0, pos, speed)
     assert np.float64(t_hit).tobytes() == np.float64(t_go).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the float aim point against the numpy one it replaced
+# ---------------------------------------------------------------------------
+
+
+def _numpy_aim_point(gate, t, position, speed):
+    """The aim point on numpy 3-vectors, as written before its side test and
+    carrot moved to floats."""
+    t_go = 0.0
+    if gate.moving:
+        for _ in range(2):
+            d = gate.frame_at(t + t_go).center - position
+            t_go = math.sqrt(d @ d) / speed
+    center, yaw, normal, _, _ = gate.frame_at(t + t_go)
+    signed = float(normal @ (position - center))
+    if signed < -AIM_STANDOFF:
+        aim = center - AIM_STANDOFF * normal
+    else:
+        aim = center + AIM_STANDOFF * normal
+    return aim, center, yaw, t + t_go
+
+
+def _ulps(x: float, n: int) -> float:
+    """x moved n ulps up (n > 0) or down."""
+    for _ in range(abs(n)):
+        x = math.nextafter(x, math.inf if n > 0 else -math.inf)
+    return x
+
+
+# signed zeros, short and long values, and large coordinates
+_COORD = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-20.0, 20.0),
+                   st.floats(-1e6, 1e6), st.floats(-1e150, 1e150))
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(st.booleans(), st.one_of(st.sampled_from([0.0, -0.0, math.pi / 2, math.pi]),
+                                st.floats(-math.pi, math.pi)),
+       st.tuples(_COORD, _COORD, _COORD), st.sampled_from(["standoff", "standoff", "free"]),
+       st.integers(-3, 3), st.tuples(_COORD, _COORD, _COORD), st.floats(0.0, 10.0),
+       st.floats(0.5, 10.0))
+def test_aim_point_matches_the_numpy_aim_point_bit_for_bit(moving, yaw, center, kind, ulps,
+                                                           free, t, speed):
+    # a moving gate slides along its lateral axis at a fixed yaw, so a point
+    # placed off the start frame keeps its offset along the normal at every
+    # time the lead passes may pick
+    start = _gate(center, yaw=yaw)
+    frame = start.frame_at(0.0)
+    gate = start
+    if moving:
+        end = frame.center + 3.0 * frame.lateral
+        gate = _gate(None, keyframes=((0.0, frame.center, yaw), (8.0, end, yaw)))
+    if kind == "standoff":
+        # exactly at -AIM_STANDOFF along the normal, or a few ulps either side
+        # of it, where the float sum cannot settle the side and the dot
+        # product decides; the in-plane offset comes from the free draw
+        k = _ulps(-AIM_STANDOFF, ulps)
+        s, u = free[0], free[1]
+        pos = frame.center + s * frame.lateral + u * frame.up + k * frame.normal
+    else:
+        pos = np.array(free)
+    with np.errstate(all="ignore"):
+        want = _numpy_aim_point(gate, t, pos, speed)
+        got = _aim_point(gate, t, tuple(pos.tolist()), speed)
+    assert np.array(got[0]).tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+    assert np.float64(got[2]).tobytes() == np.float64(want[2]).tobytes()
+    assert np.float64(got[3]).tobytes() == np.float64(want[3]).tobytes()
+
+
+def test_aim_point_at_the_standoff_takes_the_dot_product():
+    # on the standoff itself the float sum is unsure, so the side comes from
+    # normal @ (position - center), which is not below -AIM_STANDOFF there
+    gate = _gate((10.0, 0.0, 2.0))
+    plane = gate.frame_plane_at(0.0)[1]
+    for x in (9.0, _ulps(9.0, -1), _ulps(9.0, 1)):
+        assert sure_plane_offset(plane, x, 0.0, 2.0, -AIM_STANDOFF) is None
+        aim, _, _, _ = _aim_point(gate, 0.0, (x, 0.0, 2.0), 7.0)
+        want, _, _, _ = _numpy_aim_point(gate, 0.0, np.array([x, 0.0, 2.0]), 7.0)
+        assert np.array(aim).tobytes() == want.tobytes()
+    assert _aim_point(gate, 0.0, (9.0, 0.0, 2.0), 7.0)[0] == (11.0, 0.0, 2.0)
+    assert _aim_point(gate, 0.0, (_ulps(9.0, -1), 0.0, 2.0), 7.0)[0] == (9.0, 0.0, 2.0)
 
 
 def test_quad_expert_zero_on_collision_course():
