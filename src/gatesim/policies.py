@@ -229,9 +229,12 @@ def largest_component_centroid(mask: np.ndarray):
     areas = np.bincount(labels.ravel())[1:]
     best = int(np.argmax(areas)) + 1
     ys, xs = np.nonzero(labels == best)
-    ys += window[0].start
-    xs += window[1].start
-    return (float(xs.mean()), float(ys.mean())), int(areas[best - 1])
+    area = int(areas[best - 1])
+    # exact integer sums over the frame's indices, then one rounded quotient:
+    # np.mean's bits, since its float partial sums are integers below 2**53
+    x = (int(xs.sum()) + window[1].start * area) / area
+    y = (int(ys.sum()) + window[0].start * area) / area
+    return (x, y), area
 
 
 class MaskCentroidPolicy(Policy):

@@ -27,6 +27,10 @@ CONDITION_LIMIT = 1e12
 RING_WINDOW_PAD = 2          # px around a ring's projected bounding box
 BEHIND_MARGIN = 1e-6         # m; orders above the rounding of a ray-plane hit
 CULL_BATCH = 128             # splats culled against one table of live pixels
+# relative band about each ring radius that gate_mask's sure test leaves to
+# the exact cast; gate_mask's docstring derives the floors that make it safe
+RING_MARGIN = 2.0**-20
+_UNIT_ROUNDOFF = 2.0**-53    # of float64
 
 
 @dataclass(frozen=True)
@@ -242,9 +246,6 @@ def render_mask(
     return render_scene(scene, camera, pose).alpha >= threshold
 
 
-_CORNER_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
-
-
 @functools.lru_cache(maxsize=8)
 def _camera_rays(camera: PinholeCamera) -> np.ndarray:
     """Read-only (H, W, 3) camera-frame ray directions (z = 1) through every
@@ -259,23 +260,41 @@ def _camera_rays(camera: PinholeCamera) -> np.ndarray:
     return dirs
 
 
-def _ring_window(camera: PinholeCamera, r_wc, origin, center, lateral, up, outer_half):
+def _dot(a, b) -> float:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _abs_dot(a, b) -> float:
+    return abs(a[0] * b[0]) + abs(a[1] * b[1]) + abs(a[2] * b[2])
+
+
+def _ring_window(camera: PinholeCamera, center, lateral, up, outer_half):
     """(rows, cols) slices holding every pixel whose ray can hit the ring.
 
-    The window is the pixel bounding box of the outer ring square's projected
-    corners, padded by RING_WINDOW_PAD and clipped to the frame. It is None
-    when that leaves no pixel, or when the whole square lies more than
-    BEHIND_MARGIN behind the camera, where no ray of positive depth reaches
-    it. It is the full frame when the square straddles the camera plane,
-    since the projection is then unbounded.
+    center is the ring's center less the camera position, lateral and up
+    its axes, all as three floats in camera coordinates. The window is the
+    pixel bounding box of the outer ring square's projected corners, padded
+    by RING_WINDOW_PAD and clipped to the frame. It is None when that leaves
+    no pixel, or when the whole square lies more than BEHIND_MARGIN behind
+    the camera, where no ray of positive depth reaches it. It is the full
+    frame when a corner lies less than BEHIND_MARGIN in front of the
+    camera: the projection is unbounded once the square straddles the
+    camera plane, and a depth within rounding of zero gives no usable
+    corner. The mask's bits do not depend on the window as long as it holds
+    every ring pixel, and the rounding of the projected corners is far below
+    the padding.
     """
     h, w = camera.height, camera.width
-    corners = center + outer_half * (_CORNER_SIGNS @ np.stack([lateral, up]))
-    xs, ys, zs = ((corners - origin) @ r_wc).T.tolist()
-    if all(z < -BEHIND_MARGIN for z in zs):
+    cx, cy, cz = center
+    lx, ly, lz = outer_half * lateral[0], outer_half * lateral[1], outer_half * lateral[2]
+    ux, uy, uz = outer_half * up[0], outer_half * up[1], outer_half * up[2]
+    zs = (cz + lz + uz, cz + lz - uz, cz - lz + uz, cz - lz - uz)
+    if max(zs) < -BEHIND_MARGIN:
         return None
-    if not all(z > 0.0 for z in zs):
+    if not min(zs) > BEHIND_MARGIN:
         return slice(0, h), slice(0, w)
+    xs = (cx + lx + ux, cx + lx - ux, cx - lx + ux, cx - lx - ux)
+    ys = (cy + ly + uy, cy + ly - uy, cy - ly + uy, cy - ly - uy)
     # clamped so that corners at a tiny depth still give finite bounds
     us = [min(max(camera.fx * x / z + camera.cx, -w), 2 * w) for x, z in zip(xs, zs)]
     vs = [min(max(camera.fy * y / z + camera.cy, -h), 2 * h) for y, z in zip(ys, zs)]
@@ -288,6 +307,108 @@ def _ring_window(camera: PinholeCamera, r_wc, origin, center, lateral, up, outer
     return slice(y0, y1), slice(x0, x1)
 
 
+def _cast_exact(rays, r_cw, origin, center, normal, lateral, up, gate) -> np.ndarray:
+    """The ring bits of camera-frame rays (any leading shape, last axis 3)
+    by the per-pixel cast of gate_mask's docstring.
+
+    The rays go through as one (k, 3) batch, whose rows get the bits of a
+    full-frame cast at any k but 1: numpy sends a single row times a vector
+    to BLAS's dot, which rounds unlike the rows of its matrix-vector
+    product, so a single ray is cast as a pair.
+    """
+    shape = rays.shape[:-1]
+    rays = rays.reshape(-1, 3)
+    if len(rays) == 1:
+        rays = np.concatenate((rays, rays))
+    # matmul passes a C-contiguous right operand to BLAS but runs its own
+    # loop, about three times slower, on the transposed view; both sum each
+    # row with the same fused multiply-adds, so the bits are the same
+    dirs = rays @ r_cw
+    denom = dirs @ normal
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_hit = (normal @ (center - origin)) / denom
+    ok = (np.abs(denom) > 1e-12) & (t_hit > 0.0)
+    # q = (origin + t_hit * dirs) - center, one channel at a time: the same
+    # per-element operations as broadcasting the 3-vectors, two to five
+    # times faster
+    q = np.empty_like(dirs)
+    for k in range(3):
+        qk = q[..., k]
+        np.multiply(t_hit, dirs[..., k], out=qk)
+        qk += origin[k]
+        qk -= center[k]
+    a = q @ lateral
+    b = q @ up
+    if gate.shape == "square":
+        d = np.maximum(np.abs(a), np.abs(b))
+    else:
+        d = np.hypot(a, b)
+    bits = ok & (d >= gate.inner_half) & (d <= gate.outer_half)
+    return bits[: math.prod(shape)].reshape(shape)
+
+
+def _sure_ring(rays, window, cols, o, rel, c, n, l, up, lat_cam, up_cam, gate):
+    """The window's ring bits that the sure test decides, and the pixels it
+    leaves to _cast_exact, as two boolean arrays; None when the window must
+    be cast whole. The names follow gate_mask's docstring; cols holds R's
+    columns, rel = c - o, and lat_cam, up_cam are R^T l and R^T up."""
+    u, margin, ri, ro = _UNIT_ROUNDOFF, RING_MARGIN, gate.inner_half, gate.outer_half
+    big_n = _dot(n, rel)
+    eta = _abs_dot(n, rel)
+    side = [abs(a) + abs(b) for a, b in zip(l, up)]
+    eta_t = _abs_dot(side, rel)
+    omega = _abs_dot(side, [abs(a) + abs(b) for a, b in zip(o, c)])
+    if not (abs(big_n) > 8.0 * u * eta / margin + 1e-300
+            and 6.0 * u + 5.0 * u * omega / ri <= 0.25 * margin):
+        return None
+    rows, cs = window
+    xs, ys = rays[0, cs, 0], rays[rows, 0, 1]
+    x0, x1, y0, y1 = float(xs[0]), float(xs[-1]), float(ys[0]), float(ys[-1])
+    big_x, big_y = max(abs(x0), abs(x1)), max(abs(y0), abs(y1))
+    bound = [abs(a) * big_x + abs(b) * big_y + abs(d) for a, b, d in zip(*cols)]
+    s, s_t = _abs_dot(n, bound), _abs_dot(side, bound)
+    k1 = u * (28.0 * eta * s_t + 13.0 * eta_t * s) / ri + 7.0 * u * s
+    k2 = 6.0 * u * eta * s_t * s / ri
+    g_floor = max(8.0 * k1 / margin, math.sqrt(8.0 * k2 / margin), 1e-12 + 13.0 * u * s)
+
+    sgn = 1.0 if big_n > 0.0 else -1.0
+    g = [sgn * _dot(col, n) for col in cols]
+    lam_l, lam_up, abs_n = _dot(l, rel), _dot(up, rel), abs(big_n)
+    p = [abs_n * a - lam_l * b for a, b in zip(lat_cam, g)]
+    q = [abs_n * a - lam_up * b for a, b in zip(up_cam, g)]
+    # G, P and Q: each a column (y, 1 terms) plus a row (x term) over the window
+    coef = np.array([g, p, q])
+    column = coef[:, 1, None] * ys + coef[:, 2, None]
+    big_g, big_p, big_q = column[:, :, None] + (coef[:, 0, None] * xs)[:, None, :]
+    # the same sums at the window's corners bound G, since rounding is monotone
+    gx, gy = (g[0] * x0, g[0] * x1), (g[1] * y0 + g[2], g[1] * y1 + g[2])
+    all_front = min(gx) + min(gy) >= g_floor
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if gate.shape == "square":
+            np.abs(big_p, out=big_p)
+            np.abs(big_q, out=big_q)
+            ratio = np.maximum(big_p, big_q, out=big_p)
+            ratio /= big_g
+            power = 1
+        else:
+            big_p *= big_p
+            big_q *= big_q
+            big_p += big_q
+            ratio = big_p
+            ratio /= big_g * big_g
+            power = 2
+    inside = (ratio >= (ri * (1.0 + margin)) ** power) & (ratio <= (ro * (1.0 - margin)) ** power)
+    unsure = (ratio >= (ri * (1.0 - margin)) ** power) & (ratio <= (ro * (1.0 + margin)) ** power)
+    unsure ^= inside
+    if not all_front:
+        front = big_g >= g_floor
+        inside &= front
+        unsure &= front
+        unsure |= np.abs(big_g) < g_floor
+    return inside, unsure
+
+
 def gate_mask(
     gates,
     camera: PinholeCamera = DEFAULT_CAMERA,
@@ -296,51 +417,114 @@ def gate_mask(
 ) -> np.ndarray:
     """Exact gate-ring mask by ray casting through pixel centers.
 
-    A pixel is set when its ray hits any gate's ring solid (between the inner
-    and outer boundary, both inclusive) at positive depth. Square rings use
-    the max-norm in the gate plane, circular rings the euclidean norm. Rays
-    are cast only inside each ring's projected pixel window, with the
-    per-pixel expressions of a full-frame cast; the window's padding keeps
-    every pixel the ring can cover inside it, so the mask is the same.
+    A pixel is set when its ray hits any gate's ring solid (between the
+    inner and outer boundary, both inclusive) at positive depth. Square
+    rings use the max-norm in the gate plane, circular rings the euclidean
+    norm. The bits are those of the per-pixel cast (_cast_exact): with R
+    the camera's rotation, o its position, d = (x, y, 1) a pixel's
+    camera-frame ray, c the gate's center, (n, l, up) its axes and
+    N = n . (c - o),
+
+        D = R d,  t = N / (n . D),  a = ((o + t D) - c) . l,  b = (...) . up,
+
+    and the pixel is set when |n . D| > 1e-12, t > 0 and hypot(a, b) (or
+    max(|a|, |b|)) lies in [ri, ro], the inner and outer half-sizes.
+    Rays are cast only inside each ring's projected pixel window
+    (_ring_window), whose padding keeps every pixel the ring can cover.
+
+    Sure test. With sgn = sign(N), the camera-frame vectors
+
+        g = sgn R^T n,  p = |N| R^T l - (l . (c - o)) g,  q = |N| R^T up - (up . (c - o)) g
+
+    give G = g . d, P = p . d and Q = q . d, each a column plus a row over
+    the window. In exact arithmetic on the stored inputs t > 0 iff G > 0,
+    and then a = P / G and b = Q / G. So the ring test is
+    ri^2 G^2 <= P^2 + Q^2 <= ro^2 G^2, or max(|P|, |Q|) against ri G and
+    ro G: no depth, no division by n . D, no hypot. A pixel whose ratio
+    (P^2 + Q^2) / G^2, or max(|P|, |Q|) / G, lies outside the band from
+    (1 - RING_MARGIN) to (1 + RING_MARGIN) times each radius (squared for
+    the circle) takes its bit from that ratio. A pixel inside a band, or
+    with |G| under a floor g_f, goes to _cast_exact, gathered.
+
+    Margin. Both computations approximate the same real function of the
+    stored R, o, c, n, l, up and d: the ring radius r* of the real hit,
+    which is also the real ratio. Let u = 2^-53 and gamma_k = k u / (1 - k u);
+    a dot product of 3 terms, in any order, fused or not, is within
+    gamma_3 sum |x_i y_i| of its real value. Over the window, with X and Y
+    the largest |x| and |y|, let
+
+        S_j = |R_j0| X + |R_j1| Y + |R_j2|, which bounds |D_j|,
+        s = sum_j |n_j| S_j, which bounds |G|,   s_t = sum_j (|l_j| + |up_j|) S_j,
+        eta = sum_j |n_j (c_j - o_j)|, which bounds |N|,
+        eta_t = sum_j (|l_j| + |up_j|) |c_j - o_j|,
+        omega = sum_j (|l_j| + |up_j|) (|o_j| + |c_j|).
+
+    To first order in u: N is within gamma_4 eta of its real value (one
+    rounding of c - o, then a dot product), and n . D within 2 gamma_3 s
+    (two dot products). So t = t* (1 + theta) with
+    |theta| <= 4 u eta / |N| + 6 u s / G + u. Each coordinate of
+    (o + t D) - c takes three more roundings and a and b a dot product
+    each, so
+
+        |a - a*| + |b - b*| <= u eta (s_t / G) (15 + 6 s / G) + 5 u omega,
+
+    and hypot adds at most 2 u r*. In the sure test g, R^T l and R^T up are
+    dot products (gamma_3), and each coordinate of p and q takes the error
+    of N or of l . (c - o) and two more roundings; with the dot product over
+    d, |G - G*| <= 6 u s and |P - P*| + |Q - Q*| <= 13 u (eta s_t + eta_t s).
+    The ratio's own rounding is under 4 u. At a radius rho >= ri the two
+    computations together are then within rho E of r*, with
+
+        E = 6 u + 5 u omega / ri + K1 / G + K2 / G^2,
+        K1 = u (28 eta s_t + 13 eta_t s) / ri + 7 u s,   K2 = 6 u eta s_t s / ri.
+
+    Where E <= RING_MARGIN / 2, a ratio outside the band puts r* and the
+    cast's hypot(a, b) on the same side of rho, so the bits agree. A window
+    goes through _cast_exact whole when 6 u + 5 u omega / ri > RING_MARGIN / 4
+    (coordinates too large for the ring), or when |N| <= 8 u eta / RING_MARGIN
+    + 1e-300 (a camera within rounding of the gate plane, where sgn is
+    unsure and theta is not small). Otherwise the floor
+
+        g_f = max(8 K1 / RING_MARGIN, sqrt(8 K2 / RING_MARGIN), 1e-12 + 13 u s)
+
+    keeps E <= RING_MARGIN / 2 wherever G >= g_f; the factor of 2 left over
+    covers the second-order terms, which are at most RING_MARGIN times the
+    first-order ones. G >= g_f also makes |n . D| > 1e-12 and t > 0 sure,
+    and G <= -g_f makes t < 0 sure. Pixels with |G| < g_f, rays that graze
+    the plane or meet it far away, go to the exact cast. Any RING_MARGIN up
+    to about 2^-10 keeps the first-order argument; a smaller one raises the
+    floors and the coordinate limit, a larger one widens the bands.
     """
     pose = pose if pose is not None else RigidTransform.identity()
     if isinstance(gates, Gate):
         gates = [gates]
     rays = _camera_rays(camera)
     r_wc = pose.rotation_matrix()
-    # matmul passes a C-contiguous right operand to BLAS but runs its own
-    # loop, about three times slower, on the transposed view; both sum each
-    # row with the same fused multiply-adds, so the bits are the same
     r_cw = np.ascontiguousarray(r_wc.T)
     origin = pose.translation
+    # R's columns, the camera axes in world coordinates: R^T v is (col . v)
+    cols = r_cw.tolist()
+    o = origin.tolist()
 
     mask = np.zeros((camera.height, camera.width), dtype=bool)
     for gate in gates:
         center, _, normal, lateral, up = gate.frame_at(t)
-        window = _ring_window(camera, r_wc, origin, center, lateral, up, gate.outer_half)
+        c, n, l, w = center.tolist(), normal.tolist(), lateral.tolist(), up.tolist()
+        rel = [c[0] - o[0], c[1] - o[1], c[2] - o[2]]
+        lat_cam, up_cam = [_dot(col, l) for col in cols], [_dot(col, w) for col in cols]
+        window = _ring_window(camera, [_dot(col, rel) for col in cols], lat_cam, up_cam,
+                              gate.outer_half)
         if window is None:
             continue
-        dirs = rays[window] @ r_cw
-        denom = dirs @ normal
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_hit = (normal @ (center - origin)) / denom
-        ok = (np.abs(denom) > 1e-12) & (t_hit > 0.0)
-        # q = (origin + t_hit * dirs) - center, one channel at a time: the same
-        # per-element operations as broadcasting the 3-vectors, two to five
-        # times faster
-        q = np.empty_like(dirs)
-        for k in range(3):
-            qk = q[..., k]
-            np.multiply(t_hit, dirs[..., k], out=qk)
-            qk += origin[k]
-            qk -= center[k]
-        a = q @ lateral
-        b = q @ up
-        if gate.shape == "square":
-            d = np.maximum(np.abs(a), np.abs(b))
-        else:
-            d = np.hypot(a, b)
-        mask[window] |= ok & (d >= gate.inner_half) & (d <= gate.outer_half)
+        exact = (r_cw, origin, center, normal, lateral, up, gate)
+        sure = _sure_ring(rays, window, cols, o, rel, c, n, l, w, lat_cam, up_cam, gate)
+        if sure is None:
+            mask[window] |= _cast_exact(rays[window], *exact)
+            continue
+        inside, unsure = sure
+        if unsure.any():
+            inside[unsure] = _cast_exact(rays[window][unsure], *exact)
+        mask[window] |= inside
     return mask
 
 

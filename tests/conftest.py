@@ -5,6 +5,8 @@ gatesim.geometry so rotation math is checked against an independent
 implementation (note the wxyz -> xyzw order change at the boundary).
 """
 
+import math
+
 import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
@@ -40,6 +42,13 @@ def with_signed_zeros(rng, x, fraction):
     """x with about `fraction` of its entries set to exactly 0.0 or -0.0."""
     hit = rng.random(x.shape) < fraction
     x[hit] = rng.choice([0.0, -0.0], size=x.shape)[hit]
+    return x
+
+
+def step_ulps(x: float, n: int) -> float:
+    """x moved n ulps up (n > 0) or down."""
+    for _ in range(abs(n)):
+        x = math.nextafter(x, math.inf if n > 0 else -math.inf)
     return x
 
 

@@ -46,8 +46,32 @@ def test_traced_block_is_the_per_metric_median_of_the_runs():
                                         _traced(3.0, 8.5, 100)])
     assert block["metrics"] == {"wall_s": 2.0, "dynamics.step.us_per_call": 8.5,
                                 "dynamics.step.calls": 100}
+    assert block["self_shares"] == {}
     assert block["simulated"] == {"dynamics_steps": 100, "rollouts": 3}
     assert (block["runs"], block["correct"]) == (3, True)
+
+
+def _layers(scale, mask_s, render_s, calls):
+    metrics = {"render.gate_mask.self_s": mask_s * scale,
+               "render.render_scene.self_s": render_s * scale,
+               "dynamics.step.self_s": 1.0 * scale, "render.gate_mask.calls": calls,
+               "render.gate_mask.ms_per_call": mask_s * scale / calls * 1e3}
+    return {"correct": True, "metrics": metrics, "simulated": {"frames": calls}}
+
+
+def test_traced_block_has_the_median_self_time_share_of_each_layer():
+    # the second run is 30% slower throughout, as host drift makes it:
+    # its times move, its shares do not
+    runs = [_layers(1.0, 2.0, 1.0, 1000), _layers(1.3, 2.0, 1.0, 1000),
+            _layers(1.0, 1.0, 2.0, 1000)]
+    block = bench_record.traced_median(runs)
+    assert block["self_shares"] == {"render.gate_mask.self_s": 0.5,
+                                    "render.render_scene.self_s": 0.25,
+                                    "dynamics.step.self_s": 0.25}
+    assert block["metrics"]["render.gate_mask.self_s"] == 2.0
+    assert bench_record.self_shares(runs[1]["metrics"]) == pytest.approx(
+        {"render.gate_mask.self_s": 0.5, "render.render_scene.self_s": 0.25,
+         "dynamics.step.self_s": 0.25})
 
 
 def test_traced_runs_of_one_commit_must_agree_on_their_counts():

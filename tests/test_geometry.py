@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
-from conftest import random_unit_quats, scipy_rotation
+from conftest import random_unit_quats, scipy_rotation, step_ulps
 from gatesim.geometry import (
     RigidTransform,
     mat_to_quat,
@@ -19,6 +19,7 @@ from gatesim.geometry import (
     quat_normalize,
     quat_rotate,
     quat_to_mat,
+    sure_plane_offset,
     umeyama_alignment,
     wrap_angle,
 )
@@ -295,3 +296,30 @@ def test_umeyama_reflection_guard(rng):
         T = umeyama_alignment(src, dst)
         assert abs(np.linalg.det(T.rotation_matrix()) - 1.0) < 1e-9
         np.testing.assert_allclose(T.apply(src), dst, atol=1e-8)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1.0, 20.0, 1e6]), st.booleans(),
+       st.sampled_from([0.0, 0.0, -0.5, 0.3]), st.integers(-4, 4))
+def test_sure_plane_offset_is_sure_of_the_dot_products_side(seed, scale, upright, level, steps):
+    # a point solved onto n . (p - c) = level, then stepped up to 4 ulps along
+    # the normal's largest coordinate: the float sum and the dot product can
+    # then round to opposite sides of level. An upright normal (zero z, as a
+    # gate's) leaves two products, whose nonzero float sum always has the
+    # dot product's sign at level 0; a tilted normal or another level does not
+    rng = np.random.default_rng(seed)
+    c = rng.uniform(-scale, scale, 3)
+    n = rng.normal(size=3)
+    if upright:
+        n[2] = 0.0
+    n /= np.linalg.norm(n)
+    p = rng.uniform(-2 * scale, 2 * scale, 3)
+    i = int(np.argmax(np.abs(n)))
+    j, k = (i + 1) % 3, (i + 2) % 3
+    p[i] = c[i] + (level - n[j] * (p[j] - c[j]) - n[k] * (p[k] - c[k])) / n[i]
+    p[i] = step_ulps(float(p[i]), steps)
+    d = sure_plane_offset((*c.tolist(), *n.tolist()), *p.tolist(), level)
+    if d is not None:
+        dot = float(n @ (p - c))
+        assert d != level and dot != level
+        assert (d > level) == (dot > level)

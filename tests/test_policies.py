@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
+from conftest import step_ulps
 from gatesim import policies
 from gatesim.dynamics import platform_dynamics
 from gatesim.geometry import sure_plane_offset
@@ -169,13 +170,6 @@ def _numpy_aim_point(gate, t, position, speed):
     return aim, center, yaw, t + t_go
 
 
-def _ulps(x: float, n: int) -> float:
-    """x moved n ulps up (n > 0) or down."""
-    for _ in range(abs(n)):
-        x = math.nextafter(x, math.inf if n > 0 else -math.inf)
-    return x
-
-
 # signed zeros, short and long values, and large coordinates
 _COORD = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-20.0, 20.0),
                    st.floats(-1e6, 1e6), st.floats(-1e150, 1e150))
@@ -202,7 +196,7 @@ def test_aim_point_matches_the_numpy_aim_point_bit_for_bit(moving, yaw, center, 
         # exactly at -AIM_STANDOFF along the normal, or a few ulps either side
         # of it, where the float sum cannot settle the side and the dot
         # product decides; the in-plane offset comes from the free draw
-        k = _ulps(-AIM_STANDOFF, ulps)
+        k = step_ulps(-AIM_STANDOFF, ulps)
         s, u = free[0], free[1]
         pos = frame.center + s * frame.lateral + u * frame.up + k * frame.normal
     else:
@@ -221,13 +215,13 @@ def test_aim_point_at_the_standoff_takes_the_dot_product():
     # normal @ (position - center), which is not below -AIM_STANDOFF there
     gate = _gate((10.0, 0.0, 2.0))
     plane = gate.frame_plane_at(0.0)[1]
-    for x in (9.0, _ulps(9.0, -1), _ulps(9.0, 1)):
+    for x in (9.0, step_ulps(9.0, -1), step_ulps(9.0, 1)):
         assert sure_plane_offset(plane, x, 0.0, 2.0, -AIM_STANDOFF) is None
         aim, _, _, _ = _aim_point(gate, 0.0, (x, 0.0, 2.0), 7.0)
         want, _, _, _ = _numpy_aim_point(gate, 0.0, np.array([x, 0.0, 2.0]), 7.0)
         assert np.array(aim).tobytes() == want.tobytes()
     assert _aim_point(gate, 0.0, (9.0, 0.0, 2.0), 7.0)[0] == (11.0, 0.0, 2.0)
-    assert _aim_point(gate, 0.0, (_ulps(9.0, -1), 0.0, 2.0), 7.0)[0] == (9.0, 0.0, 2.0)
+    assert _aim_point(gate, 0.0, (step_ulps(9.0, -1), 0.0, 2.0), 7.0)[0] == (9.0, 0.0, 2.0)
 
 
 def test_quad_expert_zero_on_collision_course():
@@ -476,6 +470,20 @@ def _random_patch_masks(rng, n):
 def test_centroid_window_matches_full_frame_random(rng):
     for mask in _random_patch_masks(rng, 40):
         assert largest_component_centroid(mask) == _full_frame_centroid(mask)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0), st.sampled_from(["speckle", "frame"]))
+def test_centroid_has_the_bits_of_np_mean(seed, density, kind):
+    # speckle of any density, or a frame whose largest component covers
+    # nearly all of it, up to the full 120 x 160 frame
+    rng = np.random.default_rng(seed)
+    if kind == "speckle":
+        mask = rng.random((120, 160)) < density
+    else:
+        mask = np.ones((120, 160), dtype=bool)
+        mask[rng.random((120, 160)) < 0.05 * density] = False
+    assert largest_component_centroid(mask) == _full_frame_centroid(mask)
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,15 @@
 analytic gate masks, and netpbm byte round-trips."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_scene, with_signed_zeros
+from conftest import random_scene, step_ulps, with_signed_zeros
+from gatesim import render
 from gatesim.geometry import RigidTransform
 from gatesim.render import (
     ALPHA_CAP,
@@ -21,6 +23,7 @@ from gatesim.render import (
     PinholeCamera,
     RenderResult,
     _camera_rays,
+    _cast_exact,
     _ordered_sum,
     _ring_window,
     camera_pose,
@@ -503,11 +506,11 @@ def test_gate_mask_several_gates_match_full_frame(rng):
                               _full_frame_mask(gates, DEFAULT_CAMERA, pose))
 
 
-def _window_of(gate, camera, pose):
-    center, yaw = gate.pose_at(0.0)
-    _, lateral, up = gate_axes(yaw)
-    return _ring_window(camera, pose.rotation_matrix(), pose.translation, center,
-                        lateral, up, gate.outer_half)
+def _window_of(gate, camera, pose, t=0.0):
+    center, _, _, lateral, up = gate.frame_at(t)
+    r_wc = pose.rotation_matrix()
+    return _ring_window(camera, ((center - pose.translation) @ r_wc).tolist(),
+                        (lateral @ r_wc).tolist(), (up @ r_wc).tolist(), gate.outer_half)
 
 
 def test_ring_window_kinds():
@@ -526,6 +529,126 @@ def test_ring_window_kinds():
     assert _window_of(straddle, cam, pose) == full
     off_frame = Gate.static("circular", 0.39, 0.10, (5.0, 20.0, 1.5), math.pi)
     assert _window_of(off_frame, cam, pose) is None
+
+
+def _spy_exact():
+    """A stand-in for render._cast_exact that records the shape of each
+    batch of rays it casts."""
+    batches = []
+
+    def spy(rays, *args):
+        batches.append(rays.shape[:-1])
+        return _cast_exact(rays, *args)
+
+    return batches, mock.patch.object(render, "_cast_exact", spy)
+
+
+@st.composite
+def _boundary_case(draw):
+    """A gate placed so that one pixel's ray meets its plane at exactly the
+    inner or outer radius, then resized by a few ulps either way. The ray
+    may meet the plane head-on or grazing it; or the camera sits within
+    rounding of the gate plane, on the ring's edge. Coordinates reach 1e4 m."""
+    camera = DEFAULT_CAMERA
+    shift = np.array([draw(st.sampled_from([0.0, 37.5, -1e3, 1e4, -1e4])) for _ in range(3)])
+    kind = draw(st.sampled_from(["head-on", "head-on", "grazing", "plane"]))
+    shape = draw(st.sampled_from(["square", "circular"]))
+    inner = draw(st.floats(0.05, 2.0))
+    ring = draw(st.floats(0.02, 0.6))
+    outer_edge = draw(st.booleans())
+    rad = inner + ring if outer_edge else inner
+    phi = draw(_angle)
+    pos = shift + np.array([draw(_coord) for _ in range(3)])
+    pose = camera_pose(pos, draw(_angle), draw(st.floats(-0.6, 0.6)))
+    r_wc = pose.rotation_matrix()
+    row, col = draw(st.integers(0, camera.height - 1)), draw(st.integers(0, camera.width - 1))
+    ray = _camera_rays(camera)[row, col] @ r_wc.T
+    if kind == "grazing":
+        # the gate's normal all but perpendicular to the ray
+        yaw = math.atan2(ray[1], ray[0]) + math.pi / 2 + draw(st.sampled_from([1e-3, 1e-6, 1e-9]))
+    else:
+        yaw = draw(_angle)
+    normal, lateral, up = gate_axes(yaw)
+    # the in-plane direction at the boundary: the circle's radius, or a point
+    # on the square's edge
+    if shape == "circular":
+        edge = math.cos(phi) * lateral + math.sin(phi) * up
+    else:
+        edge = lateral + math.sin(phi) * up
+    if kind == "plane":
+        center = pos - rad * edge + draw(st.sampled_from([0.0, 1e-15, -4e-12])) * normal
+    else:
+        center = pos + draw(st.floats(0.3, 30.0)) * ray - rad * edge
+    sized = step_ulps(inner, draw(st.integers(-3, 3)))
+    if outer_edge:
+        # ring = rad - inner puts outer_half within an ulp of rad; move it on
+        sized, ring = inner, step_ulps(rad - inner, draw(st.integers(-3, 3)))
+    t = 0.0
+    if draw(st.booleans()):
+        step = np.array([draw(_coord) for _ in range(3)])
+        gate = Gate(shape, sized, ring, ((0.0, center - step, yaw), (2.0, center + step, yaw)))
+        t = 1.0
+    else:
+        gate = Gate.static(shape, sized, ring, center, yaw)
+    if kind == "plane":
+        # look at the ring, so that it does not lie wholly behind the camera
+        rel = center - pos
+        pose = camera_pose(pos, math.atan2(rel[1], rel[0]), 0.0)
+    return gate, camera, pose, t
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_boundary_case())
+def test_gate_mask_at_the_ring_boundary_matches_full_frame(case):
+    gate, camera, pose, t = case
+    batches, patch = _spy_exact()
+    with patch:
+        got = gate_mask(gate, camera, pose, t=t)
+    assert np.array_equal(got, _full_frame_mask([gate], camera, pose, t=t))
+    # the pixel aimed at the boundary is too close to it for the sure test
+    assert batches and sum(math.prod(b) for b in batches) >= 1
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_gate_and_pose(), st.integers(0, 2**32 - 1))
+def test_cast_exact_has_the_bits_of_the_windowed_mask(case, seed):
+    gate, camera, pose, t = case
+    window = _window_of(gate, camera, pose, t)
+    mask = gate_mask(gate, camera, pose, t=t)
+    if window is None:
+        assert not mask.any()
+        return
+    center, _, normal, lateral, up = gate.frame_at(t)
+    r_wc = pose.rotation_matrix()
+    exact = (np.ascontiguousarray(r_wc.T), pose.translation, center, normal, lateral, up, gate)
+    rays = _camera_rays(camera)[window]
+    whole = _cast_exact(rays, *exact)
+    assert np.array_equal(whole, mask[window])
+    outside = mask.copy()
+    outside[window] = False
+    assert not outside.any()
+    # gathered, as gate_mask casts the pixels its sure test leaves open: a
+    # random share of them, and single pixels, which numpy would send to
+    # another BLAS routine
+    rng = np.random.default_rng(seed)
+    pick = rng.random(whole.shape) < 0.3
+    assert np.array_equal(_cast_exact(rays[pick], *exact), whole[pick])
+    for _ in range(3):
+        one = np.zeros(whole.shape, dtype=bool)
+        one[rng.integers(whole.shape[0]), rng.integers(whole.shape[1])] = True
+        assert np.array_equal(_cast_exact(rays[one], *exact), whole[one])
+
+
+def test_sure_test_decides_a_ring_seen_head_on():
+    gates = [Gate.static(shape, 0.39, 0.10, (4.0, y, 1.5), math.pi)
+             for shape, y in (("circular", 0.5), ("square", -0.6))]
+    pose = camera_pose((0.0, 0.0, 1.5), yaw=0.05, pitch=0.1)
+    batches, patch = _spy_exact()
+    with patch:
+        mask = gate_mask(gates, DEFAULT_CAMERA, pose)
+    assert batches == []
+    assert mask.sum() > 100
+    assert np.array_equal(mask, _full_frame_mask(gates, DEFAULT_CAMERA, pose))
 
 
 def test_camera_rays_cached_read_only():

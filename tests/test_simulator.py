@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import step_ulps
 from gatesim import simulator
 from gatesim.dynamics import platform_dynamics
 from gatesim.policies import ExpertUavPolicy, MaskCentroidPolicy, Policy, ZeroPolicy, expert_policy
@@ -526,7 +527,7 @@ def _sign(d: float):
 
 @settings(max_examples=600, deadline=None, derandomize=True, database=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from([1.0, 20.0, 1e6, 1e150]),
-       st.sampled_from(["near", "near", "random", "special"]), st.data())
+       st.sampled_from(["near", "near", "ulps", "ulps", "random", "special"]), st.data())
 def test_static_plane_side_has_the_sign_and_zero_ness_of_the_dot_product(seed, scale, kind,
                                                                         data):
     # points on, or within rounding of, the plane are where a plain float sum
@@ -540,6 +541,17 @@ def test_static_plane_side_has_the_sign_and_zero_ness_of_the_dot_product(seed, s
         s, t = rng.uniform(-scale, scale, 2)
         k = data.draw(st.sampled_from([0.0, 1e-15, -1e-15, 1e-12, -1e-12]))
         p = frame.center + s * frame.lateral + t * frame.up + k * frame.normal
+    elif kind == "ulps":
+        # the plane equation solved for the coordinate along the normal's
+        # largest component, then stepped 1 to 4 ulps: the dot product sits
+        # within a few ulps of its terms from zero, where the float sum and
+        # the dot product round to opposite signs on some draws
+        p = rng.uniform(-2 * scale, 2 * scale, 3)
+        c, n = frame.center, frame.normal
+        i = int(np.argmax(np.abs(n)))
+        j, k = (i + 1) % 3, (i + 2) % 3
+        p[i] = c[i] - (n[j] * (p[j] - c[j]) + n[k] * (p[k] - c[k])) / n[i]
+        p[i] = step_ulps(float(p[i]), data.draw(st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4])))
     elif kind == "random":
         p = rng.uniform(-2 * scale, 2 * scale, 3)
     else:

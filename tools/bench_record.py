@@ -16,13 +16,16 @@ runs one workload for one seed and BENCHMARK.json's run_seconds at a time:
   which commit runs first, for the per-layer block: each metric's median
   over one side's traced runs, so that one run's host drift does not read
   as a layer change. A side's traced runs must agree on every simulated
-  count.
+  count. Beside it, each layer's share: its *.self_s over the sum of every
+  *.self_s of the same run, the median over the runs. Host drift slows
+  every layer of a run alike, so a share moves when its layer changes, not
+  with the host.
 
 The file holds every run's end-to-end metrics, each side's median and
 quartiles, the pairs the change won (ties count for neither), the result
 digests and simulated counts of every run, the median traced per-layer
-metrics, and a machine block with both shas. It is written next to this
-checkout's BENCHMARK.json unless --out says otherwise.
+metrics and self-time shares, and a machine block with both shas. It is
+written next to this checkout's BENCHMARK.json unless --out says otherwise.
 """
 
 from __future__ import annotations
@@ -118,16 +121,26 @@ def summarize(pairs: list, end_to_end: list) -> dict:
     return out
 
 
+def self_shares(metrics: dict) -> dict:
+    """Each *.self_s metric of one traced run over the sum of all of them."""
+    names = [name for name in metrics if name.endswith(".self_s")]
+    total = sum(metrics[name] for name in names)
+    return {name: metrics[name] / total if total else 0.0 for name in names}
+
+
 def traced_median(runs: list) -> dict:
     """One side's per-layer block: each metric's median over its traced runs,
-    which must agree on every simulated count."""
+    which must agree on every simulated count, and the median of each
+    layer's self-time share."""
     if any(r["simulated"] != runs[0]["simulated"] for r in runs[1:]):
         raise RuntimeError(f"traced runs of one commit disagree on their simulated counts: "
                            f"{[r['simulated'] for r in runs]}")
+    shares = [self_shares(r["metrics"]) for r in runs]
     return {
         "runs": len(runs),
         "metrics": {name: statistics.median(r["metrics"][name] for r in runs)
                     for name in runs[0]["metrics"]},
+        "self_shares": {name: statistics.median(s[name] for s in shares) for name in shares[0]},
         "simulated": runs[0]["simulated"],
         "correct": all(r["correct"] for r in runs),
     }
