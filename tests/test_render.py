@@ -639,6 +639,26 @@ def test_cast_exact_has_the_bits_of_the_windowed_mask(case, seed):
         assert np.array_equal(_cast_exact(rays[one], *exact), whole[one])
 
 
+@pytest.mark.parametrize("gate,quat,position", [
+    # one pixel within rounding of the inner radius, the only one the exact
+    # cast gets: numpy would send a single ray to another BLAS routine
+    (Gate("square", 0.5465951367771649, 0.5,
+          ((0.0, np.array([0.4113255606290302, 38.38930599753564, 0.5383940143918401]),
+            2.9757842176036746),)),
+     [0.6434196712158015, -0.5938539075063496, 0.3276297485122206, -0.35497522606769194],
+     [0.0, 37.5, 0.0]),
+    # the camera on the ring's outer edge, in its plane: two corners of the
+    # outer square sit at a depth within rounding of zero
+    (Gate.static("square", 0.625, 0.125, [0.35956915395315225, -0.6581869214177796, 0.0], 0.5),
+     [0.17494101728127348, -0.17494101728127348, 0.6851245437674768, -0.6851245437674768],
+     [0.0, 0.0, 0.0]),
+])
+def test_gate_mask_boundary_cases_match_full_frame(gate, quat, position):
+    pose = RigidTransform(np.array(quat), np.array(position))
+    assert np.array_equal(gate_mask(gate, DEFAULT_CAMERA, pose),
+                          _full_frame_mask([gate], DEFAULT_CAMERA, pose))
+
+
 def test_sure_test_decides_a_ring_seen_head_on():
     gates = [Gate.static(shape, 0.39, 0.10, (4.0, y, 1.5), math.pi)
              for shape, y in (("circular", 0.5), ("square", -0.6))]
