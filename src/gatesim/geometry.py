@@ -22,26 +22,23 @@ def wrap_angle(a: float) -> float:
     return r - math.pi
 
 
-def sure_plane_offset(plane: tuple, x: float, y: float, z: float, level: float):
-    """The offset of the point (x, y, z) from the plane
-    (cx, cy, cz, nx, ny, nz) as the float sum d of the three products
-    n_i * (p_i - c_i), when d and float(normal @ (p - center)) surely lie on
-    the same side of level and neither equals it; None when unsure.
+def dot(a, b) -> float:
+    """a0*b0 + a1*b1 + a2*b2 of two 3-sequences, summed left to right.
 
-    The float sum d and the dot product each differ from the true offset by
-    a few ulps of |a0| + |a1| + |a2|. Where |d - level| clears 1e-14 of that
-    sum, both lie on the true offset's side of level. The 1e-300 floor sends
-    subnormal products, whose rounding error is absolute, to the caller's
-    exact fallback; so does NaN or inf, which fails the test.
+    Every 3-vector product whose bits reach an output goes through this one
+    fixed order, so no BLAS kernel's order of operations reaches them. On
+    (N, 3) arrays the column-wise a[:, 0]*b[:, 0] + a[:, 1]*b[:, 1] +
+    a[:, 2]*b[:, 2] has the same bits row by row (a NaN's sign and payload
+    aside).
     """
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def plane_offset(plane: tuple, x: float, y: float, z: float) -> float:
+    """The signed offset n . (p - c) of the point (x, y, z) from the plane
+    (cx, cy, cz, nx, ny, nz), in dot's order."""
     cx, cy, cz, nx, ny, nz = plane
-    a0 = nx * (x - cx)
-    a1 = ny * (y - cy)
-    a2 = nz * (z - cz)
-    d = a0 + a1 + a2
-    if abs(d - level) > 1e-14 * (abs(a0) + abs(a1) + abs(a2)) + 1e-300:
-        return d
-    return None
+    return dot((nx, ny, nz), (x - cx, y - cy, z - cz))
 
 
 def quat_normalize(q) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import QuadParams, UavParams, check_platform, platform_dynamics
-from .geometry import sure_plane_offset, wrap_angle
+from .geometry import dot, plane_offset, wrap_angle
 from .render import DEFAULT_CAMERA
 from .tracks import NOMINAL_SPEED, Gate
 
@@ -84,23 +84,18 @@ def _aim_point(gate: Gate, t: float, position, speed: float):
     its aim, center and yaw are the same, and the returned time is t itself.
     Only the quad expert reads that time, and only for a moving gate.
 
-    The side and the carrot come from floats with numpy's bits: the side test
-    float(normal @ (position - center)) < -AIM_STANDOFF is the float sum of
-    sure_plane_offset where that is sure and the dot product itself where
-    not, and center -+ AIM_STANDOFF * normal is elementwise.
+    The lead distance and the side test n . (position - center) <
+    -AIM_STANDOFF are geometry.dot's fixed-order sums on floats; the carrot
+    center -+ AIM_STANDOFF * normal is elementwise.
     """
     t_go = 0.0
     if gate.moving:
         for _ in range(2):
-            d = gate.frame_at(t + t_go).center - position
-            t_go = math.sqrt(d @ d) / speed   # np.linalg.norm's sum and root, without its overhead
+            d = (gate.frame_at(t + t_go).center - position).tolist()
+            t_go = math.sqrt(dot(d, d)) / speed
     frame, plane = gate.frame_plane_at(t + t_go)
-    x, y, z = position
-    signed = sure_plane_offset(plane, x, y, z, -AIM_STANDOFF)
-    if signed is None:
-        signed = float(frame.normal @ (np.array([x, y, z]) - frame.center))
     cx, cy, cz, nx, ny, nz = plane
-    if signed < -AIM_STANDOFF:
+    if plane_offset(plane, *position) < -AIM_STANDOFF:
         aim = (cx - AIM_STANDOFF * nx, cy - AIM_STANDOFF * ny, cz - AIM_STANDOFF * nz)
     else:
         aim = (cx + AIM_STANDOFF * nx, cy + AIM_STANDOFF * ny, cz + AIM_STANDOFF * nz)
@@ -136,11 +131,10 @@ def expert_quad_control(obs: FullStateObs) -> np.ndarray:
     x, y, z = obs.state[:3].tolist()
     psi = float(obs.state[8])
     (ax, ay, az), _, gate_yaw, t_hit = _aim_point(gate, obs.t, (x, y, z), QUAD_CRUISE_SPEED)
-    rel = np.array([ax - x, ay - y, az - z])
-    left = np.array([-math.sin(psi), math.cos(psi), 0.0])
-    ff = gate_velocity(gate, t_hit) if gate.moving else np.zeros(3)
-    vy = QUAD_K_Y * float(rel @ left) + float(ff @ left)
-    vz = QUAD_K_Z * (az - z) + float(ff[2])
+    left = (-math.sin(psi), math.cos(psi), 0.0)
+    ff = gate_velocity(gate, t_hit).tolist() if gate.moving else [0.0, 0.0, 0.0]
+    vy = QUAD_K_Y * dot((ax - x, ay - y, az - z), left) + dot(ff, left)
+    vz = QUAD_K_Z * (az - z) + ff[2]
     r = QUAD_K_YAW * wrap_angle(gate_yaw - psi)
     return np.array([QUAD_CRUISE_SPEED, vy, vz, r])
 

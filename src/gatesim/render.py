@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import RigidTransform, mat_to_quat
+from .geometry import RigidTransform, dot, mat_to_quat
 from .scene import GaussianScene
 from .tracks import Gate
 
@@ -90,11 +90,17 @@ def project(camera: PinholeCamera, pose: RigidTransform, points) -> tuple[np.nda
 
 
 def point_in_view(camera: PinholeCamera, pose: RigidTransform, point) -> bool:
-    """Positive depth and projection inside the closed image rectangle."""
-    uv, z = project(camera, pose, np.asarray(point, dtype=np.float64)[None, :])
-    if not z[0] > ZNEAR:
+    """Positive depth and projection inside the closed image rectangle.
+
+    project's arithmetic for one point, with the camera-frame coordinates
+    taken as geometry.dot products against the rotation's columns.
+    """
+    rel = (np.asarray(point, dtype=np.float64) - pose.translation).tolist()
+    x, y, z = (dot(rel, col) for col in pose.rotation_matrix().T.tolist())
+    if not z > ZNEAR:
         return False
-    u, v = uv[0]
+    u = camera.fx * x / z + camera.cx
+    v = camera.fy * y / z + camera.cy
     return 0.0 <= u <= camera.width and 0.0 <= v <= camera.height
 
 
@@ -260,10 +266,6 @@ def _camera_rays(camera: PinholeCamera) -> np.ndarray:
     return dirs
 
 
-def _dot(a, b) -> float:
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
 def _abs_dot(a, b) -> float:
     return abs(a[0] * b[0]) + abs(a[1] * b[1]) + abs(a[2] * b[2])
 
@@ -353,7 +355,7 @@ def _sure_ring(rays, window, cols, o, rel, c, n, l, up, lat_cam, up_cam, gate):
     be cast whole. The names follow gate_mask's docstring; cols holds R's
     columns, rel = c - o, and lat_cam, up_cam are R^T l and R^T up."""
     u, margin, ri, ro = _UNIT_ROUNDOFF, RING_MARGIN, gate.inner_half, gate.outer_half
-    big_n = _dot(n, rel)
+    big_n = dot(n, rel)
     eta = _abs_dot(n, rel)
     side = [abs(a) + abs(b) for a, b in zip(l, up)]
     eta_t = _abs_dot(side, rel)
@@ -372,8 +374,8 @@ def _sure_ring(rays, window, cols, o, rel, c, n, l, up, lat_cam, up_cam, gate):
     g_floor = max(8.0 * k1 / margin, math.sqrt(8.0 * k2 / margin), 1e-12 + 13.0 * u * s)
 
     sgn = 1.0 if big_n > 0.0 else -1.0
-    g = [sgn * _dot(col, n) for col in cols]
-    lam_l, lam_up, abs_n = _dot(l, rel), _dot(up, rel), abs(big_n)
+    g = [sgn * dot(col, n) for col in cols]
+    lam_l, lam_up, abs_n = dot(l, rel), dot(up, rel), abs(big_n)
     p = [abs_n * a - lam_l * b for a, b in zip(lat_cam, g)]
     q = [abs_n * a - lam_up * b for a, b in zip(up_cam, g)]
     # G, P and Q: each a column (y, 1 terms) plus a row (x term) over the window
@@ -511,8 +513,8 @@ def gate_mask(
         center, _, normal, lateral, up = gate.frame_at(t)
         c, n, l, w = center.tolist(), normal.tolist(), lateral.tolist(), up.tolist()
         rel = [c[0] - o[0], c[1] - o[1], c[2] - o[2]]
-        lat_cam, up_cam = [_dot(col, l) for col in cols], [_dot(col, w) for col in cols]
-        window = _ring_window(camera, [_dot(col, rel) for col in cols], lat_cam, up_cam,
+        lat_cam, up_cam = [dot(col, l) for col in cols], [dot(col, w) for col in cols]
+        window = _ring_window(camera, [dot(col, rel) for col in cols], lat_cam, up_cam,
                               gate.outer_half)
         if window is None:
             continue

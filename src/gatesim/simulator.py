@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import platform_dynamics
-from .geometry import sure_plane_offset
+from .geometry import dot, plane_offset
 from .policies import FullStateObs, MaskObs
 from .render import DEFAULT_CAMERA, camera_pose, gate_mask
 from .tracks import Gate, Track
@@ -97,36 +97,10 @@ class Rollout:
         return all(g.outcome == SUCCESS for g in self.gates)
 
 
-def signed_gate_distance(gate: Gate, t: float, position: np.ndarray) -> float:
-    center, _, normal, _, _ = gate.frame_at(t)
-    return float(normal @ (position - center))
-
-
-class StaticPlane:
-    """A static gate's plane, with float copies of its cached frame's center
-    and normal for the rollout's per-step side test."""
-
-    __slots__ = ("center", "normal", "_floats")
-
-    def __init__(self, gate: Gate):
-        frame, self._floats = gate.frame_plane_at(0.0)
-        self.center, self.normal = frame.center, frame.normal
-
-    def side(self, state: np.ndarray, x: float, y: float, z: float) -> float:
-        """A signed distance of the position (x, y, z) = state[:3] to the
-        plane, with the sign and zero-ness of
-        float(normal @ (state[:3] - center)), which it returns when the float
-        sum of sure_plane_offset is unsure."""
-        d = sure_plane_offset(self._floats, x, y, z, 0.0)
-        if d is not None:
-            return d
-        return float(self.normal @ (state[:3] - self.center))
-
-
-def _static_plane(gate: Gate) -> StaticPlane | None:
-    """The plane of a static gate; None for a moving gate, whose plane
-    depends on time."""
-    return None if gate.moving else StaticPlane(gate)
+def signed_gate_distance(gate: Gate, t: float, position) -> float:
+    """n . (p - c) of the position (any 3-sequence) from the gate's plane at
+    t, in geometry.dot's fixed order."""
+    return float(plane_offset(gate.frame_plane_at(t)[1], *position))
 
 
 def detect_crossing(gate: Gate, t0: float, p0: np.ndarray, t1: float, p1: np.ndarray):
@@ -156,9 +130,9 @@ def detect_crossing(gate: Gate, t0: float, p0: np.ndarray, t1: float, p1: np.nda
     t_cross = t0 + s * (t1 - t0)
     p = p0 + s * (p1 - p0)
     center, _, normal, lateral, up = gate.frame_at(t_cross)
-    p_prime = p - (normal @ (p - center)) * normal
+    p_prime = p - dot(normal, p - center) * normal
     q = p_prime - center
-    error = math.hypot(float(q @ lateral), float(q @ up))
+    error = math.hypot(dot(q, lateral), dot(q, up))
     return t_cross, p_prime, error
 
 
@@ -217,8 +191,9 @@ def rollout(
     returned, so the recorded trajectory can share them. The stepper reads
     Python floats: the tick's control as one list, and each state as the one
     list taken from it after the step, whose position also serves the arena
-    test and, on a static target, the gate side (StaticPlane.side); position
-    arrays are built only for a moving target or to resolve a crossing.
+    test and the gate side (geometry.plane_offset on the target's
+    frame_plane_at floats); position arrays are built only to resolve a
+    crossing.
     """
     if policy.platform not in ("any", track.platform):
         raise ValueError(
@@ -260,7 +235,6 @@ def rollout(
     # distance is the next step's start distance, so each step computes one,
     # and detect_crossing runs only on a sign change it will confirm
     d0 = signed_gate_distance(gates[0], t, state[:3])
-    plane = _static_plane(gates[0])
     floats = state.tolist()
 
     while terminal is None:
@@ -279,31 +253,23 @@ def rollout(
             x, y, z = floats[0], floats[1], floats[2]
 
             if target < n_gates:
-                if plane is not None:
-                    d1 = plane.side(state, x, y, z)
-                else:
-                    d1 = signed_gate_distance(gates[target], t_new, state[:3])
-                if d0 < 0.0 <= d1:
+                d1 = plane_offset(gates[target].frame_plane_at(t_new)[1], x, y, z)
+                # the same transition can cross several coincident gate planes
+                while d0 < 0.0 <= d1:
                     p0, p1 = dynamics.position(prev), dynamics.position(state)
-                    # the same transition can cross several coincident gate planes
-                    while d0 < 0.0 <= d1:
-                        t_cross, p_prime, error = detect_crossing(
-                            gates[target], t, p0, t_new, p1)
-                        outcome = classify_crossing(error, gates[target],
-                                                    track.vehicle_half_width)
-                        records[target] = GateRecord(
-                            target, outcome, True, t_cross, p_prime, error)
-                        if outcome == FRAME_COLLISION:
-                            terminal = FRAME_COLLISION
-                            break
-                        target += 1
-                        if target == n_gates:
-                            if outcome == SUCCESS:
-                                terminal = SUCCESS
-                            break
-                        plane = _static_plane(gates[target])
-                        d0 = signed_gate_distance(gates[target], t, p0)
-                        d1 = signed_gate_distance(gates[target], t_new, p1)
+                    t_cross, p_prime, error = detect_crossing(gates[target], t, p0, t_new, p1)
+                    outcome = classify_crossing(error, gates[target], track.vehicle_half_width)
+                    records[target] = GateRecord(target, outcome, True, t_cross, p_prime, error)
+                    if outcome == FRAME_COLLISION:
+                        terminal = FRAME_COLLISION
+                        break
+                    target += 1
+                    if target == n_gates:
+                        if outcome == SUCCESS:
+                            terminal = SUCCESS
+                        break
+                    d0 = signed_gate_distance(gates[target], t, p0)
+                    d1 = signed_gate_distance(gates[target], t_new, p1)
                 d0 = d1
 
             t = t_new

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import UavParams, check_platform
-from .geometry import wrap_angle
+from .geometry import dot, wrap_angle
 from .scene import GaussianScene
 
 SQUARE = "square"
@@ -216,7 +216,8 @@ class Track:
         prev = pos
         for g in self.gates:
             c = g.pose_at(0.0)[0]
-            t += float(np.linalg.norm(c - prev)) / self.nominal_speed
+            d = (c - prev).tolist()
+            t += math.sqrt(dot(d, d)) / self.nominal_speed
             prev = c
         return max(4.0, 3.0 * t)
 

@@ -1,7 +1,6 @@
 """End-to-end command-line runs: determinism of written artifacts, exit
 codes, and the file formats."""
 
-import hashlib
 import json
 import os
 import subprocess
@@ -15,19 +14,13 @@ from gatesim import cli
 from gatesim.cli import _trial_job, config_hash, main, make_policy, resolve_track
 from gatesim.policies import MaskCentroidPolicy, NoisyMaskPolicy
 from gatesim.render import DEFAULT_CAMERA, camera_pose, gate_mask, pgm_bytes, read_pgm, read_ppm
-from gatesim.scene import GaussianScene, read_scene, write_scene
+from gatesim.scene import read_scene, write_scene
 from gatesim.simulator import MISS, jittered_initial_pose
 from gatesim.tracks import (ARENAS, GATE_GEOMETRY, Gate, Track, save_track, track_splats,
                             track_to_dict)
 
 from conftest import random_scene
-
-
-def _mini_track(platform="uav"):
-    geo = GATE_GEOMETRY[platform]
-    center = (0.0, 0.0, 2.0) if platform == "uav" else (1.2, 0.0, 1.2)
-    gate = Gate.static(geo["shape"], geo["inner_half"], geo["ring"], center, 0.0)
-    return Track(f"mini-{platform}", platform, (gate,), ARENAS[platform])
+from pinned import PINS, bytes_of, digest, mini_track, pgr_config, run_pinned, tree
 
 
 def _moving_uav_track():
@@ -36,23 +29,6 @@ def _moving_uav_track():
     moving = Gate(geo["shape"], geo["inner_half"], geo["ring"],
                   ((0.0, np.array([8.0, -1.0, 2.0]), 0.0), (4.0, np.array([8.0, 1.0, 2.0]), 0.2)))
     return Track("moving-uav", "uav", (static, moving), ARENAS["uav"])
-
-
-def _tree(root):
-    return sorted(str(p.relative_to(root)) for p in Path(root).rglob("*") if p.is_file())
-
-
-def _bytes_of(root):
-    return {rel: (Path(root) / rel).read_bytes() for rel in _tree(root)}
-
-
-def _digest(root):
-    """sha256 over a directory's files, in sorted relative-path order."""
-    digest = hashlib.sha256()
-    for rel, data in _bytes_of(root).items():
-        digest.update(f"{rel}\0{len(data)}\0".encode())
-        digest.update(data)
-    return digest.hexdigest()
 
 
 class _CountingPool:
@@ -92,7 +68,7 @@ def test_evaluate_writes_deterministic_outputs(tmp_path, capsys):
     args = ["evaluate", "--tracks", "uav-slalom", "--trials", "2", "--seed", "7"]
     assert main(args + ["--out", str(tmp_path / "a")]) == 0
     assert main(args + ["--out", str(tmp_path / "b")]) == 0
-    a, b = _bytes_of(tmp_path / "a"), _bytes_of(tmp_path / "b")
+    a, b = bytes_of(tmp_path / "a"), bytes_of(tmp_path / "b")
     assert set(a) == set(b) == {
         "metrics.csv",
         "summary.json",
@@ -103,7 +79,7 @@ def test_evaluate_writes_deterministic_outputs(tmp_path, capsys):
     assert a == b
     # a different seed changes the jittered trajectories
     assert main(args[:-1] + ["8", "--out", str(tmp_path / "c")]) == 0
-    c = _bytes_of(tmp_path / "c")
+    c = bytes_of(tmp_path / "c")
     assert c["trajectories/uav-slalom_00.csv"] != a["trajectories/uav-slalom_00.csv"]
 
     text = a["metrics.csv"].decode()
@@ -120,35 +96,61 @@ def test_evaluate_job_count_does_not_change_results(tmp_path, capsys):
     base = ["evaluate", "--tracks", "quad-turn", "--trials", "2", "--seed", "3"]
     assert main(base + ["--jobs", "1", "--out", str(tmp_path / "j1")]) == 0
     assert main(base + ["--jobs", "2", "--out", str(tmp_path / "j2")]) == 0
-    assert _bytes_of(tmp_path / "j1") == _bytes_of(tmp_path / "j2")
+    assert bytes_of(tmp_path / "j1") == bytes_of(tmp_path / "j2")
     capsys.readouterr()
 
 
 def test_evaluate_bytes_are_pinned(tmp_path, capsys):
     # the expert on all six bundled tracks: uav and quad, static and moving
     # gates; any drift in the rollout loop or what evaluate writes moves this
-    assert main(["evaluate", "--trials", "2", "--out", str(tmp_path / "e")]) == 0
-    assert len(_tree(tmp_path / "e")) == 2 + 6 + 12
-    assert _digest(tmp_path / "e") == (
-        "82152a38f6aa7866b3688635d85a235daad54858c48a07397a99bef7e9379143")
+    out = run_pinned("evaluate", tmp_path)
+    assert len(tree(out)) == 2 + 6 + 12
+    assert digest(out) == PINS["evaluate"]
     capsys.readouterr()
 
 
 def test_evaluate_moving_gate_mask_bytes_are_pinned(tmp_path, capsys):
     # classical-noisy on quad-drift: gate masks of a moving gate, so the
     # per-tick gate frame, camera pose and ring window all enter the bytes
-    assert main(["evaluate", "--policy", "classical-noisy", "--tracks", "quad-drift",
-                 "--trials", "2", "--seed", "3", "--out", str(tmp_path / "d")]) == 0
-    assert len(_tree(tmp_path / "d")) == 2 + 1 + 2
-    assert _digest(tmp_path / "d") == (
-        "c85b4c7d526362a57a03d3d1d34d64cca8dde83b7196493e0229aa56a2fe0b6c")
+    out = run_pinned("moving-gate-mask", tmp_path)
+    assert len(tree(out)) == 2 + 1 + 2
+    assert digest(out) == PINS["moving-gate-mask"]
     capsys.readouterr()
+
+
+def _pinned_child(kernel):
+    """A child interpreter running tests/pinned.py on this package, with
+    OPENBLAS_CORETYPE set to kernel, or unset for the default kernel; the
+    variable is set for the child only."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    if kernel is not None:
+        env["OPENBLAS_CORETYPE"] = kernel
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.Popen([sys.executable, str(Path(__file__).with_name("pinned.py"))],
+                            env=env, stdout=subprocess.PIPE, text=True)
+
+
+def test_pinned_bytes_do_not_depend_on_the_blas_kernel():
+    # every 3-vector product on the rollout and sampler paths has one fixed
+    # order of operations, so OpenBLAS's choice of kernel, whose dot products
+    # round differently, moves no pinned byte
+    children = {k: _pinned_child(k) for k in (None, "Haswell", "Prescott")}
+    try:
+        outs = {k: child.communicate(timeout=600)[0] for k, child in children.items()}
+    finally:
+        for child in children.values():
+            child.kill()
+            child.wait()
+    assert [child.returncode for child in children.values()] == [0, 0, 0]
+    digests = {k: json.loads(out) for k, out in outs.items()}
+    assert digests[None] == digests["Haswell"] == digests["Prescott"] == PINS
 
 
 def test_evaluate_maps_all_tracks_through_one_pool(tmp_path, monkeypatch, capsys, pools):
     monkeypatch.chdir(tmp_path)
-    save_track("mini-uav.json", _mini_track("uav"))
-    save_track("mini-quad.json", _mini_track("quad"))
+    save_track("mini-uav.json", mini_track("uav"))
+    save_track("mini-quad.json", mini_track("quad"))
     assert main(["evaluate", "--tracks", "mini-uav.json", "mini-quad.json", "--trials", "2",
                  "--tick-hz", "10", "--jobs", "2"]) == 0
     assert pools == [2]
@@ -158,7 +160,7 @@ def test_evaluate_maps_all_tracks_through_one_pool(tmp_path, monkeypatch, capsys
 def test_jobs_are_capped_at_the_cpu_count(tmp_path, monkeypatch, capsys, pools):
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     monkeypatch.chdir(tmp_path)
-    save_track("mini-uav.json", _mini_track("uav"))
+    save_track("mini-uav.json", mini_track("uav"))
     assert main(["evaluate", "--tracks", "mini-uav.json", "--trials", "2",
                  "--tick-hz", "10", "--jobs", "2"]) == 0
     assert pools == []
@@ -167,7 +169,7 @@ def test_jobs_are_capped_at_the_cpu_count(tmp_path, monkeypatch, capsys, pools):
 
 def test_evaluate_classical_on_custom_quad_track(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    save_track("mini-quad.json", _mini_track("quad"))
+    save_track("mini-quad.json", mini_track("quad"))
     rc = main(
         ["evaluate", "--tracks", "mini-quad.json", "--policy", "classical-noisy",
          "--trials", "1", "--tick-hz", "10", "--out", "out"]
@@ -207,12 +209,12 @@ def test_evaluate_writes_only_inside_out_for_tracks_given_by_path(tmp_path, monk
     (tmp_path / "abs").mkdir()
     (tmp_path / "sub" / "deep").mkdir(parents=True)
     spec = str(tmp_path / "abs" / "mytrack.json")
-    save_track(spec, _mini_track("uav"))
-    save_track("sub/deep/other.json", _mini_track("quad"))
-    before = set(_tree(tmp_path))
+    save_track(spec, mini_track("uav"))
+    save_track("sub/deep/other.json", mini_track("quad"))
+    before = set(tree(tmp_path))
     assert main(["evaluate", "--tracks", spec, "sub/deep/other.json", "--trials", "1",
                  "--tick-hz", "10", "--out", "out"]) == 0
-    assert set(_tree(tmp_path)) - before == {
+    assert set(tree(tmp_path)) - before == {
         "out/metrics.csv",
         "out/summary.json",
         "out/events/mytrack.json.csv",
@@ -236,7 +238,7 @@ def test_two_tracks_with_one_file_name_are_a_config_error(tmp_path, monkeypatch,
     for spec in (first, second):
         if "/" in spec:
             Path(spec).parent.mkdir()
-            save_track(spec, _mini_track("quad"))
+            save_track(spec, mini_track("quad"))
     assert main(["evaluate", "--tracks", first, second, "--trials", "1", "--out", "out"]) == 2
     assert (f"tracks {first!r} and {second!r} would both write files named "
             f"{Path(second).name!r}") in capsys.readouterr().err
@@ -304,12 +306,12 @@ def test_bad_track_file_is_a_config_error(tmp_path, capsys, edit, message):
 
 def test_perturb_outputs(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    save_track("mini-uav.json", _mini_track("uav"))
+    save_track("mini-uav.json", mini_track("uav"))
     args = ["perturb", "--track", "mini-uav.json", "--levels", "0,10",
             "--tracks-per-level", "2", "--seed", "5"]
     assert main(args + ["--out", "p1"]) == 0
     assert main(args + ["--out", "p2"]) == 0
-    assert _bytes_of("p1") == _bytes_of("p2")
+    assert bytes_of("p1") == bytes_of("p2")
 
     lines = Path("p1/perturbation.csv").read_text().strip().split("\n")
     assert lines[0] == "level_cm,policy,gates,successes,sr,mge"
@@ -322,7 +324,7 @@ def test_perturb_outputs(tmp_path, monkeypatch, capsys):
 
 def test_perturb_hash_covers_tick_rate(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    save_track("mini-uav.json", _mini_track("uav"))
+    save_track("mini-uav.json", mini_track("uav"))
     args = ["perturb", "--track", "mini-uav.json", "--levels", "0", "--tracks-per-level", "1"]
     hashes = set()
     for hz in ("10", "50"):
@@ -334,18 +336,18 @@ def test_perturb_hash_covers_tick_rate(tmp_path, monkeypatch, capsys):
 
 def test_perturb_job_count_does_not_change_results(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    save_track("mini-uav.json", _mini_track("uav"))
+    save_track("mini-uav.json", mini_track("uav"))
     args = ["perturb", "--track", "mini-uav.json", "--levels", "0,30",
             "--tracks-per-level", "2", "--tick-hz", "10", "--seed", "6"]
     assert main(args + ["--jobs", "1", "--out", "j1"]) == 0
     assert main(args + ["--jobs", "2", "--out", "j2"]) == 0
-    assert _bytes_of("j1") == _bytes_of("j2")
+    assert bytes_of("j1") == bytes_of("j2")
     capsys.readouterr()
 
 
 def test_perturb_maps_all_levels_through_one_pool(tmp_path, monkeypatch, capsys, pools):
     monkeypatch.chdir(tmp_path)
-    save_track("mini-uav.json", _mini_track("uav"))
+    save_track("mini-uav.json", mini_track("uav"))
     assert main(["perturb", "--track", "mini-uav.json", "--levels", "0,20,40",
                  "--tracks-per-level", "1", "--tick-hz", "10", "--jobs", "2"]) == 0
     assert pools == [2]
@@ -367,12 +369,9 @@ def test_bad_perturbation_levels_are_parse_errors(monkeypatch, capsys, levels):
 def test_perturb_bytes_are_pinned(tmp_path, capsys):
     # classical-noisy on quad-turn: perturbed tracks, masks, perception noise,
     # labelling and a Spearman rho that is not 0; any drift moves this digest
-    assert main(["perturb", "--track", "quad-turn", "--policy", "classical-noisy",
-                 "--levels", "0,60,120", "--tracks-per-level", "2", "--seed", "3",
-                 "--out", str(tmp_path / "p")]) == 0
-    assert json.loads((tmp_path / "p/summary.json").read_text())["spearman_rho"] < -0.5
-    assert _digest(tmp_path / "p") == (
-        "621a73966c8c5e41e8c9267702e9f213746b736b34dcad2ceab53cba2f62626d")
+    out = run_pinned("perturb", tmp_path)
+    assert json.loads((out / "summary.json").read_text())["spearman_rho"] < -0.5
+    assert digest(out) == PINS["perturb"]
     capsys.readouterr()
 
 
@@ -381,27 +380,12 @@ def test_perturb_bytes_are_pinned(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 
-def _pgr_config(tmp_path, **extra):
-    cfg = {
-        "platform": "uav",
-        "per_gate_counts": [2, 1, 1, 1],
-        "iterations": 2,
-        "initial_per_cell": 1,
-        "val_per_cell": 1,
-        "tick_hz": 10.0,
-        "n0": 2.0,
-    }
-    cfg.update(extra)
-    path = tmp_path / "pgr.json"
-    path.write_text(json.dumps(cfg))
-    return str(path)
-
 def test_pgr_outputs(tmp_path, capsys):
-    cfg = _pgr_config(tmp_path)
+    cfg = pgr_config(tmp_path)
     args = ["pgr", "--config", cfg, "--seed", "2"]
     assert main(args + ["--out", str(tmp_path / "r1")]) == 0
     assert main(args + ["--out", str(tmp_path / "r2")]) == 0
-    assert _bytes_of(tmp_path / "r1") == _bytes_of(tmp_path / "r2")
+    assert bytes_of(tmp_path / "r1") == bytes_of(tmp_path / "r2")
 
     conf = json.loads((tmp_path / "r1/config.json").read_text())
     assert conf["per_gate_counts"] == [2, 1, 1, 1]
@@ -423,7 +407,7 @@ def test_pgr_outputs(tmp_path, capsys):
 
 
 def test_pgr_skip_uniform(tmp_path, capsys):
-    cfg = _pgr_config(tmp_path, iterations=1)
+    cfg = pgr_config(tmp_path, iterations=1)
     assert main(["pgr", "--config", cfg, "--skip-uniform", "--out", str(tmp_path / "r")]) == 0
     hist = json.loads((tmp_path / "r/history.json").read_text())
     assert "uniform" not in hist and "top_decile_allocation" not in hist
@@ -435,16 +419,12 @@ def test_pgr_skip_uniform(tmp_path, capsys):
 
 def test_pgr_bytes_are_pinned(tmp_path, capsys):
     # learner rollouts on static uav gates, the sampler and the loss tables
-    cfg = _pgr_config(tmp_path, iterations=2)
-    assert main(["pgr", "--config", cfg, "--skip-uniform", "--seed", "5",
-                 "--out", str(tmp_path / "r")]) == 0
-    assert _digest(tmp_path / "r") == (
-        "cae1fe28500bad79ee894844bb234c1d0d21983c33ff251fed65ca317a8fa8c1")
+    assert digest(run_pinned("pgr", tmp_path)) == PINS["pgr"]
     capsys.readouterr()
 
 
 def test_pgr_config_json_reproduces_its_hash(tmp_path, capsys):
-    cfg = _pgr_config(tmp_path, iterations=1, samples_per_iteration=3)
+    cfg = pgr_config(tmp_path, iterations=1, samples_per_iteration=3)
     assert main(["pgr", "--config", cfg, "--skip-uniform", "--seed", "4",
                  "--out", str(tmp_path / "r")]) == 0
     rest = json.loads((tmp_path / "r/config.json").read_text())
@@ -482,7 +462,7 @@ def test_pgr_config_json_reproduces_its_hash(tmp_path, capsys):
      "tick_hz 30.0 gives a tick period that is not a whole number of 0.01 s"),
 ])
 def test_pgr_config_bad_values_are_config_errors(tmp_path, capsys, extra, message):
-    cfg = _pgr_config(tmp_path, **extra)
+    cfg = pgr_config(tmp_path, **extra)
     assert main(["pgr", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert f"{cfg}: {message}" in err
@@ -492,7 +472,7 @@ def test_pgr_config_bad_values_are_config_errors(tmp_path, capsys, extra, messag
                                           ([256, 256, 256, 256], 256 ** 8),
                                           ([1000, 1000, 1000, 1000], 1000 ** 8)])
 def test_pgr_refuses_too_many_cells_before_any_run(tmp_path, capsys, counts, cells):
-    cfg = _pgr_config(tmp_path, per_gate_counts=counts)
+    cfg = pgr_config(tmp_path, per_gate_counts=counts)
     assert main(["pgr", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
     out, err = capsys.readouterr()
     assert f"{cfg}: per_gate_counts {counts} give {cells} grid cells; at most 65536" in err
@@ -577,13 +557,13 @@ def test_flags_a_command_does_not_read_are_refused(capsys, argv):
 
 def test_export_dataset(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    track = _mini_track("uav")
+    track = mini_track("uav")
     save_track("mini-uav.json", track)
     args = ["export-dataset", "--track", "mini-uav.json", "--trials", "1",
             "--tick-hz", "10", "--seed", "4"]
     assert main(args + ["--out", "d1"]) == 0
     assert main(args + ["--out", "d2"]) == 0
-    assert _bytes_of("d1") == _bytes_of("d2")
+    assert bytes_of("d1") == bytes_of("d2")
 
     meta = json.loads(Path("d1/meta.json").read_text())
     assert meta["platform"] == "uav" and meta["trials"] == 1
@@ -612,25 +592,20 @@ def test_export_dataset(tmp_path, monkeypatch, capsys):
 
 def test_export_dataset_job_count_does_not_change_results(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    save_track("mini-quad.json", _mini_track("quad"))
+    save_track("mini-quad.json", mini_track("quad"))
     args = ["export-dataset", "--track", "mini-quad.json", "--trials", "2",
             "--tick-hz", "10", "--seed", "2"]
     assert main(args + ["--jobs", "1", "--out", "j1"]) == 0
     assert main(args + ["--jobs", "2", "--out", "j2"]) == 0
-    j1 = _bytes_of("j1")
+    j1 = bytes_of("j1")
     assert {rel.split("/")[0] for rel in j1} == {"meta.json", "t00", "t01"}
-    assert j1 == _bytes_of("j2")
+    assert j1 == bytes_of("j2")
     capsys.readouterr()
 
 
-def test_export_dataset_bytes_are_pinned(tmp_path, monkeypatch, capsys):
+def test_export_dataset_bytes_are_pinned(tmp_path, capsys):
     # any drift in what the export writes, or in the rollouts behind it, moves this digest
-    monkeypatch.chdir(tmp_path)
-    save_track("mini-quad.json", _mini_track("quad"))
-    assert main(["export-dataset", "--track", "mini-quad.json", "--trials", "2",
-                 "--tick-hz", "10", "--seed", "2", "--out", "d"]) == 0
-    assert _digest("d") == (
-        "6858cf69960bb635a8e4feb53b13b480d7c1a68cf4918573a8b5cf00278787fa")
+    assert digest(run_pinned("export-dataset", tmp_path)) == PINS["export-dataset"]
     capsys.readouterr()
 
 
@@ -669,7 +644,7 @@ def test_export_dataset_needs_an_output_directory(capsys):
 
 def test_export_dataset_with_scene(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    track = _mini_track("uav")
+    track = mini_track("uav")
     save_track("mini-uav.json", track)
     write_scene("splats.ply", track_splats(track))
     rc = main(["export-dataset", "--track", "mini-uav.json", "--scene", "splats.ply",
@@ -683,23 +658,12 @@ def test_export_dataset_with_scene(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
-def test_export_dataset_scene_bytes_are_pinned(tmp_path, monkeypatch, capsys):
+def test_export_dataset_scene_bytes_are_pinned(tmp_path, capsys):
     # the gate splats of a mini track among a seeded field of background
     # splats; any drift in the compositor's output bytes moves this digest
-    monkeypatch.chdir(tmp_path)
-    track = _mini_track("uav")
-    save_track("mini-uav.json", track)
-    gates = track_splats(track)
-    background = random_scene(np.random.default_rng(5), 600, span=4.0)
-    background.means += [0.0, 0.0, 2.0]
-    scene = GaussianScene(*(np.concatenate([getattr(gates, f), getattr(background, f)]) for f in
-                            ("means", "rotations", "scales", "colors", "opacities")))
-    write_scene("splats.ply", scene)
-    assert main(["export-dataset", "--track", "mini-uav.json", "--scene", "splats.ply",
-                 "--trials", "1", "--tick-hz", "10", "--seed", "4", "--out", "d"]) == 0
-    assert len(list(Path("d/t00").glob("frame*.ppm"))) == 9
-    assert _digest("d") == (
-        "0c3b176a4d02d0d43755ce8eee39ec9fe5c3e14f78bc477080a62483ebb8453a")
+    out = run_pinned("export-dataset-scene", tmp_path)
+    assert len(list((out / "t00").glob("frame*.ppm"))) == 9
+    assert digest(out) == PINS["export-dataset-scene"]
     capsys.readouterr()
 
 
@@ -864,7 +828,7 @@ def test_make_policy():
 def test_resolve_track(tmp_path):
     assert resolve_track("uav-shift").name == "uav-shift"
     path = tmp_path / "t.json"
-    save_track(path, _mini_track("uav"))
+    save_track(path, mini_track("uav"))
     assert resolve_track(str(path)).name == "mini-uav"
     with pytest.raises(ValueError):
         resolve_track("missing")

@@ -1,17 +1,20 @@
 """Quaternion/transform math against scipy.spatial.transform as the oracle."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
-from conftest import random_unit_quats, scipy_rotation, step_ulps
+from conftest import random_unit_quats, scipy_rotation, with_signed_zeros
 from gatesim.geometry import (
     RigidTransform,
+    dot,
     mat_to_quat,
+    plane_offset,
     quat_conjugate,
     quat_from_axis_angle,
     quat_from_yaw,
@@ -19,7 +22,6 @@ from gatesim.geometry import (
     quat_normalize,
     quat_rotate,
     quat_to_mat,
-    sure_plane_offset,
     umeyama_alignment,
     wrap_angle,
 )
@@ -298,28 +300,68 @@ def test_umeyama_reflection_guard(rng):
         np.testing.assert_allclose(T.apply(src), dst, atol=1e-8)
 
 
-@settings(max_examples=600, deadline=None, derandomize=True, database=None)
-@given(st.integers(0, 2**32 - 1), st.sampled_from([1.0, 20.0, 1e6]), st.booleans(),
-       st.sampled_from([0.0, 0.0, -0.5, 0.3]), st.integers(-4, 4))
-def test_sure_plane_offset_is_sure_of_the_dot_products_side(seed, scale, upright, level, steps):
-    # a point solved onto n . (p - c) = level, then stepped up to 4 ulps along
-    # the normal's largest coordinate: the float sum and the dot product can
-    # then round to opposite sides of level. An upright normal (zero z, as a
-    # gate's) leaves two products, whose nonzero float sum always has the
-    # dot product's sign at level 0; a tilted normal or another level does not
+# ---------------------------------------------------------------------------
+# the fixed-order 3-vector product
+# ---------------------------------------------------------------------------
+
+_U = Fraction(1, 2**53)          # unit roundoff of float64
+_GAMMA_3 = 3 * _U / (1 - 3 * _U)
+_ETA = Fraction(1, 2**1074)      # smallest subnormal: bounds a product's underflow error
+# finite components whose products and sums cannot overflow; tiny ones underflow
+_COMPONENT = st.floats(-1e150, 1e150)
+_VECTOR = st.tuples(_COMPONENT, _COMPONENT, _COMPONENT)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(_VECTOR, _VECTOR)
+@example((1.0, 1e-16, -1.0), (1.0, 1.0, 1.0))          # cancellation down to one term
+@example((1e-200, 3e-170, -0.0), (1e-130, 7e-160, 5.0))   # products below the subnormals
+@example((0.1, 0.2, 0.3), (0.3, 0.2, 0.1))
+def test_dot_is_within_gamma_3_of_the_exact_sum(a, b):
+    # the forward-error bound of a three-term recursive sum of rounded
+    # products: gamma_3 times the sum of |a_i b_i|, plus the absolute error
+    # of three underflowing products
+    products = [Fraction(x) * Fraction(y) for x, y in zip(a, b)]
+    got = dot(a, b)
+    assert math.isfinite(got)
+    assert abs(Fraction(got) - sum(products)) <= _GAMMA_3 * sum(map(abs, products)) + 3 * _ETA
+
+
+_SPECIAL = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -1e-310, 1e308, -1e308])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.floats(0.0, 0.5))
+@example(0, 0.0)
+@example(1, 0.5)
+def test_dot_is_the_column_wise_numpy_sum(seed, special):
+    # row by row over (N, 3) arrays, on Python floats and on numpy rows alike,
+    # with signed zeros, subnormals, huge, infinite and NaN entries: what a
+    # batch of rollouts can compute in one pass has the scalar bits
     rng = np.random.default_rng(seed)
-    c = rng.uniform(-scale, scale, 3)
-    n = rng.normal(size=3)
-    if upright:
-        n[2] = 0.0
-    n /= np.linalg.norm(n)
-    p = rng.uniform(-2 * scale, 2 * scale, 3)
-    i = int(np.argmax(np.abs(n)))
-    j, k = (i + 1) % 3, (i + 2) % 3
-    p[i] = c[i] + (level - n[j] * (p[j] - c[j]) - n[k] * (p[k] - c[k])) / n[i]
-    p[i] = step_ulps(float(p[i]), steps)
-    d = sure_plane_offset((*c.tolist(), *n.tolist()), *p.tolist(), level)
-    if d is not None:
-        dot = float(n @ (p - c))
-        assert d != level and dot != level
-        assert (d > level) == (dot > level)
+    n, v = (rng.normal(size=(64, 3)) * 10.0 ** rng.integers(-320, 300, size=(64, 3))
+            for _ in range(2))
+    for x in (n, v):
+        hit = rng.random(x.shape) < special
+        x[hit] = rng.choice(_SPECIAL, size=x.shape)[hit]
+        with_signed_zeros(rng, x, 0.05)
+    with np.errstate(all="ignore"):
+        want = n[:, 0] * v[:, 0] + n[:, 1] * v[:, 1] + n[:, 2] * v[:, 2]
+        rows = np.array([dot(a, b) for a, b in zip(n, v)])
+    floats = np.array([dot(a, b) for a, b in zip(n.tolist(), v.tolist())])
+    # which NaN operand an addition propagates depends on the operand order
+    # of the machine instruction, so NaNs are compared as NaNs
+    nan = np.isnan(want)
+    for got in (floats, rows):
+        assert (np.isnan(got) == nan).all()
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_VECTOR, _VECTOR, _VECTOR)
+@example((0.1, 0.2, 0.3), (0.6, 0.0, 0.8), (1.0, -2.0, 0.7))
+def test_plane_offset_is_the_dot_of_the_normal_and_the_offset(center, normal, point):
+    # a tilted normal, unlike a gate's, has three nonzero terms, whose sum
+    # depends on its order
+    want = dot(normal, [p - c for p, c in zip(point, center)])
+    assert plane_offset((*center, *normal), *point) == want

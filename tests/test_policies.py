@@ -12,7 +12,7 @@ from scipy import ndimage
 from conftest import step_ulps
 from gatesim import policies
 from gatesim.dynamics import platform_dynamics
-from gatesim.geometry import sure_plane_offset
+from gatesim.geometry import dot
 from gatesim.policies import (
     AIM_STANDOFF,
     CONTROL_LIMITS,
@@ -123,7 +123,7 @@ def test_aim_point_of_a_static_gate_skips_the_lead_passes(rng):
         pos, t = rng.uniform(-8.0, 8.0, 3), rng.uniform(0.0, 10.0)
         aim, center, yaw, t_aim = _aim_point(gate, t, pos, 7.0)
         frame = gate.frame_at(t + 123.0)
-        side = -1.0 if float(frame.normal @ (pos - frame.center)) < -AIM_STANDOFF else 1.0
+        side = -1.0 if dot(frame.normal, pos - frame.center) < -AIM_STANDOFF else 1.0
         np.testing.assert_array_equal(aim, frame.center + side * AIM_STANDOFF * frame.normal)
         assert center is frame.center and yaw == frame.yaw and t_aim == t
 
@@ -135,16 +135,20 @@ _OFFSET = st.one_of(st.just(0.0), st.floats(-1e-160, 1e-160), st.floats(-1e3, 1e
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(st.tuples(_OFFSET, _OFFSET, _OFFSET), st.floats(0.5, 10.0))
-def test_aim_point_distance_is_np_linalg_norm_bit_for_bit(offset, speed):
+@example((0.0, -0.0, 0.0), 7.0)
+@example((1e-160, -3e-161, 5e-324), 1.0)     # squares below the subnormals
+@example((3.0, -4.0, 12.0), 2.0)
+@example((1e200, -1e200, 1.0), 3.0)          # squares overflow to an infinite distance
+def test_aim_point_distance_is_the_root_of_the_fixed_order_dot(offset, speed):
     # the gate starts at the origin, so the first pass measures exactly the
     # drawn offset; it moves, so the second pass measures another vector
     gate = _gate(None, keyframes=((0.0, np.zeros(3), 0.0), (8.0, np.array([3.0, 2.0, 1.0]), 0.0)))
     pos = -np.array(offset)
     t_go = 0.0
-    with np.errstate(over="ignore"):
-        for _ in range(2):
-            t_go = float(np.linalg.norm(gate.pose_at(t_go)[0] - pos)) / speed
-        _, _, _, t_hit = _aim_point(gate, 0.0, pos, speed)
+    for _ in range(2):
+        d = (gate.pose_at(t_go)[0] - pos).tolist()
+        t_go = math.sqrt(dot(d, d)) / speed
+    _, _, _, t_hit = _aim_point(gate, 0.0, pos, speed)
     assert np.float64(t_hit).tobytes() == np.float64(t_go).tobytes()
 
 
@@ -155,14 +159,15 @@ def test_aim_point_distance_is_np_linalg_norm_bit_for_bit(offset, speed):
 
 def _numpy_aim_point(gate, t, position, speed):
     """The aim point on numpy 3-vectors, as written before its side test and
-    carrot moved to floats."""
+    carrot moved to floats; the side is the elementwise index-order sum."""
     t_go = 0.0
     if gate.moving:
         for _ in range(2):
             d = gate.frame_at(t + t_go).center - position
-            t_go = math.sqrt(d @ d) / speed
+            t_go = math.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2]) / speed
     center, yaw, normal, _, _ = gate.frame_at(t + t_go)
-    signed = float(normal @ (position - center))
+    terms = normal * (position - center)
+    signed = terms[0] + terms[1] + terms[2]
     if signed < -AIM_STANDOFF:
         aim = center - AIM_STANDOFF * normal
     else:
@@ -181,6 +186,15 @@ _COORD = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-20.0, 20.0),
        st.tuples(_COORD, _COORD, _COORD), st.sampled_from(["standoff", "standoff", "free"]),
        st.integers(-3, 3), st.tuples(_COORD, _COORD, _COORD), st.floats(0.0, 10.0),
        st.floats(0.5, 10.0))
+# on the standoff, where the index-order side is -1.0 (the far side) and a
+# fused multiply-add of either product into the other, as some BLAS dot
+# kernels use, gives -1.0000000000000002 (the near side)
+@example(False, 0.023103141687882633, (10.138, 16.554, -0.954), "standoff", -1,
+         (3.64, 2.02, 0.0), 0.0, 7.0)
+@example(False, -2.1605644909863835, (8.465, 13.764, 7.112), "standoff", 0,
+         (-1.31, 0.76, 0.0), 2.0, 1.0)
+@example(True, 2.4848358427630064, (-1.613, 10.205, -0.595), "standoff", -1,
+         (2.09, -1.83, 0.0), 0.5, 7.0)
 def test_aim_point_matches_the_numpy_aim_point_bit_for_bit(moving, yaw, center, kind, ulps,
                                                            free, t, speed):
     # a moving gate slides along its lateral axis at a fixed yaw, so a point
@@ -194,8 +208,8 @@ def test_aim_point_matches_the_numpy_aim_point_bit_for_bit(moving, yaw, center, 
         gate = _gate(None, keyframes=((0.0, frame.center, yaw), (8.0, end, yaw)))
     if kind == "standoff":
         # exactly at -AIM_STANDOFF along the normal, or a few ulps either side
-        # of it, where the float sum cannot settle the side and the dot
-        # product decides; the in-plane offset comes from the free draw
+        # of it, where the order of the side's sum decides the side; the
+        # in-plane offset comes from the free draw
         k = step_ulps(-AIM_STANDOFF, ulps)
         s, u = free[0], free[1]
         pos = frame.center + s * frame.lateral + u * frame.up + k * frame.normal
@@ -210,17 +224,12 @@ def test_aim_point_matches_the_numpy_aim_point_bit_for_bit(moving, yaw, center, 
     assert np.float64(got[3]).tobytes() == np.float64(want[3]).tobytes()
 
 
-def test_aim_point_at_the_standoff_takes_the_dot_product():
-    # on the standoff itself the float sum is unsure, so the side comes from
-    # normal @ (position - center), which is not below -AIM_STANDOFF there
+def test_aim_point_on_the_standoff_aims_past_the_gate():
+    # the side test is strict: a vehicle exactly AIM_STANDOFF before the
+    # plane already aims through it, one ulp further back it does not
     gate = _gate((10.0, 0.0, 2.0))
-    plane = gate.frame_plane_at(0.0)[1]
-    for x in (9.0, step_ulps(9.0, -1), step_ulps(9.0, 1)):
-        assert sure_plane_offset(plane, x, 0.0, 2.0, -AIM_STANDOFF) is None
-        aim, _, _, _ = _aim_point(gate, 0.0, (x, 0.0, 2.0), 7.0)
-        want, _, _, _ = _numpy_aim_point(gate, 0.0, np.array([x, 0.0, 2.0]), 7.0)
-        assert np.array(aim).tobytes() == want.tobytes()
     assert _aim_point(gate, 0.0, (9.0, 0.0, 2.0), 7.0)[0] == (11.0, 0.0, 2.0)
+    assert _aim_point(gate, 0.0, (step_ulps(9.0, 1), 0.0, 2.0), 7.0)[0] == (11.0, 0.0, 2.0)
     assert _aim_point(gate, 0.0, (step_ulps(9.0, -1), 0.0, 2.0), 7.0)[0] == (9.0, 0.0, 2.0)
 
 

@@ -89,6 +89,21 @@ def test_point_in_view_boundary_inclusive():
     assert not point_in_view(DEFAULT_CAMERA, pose, np.array([0.01, 0.0, 1.5]))
 
 
+def test_point_in_view_is_projects_depth_and_rectangle_test(rng):
+    # point_in_view computes one point's projection on floats; project, on
+    # arrays, is its reference
+    cam = DEFAULT_CAMERA
+    for _ in range(20):
+        pose = camera_pose(rng.uniform(-3.0, 3.0, 3), yaw=rng.uniform(-math.pi, math.pi),
+                           pitch=rng.uniform(-0.5, 0.5))
+        pts = pose.translation + rng.uniform(-6.0, 6.0, size=(100, 3))
+        uv, z = project(cam, pose, pts)
+        want = ((z > ZNEAR) & (0.0 <= uv[:, 0]) & (uv[:, 0] <= cam.width)
+                & (0.0 <= uv[:, 1]) & (uv[:, 1] <= cam.height))
+        assert [point_in_view(cam, pose, p) for p in pts] == want.tolist()
+        assert 10 < want.sum() < 90
+
+
 def test_world_to_camera_round_trip(rng):
     pose = camera_pose(rng.normal(size=3), yaw=0.7, pitch=-0.2)
     pts = rng.normal(size=(10, 3))
