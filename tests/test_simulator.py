@@ -60,7 +60,6 @@ def test_signed_gate_distance():
     g = _gate((5.0, 0.0, 2.0))
     assert signed_gate_distance(g, 0.0, np.array([3.0, 1.0, 4.0])) == -2.0
     assert signed_gate_distance(g, 0.0, np.array([6.5, -9.0, 0.0])) == 1.5
-    assert signed_gate_distance(g, 0.0, (5.0, 7.0, 1.0)) == 0.0
     yawed = _gate((0.0, 0.0, 2.0), yaw=math.pi / 2)
     assert signed_gate_distance(yawed, 0.0, np.array([7.0, 3.0, 2.0])) == pytest.approx(3.0)
 
@@ -597,6 +596,15 @@ def test_gate_side_is_the_index_order_sum(seed, scale, kind, moving, k, ulps, sp
         assert type(got) is float
         assert got == want or math.isnan(got) and math.isnan(want)
         assert math.copysign(1.0, got) == math.copysign(1.0, want) or math.isnan(want)
+
+
+def test_static_plane_side_is_the_float_sum_away_from_the_plane():
+    # the rollout's per-step side on a static gate's shared plane floats
+    gate = _gate((5.0, 0.0, 2.0))
+    plane = gate.frame_plane_at(0.0)[1]
+    assert plane_offset(plane, 3.0, 1.0, 4.0) == -2.0
+    assert plane_offset(plane, 6.5, -9.0, 0.0) == 1.5
+    assert plane_offset(plane, 5.0, 7.0, 1.0) == 0.0
 
 
 # ---------------------------------------------------------------------------
