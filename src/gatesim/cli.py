@@ -16,7 +16,6 @@ import math
 import os
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -149,6 +148,9 @@ def run_trials(runs, policy_name: str, trials: int, seed: int, tick_hz: float = 
     ]
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs > 1:
+        # imported here: a --jobs 1 run never loads concurrent.futures
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_trial_job, payloads))
     else:

@@ -131,7 +131,10 @@ def mat_to_quat(m) -> np.ndarray:
 
 def quat_from_axis_angle(axis, angle: float) -> np.ndarray:
     axis = np.asarray(axis, dtype=np.float64)
-    n = np.linalg.norm(axis)
+    if axis.shape != (3,):
+        raise ValueError(f"rotation axis needs three components, got shape {axis.shape}")
+    # the fixed-order dot, not a BLAS norm, so edit-scene bytes do not depend on the kernel
+    n = math.sqrt(dot(axis, axis))
     if n == 0.0:
         raise ValueError("zero rotation axis")
     half = 0.5 * angle

@@ -200,35 +200,74 @@ def _mask_window(mask: np.ndarray, pad: int = 0):
     )
 
 
-# 4-connectivity for component labelling
-_CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
-
-
 def largest_component_centroid(mask: np.ndarray):
     """Centroid (x, y) px and area of the largest 4-connected white component.
 
-    None for an empty mask; area ties go to the component labeled first in
+    None for an empty mask; area ties go to the component labelled first in
     raster order.
-    """
-    # imported on first use: the commands that fly no mask policy never load it
-    from scipy import ndimage
 
+    The mask is cut into runs: maximal stretches of set pixels in one row,
+    found by one flatnonzero over a copy with a clear column after each row,
+    so that no run wraps into the next row. One sweep in raster order joins
+    each run to the runs of the row above whose columns overlap it; runs
+    that touch only at a corner stay apart, which is 4-connectivity. In
+    every union the smaller root wins, so a component's root is its first
+    run in raster order, and the largest area with the smallest root is the
+    component that scipy.ndimage.label numbers first among the largest.
+
+    The centroid is the exact integer sum of the component's indices over
+    its area, one rounded quotient: the bits of np.mean, whose float partial
+    sums are integers below 2**53.
+
+    Cost: O(pixels) numpy work plus O(runs) Python work, besides the
+    union-find's finds, which path halving keeps short (at most four links
+    on the recorded masks of a vision pass and on 640 x 480 speckle). The
+    mask policies' ring masks have about 140 runs and take about 0.1 ms per
+    call (ndimage.label on their bounding box: about 0.13 ms). Speckle is
+    the worst case: about 4,800 runs and 2-3 ms on a 120 x 160 frame at
+    density 0.5 (ndimage: about 0.5 ms), about 40 ms on 640 x 480 (ndimage:
+    about 7 ms). No command makes such masks.
+    """
     mask = np.asarray(mask, dtype=bool)
-    window = _mask_window(mask)
-    if window is None:
+    h, w = mask.shape
+    stride = w + 1
+    flat = np.zeros(h * stride + 1, dtype=np.int8)
+    flat[1:].reshape(h, stride)[:, :w] = mask
+    # changes of value alternate between the starts and the ends of runs,
+    # as indices of the strided frame
+    edges = np.flatnonzero(flat[1:] != flat[:-1])
+    if not len(edges):
         return None
-    # raster order inside the bounding box is the frame's raster order, so
-    # labels and the tie-break carry over
-    labels, count = ndimage.label(mask[window], structure=_CROSS)
-    areas = np.bincount(labels.ravel())[1:]
-    best = int(np.argmax(areas)) + 1
-    ys, xs = np.nonzero(labels == best)
-    area = int(areas[best - 1])
-    # exact integer sums over the frame's indices, then one rounded quotient:
-    # np.mean's bits, since its float partial sums are integers below 2**53
-    x = (int(xs.sum()) + window[1].start * area) / area
-    y = (int(ys.sum()) + window[0].start * area) / area
-    return (x, y), area
+    starts, ends = edges[0::2], edges[1::2]
+    # the runs one row up that share a column with run k are lo[k]:hi[k]
+    lo = np.searchsorted(ends, starts - stride, side="right").tolist()
+    hi = np.searchsorted(starts, ends - stride).tolist()
+    parent = list(range(len(lo)))
+    for k, (j0, j1) in enumerate(zip(lo, hi)):
+        root = k
+        for j in range(j0, j1):
+            while parent[j] != j:
+                parent[j] = parent[parent[j]]   # path halving
+                j = parent[j]
+            if j < root:
+                parent[root] = j
+                root = j
+            elif root < j:
+                parent[j] = root
+    # every parent precedes its child, so one pass in order finds each root
+    for k, p in enumerate(parent):
+        parent[k] = parent[p]
+    roots = np.array(parent)
+    lengths = ends - starts
+    # integer-valued float sums, exact; argmax keeps the first, smallest root
+    best = int(np.argmax(np.bincount(roots, weights=lengths)))
+    mine = roots == best
+    n = lengths[mine]
+    y, x0 = np.divmod(starts[mine], stride)
+    area = int(n.sum())
+    # a run's columns sum to (2 x0 + n - 1) n / 2
+    x = int(((2 * x0 + n - 1) * n).sum()) / (2 * area)
+    return (x, int((y * n).sum()) / area), area
 
 
 class MaskCentroidPolicy(Policy):

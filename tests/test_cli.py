@@ -1,6 +1,7 @@
 """End-to-end command-line runs: determinism of written artifacts, exit
 codes, and the file formats."""
 
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -54,7 +55,7 @@ class _CountingPool:
 def pools(monkeypatch):
     """Worker counts of the pools a command builds, on a 2-cpu machine."""
     monkeypatch.setattr(_CountingPool, "built", [])
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _CountingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     return _CountingPool.built
 
@@ -118,31 +119,34 @@ def test_evaluate_moving_gate_mask_bytes_are_pinned(tmp_path, capsys):
     capsys.readouterr()
 
 
-def _pinned_child(kernel):
-    """A child interpreter running tests/pinned.py on this package, with
-    OPENBLAS_CORETYPE set to kernel, or unset for the default kernel; the
-    variable is set for the child only."""
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
-    if kernel is not None:
-        env["OPENBLAS_CORETYPE"] = kernel
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.Popen([sys.executable, str(Path(__file__).with_name("pinned.py"))],
-                            env=env, stdout=subprocess.PIPE, text=True)
-
-
-def test_pinned_bytes_do_not_depend_on_the_blas_kernel():
-    # every 3-vector product on the rollout and sampler paths has one fixed
-    # order of operations, so OpenBLAS's choice of kernel, whose dot products
-    # round differently, moves no pinned byte
-    children = {k: _pinned_child(k) for k in (None, "Haswell", "Prescott")}
+def _kernel_outputs(*args):
+    """{kernel: stdout} of `python *args` on this package in three child
+    interpreters, with OPENBLAS_CORETYPE unset (the default kernel), Haswell
+    and Prescott; the variable is set for the children only."""
+    children = {}
     try:
+        for kernel in (None, "Haswell", "Prescott"):
+            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+            if kernel is not None:
+                env["OPENBLAS_CORETYPE"] = kernel
+            src = str(Path(cli.__file__).resolve().parents[1])
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            children[kernel] = subprocess.Popen([sys.executable, *args], env=env,
+                                                stdout=subprocess.PIPE, text=True)
         outs = {k: child.communicate(timeout=600)[0] for k, child in children.items()}
     finally:
         for child in children.values():
             child.kill()
             child.wait()
     assert [child.returncode for child in children.values()] == [0, 0, 0]
+    return outs
+
+
+def test_pinned_bytes_do_not_depend_on_the_blas_kernel():
+    # every 3-vector product on the rollout and sampler paths has one fixed
+    # order of operations, so OpenBLAS's choice of kernel, whose dot products
+    # round differently, moves no pinned byte
+    outs = _kernel_outputs(str(Path(__file__).with_name("pinned.py")))
     digests = {k: json.loads(out) for k, out in outs.items()}
     assert digests[None] == digests["Haswell"] == digests["Prescott"] == PINS
 
@@ -699,6 +703,28 @@ def test_edit_scene_end_to_end(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_edit_scene_rotation_bytes_do_not_depend_on_the_blas_kernel():
+    # a scripted rotation's axis is normalised by the fixed-order dot; this
+    # axis's BLAS norm rounds differently under the Haswell and Prescott kernels
+    code = """
+import hashlib, json, sys, tempfile
+from pathlib import Path
+from gatesim.cli import main
+from gatesim.scene import write_scene
+from gatesim.tracks import reference_track, track_splats
+with tempfile.TemporaryDirectory() as d:
+    d = Path(d)
+    write_scene(d / "scene.ply", track_splats(reference_track("uav-slalom")))
+    script = [{"op": "rotate", "selection": "gate_1", "axis": [0.3, -1.7, 2.9], "angle": 0.7}]
+    (d / "script.json").write_text(json.dumps(script))
+    assert main(["edit-scene", "--scene", str(d / "scene.ply"), "--script",
+                 str(d / "script.json"), "--out", str(d / "out.ply")]) == 0
+    print(hashlib.sha256((d / "out.ply").read_bytes()).hexdigest())
+"""
+    outs = _kernel_outputs("-c", code)
+    assert len(set(outs.values())) == 1, outs
+
+
 def test_render_track_rgb_and_mask(tmp_path, capsys):
     out = tmp_path / "r.ppm"
     mask_path = tmp_path / "m.pgm"
@@ -802,6 +828,28 @@ loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 assert not loaded(), loaded()
 for argv in (["pgr", "--config", {str(config)!r}, "--skip-uniform"],
              ["evaluate", "--tracks", "uav-slalom", "quad-turn", "--trials", "1"]):
+    assert gatesim.cli.main(argv + ["--out", {str(tmp_path / "out")!r}]) == 0
+    assert not loaded(), (argv[0], loaded())
+"""
+    res = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+
+
+def test_mask_policies_and_serial_runs_load_neither_scipy_nor_a_process_pool(tmp_path):
+    # a fresh interpreter: the mask policies label components without scipy,
+    # and concurrent.futures is imported only for --jobs above 1
+    src = Path(cli.__file__).resolve().parents[1]
+    code = f"""
+import sys
+sys.path.insert(0, {str(src)!r})
+import gatesim.cli
+pools = sorted(m for m in sys.modules if m.split(".")[0] == "concurrent")
+assert not pools, pools
+loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+for argv in (["evaluate", "--policy", "classical-noisy", "--tracks", "quad-turn",
+              "--trials", "1", "--jobs", "1"],
+             ["export-dataset", "--policy", "classical", "--track", "quad-turn",
+              "--tick-hz", "10"]):
     assert gatesim.cli.main(argv + ["--out", {str(tmp_path / "out")!r}]) == 0
     assert not loaded(), (argv[0], loaded())
 """

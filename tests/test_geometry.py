@@ -193,6 +193,9 @@ def test_quat_from_axis_angle_matches_scipy(rng):
         assert (scipy_rotation(q) * expect.inv()).magnitude() < 1e-12
     with pytest.raises(ValueError):
         quat_from_axis_angle([0.0, 0.0, 0.0], 1.0)
+    for axis in ([1.0, 0.0], [1.0, 0.0, 0.0, 0.0], [[0.0, 0.0, 1.0]]):
+        with pytest.raises(ValueError, match="three components"):
+            quat_from_axis_angle(axis, 1.0)
 
 
 def test_quat_from_yaw_matches_scipy():

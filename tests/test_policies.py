@@ -495,6 +495,85 @@ def test_centroid_has_the_bits_of_np_mean(seed, density, kind):
     assert largest_component_centroid(mask) == _full_frame_centroid(mask)
 
 
+def _spiral(mask):
+    """Draw a square spiral wall with a one-pixel corridor: each inner turn
+    starts a run that joins the outer wall only rows further down."""
+    h, w = mask.shape
+    top, left, bottom, right = 0, 0, h - 1, w - 1
+    while top <= bottom and left <= right:
+        mask[top, left:right + 1] = True
+        mask[top:bottom + 1, right] = True
+        mask[bottom, left:right + 1] = True
+        mask[top + 2:bottom + 1, left] = True
+        if top + 2 <= bottom:
+            mask[top + 2, left:max(left, right - 1)] = True
+        top, left, bottom, right = top + 2, left + 2, bottom - 2, right - 2
+
+
+def _run_sweep_mask(kind, frame, seed):
+    """A mask that stresses one case of the run sweep, on a 1 x w, h x 1,
+    small or 240 x 320 frame."""
+    rng = np.random.default_rng(seed)
+    h, w = {"row": (1, int(rng.integers(1, 40))), "column": (int(rng.integers(1, 40)), 1),
+            "small": tuple(rng.integers(1, 16, size=2).tolist()), "large": (240, 320)}[frame]
+    mask = np.zeros((h, w), dtype=bool)
+    if kind == "wrap":
+        # runs ending in the last column above runs starting in column 0
+        for y in range(h):
+            tail, head = rng.integers(0, w + 1, size=2)
+            if rng.random() < 0.7:
+                mask[y, w - tail:] = True
+            if rng.random() < 0.7:
+                mask[y, :min(head, w - tail)] = True
+    elif kind == "checker":
+        # diagonal contacts everywhere, a few pixels cleared or filled in
+        yy, xx = np.indices((h, w))
+        mask[:] = (yy + xx) % 2 == rng.integers(2)
+        mask[rng.random((h, w)) < 0.1 * rng.random()] = False
+        mask[rng.random((h, w)) < 0.05 * rng.random()] = True
+    elif kind == "comb":
+        # teeth of random heights standing on one base row, and a spiral
+        # below: roots that later rows fold into earlier ones
+        base = int(rng.integers(0, h))
+        x = int(rng.integers(0, 2))
+        while x < w:
+            mask[int(rng.integers(0, base + 1)):base + 1, x] = True
+            x += int(rng.integers(2, 4))
+        mask[base, :w if rng.random() < 0.7 else int(rng.integers(1, w + 1))] = True
+        _spiral(mask[base + 1:, int(rng.integers(0, w)):])
+    else:
+        # equal-area blocks of different shapes, apart from each other:
+        # only the raster-order tie-break picks one
+        area = int(rng.choice([1, 2, 4, 6, 12]))
+        sides = [a for a in range(1, area + 1) if area % a == 0]
+        cell = area + 1
+        for y0 in range(0, h, cell):
+            for x0 in range(0, w, cell):
+                if rng.random() < 0.6:
+                    a = int(rng.choice(sides))
+                    dy, dx = rng.integers(0, cell - a), rng.integers(0, cell - area // a)
+                    mask[y0 + dy:y0 + dy + a, x0 + dx:x0 + dx + area // a] = True
+    return mask
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["wrap", "checker", "comb", "ties"]),
+       st.sampled_from(["row", "column", "small", "large"]),
+       st.sampled_from([bool, np.uint8, np.float64]), st.integers(0, 2**32 - 1))
+# cases found against broken sweeps: runs joined at a corner (8-connected),
+# the union keeping the later root, and no clear column between rows
+@example("wrap", "small", bool, 0)
+@example("checker", "small", bool, 0)
+@example("wrap", "column", bool, 1)
+@example("wrap", "column", bool, 9)
+@example("wrap", "row", bool, 0)
+def test_run_sweep_matches_full_frame_labelling(kind, frame, dtype, seed):
+    mask = _run_sweep_mask(kind, frame, seed)
+    # bool, uint8 0/255 or float 0/1 input
+    mask = mask.astype(dtype) * (255 if dtype is np.uint8 else 1)
+    assert largest_component_centroid(mask) == _full_frame_centroid(mask)
+
+
 # ---------------------------------------------------------------------------
 # mask-centroid controller
 # ---------------------------------------------------------------------------
