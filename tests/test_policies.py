@@ -568,9 +568,10 @@ def _run_sweep_mask(kind, frame, seed):
 @example("wrap", "column", bool, 9)
 @example("wrap", "row", bool, 0)
 def test_run_sweep_matches_full_frame_labelling(kind, frame, dtype, seed):
-    mask = _run_sweep_mask(kind, frame, seed)
     # bool, uint8 0/255 or float 0/1 input
-    mask = mask.astype(dtype) * (255 if dtype is np.uint8 else 1)
+    mask = _run_sweep_mask(kind, frame, seed).astype(dtype)
+    if dtype is np.uint8:
+        mask *= 255
     assert largest_component_centroid(mask) == _full_frame_centroid(mask)
 
 
