@@ -253,6 +253,24 @@ def _script_rotation(record) -> np.ndarray:
     return quat_from_axis_angle(record["axis"], float(record["angle"]))
 
 
+# the number fields of edit records; a NaN or inf in any of them would write
+# a scene that read_scene refuses
+_NUMBER_FIELDS = ("delta", "quaternion", "axis", "angle", "pivot", "factor", "offset", "rgb",
+                  "translation", "yaw")
+
+
+def _check_finite(index: int, record) -> None:
+    for field in _NUMBER_FIELDS:
+        if record.get(field) is None:
+            continue
+        try:
+            values = np.asarray(record[field], dtype=np.float64)
+        except (TypeError, ValueError):
+            continue  # not numbers at all: the edit itself reports that
+        if not np.isfinite(values).all():
+            raise ValueError(f"edit record {index}: non-finite {field}: {record[field]}")
+
+
 def apply_edit_script(scene: GaussianScene, ops, donor_loader=None) -> GaussianScene:
     """Apply a list of edit records (dicts with an 'op' key) in order.
 
@@ -265,9 +283,11 @@ def apply_edit_script(scene: GaussianScene, ops, donor_loader=None) -> GaussianS
       lighting:  {op, selection, mode, rgb}
       add:       {op, scene, selection?, translation?, yaw?, object_id?}
     'add' resolves its donor through donor_loader(path); selections are
-    object-id strings or {"box": [min, max]}.
+    object-id strings or {"box": [min, max]}. A record with a NaN or inf in
+    a number field is refused with its index and the field's name.
     """
-    for record in ops:
+    for index, record in enumerate(ops):
+        _check_finite(index, record)
         op = record.get("op")
         sel = _script_selection(record)
         if op == "translate":

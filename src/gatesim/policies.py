@@ -348,18 +348,49 @@ def _disk(r: int) -> np.ndarray:
     return disk
 
 
+def _frame_rows(rng: np.random.Generator, shape, rows: slice) -> np.ndarray:
+    """rng.random(shape)[rows] for a slice with a start and a stop, leaving
+    rng in the state rng.random(shape) leaves it in.
+
+    rng.random fills the frame in raster order, one 64-bit output per double,
+    so a PCG64 stream skips the rows above and below the slice with advance()
+    instead of drawing them. advance() clears the buffered 32-bit value that
+    integer draws keep, which a full draw leaves alone, so it is put back.
+    Any other bit generator draws the whole frame.
+    """
+    h, w = shape
+    bits = rng.bit_generator
+    if not isinstance(bits, np.random.PCG64):
+        return rng.random(shape)[rows]
+    r0, r1 = int(rows.start), int(rows.stop)
+    before = bits.state
+    bits.advance(r0 * w)  # a Python int: advance() refuses numpy integers
+    draws = rng.random((r1 - r0, w))
+    bits.advance((h - r1) * w)
+    after = bits.state
+    after["has_uint32"], after["uinteger"] = before["has_uint32"], before["uinteger"]
+    bits.state = after
+    return draws
+
+
 def noisy_perception(mask: np.ndarray, params: NoiseParams, rng: np.random.Generator) -> np.ndarray:
     """Corrupt a mask: flip pixels in the 1 px boundary band with probability
-    flip_prob and stamp Poisson-many small false blobs at uniform positions."""
+    flip_prob and stamp Poisson-many small false blobs at uniform positions.
+
+    The flips read one uniform per pixel of a full-frame draw, so the stream
+    never depends on the mask, but only the rows of the band's window are
+    drawn: _frame_rows advances a PCG64 stream past the others in raster
+    order and leaves it exactly where the full draw would.
+    """
     mask = np.asarray(mask, dtype=bool)
     out = mask.copy()
     if params.flip_prob > 0.0:
-        draws = rng.random(mask.shape)  # full frame, so the stream never depends on the mask
         # the band lies within 1 px of the mask, and the zeros around the
         # padded window stand in for the frame's zero border
         window = _mask_window(mask, pad=2)
+        draws = _frame_rows(rng, mask.shape, window[0] if window is not None else slice(0, 0))
         if window is not None:
-            out[window] ^= _boundary_band(mask[window]) & (draws[window] < params.flip_prob)
+            out[window] ^= _boundary_band(mask[window]) & (draws[:, window[1]] < params.flip_prob)
     n_blobs = int(rng.poisson(params.blob_rate))
     h, w = mask.shape
     r = params.blob_radius

@@ -152,6 +152,12 @@ def render_scene(
     transmittance only falls, a dropped splat or pixel would have received
     alpha 0, so the image is the same as visiting every splat over its whole
     box.
+
+    The table is rebuilt only when a splat has been composited since it was
+    built; otherwise no transmittance has moved and it is still exact. Within
+    a batch it goes stale as splats composite, but a stale table counts a
+    superset of the live pixels, so it drops only splats that would draw
+    nothing, and its empty frame means that no pixel is live.
     """
     pose = pose if pose is not None else RigidTransform.identity()
     h, w = camera.height, camera.width
@@ -207,10 +213,14 @@ def render_scene(
         opac = scene.opacities[order]
 
         table = np.zeros((h + 1, w + 1), dtype=np.intp)
+        composited = True  # since the table was last built
         for start in range(0, len(kept), CULL_BATCH):
-            np.cumsum(np.cumsum(trans > TRANSMITTANCE_FLOOR, axis=0), axis=1, out=table[1:, 1:])
-            if not table[h, w]:
-                break
+            if composited:
+                np.cumsum(np.cumsum(trans > TRANSMITTANCE_FLOOR, axis=0), axis=1,
+                          out=table[1:, 1:])
+                composited = False
+                if not table[h, w]:
+                    break
             part = slice(start, start + CULL_BATCH)
             bx0, bx1, by0, by1 = x0[part], x1[part] + 1, y0[part], y1[part] + 1
             live_in_box = table[by1, bx1] - table[by0, bx1] - table[by1, bx0] + table[by0, bx0]
@@ -235,6 +245,7 @@ def render_scene(
                 alpha[(alpha < ALPHA_MIN) | ~live] = 0.0
                 planes[:, rs, cs] += (tile * alpha) * colors[k]
                 tile *= 1.0 - alpha
+                composited = True
 
     alpha_img = 1.0 - trans
     rgb = np.ascontiguousarray(np.moveaxis(planes, 0, -1))

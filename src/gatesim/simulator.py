@@ -321,16 +321,13 @@ def metrics(rollouts) -> dict:
 def trajectory_csv(roll: Rollout) -> str:
     cols = platform_dynamics(roll.platform).state_columns
     n_u = roll.controls.shape[1] if len(roll.controls) else 0
-    out = io.StringIO()
-    out.write(",".join(["t", *cols] + [f"u{i}" for i in range(n_u)]) + "\n")
-    for i, t in enumerate(roll.times):
-        row = [repr(float(t))] + [repr(float(v)) for v in roll.states[i]]
-        if i > 0 and len(roll.controls):
-            row += [repr(float(v)) for v in roll.controls[i - 1]]
-        elif n_u:
-            row += [""] * n_u
-        out.write(",".join(row) + "\n")
-    return out.getvalue()
+    lines = [",".join(["t", *cols] + [f"u{i}" for i in range(n_u)])]
+    # tolist() yields Python floats, whose repr is that of float(np.float64)
+    controls, blank = roll.controls.tolist(), [""] * n_u
+    for i, (t, state) in enumerate(zip(roll.times.tolist(), roll.states.tolist())):
+        u = map(repr, controls[i - 1]) if i > 0 and controls else blank
+        lines.append(",".join([repr(t), *map(repr, state), *u]))
+    return "\n".join(lines) + "\n"
 
 
 def events_csv(rollouts) -> str:

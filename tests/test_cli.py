@@ -703,6 +703,35 @@ def test_edit_scene_end_to_end(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("record, field", [
+    ({"op": "rotate", "axis": [_NAN, 0.0, 1.0], "angle": 0.7}, "axis"),
+    ({"op": "rotate", "axis": [0.0, 0.0, 1.0], "angle": _NAN}, "angle"),
+    ({"op": "rotate", "axis": [0.0, 0.0, 1.0], "angle": _INF}, "angle"),
+    ({"op": "rotate", "axis": [0.0, 0.0, 1.0], "angle": 0.7, "pivot": [0.0, _NAN, 0.0]},
+     "pivot"),
+    ({"op": "translate", "delta": [_NAN, 0.0, 0.0]}, "delta"),
+    ({"op": "scale", "factor": _NAN}, "factor"),
+    ({"op": "scale", "factor": _INF}, "factor"),
+    ({"op": "lighting", "mode": "multiply", "rgb": [_NAN, 1.0, 1.0]}, "rgb"),
+    ({"op": "duplicate", "offset": [0.0, 0.0, _NAN]}, "offset"),
+])
+def test_edit_scene_refuses_non_finite_numbers(tmp_path, capsys, record, field):
+    # each of these once wrote a scene that read_scene refuses
+    scene = random_scene(np.random.default_rng(0), 6)
+    scene.add_object("sel", np.arange(3))
+    write_scene(tmp_path / "scene.ply", scene)
+    script = [{"op": "translate", "selection": "sel", "delta": [1.0, 0.0, 0.0]},
+              {**record, "selection": "sel"}]
+    (tmp_path / "script.json").write_text(json.dumps(script))
+    assert main(["edit-scene", "--scene", str(tmp_path / "scene.ply"), "--script",
+                 str(tmp_path / "script.json"), "--out", str(tmp_path / "out.ply")]) == 2
+    assert f"edit record 1: non-finite {field}" in capsys.readouterr().err
+    assert not (tmp_path / "out.ply").exists()
+
+
 def test_edit_scene_rotation_bytes_do_not_depend_on_the_blas_kernel():
     # a scripted rotation's axis is normalised by the fixed-order dot; this
     # axis's BLAS norm rounds differently under the Haswell and Prescott kernels

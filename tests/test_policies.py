@@ -842,6 +842,49 @@ def test_noisy_perception_matches_reference(mask, params, seed):
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
+def _perception_ticks(rng, n):
+    """n frame-sized masks, one per tick: speckle patches and an empty frame."""
+    masks = list(_random_patch_masks(rng, n - 1))
+    return masks[:n // 2] + [np.zeros((120, 160), dtype=bool)] + masks[n // 2:]
+
+
+def _assert_same_stream(masks, got_rng, want_rng):
+    """noisy_perception and the reference agree on every tick and leave
+    their generators in equal states after each."""
+    for mask in masks:
+        got = noisy_perception(mask, NoiseParams(), got_rng)
+        want = _reference_noisy_perception(mask, NoiseParams(), want_rng)
+        np.testing.assert_array_equal(got, want)
+        # assert_equal also compares the key array of an MT19937 state
+        np.testing.assert_equal(got_rng.bit_generator.state, want_rng.bit_generator.state)
+
+
+def test_noisy_perception_stream_over_successive_ticks(rng):
+    got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
+    stale = 0
+    for mask in _perception_ticks(rng, 8):
+        _assert_same_stream([mask], got_rng, want_rng)
+        state = got_rng.bit_generator.state
+        stale += state["has_uint32"] == 0 and state["uinteger"] != 0
+    # the blobs' integer draws left a spent 32-bit value behind
+    assert stale
+
+
+def test_noisy_perception_stream_keeps_a_buffered_32_bit_value(rng):
+    got_rng, want_rng = np.random.default_rng(6), np.random.default_rng(6)
+    for r in (got_rng, want_rng):
+        r.integers(0, 120)
+    assert got_rng.bit_generator.state["has_uint32"] == 1
+    _assert_same_stream(_perception_ticks(rng, 4), got_rng, want_rng)
+
+
+def test_noisy_perception_stream_on_another_bit_generator(rng):
+    # not a PCG64 stream, so the whole frame is drawn
+    got_rng = np.random.Generator(np.random.MT19937(7))
+    want_rng = np.random.Generator(np.random.MT19937(7))
+    _assert_same_stream(_perception_ticks(rng, 4), got_rng, want_rng)
+
+
 # ---------------------------------------------------------------------------
 # synthetic learner
 # ---------------------------------------------------------------------------

@@ -300,7 +300,8 @@ def _reference_render(scene, camera=DEFAULT_CAMERA, pose=None, background=(0.0, 
 def _render_case(draw):
     """A random scene in front of a camera at the origin looking along +x,
     with optional near opaque splats that saturate the frame, ill-conditioned
-    splats behind them, and splats whose boxes cross the frame edge."""
+    splats behind them, splats whose boxes cross the frame edge, and a crowd
+    of small splats behind the wall that fills several CULL_BATCHes."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(0, 40))
     scene = random_scene(rng, n, span=2.0)
@@ -330,6 +331,14 @@ def _render_case(draw):
         edge.means[:, 1] = depth * rng.choice([-1.0, 1.0], size=k) * rng.uniform(1.0, 1.6, size=k)
         edge.means[:, 2] = depth * rng.uniform(-1.3, 1.3, size=k)
         parts.append(edge)
+    if draw(st.booleans()):
+        # behind a saturating wall the crowd's batches are culled and
+        # compositing stops early; without one, later batches still composite
+        k = draw(st.integers(301, 340))
+        crowd = random_scene(rng, k, span=2.0)
+        crowd.means[:, 0] = rng.uniform(2.5, 9.0, size=k)
+        crowd.scales[:] = rng.uniform(0.01, 0.1, size=(k, 3))
+        parts.append(crowd)
     merged = GaussianScene(*(np.concatenate([getattr(p, f) for p in parts]) for f in
                              ("means", "rotations", "scales", "colors", "opacities")))
     background = draw(st.sampled_from([(0.0, 0.0, 0.0), (0.2, 0.5, 0.9), (1.0, 1.0, 1.0)]))
