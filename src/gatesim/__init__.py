@@ -61,7 +61,6 @@ from .render import (
     ppm_bytes,
     read_pgm,
     read_ppm,
-    render_mask,
     render_scene,
 )
 from .scene import (
@@ -97,7 +96,6 @@ from .tracks import (
     perturb_track,
     reference_track,
     reference_track_names,
-    reference_tracks,
     save_track,
     track_from_layout,
     track_splats,

@@ -2,9 +2,10 @@
 runs, dataset export, scripted scene editing, and one-shot rendering.
 
 Every command is deterministic given (--seed, config): reruns produce
-byte-identical CSV/JSON outputs, and quantitative outputs carry a hash of the
-effective configuration. Exit codes: 0 ok, 2 configuration error, 3 runtime
-failure.
+byte-identical CSV/JSON outputs. evaluate, perturb, pgr and export-dataset
+resolve their run config in run_config, write it as config.json, and carry
+its hash in their quantitative outputs. Exit codes: 0 ok, 2 configuration
+error, 3 runtime failure.
 """
 
 from __future__ import annotations
@@ -57,15 +58,38 @@ from .tracks import (
     reference_track,
     reference_track_names,
     track_splats,
+    track_to_dict,
 )
 
 POLICY_NAMES = ("expert", "classical", "classical-noisy", "zero")
 MAX_FRAME_SIDE = 4096        # px; render refuses a wider or taller frame
+# enters every config hash; bump it in any change that declares an output change
+OUTPUT_VERSION = 1
 
 
 def config_hash(payload: dict) -> str:
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+
+
+def run_config(cmd: str, **inputs) -> tuple[dict, str]:
+    """(config, hash) of a command's resolved inputs: everything its output
+    bytes depend on besides the code, which OUTPUT_VERSION stands for.
+
+    A "tracks" input is a list of (spec, Track) pairs, each recorded as the
+    spec string as given plus the track's canonical dict, so editing a track
+    file changes the hash. Files enter by content (a scene by its sha256),
+    never by path; --jobs and --out change no output byte and stay out.
+    """
+    config = {"cmd": cmd, "output_version": OUTPUT_VERSION, **inputs}
+    if "tracks" in inputs:
+        config["tracks"] = [{"spec": spec, **track_to_dict(track)}
+                            for spec, track in inputs["tracks"]]
+    return config, config_hash(config)
+
+
+def _write_config(out: Path, config: dict, chash: str) -> None:
+    _write_json(out / "config.json", {"config_hash": chash, **config})
 
 
 def _build_policy(name: str, platform: str):
@@ -158,9 +182,13 @@ def run_trials(runs, policy_name: str, trials: int, seed: int, tick_hz: float = 
     return [results[i:i + trials] for i in range(0, len(results), trials)]
 
 
-def _write(path: Path, text: str) -> None:
+def _write(path: Path, data: str | bytes) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    path.write_bytes(data.encode() if isinstance(data, str) else data)
+
+
+def _write_json(path: Path, obj) -> None:
+    _write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _print_table(rows, header):
@@ -191,16 +219,8 @@ def cmd_evaluate(args) -> int:
                              f"files named {stem!r}")
         by_file[stem] = name
     tracks = [(n, resolve_track(n)) for n in names]
-    chash = config_hash(
-        {
-            "cmd": "evaluate",
-            "tracks": names,
-            "policy": args.policy,
-            "trials": args.trials,
-            "seed": args.seed,
-            "tick_hz": args.tick_hz,
-        }
-    )
+    config, chash = run_config("evaluate", tracks=tracks, policy=args.policy,
+                               trials=args.trials, seed=args.seed, tick_hz=args.tick_hz)
 
     # a mask policy flies only its own platform's tracks; the stream is the
     # index among all named tracks
@@ -230,16 +250,10 @@ def cmd_evaluate(args) -> int:
                 f"{repr(m['sr'])},{mge}"
             )
         csv_lines.append(f"# config_hash {chash}")
+        _write_config(out, config, chash)
         _write(out / "metrics.csv", "\n".join(csv_lines) + "\n")
-        _write(
-            out / "summary.json",
-            json.dumps(
-                {"config_hash": chash, "policy": args.policy, "tracks": per_track},
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n",
-        )
+        _write_json(out / "summary.json",
+                    {"config_hash": chash, "policy": args.policy, "tracks": per_track})
         for (_, name, _), rolls in zip(flown, results):
             stem = Path(name).name
             _write(out / "events" / f"{stem}.csv", events_csv(rolls))
@@ -256,17 +270,9 @@ def cmd_evaluate(args) -> int:
 def cmd_perturb(args) -> int:
     track = resolve_track(args.track)
     levels = args.levels
-    chash = config_hash(
-        {
-            "cmd": "perturb",
-            "track": args.track,
-            "policy": args.policy,
-            "levels": levels,
-            "tracks_per_level": args.tracks_per_level,
-            "seed": args.seed,
-            "tick_hz": args.tick_hz,
-        }
-    )
+    config, chash = run_config("perturb", tracks=[(args.track, track)], policy=args.policy,
+                               levels=levels, tracks_per_level=args.tracks_per_level,
+                               seed=args.seed, tick_hz=args.tick_hz)
 
     results = run_trials([(li, track, level) for li, level in enumerate(levels)], args.policy,
                          args.tracks_per_level, args.seed, args.tick_hz, args.jobs)
@@ -303,20 +309,13 @@ def cmd_perturb(args) -> int:
                 f"{repr(lvl)},{args.policy},{m['gates']},{m['successes']},{repr(m['sr'])},{mge}"
             )
         lines.append(f"# config_hash {chash}")
+        _write_config(out, config, chash)
         _write(out / "perturbation.csv", "\n".join(lines) + "\n")
-        _write(
-            out / "summary.json",
-            json.dumps(
-                {
-                    "config_hash": chash,
-                    "curve": [{"level_cm": lvl, **m} for lvl, m in curve],
-                    "spearman_rho": rho,
-                },
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n",
-        )
+        _write_json(out / "summary.json", {
+            "config_hash": chash,
+            "curve": [{"level_cm": lvl, **m} for lvl, m in curve],
+            "spearman_rho": rho,
+        })
     return 0
 
 
@@ -363,7 +362,7 @@ def cmd_pgr(args) -> int:
     config = _load_pgr_config(args.config, args.seed)
     platform = config.platform
     partition = GridPartition.default(platform, config.per_gate_counts)
-    chash = config_hash({"cmd": "pgr", **asdict(config)})
+    resolved, chash = run_config("pgr", **asdict(config), skip_uniform=args.skip_uniform)
 
     expert = expert_policy(platform)
 
@@ -411,8 +410,7 @@ def cmd_pgr(args) -> int:
 
     if args.out:
         out = Path(args.out)
-        _write(out / "config.json", json.dumps(
-            {"config_hash": chash, **asdict(config)}, indent=2, sort_keys=True) + "\n")
+        _write_config(out, resolved, chash)
         lines = ["iteration,grid_idx,loss,weight,samples"]
         for stats in guided.history:
             for i in range(partition.m):
@@ -422,7 +420,7 @@ def cmd_pgr(args) -> int:
                 )
         lines.append(f"# config_hash {chash}")
         _write(out / "losses.csv", "\n".join(lines) + "\n")
-        _write(out / "history.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
+        _write_json(out / "history.json", report)
     return 0
 
 
@@ -435,19 +433,14 @@ def cmd_export_dataset(args) -> int:
     if args.out is None:
         raise ValueError("export-dataset needs --out")
     track = resolve_track(args.track)
-    scene = read_scene(args.scene) if args.scene else None
+    scene = scene_sha256 = None
+    if args.scene:
+        scene = read_scene(args.scene)
+        scene_sha256 = hashlib.sha256(Path(args.scene).read_bytes()).hexdigest()
     out = Path(args.out)
-    chash = config_hash(
-        {
-            "cmd": "export-dataset",
-            "track": args.track,
-            "policy": args.policy,
-            "trials": args.trials,
-            "seed": args.seed,
-            "tick_hz": args.tick_hz,
-            "scene": bool(args.scene),
-        }
-    )
+    config, chash = run_config("export-dataset", tracks=[(args.track, track)],
+                               policy=args.policy, trials=args.trials, seed=args.seed,
+                               tick_hz=args.tick_hz, scene_sha256=scene_sha256)
     dyn = platform_dynamics(track.platform)
     expert = expert_policy(track.platform)
     camera = DEFAULT_CAMERA
@@ -460,10 +453,10 @@ def cmd_export_dataset(args) -> int:
             pose = vehicle_camera_pose(dyn, state)
             mask = gate_mask(list(track.gates), camera, pose, t=t)
             stem = out / f"t{trial:02d}" / f"frame{tick:05d}"
-            _write_bytes(stem.with_suffix(".pgm"), pgm_bytes(mask))
+            _write(stem.with_suffix(".pgm"), pgm_bytes(mask))
             if scene is not None:
                 img = render_scene(scene, camera, pose)
-                _write_bytes(stem.with_suffix(".ppm"), ppm_bytes(img.rgb))
+                _write(stem.with_suffix(".ppm"), ppm_bytes(img.rgb))
             # past the last gate the rollout targets len(gates); the record names the last
             target = min(target, len(track.gates) - 1)
             expert_u = expert.evaluate(FullStateObs(t, state, track.gates, target))
@@ -474,41 +467,23 @@ def cmd_export_dataset(args) -> int:
                 "history": [[float(v) for v in row] for row in history],
                 "target_gate": target,
             }
-            _write(stem.with_suffix(".json"), json.dumps(record, indent=2, sort_keys=True) + "\n")
+            _write_json(stem.with_suffix(".json"), record)
             total_frames += 1
 
-    _write(
-        out / "meta.json",
-        json.dumps(
-            {
-                "config_hash": chash,
-                "track": args.track,
-                "platform": track.platform,
-                "policy": args.policy,
-                "trials": args.trials,
-                "tick_hz": args.tick_hz,
-                "frames": total_frames,
-                "camera": {
-                    "width": camera.width,
-                    "height": camera.height,
-                    "fx": camera.fx,
-                    "fy": camera.fy,
-                    "cx": camera.cx,
-                    "cy": camera.cy,
-                },
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-    )
+    _write_config(out, config, chash)
+    _write_json(out / "meta.json", {
+        "config_hash": chash,
+        "track": args.track,
+        "platform": track.platform,
+        "policy": args.policy,
+        "trials": args.trials,
+        "tick_hz": args.tick_hz,
+        "frames": total_frames,
+        "camera": {"width": camera.width, "height": camera.height, "fx": camera.fx,
+                   "fy": camera.fy, "cx": camera.cx, "cy": camera.cy},
+    })
     print(f"wrote {total_frames} frames to {out}")
     return 0
-
-
-def _write_bytes(path: Path, data: bytes) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(data)
 
 
 # ---------------------------------------------------------------------------
@@ -526,6 +501,7 @@ def cmd_edit_scene(args) -> int:
 
     before = len(scene)
     scene = apply_edit_script(scene, script, donor_loader=loader)
+    scene.validate()   # finite edits can still overflow; write only what read_scene accepts
     write_scene(args.out, scene)
     print(f"{before} -> {len(scene)} gaussians; objects: {sorted(scene.objects)}")
     return 0
@@ -545,7 +521,7 @@ def cmd_render(args) -> int:
         pose = camera_pose(pos, yaw, args.pitch)
         if args.mask:
             mask = gate_mask(list(track.gates), camera, pose, t=args.time)
-            _write_bytes(Path(args.mask), pgm_bytes(mask))
+            _write(Path(args.mask), pgm_bytes(mask))
             print(f"mask: {args.mask}")
     else:
         scene = read_scene(args.scene)
@@ -554,7 +530,7 @@ def cmd_render(args) -> int:
         pose = camera_pose(args.position, args.yaw, args.pitch)
     if args.out:
         img = render_scene(scene, camera, pose)
-        _write_bytes(Path(args.out), ppm_bytes(img.rgb))
+        _write(Path(args.out), ppm_bytes(img.rgb))
         print(f"rgb: {args.out} ({img.skipped} gaussians skipped)")
     return 0
 

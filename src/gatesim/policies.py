@@ -444,7 +444,7 @@ class SyntheticLearner(Policy):
 
     observes = "full_state"
 
-    def __init__(self, partition, expert: Policy, n0: float = 20.0):
+    def __init__(self, partition, expert: Policy, n0: float):
         self.partition = partition
         self.expert = expert
         self.platform = expert.platform

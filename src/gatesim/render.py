@@ -110,9 +110,6 @@ class RenderResult:
     alpha: np.ndarray      # (H, W) accumulated opacity
     skipped: int           # gaussians dropped for ill-conditioned projection
 
-    def to_u8(self) -> np.ndarray:
-        return np.clip(np.rint(self.rgb * 255.0), 0, 255).astype(np.uint8)
-
 
 def _ordered_sum(a: np.ndarray, m: np.ndarray, b: np.ndarray) -> np.ndarray:
     """out[i, l] = sum over j, then k, of (a[i, j] * m[j, k]) * b[l, k], on
@@ -253,16 +250,6 @@ def render_scene(
     return RenderResult(np.clip(rgb, 0.0, 1.0), alpha_img, skipped)
 
 
-def render_mask(
-    scene: GaussianScene,
-    camera: PinholeCamera = DEFAULT_CAMERA,
-    pose: RigidTransform | None = None,
-    threshold: float = 0.5,
-) -> np.ndarray:
-    """Binary occupancy of rendered splats: accumulated opacity >= threshold."""
-    return render_scene(scene, camera, pose).alpha >= threshold
-
-
 @functools.lru_cache(maxsize=8)
 def _camera_rays(camera: PinholeCamera) -> np.ndarray:
     """Read-only (H, W, 3) camera-frame ray directions (z = 1) through every
@@ -324,40 +311,24 @@ def _cast_exact(rays, r_cw, origin, center, normal, lateral, up, gate) -> np.nda
     """The ring bits of camera-frame rays (any leading shape, last axis 3)
     by the per-pixel cast of gate_mask's docstring.
 
-    The rays go through as one (k, 3) batch, whose rows get the bits of a
-    full-frame cast at any k but 1: numpy sends a single row times a vector
-    to BLAS's dot, which rounds unlike the rows of its matrix-vector
-    product, so a single ray is cast as a pair.
+    Every 3-vector product is geometry.dot taken column by column, so a
+    ray's bits depend neither on the BLAS kernel nor on the rays cast with
+    it.
     """
-    shape = rays.shape[:-1]
-    rays = rays.reshape(-1, 3)
-    if len(rays) == 1:
-        rays = np.concatenate((rays, rays))
-    # matmul passes a C-contiguous right operand to BLAS but runs its own
-    # loop, about three times slower, on the transposed view; both sum each
-    # row with the same fused multiply-adds, so the bits are the same
-    dirs = rays @ r_cw
-    denom = dirs @ normal
+    xyz = [rays[..., k] for k in range(3)]
+    dirs = [dot(xyz, r_cw[:, j]) for j in range(3)]
+    denom = dot(dirs, normal)
     with np.errstate(divide="ignore", invalid="ignore"):
-        t_hit = (normal @ (center - origin)) / denom
+        t_hit = dot(normal, center - origin) / denom
     ok = (np.abs(denom) > 1e-12) & (t_hit > 0.0)
-    # q = (origin + t_hit * dirs) - center, one channel at a time: the same
-    # per-element operations as broadcasting the 3-vectors, two to five
-    # times faster
-    q = np.empty_like(dirs)
-    for k in range(3):
-        qk = q[..., k]
-        np.multiply(t_hit, dirs[..., k], out=qk)
-        qk += origin[k]
-        qk -= center[k]
-    a = q @ lateral
-    b = q @ up
+    q = [t_hit * dirs[k] + origin[k] - center[k] for k in range(3)]
+    a = dot(q, lateral)
+    b = dot(q, up)
     if gate.shape == "square":
         d = np.maximum(np.abs(a), np.abs(b))
     else:
         d = np.hypot(a, b)
-    bits = ok & (d >= gate.inner_half) & (d <= gate.outer_half)
-    return bits[: math.prod(shape)].reshape(shape)
+    return ok & (d >= gate.inner_half) & (d <= gate.outer_half)
 
 
 def _sure_ring(rays, window, cols, o, rel, c, n, l, up, lat_cam, up_cam, gate):
@@ -440,7 +411,8 @@ def gate_mask(
 
         D = R d,  t = N / (n . D),  a = ((o + t D) - c) . l,  b = (...) . up,
 
-    and the pixel is set when |n . D| > 1e-12, t > 0 and hypot(a, b) (or
+    every dot product (R d's rows included) in geometry.dot's order, and
+    the pixel is set when |n . D| > 1e-12, t > 0 and hypot(a, b) (or
     max(|a|, |b|)) lies in [ri, ro], the inner and outer half-sizes.
     Rays are cast only inside each ring's projected pixel window
     (_ring_window), whose padding keeps every pixel the ring can cover.
@@ -513,7 +485,7 @@ def gate_mask(
         gates = [gates]
     rays = _camera_rays(camera)
     r_wc = pose.rotation_matrix()
-    r_cw = np.ascontiguousarray(r_wc.T)
+    r_cw = r_wc.T
     origin = pose.translation
     # R's columns, the camera axes in world coordinates: R^T v is (col . v)
     cols = r_cw.tolist()

@@ -352,13 +352,6 @@ def reference_track(name: str) -> Track:
     return track_from_dict(json.loads(text))
 
 
-def reference_tracks(platform: str | None = None) -> list[Track]:
-    tracks = [reference_track(n) for n in reference_track_names()]
-    if platform is not None:
-        tracks = [t for t in tracks if t.platform == platform]
-    return tracks
-
-
 # ---------------------------------------------------------------------------
 # Splat synthesis: renderable stand-ins for gates
 # ---------------------------------------------------------------------------

@@ -7,6 +7,12 @@ test_cli checks each digest in the test process. Run as a script,
 
 this runs the whole set in a temporary directory and prints {name: digest}
 as JSON, which test_cli compares across BLAS kernels in child interpreters.
+With --masked it prints masked_digest instead, which leaves out config.json
+and every config_hash value: run it against two source trees,
+
+    PYTHONPATH=<tree>/src python tests/pinned.py --masked
+
+to check that a change which moves the config hash moves no other byte.
 """
 
 import contextlib
@@ -14,6 +20,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -27,18 +34,18 @@ from gatesim.tracks import ARENAS, GATE_GEOMETRY, Gate, Track, save_track, track
 
 PINS = {
     # the expert on all six bundled tracks: uav and quad, static and moving gates
-    "evaluate": "e91dd9b778d20aeea7f2d153cabc74db09eb3aaf8b70cf6ab6b2b0956cdf3f18",
+    "evaluate": "c733d3ec1547d7aa455911a89b2944d64f06f5c689f74ab0cba1acea55f276dd",
     # classical-noisy on quad-drift: gate masks of a moving gate
-    "moving-gate-mask": "c85b4c7d526362a57a03d3d1d34d64cca8dde83b7196493e0229aa56a2fe0b6c",
+    "moving-gate-mask": "8facaa1c450350ff48d69b6008b038cff63f55e64f0eb599e43bae252f082322",
     # classical-noisy on perturbed quad-turn tracks: masks, perception noise,
     # labelling and a Spearman rho that is not 0
-    "perturb": "77e3e2d1143b6836eef12cc215520a84155358608a6cc2669d083d580b09d419",
+    "perturb": "0d1de27243bcd5e671f3c0019377c328f1a83a3f4ad10c5354483d14484fc9d3",
     # learner rollouts on static uav gates, the sampler and the loss tables
-    "pgr": "2a827030c4d8ff8f950a49461dd21d7b39bdb8be8f237a9d261ef8f180b04499",
+    "pgr": "c79a375e46f1430ef3366d775ccb41b81c2090cffb0b6add73b74f9d497a9a35",
     # masks, controls and expert labels of quad rollouts
-    "export-dataset": "dbf4367563fedc413a969d5850eaeb7c61619c2596c8be2935e5a9db7760161e",
+    "export-dataset": "0d8f1601af4b1d47a5538d80ae98d9892727317aab3216fa3ce246557813c3b7",
     # the compositor's frames of a mini uav track among seeded background splats
-    "export-dataset-scene": "0c3b176a4d02d0d43755ce8eee39ec9fe5c3e14f78bc477080a62483ebb8453a",
+    "export-dataset-scene": "ad836b6f1645559e5351de60efd3453a81af72e0eba0c37165cb94226f53d397",
 }
 
 
@@ -74,13 +81,27 @@ def bytes_of(root):
     return {rel: (Path(root) / rel).read_bytes() for rel in tree(root)}
 
 
-def digest(root):
-    """sha256 over a directory's files, in sorted relative-path order."""
+def _sha256_of(files: dict) -> str:
     h = hashlib.sha256()
-    for rel, data in bytes_of(root).items():
+    for rel, data in files.items():
         h.update(f"{rel}\0{len(data)}\0".encode())
         h.update(data)
     return h.hexdigest()
+
+
+def digest(root):
+    """sha256 over a directory's files, in sorted relative-path order."""
+    return _sha256_of(bytes_of(root))
+
+
+_CONFIG_HASH = re.compile(rb"(config_hash\W+)[0-9a-f]{16}")
+
+
+def masked_digest(root):
+    """digest() without the top-level config.json and with each config_hash
+    value blanked, in the CSV comment and the JSON field alike."""
+    return _sha256_of({rel: _CONFIG_HASH.sub(rb"\1" + b"-" * 16, data)
+                       for rel, data in bytes_of(root).items() if rel != "config.json"})
 
 
 def _scene_of(track):
@@ -129,15 +150,16 @@ def run_pinned(name, root) -> Path:
     return root / "out"
 
 
-def _digests() -> dict:
-    """{name: digest} of every pinned command, each run in its own
-    temporary directory with its printed tables discarded."""
+def _digests(of) -> dict:
+    """{name: of(output directory)} of every pinned command, each run in its
+    own temporary directory with its printed tables discarded."""
     out = {}
     for name in PINS:
         with tempfile.TemporaryDirectory() as root, contextlib.redirect_stdout(io.StringIO()):
-            out[name] = digest(run_pinned(name, root))
+            out[name] = of(run_pinned(name, root))
     return out
 
 
 if __name__ == "__main__":
-    json.dump(_digests(), sys.stdout, sort_keys=True)
+    of = masked_digest if sys.argv[1:] == ["--masked"] else digest
+    json.dump(_digests(of), sys.stdout, sort_keys=True)

@@ -1,5 +1,5 @@
-"""The benchmark recorder's summaries: quartiles, median change and pairs won,
-and the median layer block of the traced runs."""
+"""The benchmark recorder's summaries: quartiles, median change, pairs won
+and per-pair ratios, and the median layer block of the traced runs."""
 
 import importlib.util
 from pathlib import Path
@@ -29,6 +29,19 @@ def test_summary_counts_pairs_won_by_direction_and_ties_for_neither():
     specs = [{"name": "rollouts_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}]
     out = bench_record.summarize(_pairs([2.0, 2.0], [2.5, 1.5], "rollouts_per_s"), specs)
     assert out["rollouts_per_s"]["pairs_won"] == 1
+
+
+def test_summary_has_each_pairs_ratio_and_their_quartiles():
+    # the parent's own spread (4.0 to 6.0) holds the seeds' differences; the
+    # ratio within each pair does not
+    specs = [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}]
+    out = bench_record.summarize(_pairs([4.0, 5.0, 6.0, 4.5, 5.5], [3.6, 4.6, 5.7, 4.0, 5.0],
+                                        "wall_s"), specs)["wall_s"]
+    want = [0.9, 0.92, 0.95, 4.0 / 4.5, 5.0 / 5.5]
+    assert out["pair_ratios"] == pytest.approx(want)
+    assert out["pair_ratio"] == pytest.approx({"median": 5.0 / 5.5, "q1": 0.9, "q3": 0.92,
+                                               "iqr": 0.02})
+    assert out["base"]["iqr"] == pytest.approx(1.0)
 
 
 def test_single_pair_has_zero_spread():

@@ -44,13 +44,13 @@ def test_census_counts_defaulted_parameters_and_dataclass_fields():
     assert census.census(SOURCE) == 6
 
 
-# the settable values of each module of src/gatesim (91 in all); a change that
+# the settable values of each module of src/gatesim (86 in all); a change that
 # adds one must raise its module's limit here, in view, and a new module starts
 # at 0
 LIMITS = {
     "__init__.py": 0, "cli.py": 4, "dynamics.py": 2, "edits.py": 8, "geometry.py": 5,
-    "policies.py": 9, "refinement.py": 19, "render.py": 16, "scene.py": 8,
-    "simulator.py": 11, "tracks.py": 9,
+    "policies.py": 8, "refinement.py": 19, "render.py": 13, "scene.py": 8,
+    "simulator.py": 11, "tracks.py": 8,
 }
 
 

@@ -17,8 +17,8 @@ from gatesim.policies import MaskCentroidPolicy, NoisyMaskPolicy
 from gatesim.render import DEFAULT_CAMERA, camera_pose, gate_mask, pgm_bytes, read_pgm, read_ppm
 from gatesim.scene import read_scene, write_scene
 from gatesim.simulator import MISS, jittered_initial_pose
-from gatesim.tracks import (ARENAS, GATE_GEOMETRY, Gate, Track, save_track, track_splats,
-                            track_to_dict)
+from gatesim.tracks import (ARENAS, GATE_GEOMETRY, Gate, Track, reference_track, save_track,
+                            track_splats, track_to_dict)
 
 from conftest import random_scene
 from pinned import PINS, bytes_of, digest, mini_track, pgr_config, run_pinned, tree
@@ -71,6 +71,7 @@ def test_evaluate_writes_deterministic_outputs(tmp_path, capsys):
     assert main(args + ["--out", str(tmp_path / "b")]) == 0
     a, b = bytes_of(tmp_path / "a"), bytes_of(tmp_path / "b")
     assert set(a) == set(b) == {
+        "config.json",
         "metrics.csv",
         "summary.json",
         "events/uav-slalom.csv",
@@ -105,7 +106,7 @@ def test_evaluate_bytes_are_pinned(tmp_path, capsys):
     # the expert on all six bundled tracks: uav and quad, static and moving
     # gates; any drift in the rollout loop or what evaluate writes moves this
     out = run_pinned("evaluate", tmp_path)
-    assert len(tree(out)) == 2 + 6 + 12
+    assert len(tree(out)) == 3 + 6 + 12
     assert digest(out) == PINS["evaluate"]
     capsys.readouterr()
 
@@ -114,7 +115,7 @@ def test_evaluate_moving_gate_mask_bytes_are_pinned(tmp_path, capsys):
     # classical-noisy on quad-drift: gate masks of a moving gate, so the
     # per-tick gate frame, camera pose and ring window all enter the bytes
     out = run_pinned("moving-gate-mask", tmp_path)
-    assert len(tree(out)) == 2 + 1 + 2
+    assert len(tree(out)) == 3 + 1 + 2
     assert digest(out) == PINS["moving-gate-mask"]
     capsys.readouterr()
 
@@ -219,6 +220,7 @@ def test_evaluate_writes_only_inside_out_for_tracks_given_by_path(tmp_path, monk
     assert main(["evaluate", "--tracks", spec, "sub/deep/other.json", "--trials", "1",
                  "--tick-hz", "10", "--out", "out"]) == 0
     assert set(tree(tmp_path)) - before == {
+        "out/config.json",
         "out/metrics.csv",
         "out/summary.json",
         "out/events/mytrack.json.csv",
@@ -393,7 +395,7 @@ def test_pgr_outputs(tmp_path, capsys):
 
     conf = json.loads((tmp_path / "r1/config.json").read_text())
     assert conf["per_gate_counts"] == [2, 1, 1, 1]
-    assert conf["n0"] == 2.0
+    assert conf["n0"] == 2.0 and conf["seed"] == 2
 
     lines = (tmp_path / "r1/losses.csv").read_text().strip().split("\n")
     assert lines[0] == "iteration,grid_idx,loss,weight,samples"
@@ -416,7 +418,7 @@ def test_pgr_skip_uniform(tmp_path, capsys):
     hist = json.loads((tmp_path / "r/history.json").read_text())
     assert "uniform" not in hist and "top_decile_allocation" not in hist
     # the hash of a valid config is pinned: validation must not move it
-    assert hist["config_hash"] == "1360b36e20762a6d"
+    assert hist["config_hash"] == "28713d4bd70e3db6"
     assert len(hist["pgr"]) == 1
     capsys.readouterr()
 
@@ -424,17 +426,6 @@ def test_pgr_skip_uniform(tmp_path, capsys):
 def test_pgr_bytes_are_pinned(tmp_path, capsys):
     # learner rollouts on static uav gates, the sampler and the loss tables
     assert digest(run_pinned("pgr", tmp_path)) == PINS["pgr"]
-    capsys.readouterr()
-
-
-def test_pgr_config_json_reproduces_its_hash(tmp_path, capsys):
-    cfg = pgr_config(tmp_path, iterations=1, samples_per_iteration=3)
-    assert main(["pgr", "--config", cfg, "--skip-uniform", "--seed", "4",
-                 "--out", str(tmp_path / "r")]) == 0
-    rest = json.loads((tmp_path / "r/config.json").read_text())
-    chash = rest.pop("config_hash")
-    assert rest["samples_per_iteration"] == 3 and rest["seed"] == 4
-    assert config_hash({"cmd": "pgr", **rest}) == chash
     capsys.readouterr()
 
 
@@ -602,7 +593,7 @@ def test_export_dataset_job_count_does_not_change_results(tmp_path, monkeypatch,
     assert main(args + ["--jobs", "1", "--out", "j1"]) == 0
     assert main(args + ["--jobs", "2", "--out", "j2"]) == 0
     j1 = bytes_of("j1")
-    assert {rel.split("/")[0] for rel in j1} == {"meta.json", "t00", "t01"}
+    assert {rel.split("/")[0] for rel in j1} == {"config.json", "meta.json", "t00", "t01"}
     assert j1 == bytes_of("j2")
     capsys.readouterr()
 
@@ -732,6 +723,21 @@ def test_edit_scene_refuses_non_finite_numbers(tmp_path, capsys, record, field):
     assert not (tmp_path / "out.ply").exists()
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("record", [{"op": "scale", "factor": 1e308},
+                                    {"op": "translate", "delta": [1.7e308, 0.0, 0.0]}],
+                         ids=["scale", "translate"])
+def test_edit_scene_refuses_a_scene_that_overflows(tmp_path, capsys, record):
+    # each record is finite, but applied twice it overflows a field to inf
+    write_scene(tmp_path / "scene.ply", track_splats(reference_track("uav-slalom")))
+    (tmp_path / "script.json").write_text(json.dumps([{**record, "selection": "gate_1"}] * 2))
+    out = tmp_path / "out.ply"
+    assert main(["edit-scene", "--scene", str(tmp_path / "scene.ply"), "--script",
+                 str(tmp_path / "script.json"), "--out", str(out)]) == 2
+    assert "error: non-finite field at gaussian " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_edit_scene_rotation_bytes_do_not_depend_on_the_blas_kernel():
     # a scripted rotation's axis is normalised by the fixed-order dot; this
     # axis's BLAS norm rounds differently under the Haswell and Prescott kernels
@@ -833,6 +839,124 @@ def test_smallest_camera_scale_renders_one_pixel(tmp_path, capsys):
     assert main(["render", "--track", "quad-turn", "--camera-scale=0.005",
                  "--out", str(out)]) == 0
     assert read_ppm(out.read_bytes()).shape == (1, 1, 3)
+    capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# run config: config.json and the hash of everything that moves an output byte
+# ---------------------------------------------------------------------------
+
+
+def _write_inputs():
+    """The input files of the flag table, written into the working directory."""
+    save_track("mini-uav.json", mini_track("uav"))
+    save_track("mini-quad.json", mini_track("quad"))
+    write_scene("splats.ply", track_splats(mini_track("uav")))
+    write_scene("other.ply", random_scene(np.random.default_rng(1), 20))
+    pgr_config(".", iterations=1)
+    Path("pgr-beta.json").write_text(json.dumps({**json.loads(Path("pgr.json").read_text()),
+                                                  "beta": 0.5}))
+
+
+def _move_gate():
+    """Move gate 0 of mini-uav.json by 0.5 m."""
+    d = json.loads(Path("mini-uav.json").read_text())
+    d["gates"][0]["keyframes"][0]["center"][1] += 0.5
+    Path("mini-uav.json").write_text(json.dumps(d))
+
+
+def _move_splat():
+    """Move splat 0 of splats.ply, on the gate's ring, by 0.5 m."""
+    scene = read_scene("splats.ply")
+    scene.means[0] += [0.0, 0.5, 0.0]
+    write_scene("splats.ply", scene)
+
+
+# each command's tiny run, and the variations of it: each accepted flag once
+# (a later flag overrides the run's own) and an edit of each input file
+_RUNS = {
+    "evaluate": ["evaluate", "--tracks", "mini-uav.json", "--trials", "1", "--tick-hz", "5"],
+    "perturb": ["perturb", "--track", "mini-uav.json", "--levels", "0,20",
+                "--tracks-per-level", "1", "--tick-hz", "5"],
+    "pgr": ["pgr", "--config", "pgr.json"],
+    "export-dataset": ["export-dataset", "--track", "mini-uav.json", "--scene", "splats.ply",
+                       "--trials", "1", "--tick-hz", "5"],
+}
+_COMMON = [["--seed", "1"], ["--out", "elsewhere"]]
+_TRIALS = _COMMON + [["--jobs", "2"], ["--tick-hz", "10"], ["--policy", "zero"]]
+_VARIATIONS = {
+    "evaluate": _TRIALS + [["--trials", "2"], ["--tracks", "mini-quad.json"], _move_gate],
+    "perturb": _TRIALS + [["--track", "mini-quad.json"], ["--levels", "0,40"],
+                          ["--tracks-per-level", "2"], _move_gate],
+    "pgr": _COMMON + [["--config", "pgr-beta.json"], ["--jobs", "1"], ["--skip-uniform"]],
+    "export-dataset": _TRIALS + [["--trials", "2"], ["--track", "mini-quad.json"],
+                                 ["--scene", "other.ply"], _move_gate, _move_splat],
+}
+# the file that carries the hash in each command's own output
+_HASHED = {"evaluate": "summary.json", "perturb": "summary.json", "pgr": "history.json",
+           "export-dataset": "meta.json"}
+
+
+def _hash_and_bytes(root, command, variation):
+    """(config hash, output bytes) of the command's tiny run with the
+    variation, in the fresh directory root holding its inputs."""
+    root.mkdir()
+    cwd = os.getcwd()
+    os.chdir(root)
+    try:
+        _write_inputs()
+        flags = []
+        if callable(variation):
+            variation()
+        else:
+            flags = variation
+        out = flags[1] if flags[:1] == ["--out"] else "out"
+        assert main(_RUNS[command] + ["--out", "out"] + flags) == 0
+        return json.loads((Path(out) / _HASHED[command]).read_text())["config_hash"], bytes_of(out)
+    finally:
+        os.chdir(cwd)
+
+
+@pytest.fixture(scope="module")
+def tiny_runs(tmp_path_factory):
+    """(config hash, output bytes) of each command's tiny run, run once."""
+    runs = {}
+
+    def run(command):
+        if command not in runs:
+            runs[command] = _hash_and_bytes(tmp_path_factory.mktemp(command) / "run", command, [])
+        return runs[command]
+
+    return run
+
+
+def _variation_id(v):
+    if callable(v):
+        return v.__name__.lstrip("_")
+    return "=".join(v).removeprefix("--") if isinstance(v, list) else v
+
+
+@pytest.mark.parametrize("command,variation", [
+    (command, variation) for command, variations in _VARIATIONS.items()
+    for variation in variations
+], ids=_variation_id)
+def test_each_input_changes_the_hash_or_no_output_byte(tmp_path, capsys, tiny_runs, command,
+                                                       variation):
+    base_hash, base = tiny_runs(command)
+    varied_hash, varied = _hash_and_bytes(tmp_path / "varied", command, variation)
+    assert varied_hash != base_hash or varied == base
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", _RUNS)
+def test_config_json_reproduces_its_hash(capsys, tiny_runs, command):
+    chash, files = tiny_runs(command)
+    rest = json.loads(files["config.json"])
+    assert rest.pop("config_hash") == chash
+    assert config_hash(rest) == chash
+    assert (rest["cmd"], rest["output_version"]) == (command, cli.OUTPUT_VERSION)
+    # the config names no path: only the spec strings as given
+    assert "/" not in files["config.json"].decode()
     capsys.readouterr()
 
 

@@ -927,7 +927,7 @@ def test_learner_noise_matches_sigma():
 
 def test_learner_reset_reproducible():
     part = _unit_partition()
-    learner = SyntheticLearner(part, expert_policy("quad"))
+    learner = SyntheticLearner(part, expert_policy("quad"), n0=5.0)
     gate = _gate((0.25, 0.25, 0.25), yaw=0.25, platform="quad")
     obs = FullStateObs(0.0, np.zeros(12), (gate,), 0)
     learner.reset(np.random.default_rng(77))
@@ -941,7 +941,7 @@ def test_learner_starts_from_the_rollout_default_stream():
     part = _unit_partition()
     gate = _gate((0.25, 0.25, 0.25), yaw=0.25)
     obs = FullStateObs(0.0, np.array([0.0, 0.0, 0.25, 0.0, 0.0]), (gate,), 0)
-    fresh, reset = (SyntheticLearner(part, expert_policy("uav"))
+    fresh, reset = (SyntheticLearner(part, expert_policy("uav"), n0=5.0)
                     for _ in range(2))
     reset.reset(np.random.default_rng(0))
     for _ in range(3):

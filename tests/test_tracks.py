@@ -20,7 +20,6 @@ from gatesim.tracks import (
     perturb_track,
     reference_track,
     reference_track_names,
-    reference_tracks,
     save_track,
     track_from_dict,
     track_from_layout,
@@ -265,14 +264,14 @@ def test_reference_track_inventory():
         "uav-shift",
         "uav-slalom",
     ]
-    assert len(reference_tracks("uav")) == 3
-    assert len(reference_tracks("quad")) == 3
+    platforms = [reference_track(n).platform for n in names]
+    assert platforms.count("uav") == platforms.count("quad") == 3
     with pytest.raises(KeyError):
         reference_track("nope")
 
 
 def test_reference_tracks_are_well_formed():
-    for track in reference_tracks():
+    for track in map(reference_track, reference_track_names()):
         geo = GATE_GEOMETRY[track.platform]
         arena = ARENAS[track.platform]
         assert track.arena.name == arena.name

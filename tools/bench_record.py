@@ -22,7 +22,10 @@ runs one workload for one seed and BENCHMARK.json's run_seconds at a time:
   with the host.
 
 The file holds every run's end-to-end metrics, each side's median and
-quartiles, the pairs the change won (ties count for neither), the result
+quartiles, the pairs the change won (ties count for neither), each pair's
+change-to-parent ratio with the median and quartiles of those ratios (the
+noise within a pair, beside the parent's spread, which also holds what
+differs between seeds and over the host's drift), the result
 digests and simulated counts of every run, the median traced per-layer
 metrics and self-time shares, and a machine block with both shas. It is
 written next to this checkout's BENCHMARK.json unless --out says otherwise.
@@ -99,14 +102,16 @@ def quartiles(values: list) -> dict:
 
 
 def summarize(pairs: list, end_to_end: list) -> dict:
-    """Per metric: each side's quartiles, the change of the median, and the
-    pairs the change won."""
+    """Per metric: each side's quartiles, the change of the median, the
+    pairs the change won, and each pair's change-to-parent ratio with the
+    quartiles of those ratios."""
     out = {}
     for spec in end_to_end:
         name, lower = spec["name"], spec["better"] == "lower"
         base = [p["base"]["metrics"][name] for p in pairs]
         change = [p["change"]["metrics"][name] for p in pairs]
         won = sum(1 for b, c in zip(base, change) if (c < b if lower else c > b))
+        ratios = [c / b for b, c in zip(base, change)]
         qb, qc = quartiles(base), quartiles(change)
         out[name] = {
             "unit": spec["unit"],
@@ -117,6 +122,8 @@ def summarize(pairs: list, end_to_end: list) -> dict:
             "median_change": qc["median"] / qb["median"] - 1.0,
             "pairs_won": won,
             "pairs": len(pairs),
+            "pair_ratios": ratios,
+            "pair_ratio": quartiles(ratios),
         }
     return out
 
@@ -224,9 +231,11 @@ def compare(args, scratch: Path) -> int:
     out.write_text(json.dumps(record, indent=2) + "\n")
     for workload, w in record["workloads"].items():
         for name, m in w["summary"].items():
+            r = m["pair_ratio"]
             print(f"{workload:8s} {name:18s} base {m['base']['median']:10.4g} "
                   f"change {m['change']['median']:10.4g} ({m['median_change']:+.1%}) "
-                  f"won {m['pairs_won']}/{m['pairs']}")
+                  f"won {m['pairs_won']}/{m['pairs']}, pair ratio {r['median']:.3f} "
+                  f"[{r['q1']:.3f}, {r['q3']:.3f}]")
         print(f"{workload:8s} digests equal {w['digests_equal']}, simulated equal "
               f"{w['simulated_equal']}, all correct {w['all_correct']}")
     print(f"wrote {out}")
