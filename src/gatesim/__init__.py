@@ -59,16 +59,12 @@ from .render import (
     gate_mask,
     pgm_bytes,
     ppm_bytes,
-    read_pgm,
-    read_ppm,
     render_scene,
 )
 from .scene import (
-    Gaussian,
     GaussianScene,
     ScenePLYError,
     SceneValidationError,
-    Selection,
     align_to_world,
     load_scene,
     read_scene,

@@ -500,8 +500,10 @@ def cmd_edit_scene(args) -> int:
         return read_scene(base / rel)
 
     before = len(scene)
-    scene = apply_edit_script(scene, script, donor_loader=loader)
-    scene.validate()   # finite edits can still overflow; write only what read_scene accepts
+    # finite edits can still overflow: validate reports it, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        scene = apply_edit_script(scene, script, donor_loader=loader)
+    scene.validate()   # write only what read_scene accepts
     write_scene(args.out, scene)
     print(f"{before} -> {len(scene)} gaussians; objects: {sorted(scene.objects)}")
     return 0
@@ -510,24 +512,34 @@ def cmd_edit_scene(args) -> int:
 def cmd_render(args) -> int:
     if (args.scene is None) == (args.track is None):
         raise ValueError("give exactly one of --scene or --track")
+    if args.scene is not None:
+        for flag, value in (("--mask", args.mask), ("--time", args.time)):
+            if value is not None:
+                raise ValueError(f"{flag} is read only with --track, not with --scene")
+    if args.position is None and args.yaw is not None:
+        raise ValueError("--yaw is read only with --position")
+    if args.out is None and args.mask is None:
+        raise ValueError("give --out, or --mask with --track: otherwise render writes nothing")
     camera = DEFAULT_CAMERA.scaled(args.camera_scale)
+    yaw = args.yaw if args.yaw is not None else 0.0
     if args.track:
         track = resolve_track(args.track)
-        scene = track_splats(track, t=args.time)
+        t = args.time if args.time is not None else 0.0
+        scene = track_splats(track, t=t)
         if args.position is None:
             pos, yaw = track.initial_pose()
         else:
-            pos, yaw = args.position, args.yaw
+            pos = args.position
         pose = camera_pose(pos, yaw, args.pitch)
         if args.mask:
-            mask = gate_mask(list(track.gates), camera, pose, t=args.time)
+            mask = gate_mask(list(track.gates), camera, pose, t=t)
             _write(Path(args.mask), pgm_bytes(mask))
             print(f"mask: {args.mask}")
     else:
         scene = read_scene(args.scene)
         if args.position is None:
             raise ValueError("--position is required with --scene")
-        pose = camera_pose(args.position, args.yaw, args.pitch)
+        pose = camera_pose(args.position, yaw, args.pitch)
     if args.out:
         img = render_scene(scene, camera, pose)
         _write(Path(args.out), ppm_bytes(img.rgb))
@@ -674,9 +686,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scene", default=None, help="PLY scene")
     p.add_argument("--track", default=None, help="bundled track name or file")
     p.add_argument("--position", type=_position, default=None, help="camera position x,y,z")
-    p.add_argument("--yaw", type=_finite_float, default=0.0)
+    p.add_argument("--yaw", type=_finite_float, default=None,
+                   help="camera yaw with --position (default 0)")
     p.add_argument("--pitch", type=_finite_float, default=0.0)
-    p.add_argument("--time", type=_finite_float, default=0.0, help="gate schedule time")
+    p.add_argument("--time", type=_finite_float, default=None,
+                   help="gate schedule time (track mode; default 0)")
     p.add_argument("--camera-scale", type=_camera_scale, default=1.0)
     p.add_argument("--out", default=None, help="output PPM")
     p.add_argument("--mask", default=None, help="output PGM mask (track mode)")

@@ -60,12 +60,6 @@ class UavDynamics:
     def yaw(self, state: np.ndarray) -> float:
         return float(state[3])
 
-    def velocity(self, state: np.ndarray) -> np.ndarray:
-        v, psi, th = UavParams.speed, state[3], state[4]
-        return np.array(
-            [v * math.cos(psi) * math.cos(th), v * math.sin(psi) * math.cos(th), v * math.sin(th)]
-        )
-
     def clamp_control(self, control) -> tuple[float, float]:
         """The saturated rate commands; step applies the same clamp inline."""
         p = UavParams
@@ -166,9 +160,6 @@ class QuadDynamics:
 
     def yaw(self, state: np.ndarray) -> float:
         return float(state[8])
-
-    def velocity(self, state: np.ndarray) -> np.ndarray:
-        return state[3:6]
 
     def clamp_control(self, control):
         """The command with its velocity norm and yaw rate saturated."""

@@ -1,9 +1,10 @@
 """Composable world-frame edits over gaussian scenes.
 
-Every edit takes a scene plus a selection (object id, closed box, or
-Selection) and returns a new scene; input scenes are never mutated. Arrays a
-given edit does not touch are shared with the input, so unselected gaussians
-stay bit-identical and large-scene edits only pay for the fields they change.
+Every edit takes a scene plus a selection (an object id, or a closed
+(min, max) box) and returns a new scene; input scenes are never mutated.
+Arrays a given edit does not touch are shared with the input
+(GaussianScene.replace), so unselected gaussians stay bit-identical and
+large-scene edits only pay for the fields they change.
 """
 
 from __future__ import annotations
@@ -25,17 +26,6 @@ from .scene import GaussianScene, resolve_selection
 
 class EmptySelectionWarning(UserWarning):
     """A selection matched no gaussians; the edit was a no-op."""
-
-
-def _shared(scene: GaussianScene) -> GaussianScene:
-    out = GaussianScene.__new__(GaussianScene)
-    out.means = scene.means
-    out.rotations = scene.rotations
-    out.scales = scene.scales
-    out.colors = scene.colors
-    out.opacities = scene.opacities
-    out.objects = dict(scene.objects)
-    return out
 
 
 def _select(scene: GaussianScene, selection, op: str) -> np.ndarray | None:
@@ -83,25 +73,18 @@ def add(
     if len(idx) == 0:
         raise ValueError("add: empty foreign selection")
     pose = pose if pose is not None else RigidTransform.identity()
-
-    means = pose.apply(foreign.means[idx])
-    rots = quat_normalize(quat_mul(pose.rotation, foreign.rotations[idx]))
-    scales = foreign.scales[idx] * pose.scale
+    rows = foreign.take(idx)
+    posed = rows.replace(
+        means=pose.apply(rows.means),
+        rotations=quat_normalize(quat_mul(pose.rotation, rows.rotations)),
+        scales=rows.scales * pose.scale,
+    )
 
     base_name = object_id
     if base_name is None:
         base_name = foreign_selection if isinstance(foreign_selection, str) else "object"
     new_id = fresh_object_id(scene, base_name)
-
-    n = len(scene)
-    out = _shared(scene)
-    out.means = np.concatenate([scene.means, means])
-    out.rotations = np.concatenate([scene.rotations, rots])
-    out.scales = np.concatenate([scene.scales, scales])
-    out.colors = np.concatenate([scene.colors, foreign.colors[idx]])
-    out.opacities = np.concatenate([scene.opacities, foreign.opacities[idx]])
-    out.objects[new_id] = np.arange(n, n + len(idx), dtype=np.int64)
-    return out, new_id
+    return scene.append(posed, new_id), new_id
 
 
 def translate(scene: GaussianScene, selection, offset) -> GaussianScene:
@@ -109,10 +92,9 @@ def translate(scene: GaussianScene, selection, offset) -> GaussianScene:
     idx = _select(scene, selection, "translate")
     if idx is None:
         return scene
-    out = _shared(scene)
-    out.means = scene.means.copy()
-    out.means[idx] += np.asarray(offset, dtype=np.float64)
-    return out
+    means = scene.means.copy()
+    means[idx] += np.asarray(offset, dtype=np.float64)
+    return scene.replace(means=means)
 
 
 def rotate(scene: GaussianScene, selection, rotation, pivot=None) -> GaussianScene:
@@ -126,12 +108,10 @@ def rotate(scene: GaussianScene, selection, rotation, pivot=None) -> GaussianSce
         return scene
     q = quat_normalize(rotation)
     p = _pivot(scene, idx, pivot)
-    out = _shared(scene)
-    out.means = scene.means.copy()
-    out.rotations = scene.rotations.copy()
-    out.means[idx] = p + quat_rotate(q, scene.means[idx] - p)
-    out.rotations[idx] = quat_normalize(quat_mul(q, scene.rotations[idx]))
-    return out
+    means, rotations = scene.means.copy(), scene.rotations.copy()
+    means[idx] = p + quat_rotate(q, scene.means[idx] - p)
+    rotations[idx] = quat_normalize(quat_mul(q, scene.rotations[idx]))
+    return scene.replace(means=means, rotations=rotations)
 
 
 def scale(scene: GaussianScene, selection, factor, pivot=None) -> GaussianScene:
@@ -151,12 +131,10 @@ def scale(scene: GaussianScene, selection, factor, pivot=None) -> GaussianScene:
     if idx is None:
         return scene
     p = _pivot(scene, idx, pivot)
-    out = _shared(scene)
-    out.means = scene.means.copy()
-    out.scales = scene.scales.copy()
-    out.means[idx] = p + k * (scene.means[idx] - p)
-    out.scales[idx] *= k if k.shape == (1,) else k[None, :]
-    return out
+    means, scales = scene.means.copy(), scene.scales.copy()
+    means[idx] = p + k * (scene.means[idx] - p)
+    scales[idx] *= k if k.shape == (1,) else k[None, :]
+    return scene.replace(means=means, scales=scales)
 
 
 def duplicate(
@@ -174,16 +152,9 @@ def duplicate(
     if base is None:
         base = (selection if isinstance(selection, str) else "selection") + "_copy"
     new_id = fresh_object_id(scene, base)
-
-    n = len(scene)
-    out = _shared(scene)
-    out.means = np.concatenate([scene.means, scene.means[idx] + np.asarray(offset, float)])
-    out.rotations = np.concatenate([scene.rotations, scene.rotations[idx]])
-    out.scales = np.concatenate([scene.scales, scene.scales[idx]])
-    out.colors = np.concatenate([scene.colors, scene.colors[idx]])
-    out.opacities = np.concatenate([scene.opacities, scene.opacities[idx]])
-    out.objects[new_id] = np.arange(n, n + len(idx), dtype=np.int64)
-    return out, new_id
+    rows = scene.take(idx)
+    rows = rows.replace(means=rows.means + np.asarray(offset, float))
+    return scene.append(rows, new_id), new_id
 
 
 def delete(scene: GaussianScene, selection) -> GaussianScene:
@@ -199,12 +170,7 @@ def delete(scene: GaussianScene, selection) -> GaussianScene:
     keep[idx] = False
     # old index -> new index for survivors
     remap = np.cumsum(keep) - 1
-    out = _shared(scene)
-    out.means = scene.means[keep]
-    out.rotations = scene.rotations[keep]
-    out.scales = scene.scales[keep]
-    out.colors = scene.colors[keep]
-    out.opacities = scene.opacities[keep]
+    out = scene.take(keep)
     out.objects = {
         name: remap[members[keep[members]]].astype(np.int64)
         for name, members in scene.objects.items()
@@ -226,13 +192,9 @@ def lighting(scene: GaussianScene, selection, mode: str, rgb) -> GaussianScene:
     idx = _select(scene, selection, "lighting")
     if idx is None:
         return scene
-    out = _shared(scene)
-    out.colors = scene.colors.copy()
-    if mode == "multiply":
-        out.colors[idx] = np.clip(scene.colors[idx] * rgb, 0.0, 1.0)
-    else:
-        out.colors[idx] = rgb
-    return out
+    colors = scene.colors.copy()
+    colors[idx] = np.clip(scene.colors[idx] * rgb, 0.0, 1.0) if mode == "multiply" else rgb
+    return scene.replace(colors=colors)
 
 
 # ---------------------------------------------------------------------------

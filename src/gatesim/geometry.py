@@ -49,13 +49,6 @@ def quat_normalize(q) -> np.ndarray:
     return q / n
 
 
-def quat_conjugate(q) -> np.ndarray:
-    q = np.asarray(q, dtype=np.float64)
-    out = q.copy()
-    out[..., 1:] = -out[..., 1:]
-    return out
-
-
 def quat_mul(a, b) -> np.ndarray:
     """Hamilton product a*b; supports broadcasting over leading axes."""
     a = np.asarray(a, dtype=np.float64)
@@ -180,14 +173,6 @@ class RigidTransform:
 
     def rotation_matrix(self) -> np.ndarray:
         return quat_to_mat(self.rotation)
-
-    def inverse(self) -> "RigidTransform":
-        q_inv = quat_conjugate(self.rotation)
-        return RigidTransform(
-            q_inv,
-            quat_rotate(q_inv, -self.translation) / self.scale,
-            1.0 / self.scale,
-        )
 
 
 def umeyama_alignment(source, target, with_scale: bool = False) -> RigidTransform:

@@ -172,6 +172,11 @@ RETRY_CAP = 50
 MAX_CELLS = 65_536
 
 
+def _is_int(value) -> bool:
+    """A Python or numpy integer; bool, an int to Python, is not one here."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass
 class PgrConfig:
     """One refinement run; `gatesim pgr --config` JSON sets any field but seed."""
@@ -189,17 +194,26 @@ class PgrConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.per_gate_counts = tuple(self.per_gate_counts)
-        for name in ("iterations", "initial_per_cell", "val_per_cell"):
-            setattr(self, name, int(getattr(self, name)))
+        # counts are integers and the rest numbers, as JSON spells them: no
+        # float count is rounded, and neither a bool nor a str is read as one
+        for name in ("iterations", "initial_per_cell", "val_per_cell", "samples_per_iteration"):
+            value = getattr(self, name)
+            if value is None and name == "samples_per_iteration":
+                continue
+            if not _is_int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            setattr(self, name, int(value))
         for name in ("beta", "lambda_pos", "tick_hz", "n0"):
-            setattr(self, name, float(getattr(self, name)))
+            value = getattr(self, name)
+            if not (_is_int(value) or isinstance(value, (float, np.floating))):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            setattr(self, name, float(value))
+        self.per_gate_counts = tuple(self.per_gate_counts)
         if self.platform not in LAYOUT_BOXES:
             raise ValueError(f"unknown platform {self.platform!r}; "
                              f"accepted: {', '.join(sorted(LAYOUT_BOXES))}")
         counts = self.per_gate_counts
-        if len(counts) != 4 or not all(isinstance(c, (int, np.integer)) and c >= 1
-                                       for c in counts):
+        if len(counts) != 4 or not all(_is_int(c) and c >= 1 for c in counts):
             raise ValueError(f"per_gate_counts must be four ints >= 1, got {list(counts)}")
         cells = math.prod(int(c) for c in counts) ** 2
         if cells > MAX_CELLS:

@@ -131,9 +131,9 @@ def render_scene(
     scene: GaussianScene,
     camera: PinholeCamera = DEFAULT_CAMERA,
     pose: RigidTransform | None = None,
-    background=(0.0, 0.0, 0.0),
 ) -> RenderResult:
-    """Depth-sorted front-to-back alpha compositing of projected gaussians.
+    """Depth-sorted front-to-back alpha compositing of projected gaussians
+    over a black background.
 
     Per gaussian the 3D covariance is pushed through the projection jacobian,
     dilated by COV2D_DILATION px^2, and splatted over its 3 sigma bounding
@@ -246,7 +246,6 @@ def render_scene(
 
     alpha_img = 1.0 - trans
     rgb = np.ascontiguousarray(np.moveaxis(planes, 0, -1))
-    rgb += trans[:, :, None] * np.asarray(background, dtype=np.float64)
     return RenderResult(np.clip(rgb, 0.0, 1.0), alpha_img, skipped)
 
 
@@ -318,12 +317,13 @@ def _cast_exact(rays, r_cw, origin, center, normal, lateral, up, gate) -> np.nda
     xyz = [rays[..., k] for k in range(3)]
     dirs = [dot(xyz, r_cw[:, j]) for j in range(3)]
     denom = dot(dirs, normal)
+    # a ray along the plane gets an infinite or NaN hit, which ok leaves out
     with np.errstate(divide="ignore", invalid="ignore"):
         t_hit = dot(normal, center - origin) / denom
+        q = [t_hit * dirs[k] + origin[k] - center[k] for k in range(3)]
+        a = dot(q, lateral)
+        b = dot(q, up)
     ok = (np.abs(denom) > 1e-12) & (t_hit > 0.0)
-    q = [t_hit * dirs[k] + origin[k] - center[k] for k in range(3)]
-    a = dot(q, lateral)
-    b = dot(q, up)
     if gate.shape == "square":
         d = np.maximum(np.abs(a), np.abs(b))
     else:
@@ -514,7 +514,7 @@ def gate_mask(
 
 
 # ---------------------------------------------------------------------------
-# Netpbm image I/O (binary PPM/PGM, canonical headers, byte-stable)
+# Netpbm image output (binary PPM/PGM, canonical headers, byte-stable)
 # ---------------------------------------------------------------------------
 
 
@@ -543,43 +543,3 @@ def pgm_bytes(img) -> bytes:
         raise ValueError(f"expected (H, W), got {u8.shape}")
     h, w = u8.shape
     return f"P5\n{w} {h}\n255\n".encode("ascii") + u8.tobytes()
-
-
-def _parse_netpbm(data: bytes, magic: bytes, channels: int) -> np.ndarray:
-    if not data.startswith(magic):
-        raise ValueError(f"expected {magic.decode()} header")
-    pos = len(magic)
-    fields = []
-    while len(fields) < 3:
-        if pos >= len(data):
-            raise ValueError("truncated netpbm header")
-        ch = data[pos : pos + 1]
-        if ch == b"#":
-            nl = data.find(b"\n", pos)
-            pos = len(data) if nl < 0 else nl + 1
-        elif ch.isspace():
-            pos += 1
-        else:
-            end = pos
-            while end < len(data) and not data[end : end + 1].isspace():
-                end += 1
-            fields.append(int(data[pos:end]))
-            pos = end
-    pos += 1  # single whitespace byte after maxval
-    w, h, maxval = fields
-    if maxval != 255:
-        raise ValueError(f"only maxval 255 supported, got {maxval}")
-    need = w * h * channels
-    raw = data[pos : pos + need]
-    if len(raw) != need:
-        raise ValueError(f"expected {need} pixel bytes, got {len(raw)}")
-    arr = np.frombuffer(raw, dtype=np.uint8)
-    return arr.reshape(h, w, channels) if channels > 1 else arr.reshape(h, w)
-
-
-def read_ppm(data: bytes) -> np.ndarray:
-    return _parse_netpbm(data, b"P6", 3)
-
-
-def read_pgm(data: bytes) -> np.ndarray:
-    return _parse_netpbm(data, b"P5", 1)

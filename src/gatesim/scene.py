@@ -9,8 +9,6 @@ object selections (index sets). Covariances are always derived from
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -36,19 +34,9 @@ class SceneValidationError(ValueError):
     """Scene data violates a gaussian invariant; the message carries the index."""
 
 
-@dataclass
-class Gaussian:
-    """A single anisotropic gaussian in world coordinates."""
-
-    mean: np.ndarray       # (3,) meters
-    rotation: np.ndarray   # (4,) unit quaternion, wxyz
-    scale: np.ndarray      # (3,) meters, > 0
-    color: np.ndarray      # (3,) RGB in [0, 1]
-    opacity: float         # [0, 1]
-
-    def covariance(self) -> np.ndarray:
-        r = quat_to_mat(self.rotation)
-        return r @ np.diag(np.asarray(self.scale) ** 2) @ r.T
+# the per-splat arrays in constructor order, each with the shape of one row
+SPLAT_ARRAYS = (("means", (3,)), ("rotations", (4,)), ("scales", (3,)), ("colors", (3,)),
+                ("opacities", ()))
 
 
 class GaussianScene:
@@ -56,54 +44,60 @@ class GaussianScene:
 
     Object sets may overlap; deletion re-indexes every set consistently.
     Scenes are treated as plain values: share read-only, copy before mutating.
+    This class is the one place that names the per-splat arrays: code that
+    builds a scene from another goes through replace, take and append.
     """
 
     def __init__(self, means, rotations, scales, colors, opacities, objects=None):
-        self.means = np.asarray(means, dtype=np.float64).reshape(-1, 3)
-        self.rotations = np.asarray(rotations, dtype=np.float64).reshape(-1, 4)
-        self.scales = np.asarray(scales, dtype=np.float64).reshape(-1, 3)
-        self.colors = np.asarray(colors, dtype=np.float64).reshape(-1, 3)
-        self.opacities = np.asarray(opacities, dtype=np.float64).reshape(-1)
+        for (name, row), values in zip(SPLAT_ARRAYS, (means, rotations, scales, colors, opacities)):
+            setattr(self, name, np.asarray(values, dtype=np.float64).reshape(-1, *row))
         self.objects: dict[str, np.ndarray] = {
             k: np.asarray(v, dtype=np.int64) for k, v in (objects or {}).items()
         }
         n = len(self.means)
-        for arr, name in (
-            (self.rotations, "rotations"),
-            (self.scales, "scales"),
-            (self.colors, "colors"),
-            (self.opacities, "opacities"),
-        ):
-            if len(arr) != n:
-                raise SceneValidationError(f"{name} length {len(arr)} != {n} means")
+        for name, _ in SPLAT_ARRAYS[1:]:
+            if len(getattr(self, name)) != n:
+                raise SceneValidationError(f"{name} length {len(getattr(self, name))} != {n} means")
 
     @staticmethod
     def empty() -> "GaussianScene":
-        return GaussianScene(
-            np.zeros((0, 3)), np.zeros((0, 4)), np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0)
-        )
+        return GaussianScene(*(np.zeros((0, *row)) for _, row in SPLAT_ARRAYS))
 
     def __len__(self) -> int:
         return len(self.means)
 
-    def __getitem__(self, i: int) -> Gaussian:
-        return Gaussian(
-            self.means[i].copy(),
-            self.rotations[i].copy(),
-            self.scales[i].copy(),
-            self.colors[i].copy(),
-            float(self.opacities[i]),
-        )
+    def arrays(self) -> tuple:
+        """The per-splat arrays, in constructor order."""
+        return tuple(getattr(self, name) for name, _ in SPLAT_ARRAYS)
 
     def copy(self) -> "GaussianScene":
-        return GaussianScene(
-            self.means.copy(),
-            self.rotations.copy(),
-            self.scales.copy(),
-            self.colors.copy(),
-            self.opacities.copy(),
-            {k: v.copy() for k, v in self.objects.items()},
-        )
+        return GaussianScene(*(a.copy() for a in self.arrays()),
+                             {k: v.copy() for k, v in self.objects.items()})
+
+    def replace(self, **arrays) -> "GaussianScene":
+        """This scene with the named per-splat arrays replaced by same-length
+        ones. The other arrays and the object index sets are shared, not
+        copied (only the objects dict is new), so an edit pays only for the
+        arrays it changes."""
+        unknown = sorted(set(arrays) - {name for name, _ in SPLAT_ARRAYS})
+        if unknown:
+            raise TypeError(f"no per-splat array named {', '.join(unknown)}")
+        out = GaussianScene.__new__(GaussianScene)
+        out.__dict__ = {**self.__dict__, **arrays, "objects": dict(self.objects)}
+        return out
+
+    def take(self, rows) -> "GaussianScene":
+        """The rows picked by an index array or a boolean mask, in that order,
+        as a scene without objects."""
+        return GaussianScene(*(a[rows] for a in self.arrays()))
+
+    def append(self, other: "GaussianScene", object_id: str) -> "GaussianScene":
+        """This scene followed by other's rows, which become the object
+        object_id; this scene's objects are kept and other's are not."""
+        n = len(self)
+        objects = {**self.objects, object_id: np.arange(n, n + len(other), dtype=np.int64)}
+        return GaussianScene(*(np.concatenate(pair) for pair in zip(self.arrays(), other.arrays())),
+                             objects)
 
     def add_object(self, name: str, indices) -> None:
         idx = np.unique(np.asarray(indices, dtype=np.int64))
@@ -156,49 +150,19 @@ class GaussianScene:
         return out.transpose(2, 0, 1)
 
 
-@dataclass(frozen=True)
-class Selection:
-    """Either a named object or a closed axis-aligned box over gaussian means."""
-
-    object_id: str | None = None
-    box_min: np.ndarray | None = None
-    box_max: np.ndarray | None = None
-
-    @staticmethod
-    def of_object(object_id: str) -> "Selection":
-        return Selection(object_id=object_id)
-
-    @staticmethod
-    def of_box(box_min, box_max) -> "Selection":
-        lo = np.asarray(box_min, dtype=np.float64)
-        hi = np.asarray(box_max, dtype=np.float64)
-        if np.any(lo > hi):
-            raise ValueError("box min must be <= box max componentwise")
-        return Selection(box_min=lo, box_max=hi)
-
-
-def as_selection(selection) -> Selection:
-    """Coerce a str (object id) or (min, max) pair into a Selection."""
-    if isinstance(selection, Selection):
-        return selection
-    if isinstance(selection, str):
-        return Selection.of_object(selection)
-    if isinstance(selection, (tuple, list)) and len(selection) == 2:
-        return Selection.of_box(selection[0], selection[1])
-    raise TypeError(f"cannot interpret {selection!r} as a selection")
-
-
 def resolve_selection(scene: GaussianScene, selection) -> np.ndarray:
-    """Indices selected by an object id or a closed bounding box over means."""
-    sel = as_selection(selection)
-    if sel.object_id is not None:
-        if sel.object_id not in scene.objects:
-            raise KeyError(f"unknown object id: {sel.object_id!r}")
-        return np.sort(scene.objects[sel.object_id])
-    inside = np.all(scene.means >= sel.box_min, axis=1) & np.all(
-        scene.means <= sel.box_max, axis=1
-    )
-    return np.flatnonzero(inside)
+    """Indices selected by an object id (a str) or by a closed (min, max) box
+    over means."""
+    if isinstance(selection, str):
+        if selection not in scene.objects:
+            raise KeyError(f"unknown object id: {selection!r}")
+        return np.sort(scene.objects[selection])
+    if not (isinstance(selection, (tuple, list)) and len(selection) == 2):
+        raise TypeError(f"cannot interpret {selection!r} as a selection")
+    lo, hi = (np.asarray(bound, dtype=np.float64) for bound in selection)
+    if np.any(lo > hi):
+        raise ValueError("box min must be <= box max componentwise")
+    return np.flatnonzero(np.all(scene.means >= lo, axis=1) & np.all(scene.means <= hi, axis=1))
 
 
 # ---------------------------------------------------------------------------

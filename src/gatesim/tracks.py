@@ -357,14 +357,16 @@ def reference_track(name: str) -> Track:
 # ---------------------------------------------------------------------------
 
 
-def gate_splats(gate: Gate, t: float = 0.0, spacing: float | None = None,
-                color=(1.0, 1.0, 1.0), opacity: float = 0.97) -> GaussianScene:
+GATE_SPLAT_OPACITY = 0.97
+
+
+def gate_splats(gate: Gate, t: float = 0.0, color=(1.0, 1.0, 1.0)) -> GaussianScene:
     """Tile the ring solid of a gate with small isotropic splats.
 
-    The splat sheet lives in the gate plane; spacing defaults to a third of
-    the ring depth, which keeps neighboring splats overlapping at 3 sigma.
+    The splat sheet lives in the gate plane at a spacing of a third of the
+    ring depth, which keeps neighboring splats overlapping at 3 sigma.
     """
-    spacing = spacing if spacing is not None else gate.ring / 3.0
+    spacing = gate.ring / 3.0
     center, _, _, lateral, up = gate.frame_at(t)
 
     r = gate.outer_half
@@ -390,27 +392,14 @@ def gate_splats(gate: Gate, t: float = 0.0, spacing: float | None = None,
         rots,
         np.full((n, 3), sigma),
         np.tile(np.asarray(color, dtype=np.float64), (n, 1)),
-        np.full(n, opacity),
+        np.full(n, GATE_SPLAT_OPACITY),
     )
 
 
-def track_splats(track: Track, t: float = 0.0, spacing: float | None = None) -> GaussianScene:
+def track_splats(track: Track, t: float = 0.0) -> GaussianScene:
     """All gates of a track as one renderable scene, tagged gate_1, gate_2, ..."""
     palette = [(0.9, 0.25, 0.2), (0.2, 0.55, 0.9), (0.95, 0.75, 0.2), (0.4, 0.85, 0.4)]
-    scenes = [
-        gate_splats(g, t=t, spacing=spacing, color=palette[i % len(palette)])
-        for i, g in enumerate(track.gates)
-    ]
-    total = sum(len(s) for s in scenes)
-    out = GaussianScene(
-        np.concatenate([s.means for s in scenes]) if total else np.zeros((0, 3)),
-        np.concatenate([s.rotations for s in scenes]) if total else np.zeros((0, 4)),
-        np.concatenate([s.scales for s in scenes]) if total else np.zeros((0, 3)),
-        np.concatenate([s.colors for s in scenes]) if total else np.zeros((0, 3)),
-        np.concatenate([s.opacities for s in scenes]) if total else np.zeros(0),
-    )
-    base = 0
-    for i, s in enumerate(scenes):
-        out.objects[f"gate_{i + 1}"] = np.arange(base, base + len(s), dtype=np.int64)
-        base += len(s)
+    out = GaussianScene.empty()
+    for i, g in enumerate(track.gates):
+        out = out.append(gate_splats(g, t=t, color=palette[i % len(palette)]), f"gate_{i + 1}")
     return out

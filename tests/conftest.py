@@ -6,6 +6,7 @@ implementation (note the wxyz -> xyzw order change at the boundary).
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -50,6 +51,18 @@ def step_ulps(x: float, n: int) -> float:
     for _ in range(abs(n)):
         x = math.nextafter(x, math.inf if n > 0 else -math.inf)
     return x
+
+
+def read_netpbm(blob: bytes) -> np.ndarray:
+    """The pixels of a binary PPM (H, W, 3) or PGM (H, W) with the fixed
+    header that render.ppm_bytes and pgm_bytes write."""
+    head = re.match(rb"(P[56])\n(\d+) (\d+)\n255\n", blob)
+    assert head, f"not a P5/P6 header that gatesim writes: {blob[:20]!r}"
+    w, h = int(head[2]), int(head[3])
+    shape = (h, w, 3) if head[1] == b"P6" else (h, w)
+    pixels = blob[head.end():]
+    assert len(pixels) == math.prod(shape), f"{len(pixels)} pixel bytes for a {shape} image"
+    return np.frombuffer(pixels, dtype=np.uint8).reshape(shape)
 
 
 @pytest.fixture

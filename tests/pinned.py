@@ -108,8 +108,7 @@ def _scene_of(track):
     gates = track_splats(track)
     background = random_scene(np.random.default_rng(5), 600, span=4.0)
     background.means += [0.0, 0.0, 2.0]
-    return GaussianScene(*(np.concatenate([getattr(gates, f), getattr(background, f)]) for f in
-                           ("means", "rotations", "scales", "colors", "opacities")))
+    return GaussianScene(*map(np.concatenate, zip(gates.arrays(), background.arrays())))
 
 
 def run_pinned(name, root) -> Path:

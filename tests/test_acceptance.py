@@ -22,7 +22,7 @@ from scipy.spatial.transform import Rotation
 from gatesim.cli import main
 from gatesim.dynamics import UavDynamics
 from gatesim.edits import delete, duplicate, rotate, scale, translate
-from gatesim.geometry import quat_conjugate, umeyama_alignment
+from gatesim.geometry import umeyama_alignment
 from gatesim.policies import SyntheticLearner, expert_policy
 from gatesim.refinement import (
     GridPartition,
@@ -39,15 +39,13 @@ from gatesim.render import (
     gate_mask,
     pgm_bytes,
     ppm_bytes,
-    read_pgm,
-    read_ppm,
 )
-from gatesim.scene import read_scene, write_scene
+from gatesim.scene import SPLAT_ARRAYS, read_scene, write_scene
 from gatesim.tracks import Gate
 
-from conftest import random_scene, random_unit_quats
+from conftest import random_scene, random_unit_quats, read_netpbm
 
-FIELDS = ("means", "rotations", "scales", "colors", "opacities")
+FIELDS = tuple(name for name, _ in SPLAT_ARRAYS)
 
 
 def _report(capsys, line):
@@ -99,7 +97,7 @@ def test_edit_algebra_on_randomized_scenes(capsys):
         pairs = (
             (lambda s: translate(s, "sel", delta), lambda s: translate(s, "sel", -delta)),
             (lambda s: rotate(s, "sel", q, pivot),
-             lambda s: rotate(s, "sel", quat_conjugate(q), pivot)),
+             lambda s: rotate(s, "sel", q * [1.0, -1.0, -1.0, -1.0], pivot)),
             (lambda s: scale(s, "sel", k, pivot), lambda s: scale(s, "sel", 1.0 / k, pivot)),
         )
         for fwd, back in pairs:
@@ -491,10 +489,10 @@ def test_file_round_trips_and_reproducible_runs(capsys, tmp_path):
 
     rgb = rng.random((24, 32, 3))
     blob = ppm_bytes(rgb)
-    assert ppm_bytes(read_ppm(blob)) == blob
+    assert ppm_bytes(read_netpbm(blob)) == blob
     gray = rng.random((24, 32))
     blob = pgm_bytes(gray)
-    assert pgm_bytes(read_pgm(blob)) == blob
+    assert pgm_bytes(read_netpbm(blob)) == blob
 
     def tree(root):
         return {str(p.relative_to(root)): p.read_bytes()

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,13 +15,13 @@ import pytest
 from gatesim import cli
 from gatesim.cli import _trial_job, config_hash, main, make_policy, resolve_track
 from gatesim.policies import MaskCentroidPolicy, NoisyMaskPolicy
-from gatesim.render import DEFAULT_CAMERA, camera_pose, gate_mask, pgm_bytes, read_pgm, read_ppm
+from gatesim.render import DEFAULT_CAMERA, camera_pose, gate_mask, pgm_bytes
 from gatesim.scene import read_scene, write_scene
 from gatesim.simulator import MISS, jittered_initial_pose
 from gatesim.tracks import (ARENAS, GATE_GEOMETRY, Gate, Track, reference_track, save_track,
                             track_splats, track_to_dict)
 
-from conftest import random_scene
+from conftest import random_scene, read_netpbm
 from pinned import PINS, bytes_of, digest, mini_track, pgr_config, run_pinned, tree
 
 
@@ -432,7 +433,7 @@ def test_pgr_bytes_are_pinned(tmp_path, capsys):
 @pytest.mark.parametrize("extra,message", [
     ({"tick_hz": 0}, "tick_hz must be > 0, got 0.0"),
     ({"beta": 1.5}, "beta must be in [0, 1]"),
-    ({"beta": None}, "float() argument must be"),
+    ({"beta": None}, "beta must be a number, got None"),
     ({"per_gate_counts": 3}, "'int' object is not iterable"),
     ({"platform": "boat"}, "unknown platform 'boat'; accepted: quad, uav"),
     ({"per_gate_counts": [2, 2]}, "per_gate_counts must be four ints >= 1, got [2, 2]"),
@@ -455,12 +456,29 @@ def test_pgr_bytes_are_pinned(tmp_path, capsys):
     ({"tick_hz": 30}, "tick_hz 30.0 gives a tick period that is not a whole number of 0.02 s"),
     ({"platform": "quad", "tick_hz": 30},
      "tick_hz 30.0 gives a tick period that is not a whole number of 0.01 s"),
+    # a count is an integer: neither rounded from a float nor read from a bool or str
+    ({"iterations": 2.7}, "iterations must be an integer, got 2.7"),
+    ({"iterations": 3.0}, "iterations must be an integer, got 3.0"),
+    ({"iterations": True}, "iterations must be an integer, got True"),
+    ({"initial_per_cell": False}, "initial_per_cell must be an integer, got False"),
+    ({"val_per_cell": "3"}, "val_per_cell must be an integer, got '3'"),
+    ({"samples_per_iteration": 2.5}, "samples_per_iteration must be an integer, got 2.5"),
+    ({"per_gate_counts": [2, 2, 2, True]},
+     "per_gate_counts must be four ints >= 1, got [2, 2, 2, True]"),
+    # the rates and weights are numbers, and neither a bool nor a str is one
+    ({"beta": True}, "beta must be a number, got True"),
+    ({"lambda_pos": "1.0"}, "lambda_pos must be a number, got '1.0'"),
+    ({"tick_hz": "10"}, "tick_hz must be a number, got '10'"),
+    ({"n0": False}, "n0 must be a number, got False"),
 ])
 def test_pgr_config_bad_values_are_config_errors(tmp_path, capsys, extra, message):
     cfg = pgr_config(tmp_path, **extra)
-    assert main(["pgr", "--config", cfg]) == 2
-    err = capsys.readouterr().err
+    assert main(["pgr", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+    out, err = capsys.readouterr()
     assert f"{cfg}: {message}" in err
+    # refused before the validation set is built
+    assert out == ""
+    assert not (tmp_path / "r").exists()
 
 
 @pytest.mark.parametrize("counts,cells", [([4, 4, 4, 5], 102_400),
@@ -648,7 +666,7 @@ def test_export_dataset_with_scene(tmp_path, monkeypatch, capsys):
     ppms = sorted(Path("d/t00").glob("frame*.ppm"))
     pgms = sorted(Path("d/t00").glob("frame*.pgm"))
     assert len(ppms) == len(pgms) > 0
-    rgb = read_ppm(ppms[0].read_bytes())
+    rgb = read_netpbm(ppms[0].read_bytes())
     assert rgb.shape == (120, 160, 3)
     capsys.readouterr()
 
@@ -723,18 +741,21 @@ def test_edit_scene_refuses_non_finite_numbers(tmp_path, capsys, record, field):
     assert not (tmp_path / "out.ply").exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 @pytest.mark.parametrize("record", [{"op": "scale", "factor": 1e308},
                                     {"op": "translate", "delta": [1.7e308, 0.0, 0.0]}],
                          ids=["scale", "translate"])
 def test_edit_scene_refuses_a_scene_that_overflows(tmp_path, capsys, record):
-    # each record is finite, but applied twice it overflows a field to inf
+    # each record is finite, but applied twice it overflows a field to inf;
+    # the error is all that is reported, with no numpy warning before it
     write_scene(tmp_path / "scene.ply", track_splats(reference_track("uav-slalom")))
     (tmp_path / "script.json").write_text(json.dumps([{**record, "selection": "gate_1"}] * 2))
     out = tmp_path / "out.ply"
-    assert main(["edit-scene", "--scene", str(tmp_path / "scene.ply"), "--script",
-                 str(tmp_path / "script.json"), "--out", str(out)]) == 2
-    assert "error: non-finite field at gaussian " in capsys.readouterr().err
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["edit-scene", "--scene", str(tmp_path / "scene.ply"), "--script",
+                     str(tmp_path / "script.json"), "--out", str(out)]) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert capsys.readouterr().err == "error: non-finite field at gaussian 0\n"
     assert not out.exists()
 
 
@@ -766,9 +787,9 @@ def test_render_track_rgb_and_mask(tmp_path, capsys):
     rc = main(["render", "--track", "quad-turn", "--out", str(out),
                "--mask", str(mask_path)])
     assert rc == 0
-    rgb = read_ppm(out.read_bytes())
+    rgb = read_netpbm(out.read_bytes())
     assert rgb.shape == (120, 160, 3)
-    got = read_pgm(mask_path.read_bytes())
+    got = read_netpbm(mask_path.read_bytes())
     track = resolve_track("quad-turn")
     pos, yaw = track.initial_pose()
     want = gate_mask(list(track.gates), DEFAULT_CAMERA, camera_pose(pos, yaw, 0.0), t=0.0)
@@ -783,7 +804,7 @@ def test_render_scene_mode(tmp_path, capsys):
     rc = main(["render", "--scene", str(scene_path), "--position", "0,-3,1",
                "--yaw", "1.57", "--camera-scale", "0.5", "--out", str(out)])
     assert rc == 0
-    assert read_ppm(out.read_bytes()).shape == (60, 80, 3)
+    assert read_netpbm(out.read_bytes()).shape == (60, 80, 3)
     capsys.readouterr()
 
 
@@ -795,6 +816,27 @@ def test_render_argument_validation(tmp_path, capsys):
     assert main(["render", "--scene", str(scene_path), "--track", "quad-turn"]) == 2
     # scene mode needs a camera position
     assert main(["render", "--scene", str(scene_path), "--out", str(tmp_path / "x.ppm")]) == 2
+    capsys.readouterr()
+    # a flag that the mode does not read is refused, by name, before any output
+    out, mask = tmp_path / "a.ppm", tmp_path / "m.pgm"
+    scene_mode = ["render", "--scene", str(scene_path), "--position", "0,0,1", "--out", str(out)]
+    for argv, message in [
+        (scene_mode + ["--mask", str(mask), "--time", "5"], "--mask is read only with --track"),
+        (scene_mode + ["--time", "5"], "--time is read only with --track"),
+        (scene_mode + ["--time", "0"], "--time is read only with --track"),
+        (["render", "--track", "quad-turn", "--yaw", "1.0", "--out", str(out)],
+         "--yaw is read only with --position"),
+        (["render", "--track", "quad-turn"], "give --out, or --mask with --track"),
+        (["render", "--scene", str(scene_path), "--position", "0,0,1"], "give --out"),
+    ]:
+        assert main(argv) == 2, argv
+        assert message in capsys.readouterr().err, argv
+        assert not out.exists() and not mask.exists()
+    # each is read where it belongs
+    assert main(["render", "--track", "quad-turn", "--position", "0,0,1", "--yaw", "1.0",
+                 "--time", "5", "--mask", str(mask)]) == 0
+    assert main(scene_mode + ["--yaw", "1.0"]) == 0
+    assert out.exists() and mask.exists()
     capsys.readouterr()
 
 
@@ -838,7 +880,7 @@ def test_smallest_camera_scale_renders_one_pixel(tmp_path, capsys):
     out = tmp_path / "r.ppm"
     assert main(["render", "--track", "quad-turn", "--camera-scale=0.005",
                  "--out", str(out)]) == 0
-    assert read_ppm(out.read_bytes()).shape == (1, 1, 3)
+    assert read_netpbm(out.read_bytes()).shape == (1, 1, 3)
     capsys.readouterr()
 
 

@@ -17,7 +17,7 @@ from gatesim.edits import (
     scale,
     translate,
 )
-from gatesim.geometry import RigidTransform, quat_conjugate, quat_from_axis_angle
+from gatesim.geometry import RigidTransform, quat_from_axis_angle
 from gatesim.scene import GaussianScene, resolve_selection
 
 
@@ -221,7 +221,7 @@ def test_add_composition_oracle(rng):
 
     centroid_posed = out.means[idx].mean(axis=0)
     centroid_src = donor.means.mean(axis=0)
-    undone = rotate(out, new_id, quat_conjugate(q))
+    undone = rotate(out, new_id, q * [1.0, -1.0, -1.0, -1.0])
     undone = translate(undone, new_id, centroid_src - centroid_posed)
     np.testing.assert_allclose(undone.means[idx], donor.means, atol=1e-9)
     # host gaussians never moved
@@ -279,7 +279,7 @@ def test_inverse_pairs_restore(rng):
     out = translate(translate(scene, "sel", d), "sel", -d)
     np.testing.assert_allclose(out.means, scene.means, atol=1e-9)
 
-    out = rotate(rotate(scene, "sel", q), "sel", quat_conjugate(q))
+    out = rotate(rotate(scene, "sel", q), "sel", q * [1.0, -1.0, -1.0, -1.0])
     np.testing.assert_allclose(out.means, scene.means, atol=1e-9)
     np.testing.assert_allclose(out.covariances(), scene.covariances(), atol=1e-9)
 

@@ -15,7 +15,6 @@ from gatesim.geometry import (
     dot,
     mat_to_quat,
     plane_offset,
-    quat_conjugate,
     quat_from_axis_angle,
     quat_from_yaw,
     quat_mul,
@@ -180,7 +179,7 @@ def test_camera_pose_has_the_bits_of_the_numpy_construction(position, yaw, pitch
 
 def test_quat_conjugate_is_inverse(rng):
     q = random_unit_quats(rng, 50)
-    prod = quat_mul(q, quat_conjugate(q))
+    prod = quat_mul(q, q * [1.0, -1.0, -1.0, -1.0])
     np.testing.assert_allclose(prod, np.tile([1.0, 0, 0, 0], (50, 1)), atol=1e-12)
 
 
@@ -217,14 +216,6 @@ def test_rigid_transform_apply_matches_scipy(rng):
     pts = rng.normal(size=(30, 3))
     expect = 1.7 * scipy_rotation(q).apply(pts) + t
     np.testing.assert_allclose(T.apply(pts), expect, atol=1e-12)
-
-
-def test_rigid_transform_inverse(rng):
-    for _ in range(20):
-        [qa] = random_unit_quats(rng, 1)
-        a = RigidTransform(qa, rng.normal(size=3), float(rng.uniform(0.5, 2.0)))
-        pts = rng.normal(size=(10, 3))
-        np.testing.assert_allclose(a.inverse().apply(a.apply(pts)), pts, atol=1e-10)
 
 
 def test_rigid_transform_validation():

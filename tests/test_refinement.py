@@ -383,13 +383,20 @@ def test_build_validation_set_empty_raises():
 
 
 def test_pgr_config_coerces_json_numbers():
-    config = PgrConfig(per_gate_counts=[2, 1, 1, 1], iterations=2.0, beta=1, lambda_pos=2,
-                       initial_per_cell=1.0, val_per_cell=3.0, tick_hz=10, n0=2)
+    # JSON integers are read as the float fields' numbers, and numpy integers
+    # as the counts' ints; floats, bools and strs are never read as counts
+    config = PgrConfig(per_gate_counts=[2, 1, 1, np.int64(1)], iterations=np.int64(2), beta=1,
+                       lambda_pos=2, initial_per_cell=1, val_per_cell=np.int32(3), tick_hz=10,
+                       n0=np.float32(2.0), samples_per_iteration=np.int64(4))
     assert config.per_gate_counts == (2, 1, 1, 1)
     for name, kind in [("iterations", int), ("initial_per_cell", int), ("val_per_cell", int),
-                       ("beta", float), ("lambda_pos", float), ("tick_hz", float),
-                       ("n0", float)]:
+                       ("samples_per_iteration", int), ("beta", float), ("lambda_pos", float),
+                       ("tick_hz", float), ("n0", float)]:
         assert type(getattr(config, name)) is kind, name
+    for name, value in [("iterations", 2.0), ("val_per_cell", True), ("initial_per_cell", "1"),
+                        ("samples_per_iteration", 2.5), ("beta", False), ("n0", "2")]:
+        with pytest.raises(ValueError, match=f"^{name} must be an? "):
+            PgrConfig(**{name: value})
 
 
 @pytest.mark.parametrize("tick_hz", [0, -10.0, float("nan")])

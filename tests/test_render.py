@@ -1,15 +1,15 @@
 """Renderer checks: projection, splatting against a closed-form oracle,
-analytic gate masks, and netpbm byte round-trips."""
+analytic gate masks, and netpbm bytes."""
 
 import math
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_scene, step_ulps, with_signed_zeros
+from conftest import random_scene, read_netpbm, step_ulps, with_signed_zeros
 from gatesim import render
 from gatesim.geometry import RigidTransform
 from gatesim.render import (
@@ -18,6 +18,7 @@ from gatesim.render import (
     CONDITION_LIMIT,
     COV2D_DILATION,
     DEFAULT_CAMERA,
+    RING_MARGIN,
     TRANSMITTANCE_FLOOR,
     ZNEAR,
     PinholeCamera,
@@ -32,8 +33,6 @@ from gatesim.render import (
     point_in_view,
     ppm_bytes,
     project,
-    read_pgm,
-    read_ppm,
     render_scene,
     world_to_camera,
 )
@@ -112,9 +111,10 @@ def test_world_to_camera_round_trip(rng):
 
 
 def test_render_empty_scene_is_background():
-    out = render_scene(GaussianScene.empty(), background=(0.2, 0.4, 0.6))
+    out = render_scene(GaussianScene.empty())
     assert out.rgb.shape == (120, 160, 3)
-    np.testing.assert_allclose(out.rgb, np.broadcast_to([0.2, 0.4, 0.6], out.rgb.shape))
+    # black, as +0.0 bits
+    assert not out.rgb.view(np.uint64).any()
     np.testing.assert_array_equal(out.alpha, 0.0)
     assert out.skipped == 0
 
@@ -220,10 +220,11 @@ def test_render_permutation_invariance(rng):
     np.testing.assert_allclose(again.alpha, base.alpha, atol=1e-12)
 
 
-def _reference_render(scene, camera=DEFAULT_CAMERA, pose=None, background=(0.0, 0.0, 0.0)):
+def _reference_render(scene, camera=DEFAULT_CAMERA, pose=None):
     """Reference: the one-splat-at-a-time compositor that render_scene must
     reproduce bit for bit. Every in-front splat is visited in depth order and
-    composited over its whole clipped 3 sigma box."""
+    composited over its whole clipped 3 sigma box, then over a black
+    background, which render_scene leaves out: adding +0.0 moves no bit."""
     pose = pose if pose is not None else RigidTransform.identity()
     h, w = camera.height, camera.width
     rgb = np.zeros((h, w, 3))
@@ -291,7 +292,7 @@ def _reference_render(scene, camera=DEFAULT_CAMERA, pose=None, background=(0.0, 
             tile *= 1.0 - alpha
 
     alpha_img = 1.0 - trans
-    rgb += trans[:, :, None] * np.asarray(background, dtype=np.float64)
+    rgb += trans[:, :, None] * np.zeros(3)
     return RenderResult(np.clip(rgb, 0.0, 1.0), alpha_img, skipped)
 
 
@@ -338,20 +339,18 @@ def _render_case(draw):
         crowd.means[:, 0] = rng.uniform(2.5, 9.0, size=k)
         crowd.scales[:] = rng.uniform(0.01, 0.1, size=(k, 3))
         parts.append(crowd)
-    merged = GaussianScene(*(np.concatenate([getattr(p, f) for p in parts]) for f in
-                             ("means", "rotations", "scales", "colors", "opacities")))
-    background = draw(st.sampled_from([(0.0, 0.0, 0.0), (0.2, 0.5, 0.9), (1.0, 1.0, 1.0)]))
+    merged = GaussianScene(*map(np.concatenate, zip(*(p.arrays() for p in parts))))
     camera = draw(st.sampled_from([DEFAULT_CAMERA, PinholeCamera(40, 30, 15.0, 15.0, 20.0, 15.0)]))
     pose = camera_pose((0.0, 0.0, draw(st.floats(-0.5, 0.5))), yaw=draw(st.floats(-0.3, 0.3)))
-    return merged, camera, pose, background
+    return merged, camera, pose
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_render_case())
 def test_render_scene_matches_reference_bits(case):
-    scene, camera, pose, background = case
-    got = render_scene(scene, camera, pose, background)
-    want = _reference_render(scene, camera, pose, background)
+    scene, camera, pose = case
+    got = render_scene(scene, camera, pose)
+    want = _reference_render(scene, camera, pose)
     assert np.array_equal(got.rgb.view(np.uint64), want.rgb.view(np.uint64))
     assert np.array_equal(got.alpha.view(np.uint64), want.alpha.view(np.uint64))
     assert got.skipped == want.skipped
@@ -449,12 +448,13 @@ def _full_frame_mask(gates, camera, pose, t=0.0):
         normal, lateral, up = gate_axes(yaw)
         denom = dirs[0] * normal[0] + dirs[1] * normal[1] + dirs[2] * normal[2]
         rel = center - origin
+        # a ray along the plane meets it at an infinite or NaN depth, and is no hit
         with np.errstate(divide="ignore", invalid="ignore"):
             t_hit = (normal[0] * rel[0] + normal[1] * rel[1] + normal[2] * rel[2]) / denom
+            q = [origin[k] + t_hit * dirs[k] - center[k] for k in range(3)]
+            a = q[0] * lateral[0] + q[1] * lateral[1] + q[2] * lateral[2]
+            b = q[0] * up[0] + q[1] * up[1] + q[2] * up[2]
         ok = (np.abs(denom) > 1e-12) & (t_hit > 0.0)
-        q = [origin[k] + t_hit * dirs[k] - center[k] for k in range(3)]
-        a = q[0] * lateral[0] + q[1] * lateral[1] + q[2] * lateral[2]
-        b = q[0] * up[0] + q[1] * up[1] + q[2] * up[2]
         if gate.shape == "square":
             d = np.maximum(np.abs(a), np.abs(b))
         else:
@@ -682,6 +682,58 @@ def test_gate_mask_boundary_cases_match_full_frame(gate, quat, position):
                           _full_frame_mask([gate], DEFAULT_CAMERA, pose))
 
 
+@st.composite
+def _in_plane_case(draw):
+    """A camera within rounding of a gate's plane, inside the ring solid or
+    its opening or beyond it, looking along the plane or across it; about
+    half its rays meet the plane at a depth within rounding of zero.
+    Coordinates reach 1e4 m."""
+    shape = draw(st.sampled_from(["square", "circular"]))
+    inner, ring = draw(st.floats(0.05, 2.0)), draw(st.floats(0.02, 0.6))
+    shift = np.array([draw(st.sampled_from([0.0, 37.5, -1e3, 1e4])) for _ in range(3)])
+    gate = Gate.static(shape, inner, ring, shift + [draw(_coord) for _ in range(3)], draw(_angle))
+    c, yaw = gate.pose_at(0.0)
+    normal, lateral, up = gate_axes(yaw)
+    phi = draw(_angle)
+    edge = math.cos(phi) * lateral + math.sin(phi) * up
+    rad = draw(st.floats(0.0, 2.0)) * (inner + ring)
+    pos = c + rad * edge + draw(st.sampled_from([0.0, 1e-17, -1e-16, 1e-15, -4e-12])) * normal
+    rel = c - pos
+    pose = camera_pose(pos, math.atan2(rel[1], rel[0]) + draw(st.floats(-2.0, 2.0)),
+                       draw(st.floats(-1.2, 1.2)))
+    return gate, pose
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_in_plane_case())
+# the camera inside the ring band, with its offset N from the plane 1 ulp
+# from zero, and 3e-12 at coordinates near 1e4 m
+@example((Gate.static("circular", 0.39, 0.1, [0.3, -0.7, 1.2], 0.5),
+          RigidTransform(np.array([0.3014748603704233, -0.2464945311585045, 0.5830143915131242,
+                                   -0.7130550988262859]),
+                         np.array([0.09847440722719161, -0.3311098768185503, 1.3300288909309894]))))
+@example((Gate.static("circular", 0.39, 0.1, [10000.3, -1000.7, 38.7], 2.2),
+          RigidTransform(np.array([0.7346726502877382, -0.6006895243773978, 0.19959316096932053,
+                                   -0.24411219206897722]),
+                         np.array([10000.112162037354, -1000.8367264595867, 38.338167476532604]))))
+def test_gate_mask_with_the_camera_in_the_gate_plane_matches_full_frame(case):
+    gate, pose = case
+    batches, patch = _spy_exact()
+    with patch:
+        got = gate_mask(gate, DEFAULT_CAMERA, pose)
+    assert np.array_equal(got, _full_frame_mask([gate], DEFAULT_CAMERA, pose))
+    # gate_mask's docstring: a window whose N is within rounding of zero,
+    # |N| <= 8 u eta / RING_MARGIN + 1e-300, is cast whole
+    c, _, normal, _, _ = gate.frame_at(0.0)
+    rel = (c - pose.translation).tolist()
+    big_n = normal[0] * rel[0] + normal[1] * rel[1] + normal[2] * rel[2]
+    eta = abs(normal[0] * rel[0]) + abs(normal[1] * rel[1]) + abs(normal[2] * rel[2])
+    window = _window_of(gate, DEFAULT_CAMERA, pose)
+    if window is not None and abs(big_n) <= 8.0 * 2.0**-53 * eta / RING_MARGIN + 1e-300:
+        rows, cols = window
+        assert batches == [(rows.stop - rows.start, cols.stop - cols.start)]
+
+
 def test_sure_test_decides_a_ring_seen_head_on():
     gates = [Gate.static(shape, 0.39, 0.10, (4.0, y, 1.5), math.pi)
              for shape, y in (("circular", 0.5), ("square", -0.6))]
@@ -728,36 +780,20 @@ def test_ppm_round_trip(rng):
     img = rng.integers(0, 256, size=(17, 23, 3), dtype=np.uint8)
     blob = ppm_bytes(img)
     assert blob.startswith(b"P6\n23 17\n255\n")
-    np.testing.assert_array_equal(read_ppm(blob), img)
-    assert ppm_bytes(read_ppm(blob)) == blob
+    np.testing.assert_array_equal(read_netpbm(blob), img)
+    assert ppm_bytes(read_netpbm(blob)) == blob
 
 
 def test_pgm_round_trip_bool_and_float(rng):
     mask = rng.random((9, 11)) > 0.5
     blob = pgm_bytes(mask)
-    back = read_pgm(blob)
+    assert blob.startswith(b"P5\n11 9\n255\n")
+    back = read_netpbm(blob)
     np.testing.assert_array_equal(back == 255, mask)
     assert pgm_bytes(back) == blob
     # floats quantize by round-to-nearest
     gray = np.array([[0.0, 0.5, 1.0]])
-    np.testing.assert_array_equal(read_pgm(pgm_bytes(gray)), [[0, 128, 255]])
-
-
-def test_netpbm_header_with_comments():
-    img = np.arange(6, dtype=np.uint8).reshape(1, 2, 3)
-    blob = b"P6\n# a comment\n2 1\n# another\n255\n" + img.tobytes()
-    np.testing.assert_array_equal(read_ppm(blob), img)
-
-
-@pytest.mark.parametrize("blob,message", [
-    (b"P5\n2 2\n255\n" + b"\x00" * 4, "expected P6"),
-    (b"P6\n2 2\n999\n" + b"\x00" * 12, "maxval 255"),
-    (b"P6\n2 2\n255\n" + b"\x00" * 5, "pixel bytes"),
-    (b"P6\n2", "truncated"),
-])
-def test_netpbm_malformed(blob, message):
-    with pytest.raises(ValueError, match=message):
-        read_ppm(blob)
+    np.testing.assert_array_equal(read_netpbm(pgm_bytes(gray)), [[0, 128, 255]])
 
 
 def test_netpbm_shape_validation(rng):
@@ -778,7 +814,6 @@ def test_camera_scaled_same_fov():
 
 
 def test_to_u8_rounding():
-    out = render_scene(GaussianScene.empty(), background=(0.5, 0.0, 1.0))
-    u8 = read_ppm(ppm_bytes(out.rgb))
+    u8 = read_netpbm(ppm_bytes(np.broadcast_to([0.5, 0.0, 1.0], (2, 3, 3))))
     assert u8.dtype == np.uint8
     assert u8[0, 0, 0] == 128 and u8[0, 0, 2] == 255

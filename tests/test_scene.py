@@ -13,14 +13,11 @@ from scipy.spatial.transform import Rotation
 from conftest import random_scene, random_unit_quats, scipy_rotation, with_signed_zeros
 from gatesim.geometry import RigidTransform, quat_from_yaw, quat_to_mat
 from gatesim.scene import (
-    Gaussian,
     GaussianScene,
     SH_DC_COEFF,
     ScenePLYError,
     SceneValidationError,
-    Selection,
     align_to_world,
-    as_selection,
     load_objects_json,
     load_scene,
     read_scene,
@@ -34,9 +31,9 @@ from gatesim.scene import (
 def test_gaussian_covariance_matches_scipy(rng):
     q = random_unit_quats(rng, 1)[0]
     s = np.array([0.1, 0.4, 0.9])
-    g = Gaussian(np.zeros(3), q, s, np.ones(3) * 0.5, 0.7)
+    scene = GaussianScene(np.zeros(3), q, s, np.ones(3) * 0.5, 0.7)
     r = scipy_rotation(q).as_matrix()
-    np.testing.assert_allclose(g.covariance(), r @ np.diag(s**2) @ r.T, atol=1e-12)
+    np.testing.assert_allclose(scene.covariances()[0], r @ np.diag(s**2) @ r.T, atol=1e-12)
 
 
 def test_scene_covariances_spd(rng):
@@ -45,7 +42,8 @@ def test_scene_covariances_spd(rng):
     for i in range(len(scene)):
         np.testing.assert_allclose(covs[i], covs[i].T, atol=1e-12)
         assert np.linalg.eigvalsh(covs[i]).min() > 0.0
-        np.testing.assert_allclose(covs[i], scene[i].covariance(), atol=1e-12)
+        r = scipy_rotation(scene.rotations[i]).as_matrix()
+        np.testing.assert_allclose(covs[i], r @ np.diag(scene.scales[i] ** 2) @ r.T, atol=1e-12)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -69,6 +67,42 @@ def test_scene_length_mismatch_rejected(rng):
     with pytest.raises(SceneValidationError):
         GaussianScene(np.zeros((3, 3)), np.zeros((2, 4)), np.ones((3, 3)),
                       np.zeros((3, 3)), np.zeros(3))
+
+
+def test_replace_shares_every_array_it_does_not_replace(rng):
+    scene = random_scene(rng, 6)
+    scene.add_object("a", [1, 2])
+    means = scene.means + 1.0
+    out = scene.replace(means=means)
+    assert out.means is means
+    assert all(mine is theirs for mine, theirs in zip(out.arrays()[1:], scene.arrays()[1:]))
+    assert out.objects == scene.objects and out.objects["a"] is scene.objects["a"]
+    out.objects["b"] = np.array([0])
+    assert "b" not in scene.objects
+    with pytest.raises(TypeError, match="no per-splat array named mean"):
+        scene.replace(mean=means)
+
+
+def test_take_and_append_move_whole_rows(rng):
+    scene = random_scene(rng, 8)
+    scene.add_object("a", [0, 5])
+    rows = [6, 2, 2]
+    keep = np.arange(8) % 3 == 0
+    for pick, want in ((rows, rows), (keep, [0, 3, 6])):
+        taken = scene.take(pick)
+        assert taken.objects == {}
+        for got, whole in zip(taken.arrays(), scene.arrays()):
+            np.testing.assert_array_equal(got, whole[want])
+    other = random_scene(rng, 3)
+    other.add_object("dropped", [0])
+    both = scene.append(other, "b")
+    for got, mine, theirs in zip(both.arrays(), scene.arrays(), other.arrays()):
+        np.testing.assert_array_equal(got, np.concatenate([mine, theirs]))
+    assert sorted(both.objects) == ["a", "b"]
+    np.testing.assert_array_equal(both.objects["a"], [0, 5])
+    np.testing.assert_array_equal(both.objects["b"], [8, 9, 10])
+    assert both.objects["b"].dtype == np.int64
+    assert sorted(scene.objects) == ["a"]
 
 
 @pytest.mark.parametrize("field,value,message", [
@@ -122,14 +156,19 @@ def test_resolve_selection_box_is_closed():
     np.testing.assert_array_equal(everything, [0, 1, 2])
 
 
-def test_selection_coercions():
-    assert as_selection("obj").object_id == "obj"
-    sel = as_selection(([0, 0, 0], [1, 1, 1]))
-    assert sel.object_id is None
-    with pytest.raises(ValueError):
-        Selection.of_box([1, 0, 0], [0, 1, 1])
-    with pytest.raises(TypeError):
-        as_selection(42)
+def test_selection_coercions(rng):
+    # an object id is a str; a box is a (min, max) pair of any sequences
+    scene = random_scene(rng, 30, span=1.0)
+    scene.add_object("obj", [4, 1])
+    np.testing.assert_array_equal(resolve_selection(scene, "obj"), [1, 4])
+    for box in (([0, 0, 0], [1, 1, 1]), [np.zeros(3), (1.0, 1.0, 1.0)]):
+        inside = np.all((scene.means >= 0.0) & (scene.means <= 1.0), axis=1)
+        np.testing.assert_array_equal(resolve_selection(scene, box), np.flatnonzero(inside))
+    with pytest.raises(ValueError, match="box min must be <= box max"):
+        resolve_selection(scene, ([1, 0, 0], [0, 1, 1]))
+    for bad in (42, None, ([0, 0, 0],), ([0, 0, 0], [1, 1, 1], [2, 2, 2])):
+        with pytest.raises(TypeError, match="cannot interpret"):
+            resolve_selection(scene, bad)
 
 
 def test_ply_binary_round_trip_bytes(rng):
