@@ -17,7 +17,6 @@ from .geometry import (
     RigidTransform,
     quat_from_axis_angle,
     quat_from_yaw,
-    umeyama_alignment,
     wrap_angle,
 )
 from .policies import (
@@ -65,7 +64,6 @@ from .scene import (
     GaussianScene,
     ScenePLYError,
     SceneValidationError,
-    align_to_world,
     load_scene,
     read_scene,
     save_scene,

@@ -156,8 +156,8 @@ def _trial_job(payload: dict):
     return roll if ticks is None else ticks
 
 
-def run_trials(runs, policy_name: str, trials: int, seed: int, tick_hz: float = 50.0,
-               jobs: int = 1, ticks: bool = False):
+def run_trials(runs, policy_name: str, trials: int, seed: int, tick_hz: float, jobs: int,
+               ticks: bool = False):
     """Seeded, jittered trials of each (stream, track, level) run, on the
     track shifted by level cm when one is given; one list of results per run.
 
@@ -365,10 +365,8 @@ def cmd_pgr(args) -> int:
     resolved, chash = run_config("pgr", **asdict(config), skip_uniform=args.skip_uniform)
 
     expert = expert_policy(platform)
-
-    def fresh_learner():
-        # its noise stream is the rng each rollout resets it with
-        return SyntheticLearner(partition, expert_policy(platform), n0=config.n0)
+    # its noise stream is the rng each rollout resets it with
+    learner = SyntheticLearner(partition, expert_policy(platform), n0=config.n0)
 
     print(f"building validation set ({partition.m} cells) ...")
     g_val = build_validation_set(partition, config, expert)
@@ -376,11 +374,10 @@ def cmd_pgr(args) -> int:
 
     print(f"refinement run: T={config.iterations}, beta={config.beta}")
     if args.skip_uniform:
-        guided, uniform = pgr_run(partition, fresh_learner(), expert, config, g_val), None
+        guided, uniform = pgr_run(partition, learner, expert, config, g_val), None
     else:
         print("uniform baseline run (beta=1)")
-        guided, uniform = pgr_pair(partition, fresh_learner(), fresh_learner(), expert,
-                                   config, g_val)
+        guided, uniform = pgr_pair(partition, learner, expert, config, g_val)
 
     rows = []
     for stats in guided.history:

@@ -62,9 +62,9 @@ def add(
     """Insert gaussians from another scene, posed, under a fresh object id.
 
     foreign_selection defaults to the whole donor scene; pose defaults to the
-    identity. Donor means are mapped by the pose, rotations left-composed
-    with its rotation and scales multiplied by its uniform scale. A colliding
-    object id gets a deterministic numeric suffix. Returns (scene, id).
+    identity. Donor means are mapped by the pose and rotations left-composed
+    with its rotation; scales are kept. A colliding object id gets a
+    deterministic numeric suffix. Returns (scene, id).
     """
     if foreign_selection is None:
         idx = np.arange(len(foreign), dtype=np.int64)
@@ -77,7 +77,6 @@ def add(
     posed = rows.replace(
         means=pose.apply(rows.means),
         rotations=quat_normalize(quat_mul(pose.rotation, rows.rotations)),
-        scales=rows.scales * pose.scale,
     )
 
     base_name = object_id
@@ -202,11 +201,52 @@ def lighting(scene: GaussianScene, selection, mode: str, rgb) -> GaussianScene:
 # ---------------------------------------------------------------------------
 
 
-def _script_selection(record):
+# the keys each op reads besides "op", one tuple per accepted form, with "?"
+# marking a key the record may leave out
+_RECORD_KEYS = {
+    "translate": [("selection", "delta")],
+    "rotate": [("selection", "quaternion", "pivot?"), ("selection", "axis", "angle", "pivot?")],
+    "scale": [("selection", "factor", "pivot?")],
+    "duplicate": [("selection", "offset?", "object_id?")],
+    "delete": [("selection",)],
+    "lighting": [("selection", "mode", "rgb")],
+    "add": [("scene", "selection?", "translation?", "yaw?", "object_id?")],
+}
+
+
+def _check_keys(index: int, record) -> None:
+    """Refuse a record that is not an object, names an unknown op, or lacks or
+    adds a key to its op's form: a form it gives every needed key of, if any."""
+    if not isinstance(record, dict):
+        raise ValueError(f"edit record {index}: expected a JSON object, got {record!r}")
+    op, given = record.get("op"), set(record) - {"op"}
+    if op not in _RECORD_KEYS:
+        raise ValueError(f"edit record {index}: unknown edit op: {op!r}")
+    forms = _RECORD_KEYS[op]
+    needs = [{k for k in form if not k.endswith("?")} for form in forms]
+    i = max(range(len(forms)), key=lambda i: (needs[i] <= given, len(needs[i] & given)))
+    missing = sorted(needs[i] - given)
+    if missing:
+        raise ValueError(f"edit record {index}: {op} needs {missing[0]!r}")
+    reads = [k.rstrip("?") for k in forms[i]]
+    unread = sorted(given - set(reads))
+    if unread:
+        raise ValueError(f"edit record {index}: {op} does not read {unread[0]!r}; "
+                         f"it reads {', '.join(reads)}")
+
+
+def _script_selection(index: int, record):
+    """The record's selection as resolve_selection takes it (None when it
+    gives none): an object id, or the (min, max) of {"box": [min, max]}."""
     sel = record.get("selection")
-    if isinstance(sel, dict) and "box" in sel:
-        return tuple(sel["box"])
-    return sel
+    if "selection" not in record or isinstance(sel, str):
+        return sel
+    box = sel.get("box") if isinstance(sel, dict) and len(sel) == 1 else None
+    if isinstance(box, list) and len(box) == 2 and all(isinstance(b, list) and len(b) == 3
+                                                       for b in box):
+        return tuple(box)
+    raise ValueError(f'edit record {index}: selection must be an object id or {{"box": '
+                     f"[min, max]}} of two 3-vectors, got {sel!r}")
 
 
 def _script_rotation(record) -> np.ndarray:
@@ -236,22 +276,17 @@ def _check_finite(index: int, record) -> None:
 def apply_edit_script(scene: GaussianScene, ops, donor_loader=None) -> GaussianScene:
     """Apply a list of edit records (dicts with an 'op' key) in order.
 
-    Record shapes:
-      translate: {op, selection, delta}
-      rotate:    {op, selection, quaternion | (axis, angle), pivot?}
-      scale:     {op, selection, factor, pivot?}
-      duplicate: {op, selection, offset?, object_id?}
-      delete:    {op, selection}
-      lighting:  {op, selection, mode, rgb}
-      add:       {op, scene, selection?, translation?, yaw?, object_id?}
-    'add' resolves its donor through donor_loader(path); selections are
-    object-id strings or {"box": [min, max]}. A record with a NaN or inf in
-    a number field is refused with its index and the field's name.
+    A record's other keys are one of its op's forms in _RECORD_KEYS. 'add'
+    resolves its donor through donor_loader(path); selections are
+    object-id strings or {"box": [min, max]}. A record with an unknown op, a
+    missing or unread key, a malformed selection, or a NaN or inf in a
+    number field is refused with its index and the key's name.
     """
     for index, record in enumerate(ops):
+        _check_keys(index, record)
         _check_finite(index, record)
-        op = record.get("op")
-        sel = _script_selection(record)
+        op = record["op"]
+        sel = _script_selection(index, record)
         if op == "translate":
             scene = translate(scene, sel, record["delta"])
         elif op == "rotate":
@@ -275,6 +310,4 @@ def apply_edit_script(scene: GaussianScene, ops, donor_loader=None) -> GaussianS
                 np.asarray(record.get("translation", (0.0, 0.0, 0.0)), dtype=np.float64),
             )
             scene, _ = add(scene, donor, sel, pose, record.get("object_id"))
-        else:
-            raise ValueError(f"unknown edit op: {op!r}")
     return scene

@@ -141,80 +141,25 @@ def quat_from_yaw(yaw: float) -> np.ndarray:
     return np.array([math.cos(0.5 * yaw), 0.0, 0.0, math.sin(0.5 * yaw)])
 
 
-def is_unit_quat(q, tol: float = UNIT_NORM_TOL) -> bool:
-    return bool(abs(np.linalg.norm(np.asarray(q, dtype=np.float64)) - 1.0) <= tol)
-
-
 @dataclass(frozen=True)
 class RigidTransform:
-    """Rotation (unit quaternion) + translation, with an optional uniform scale.
-
-    Maps points as p -> scale * R p + t.
-    """
+    """Rotation (unit quaternion) + translation: maps points as p -> R p + t."""
 
     rotation: np.ndarray = field(default_factory=lambda: np.array([1.0, 0.0, 0.0, 0.0]))
     translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    scale: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "rotation", np.asarray(self.rotation, dtype=np.float64))
         object.__setattr__(self, "translation", np.asarray(self.translation, dtype=np.float64))
-        if not is_unit_quat(self.rotation):
+        if not abs(np.linalg.norm(self.rotation) - 1.0) <= UNIT_NORM_TOL:
             raise ValueError("rotation quaternion is not unit-norm")
-        if self.scale <= 0.0:
-            raise ValueError("scale must be > 0")
 
     @staticmethod
     def identity() -> "RigidTransform":
         return RigidTransform()
 
     def apply(self, points) -> np.ndarray:
-        return self.scale * quat_rotate(self.rotation, points) + self.translation
+        return quat_rotate(self.rotation, points) + self.translation
 
     def rotation_matrix(self) -> np.ndarray:
         return quat_to_mat(self.rotation)
-
-
-def umeyama_alignment(source, target, with_scale: bool = False) -> RigidTransform:
-    """Least-squares similarity transform mapping source points onto target points.
-
-    Closed-form Kabsch/Umeyama solution of min_T sum ||T(p_i) - q_i||^2 over
-    rotations + translation (+ uniform scale when with_scale is set).
-
-    Raises ValueError when fewer than 3 correspondences are given or the
-    source points are collinear/degenerate (rotation not identifiable).
-    """
-    src = np.asarray(source, dtype=np.float64)
-    dst = np.asarray(target, dtype=np.float64)
-    if src.shape != dst.shape or src.ndim != 2 or src.shape[1] != 3:
-        raise ValueError("correspondences must be two equal (n, 3) arrays")
-    n = src.shape[0]
-    if n < 3:
-        raise ValueError("need at least 3 correspondences")
-
-    mu_s = src.mean(axis=0)
-    mu_d = dst.mean(axis=0)
-    ds = src - mu_s
-    dd = dst - mu_d
-
-    cov = dd.T @ ds / n
-    u, d, vt = np.linalg.svd(cov)
-
-    # Collinear sources leave the rotation about the line unconstrained.
-    src_sv = np.linalg.svd(ds, compute_uv=False)
-    if src_sv[1] <= 1e-9 * max(src_sv[0], 1e-300):
-        raise ValueError("degenerate correspondences: source points are collinear")
-
-    s = np.eye(3)
-    if np.linalg.det(u) * np.linalg.det(vt) < 0.0:
-        s[2, 2] = -1.0
-    rot = u @ s @ vt
-
-    if with_scale:
-        var_s = (ds**2).sum() / n
-        c = float((d * np.diag(s)).sum() / var_s)
-    else:
-        c = 1.0
-
-    t = mu_d - c * rot @ mu_s
-    return RigidTransform(mat_to_quat(rot), t, c)

@@ -69,7 +69,7 @@ class GridPartition:
         return rng.uniform(lo, hi)
 
     @staticmethod
-    def default(platform: str, per_gate_counts=(2, 2, 2, 2)) -> "GridPartition":
+    def default(platform: str, per_gate_counts) -> "GridPartition":
         box = LAYOUT_BOXES[platform]
         counts = np.concatenate([per_gate_counts, per_gate_counts])
         return GridPartition(box[0], box[1], counts)
@@ -208,13 +208,14 @@ class PgrConfig:
             if not (_is_int(value) or isinstance(value, (float, np.floating))):
                 raise ValueError(f"{name} must be a number, got {value!r}")
             setattr(self, name, float(value))
-        self.per_gate_counts = tuple(self.per_gate_counts)
         if self.platform not in LAYOUT_BOXES:
             raise ValueError(f"unknown platform {self.platform!r}; "
                              f"accepted: {', '.join(sorted(LAYOUT_BOXES))}")
         counts = self.per_gate_counts
-        if len(counts) != 4 or not all(_is_int(c) and c >= 1 for c in counts):
-            raise ValueError(f"per_gate_counts must be four ints >= 1, got {list(counts)}")
+        if not (isinstance(counts, (tuple, list)) and len(counts) == 4
+                and all(_is_int(c) and c >= 1 for c in counts)):
+            raise ValueError(f"per_gate_counts must be four ints >= 1, got {counts!r}")
+        self.per_gate_counts = tuple(counts)
         cells = math.prod(int(c) for c in counts) ** 2
         if cells > MAX_CELLS:
             raise ValueError(f"per_gate_counts {list(counts)} give {cells} grid cells; "
@@ -254,18 +255,18 @@ class _SeedChain:
         return np.random.default_rng(self._seq.spawn(1)[0])
 
 
-def accept_cells(partition, cells, platform, expert, sim, seeds, cap=RETRY_CAP):
+def accept_cells(partition, cells, platform, expert, sim, seeds):
     """Rejection-sample one feasible+observable layout per requested cell.
 
     Returns (samples, skipped): (cell, layout, expert rollout) triples in
     request order, the rollout reusable as training data, and per-cell counts
-    of requests skipped after cap rejected draws.
+    of requests skipped after RETRY_CAP rejected draws.
     """
     samples = []
     skipped: dict[int, int] = {}
     for cell in cells:
         rng = seeds.rng()
-        for _ in range(cap):
+        for _ in range(RETRY_CAP):
             layout = partition.sample(cell, rng)
             if not observability_check(layout, platform):
                 continue
@@ -278,12 +279,12 @@ def accept_cells(partition, cells, platform, expert, sim, seeds, cap=RETRY_CAP):
     return samples, skipped
 
 
-def build_validation_set(partition, config: PgrConfig, expert, cap=RETRY_CAP):
+def build_validation_set(partition, config: PgrConfig, expert):
     """Fixed per-cell validation layouts, feasibility-filtered like training,
     drawn from the stream (config.seed, 1), apart from the run's own."""
     cells = [c for c in range(partition.m) for _ in range(config.val_per_cell)]
     samples, _ = accept_cells(partition, cells, config.platform, expert, config.sim(),
-                              _SeedChain((config.seed, 1)), cap)
+                              _SeedChain((config.seed, 1)))
     if not samples:
         raise ValueError("validation set is empty: no feasible layouts found")
     return [(cell, layout) for cell, layout, _ in samples]
@@ -314,11 +315,10 @@ def grid_losses(policy, g_val, partition, platform: str, lambda_pos: float,
     return ell, metrics(rollouts)
 
 
-def resample(partition, w, n: int, platform: str, expert, sim: SimConfig, seeds,
-             cap: int = RETRY_CAP):
+def resample(partition, w, n: int, platform: str, expert, sim: SimConfig, seeds):
     """Draw n layouts: cell by weight, point uniform in the cell.
 
-    Infeasible draws retry within the same cell up to cap times, after which
+    Infeasible draws retry within the same cell up to RETRY_CAP times, after which
     that draw is skipped (per-cell skip counts returned). Raises when every
     draw is skipped.
     """
@@ -326,7 +326,7 @@ def resample(partition, w, n: int, platform: str, expert, sim: SimConfig, seeds,
     if abs(w.sum() - 1.0) > 1e-9:
         raise ValueError("weights must sum to 1")
     cells = seeds.rng().choice(partition.m, size=n, p=w).tolist()
-    samples, skipped = accept_cells(partition, cells, platform, expert, sim, seeds, cap)
+    samples, skipped = accept_cells(partition, cells, platform, expert, sim, seeds)
     if not samples:
         raise RuntimeError("sampling failure: every drawn grid cell was infeasible")
     return samples, skipped
@@ -422,24 +422,23 @@ def pgr_run(partition: GridPartition, policy, expert, config: PgrConfig,
     return _iterate(*_start(partition, policy, expert, config, g_val))
 
 
-def pgr_pair(partition: GridPartition, policy, uniform_policy, expert, config: PgrConfig,
+def pgr_pair(partition: GridPartition, policy, expert, config: PgrConfig,
              g_val) -> tuple[PgrResult, PgrResult]:
     """(guided, uniform): pgr_run with config and with beta = 1, sharing the
     first iteration's sampling, training and scoring.
 
     The two runs are equal up to the first weights: both start from the
     seed's chain, the expert is deterministic, and every rollout reseeds the
-    policy. So the prefix runs once on policy, and uniform_policy, a fresh
-    policy like it, is trained on the same records. The results equal two
-    pgr_run calls and share no mutable array; both hold the same g_val.
+    policy. So the prefix runs once on policy, and the uniform run forks from
+    copies of its trained policy, dataset and seed chain. The results equal
+    two pgr_run calls on policies like it and share no mutable array; both
+    hold the same g_val.
     """
     run, scored = _start(partition, policy, expert, config, g_val)
     counts, skipped, ell, val_stats = scored
     # the copied chain hands out the generators the guided run draws next
-    twin = _Run(partition, uniform_policy, expert, replace(config, beta=1.0), run.g_val,
-                copy.deepcopy(run.seeds),
-                [replace(r, layout=r.layout.copy()) for r in run.dataset])
-    uniform_policy.train(twin.dataset)
+    twin = _Run(partition, copy.deepcopy(run.policy), expert, replace(config, beta=1.0),
+                run.g_val, copy.deepcopy(run.seeds), copy.deepcopy(run.dataset))
     return (_iterate(run, scored),
             _iterate(twin, (counts.copy(), dict(skipped), ell.copy(), dict(val_stats))))
 

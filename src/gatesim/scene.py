@@ -1,4 +1,4 @@
-"""Gaussian-splat scene model: storage, validation, PLY I/O and world alignment.
+"""Gaussian-splat scene model: storage, validation, selections and PLY I/O.
 
 A scene is a struct-of-arrays collection of anisotropic 3D gaussians
 (mean, rotation quaternion, per-axis scales, RGB color, opacity) plus named
@@ -13,14 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import (
-    RigidTransform,
-    UNIT_NORM_TOL,
-    quat_mul,
-    quat_normalize,
-    quat_to_mat,
-    umeyama_alignment,
-)
+from .geometry import UNIT_NORM_TOL, quat_to_mat
 
 # DC coefficient of the zeroth spherical harmonic, 1 / (2 sqrt(pi)).
 SH_DC_COEFF = 0.28209479177387814
@@ -170,7 +163,8 @@ def resolve_selection(scene: GaussianScene, selection) -> np.ndarray:
 #
 # Native layout (lossless, all doubles): x y z scale_0..2 rot_0..3 (wxyz)
 # opacity red green blue. Also accepted: the common 3DGS training export with
-# log-scales, logit opacities and SH DC color terms f_dc_0..2.
+# log-scales, logit opacities and SH DC color terms f_dc_0..2. Both are read
+# from binary (little-endian) or ascii PLY; scenes are written binary.
 # ---------------------------------------------------------------------------
 
 _NATIVE_PROPS = [
@@ -310,11 +304,9 @@ def load_scene(data: bytes) -> GaussianScene:
     return scene
 
 
-def save_scene(scene: GaussianScene, ascii_format: bool = False) -> bytes:
-    """Serialize to the native PLY layout (doubles; lossless round-trip)."""
-    n = len(scene)
-    fmt = "ascii" if ascii_format else "binary_little_endian"
-    header = ["ply", f"format {fmt} 1.0", f"element vertex {n}"]
+def save_scene(scene: GaussianScene) -> bytes:
+    """Serialize to the native binary PLY layout (doubles; lossless round-trip)."""
+    header = ["ply", "format binary_little_endian 1.0", f"element vertex {len(scene)}"]
     header += [f"property double {p}" for p in _NATIVE_PROPS]
     header.append("end_header")
     head = ("\n".join(header) + "\n").encode("ascii")
@@ -323,12 +315,7 @@ def save_scene(scene: GaussianScene, ascii_format: bool = False) -> bytes:
         [scene.means, scene.scales, scene.rotations, scene.opacities[:, None], scene.colors],
         axis=1,
     )
-    if ascii_format:
-        lines = [" ".join(repr(float(v)) for v in row) for row in table]
-        body = ("\n".join(lines) + ("\n" if lines else "")).encode("ascii")
-    else:
-        body = np.ascontiguousarray(table, dtype="<f8").tobytes()
-    return head + body
+    return head + np.ascontiguousarray(table, dtype="<f8").tobytes()
 
 
 def save_objects_json(scene: GaussianScene) -> str:
@@ -345,10 +332,10 @@ def load_objects_json(scene: GaussianScene, text: str) -> None:
         scene.add_object(name, idx)
 
 
-def write_scene(path, scene: GaussianScene, ascii_format: bool = False) -> None:
+def write_scene(path, scene: GaussianScene) -> None:
     """Write PLY plus the `<stem>.objects.json` sidecar when objects exist."""
     path = Path(path)
-    path.write_bytes(save_scene(scene, ascii_format=ascii_format))
+    path.write_bytes(save_scene(scene))
     sidecar = path.with_suffix(".objects.json")
     if scene.objects:
         sidecar.write_text(save_objects_json(scene) + "\n")
@@ -362,23 +349,3 @@ def read_scene(path) -> GaussianScene:
         load_objects_json(scene, sidecar.read_text())
     return scene
 
-
-def align_to_world(
-    scene: GaussianScene, correspondences, with_scale: bool = False
-) -> tuple[GaussianScene, RigidTransform]:
-    """Map a scene into the world frame from (source-point, world-point) pairs.
-
-    Returns the aligned scene and the recovered transform. Means are mapped by
-    the transform, rotations are left-composed with its rotation; scales are
-    multiplied by the uniform scale only when scale estimation is enabled.
-    """
-    src = np.asarray([c[0] for c in correspondences], dtype=np.float64)
-    dst = np.asarray([c[1] for c in correspondences], dtype=np.float64)
-    transform = umeyama_alignment(src, dst, with_scale=with_scale)
-
-    out = scene.copy()
-    out.means = transform.apply(scene.means)
-    if len(scene):
-        out.rotations = quat_normalize(quat_mul(transform.rotation, scene.rotations))
-    out.scales = scene.scales * transform.scale
-    return out, transform

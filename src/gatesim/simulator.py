@@ -89,10 +89,6 @@ class Rollout:
     duration: float
 
     @property
-    def success_count(self) -> int:
-        return sum(1 for g in self.gates if g.outcome == SUCCESS)
-
-    @property
     def all_success(self) -> bool:
         return all(g.outcome == SUCCESS for g in self.gates)
 

@@ -237,7 +237,7 @@ def perturb_track(track: Track, amplitude_cm: float, rng: np.random.Generator) -
     return replace(track, gates=tuple(gates))
 
 
-def track_from_layout(layout, platform: str, name: str = "layout") -> Track:
+def track_from_layout(layout, platform: str) -> Track:
     """Build a static two-gate track from an 8-vector.
 
     layout = [x1, y1, z1, yaw1, x2, y2, z2, yaw2] in the platform arena.
@@ -248,7 +248,7 @@ def track_from_layout(layout, platform: str, name: str = "layout") -> Track:
         Gate.static(geo["shape"], geo["inner_half"], geo["ring"], layout[4 * i : 4 * i + 3], layout[4 * i + 3])
         for i in range(2)
     )
-    return Track(name, platform, gates, ARENAS[platform])
+    return Track("layout", platform, gates, ARENAS[platform])
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from scipy.spatial.transform import Rotation
 from gatesim.cli import main
 from gatesim.dynamics import UavDynamics
 from gatesim.edits import delete, duplicate, rotate, scale, translate
-from gatesim.geometry import umeyama_alignment
 from gatesim.policies import SyntheticLearner, expert_policy
 from gatesim.refinement import (
     GridPartition,
@@ -255,48 +254,7 @@ def test_gate_mask_vs_brute_force_rays(capsys):
 
 
 # ---------------------------------------------------------------------------
-# 4. point-set alignment
-# ---------------------------------------------------------------------------
-
-
-def test_alignment_recovery_and_noise_floor(capsys):
-    rng = np.random.default_rng(23)
-    worst = 0.0
-    for _ in range(100):
-        n = int(rng.integers(4, 60))
-        src = rng.normal(size=(n, 3)) * rng.uniform(0.5, 3.0)
-        rot = Rotation.from_quat(random_unit_quats(rng, 1)[:, [1, 2, 3, 0]][0]).as_matrix()
-        s = float(rng.uniform(0.25, 3.0))
-        t = rng.uniform(-8.0, 8.0, size=3)
-        dst = s * src @ rot.T + t
-        est = umeyama_alignment(src, dst, with_scale=True)
-        worst = max(
-            worst,
-            abs(est.scale - s),
-            np.abs(est.rotation_matrix() - rot).max(),
-            np.abs(est.translation - t).max(),
-        )
-    assert worst < 1e-9
-
-    worst_ratio = 0.0
-    for sigma in (0.005, 0.01, 0.02):
-        for _ in range(20):
-            src = rng.normal(size=(200, 3)) * 2.0
-            rot = Rotation.from_quat(random_unit_quats(rng, 1)[:, [1, 2, 3, 0]][0]).as_matrix()
-            s = float(rng.uniform(0.5, 2.0))
-            t = rng.uniform(-5.0, 5.0, size=3)
-            dst = s * src @ rot.T + t + rng.normal(0.0, sigma, size=(200, 3))
-            est = umeyama_alignment(src, dst, with_scale=True)
-            res = est.scale * src @ est.rotation_matrix().T + est.translation - dst
-            rms = math.sqrt(float(np.mean(np.sum(res**2, axis=1))))
-            worst_ratio = max(worst_ratio, rms / sigma)
-            assert rms <= 3.0 * sigma
-    _report(capsys, f"alignment: worst noise-free error {worst:.2e}, "
-                    f"noisy RMS <= {worst_ratio:.2f}x noise std (bound 3x)")
-
-
-# ---------------------------------------------------------------------------
-# 5. dynamics
+# 4. dynamics
 # ---------------------------------------------------------------------------
 
 
@@ -332,7 +290,7 @@ def test_uav_constant_turn_circle_and_rk4_order(capsys):
 
 
 # ---------------------------------------------------------------------------
-# 6. expert closed loop on the shipped tracks
+# 5. expert closed loop on the shipped tracks
 # ---------------------------------------------------------------------------
 
 
@@ -358,7 +316,7 @@ def test_expert_succeeds_on_all_reference_tracks(capsys, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# 7. classical mask controller
+# 6. classical mask controller
 # ---------------------------------------------------------------------------
 
 
@@ -385,7 +343,7 @@ def test_classical_mask_controller_srs(capsys, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# 8. refinement weights and the beta=1 sampler
+# 7. refinement weights and the beta=1 sampler
 # ---------------------------------------------------------------------------
 
 
@@ -413,14 +371,14 @@ def test_weight_floor_and_uniform_sampler(capsys):
 
 
 # ---------------------------------------------------------------------------
-# 9. refinement concentrates on hard cells
+# 8. refinement concentrates on hard cells
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.slow
 def test_refinement_beats_uniform_on_worst_cell(capsys):
     t0 = time.perf_counter()
-    partition = GridPartition.default("uav")
+    partition = GridPartition.default("uav", PgrConfig.per_gate_counts)
     expert = expert_policy("uav")
     worst_g, worst_u = [], []
     alloc_g = {1: [], 2: []}
@@ -433,7 +391,7 @@ def test_refinement_beats_uniform_on_worst_cell(capsys):
         def learner():
             return SyntheticLearner(partition, expert_policy("uav"), n0=2.0)
 
-        guided, uniform = pgr_pair(partition, learner(), learner(), expert, config, g_val)
+        guided, uniform = pgr_pair(partition, learner(), expert, config, g_val)
         worst_g.append(worst_grid_loss(guided.history[-1]))
         worst_u.append(worst_grid_loss(uniform.history[-1]))
         for it in (1, 2):
@@ -455,7 +413,7 @@ def test_refinement_beats_uniform_on_worst_cell(capsys):
 
 
 # ---------------------------------------------------------------------------
-# 10. gate-position perturbation sweep
+# 9. gate-position perturbation sweep
 # ---------------------------------------------------------------------------
 
 
@@ -471,7 +429,7 @@ def test_expert_sr_does_not_rise_with_perturbation(capsys, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# 11. byte-stable files and reproducible runs
+# 10. byte-stable files and reproducible runs
 # ---------------------------------------------------------------------------
 
 

@@ -434,7 +434,7 @@ def test_pgr_bytes_are_pinned(tmp_path, capsys):
     ({"tick_hz": 0}, "tick_hz must be > 0, got 0.0"),
     ({"beta": 1.5}, "beta must be in [0, 1]"),
     ({"beta": None}, "beta must be a number, got None"),
-    ({"per_gate_counts": 3}, "'int' object is not iterable"),
+    ({"per_gate_counts": 3}, "per_gate_counts must be four ints >= 1, got 3"),
     ({"platform": "boat"}, "unknown platform 'boat'; accepted: quad, uav"),
     ({"per_gate_counts": [2, 2]}, "per_gate_counts must be four ints >= 1, got [2, 2]"),
     ({"per_gate_counts": [2, 0, 1, 1]}, "per_gate_counts must be four ints >= 1"),
@@ -756,6 +756,25 @@ def test_edit_scene_refuses_a_scene_that_overflows(tmp_path, capsys, record):
                      str(tmp_path / "script.json"), "--out", str(out)]) == 2
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert capsys.readouterr().err == "error: non-finite field at gaussian 0\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("record, message", [
+    ({"op": "translate", "delta": [1, 0, 0]}, "translate needs 'selection'"),
+    ({"op": "translate", "selection": {"box": [[0, 0, 0]]}, "delta": [1, 0, 0]},
+     'selection must be an object id or {"box": [min, max]} of two 3-vectors, '
+     "got {'box': [[0, 0, 0]]}"),
+    ({"op": "translate", "selection": "gate_1", "delta": [1, 0, 0], "pivto": 3},
+     "translate does not read 'pivto'; it reads selection, delta"),
+], ids=["no-selection", "short-box", "unread-key"])
+def test_edit_scene_refuses_a_malformed_record(tmp_path, capsys, record, message):
+    # these once died with a traceback (exit 1) or were applied (exit 0)
+    write_scene(tmp_path / "scene.ply", track_splats(reference_track("uav-slalom")))
+    (tmp_path / "script.json").write_text(json.dumps([record]))
+    out = tmp_path / "out.ply"
+    assert main(["edit-scene", "--scene", str(tmp_path / "scene.ply"), "--script",
+                 str(tmp_path / "script.json"), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: edit record 0: {message}\n"
     assert not out.exists()
 
 

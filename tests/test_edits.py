@@ -1,8 +1,11 @@
 """Edit operations: algebra, selection hygiene, array sharing, scripts."""
 
+import json
+import re
+from importlib import resources
+
 import numpy as np
 import pytest
-from scipy.spatial.transform import Rotation
 
 from conftest import random_scene, random_unit_quats, scipy_rotation
 from gatesim.edits import (
@@ -19,6 +22,7 @@ from gatesim.edits import (
 )
 from gatesim.geometry import RigidTransform, quat_from_axis_angle
 from gatesim.scene import GaussianScene, resolve_selection
+from gatesim.tracks import reference_track, track_splats
 
 
 def _tagged(rng, n=20, k=7):
@@ -333,3 +337,45 @@ def test_apply_edit_script_errors(rng):
         apply_edit_script(scene, [{"op": "explode", "selection": "x"}])
     with pytest.raises(ValueError, match="donor loader"):
         apply_edit_script(scene, [{"op": "add", "scene": "missing.ply"}])
+
+
+_BOX = {"box": [[-9.0, -9.0, -9.0], [9.0, 9.0, 9.0]]}
+
+
+@pytest.mark.parametrize("record, message", [
+    ({"op": "explode", "selection": "a"}, "unknown edit op: 'explode'"),
+    ({"selection": "a"}, "unknown edit op: None"),
+    (["translate", "a"], "expected a JSON object"),
+    ({"op": "translate", "delta": [1, 0, 0]}, "translate needs 'selection'"),
+    ({"op": "scale", "selection": "a"}, "scale needs 'factor'"),
+    ({"op": "lighting", "selection": "a", "rgb": [1, 1, 1]}, "lighting needs 'mode'"),
+    ({"op": "add"}, "add needs 'scene'"),
+    # rotate takes a quaternion or an axis and an angle, and names what its
+    # nearest form lacks
+    ({"op": "rotate", "selection": "a"}, "rotate needs 'quaternion'"),
+    ({"op": "rotate", "selection": "a", "axis": [0, 0, 1]}, "rotate needs 'angle'"),
+    ({"op": "rotate", "selection": "a", "quaternion": [1, 0, 0, 0], "axis": [0, 0, 1],
+      "angle": 0.1}, "rotate does not read 'quaternion'; it reads selection, axis, angle"),
+    ({"op": "translate", "selection": "a", "delta": [1, 0, 0], "pivto": 3},
+     "translate does not read 'pivto'; it reads selection, delta"),
+    ({"op": "delete", "selection": "a", "pivot": [0, 0, 0]}, "delete does not read 'pivot'"),
+    ({"op": "delete", "selection": None}, "selection must be an object id or"),
+    ({"op": "delete", "selection": 3}, "selection must be an object id or"),
+    ({"op": "delete", "selection": {"box": [[0, 0, 0]]}}, "selection must be an object id"),
+    ({"op": "delete", "selection": {"box": [[0, 0, 0], [1, 1]]}}, "selection must be an object"),
+    ({"op": "delete", "selection": {**_BOX, "pad": 1}}, "selection must be an object id or"),
+    ({"op": "add", "scene": "donor.ply", "selection": [0, 1]}, "selection must be an object"),
+])
+def test_apply_edit_script_refuses_a_malformed_record(rng, record, message):
+    # a well-formed record (a box selection) passes; the next is refused by its index
+    scene = random_scene(rng, 4)
+    scene.add_object("a", [0, 1])
+    script = [{"op": "delete", "selection": _BOX}, record]
+    with pytest.raises(ValueError, match=re.escape(f"edit record 1: {message}")):
+        apply_edit_script(scene, script, donor_loader=lambda path: scene)
+
+
+def test_the_bundled_edit_script_passes_its_checks():
+    text = (resources.files("gatesim") / "data" / "scripts" / "example-edit.json").read_text()
+    scene = apply_edit_script(track_splats(reference_track("uav-slalom")), json.loads(text))
+    assert "gate_1_upper" in scene.objects

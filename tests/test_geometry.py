@@ -21,7 +21,6 @@ from gatesim.geometry import (
     quat_normalize,
     quat_rotate,
     quat_to_mat,
-    umeyama_alignment,
     wrap_angle,
 )
 from gatesim.render import camera_pose
@@ -136,8 +135,8 @@ _unit = st.floats(-1.0, 1.0)
 @st.composite
 def _rotation_matrices(draw):
     """Rotations about random axes by angles up to pi (every branch of
-    mat_to_quat), and the SVD products umeyama_alignment builds, which are
-    orthonormal only to rounding."""
+    mat_to_quat), and proper SVD products U S V^T of random matrices, which
+    are orthonormal only to rounding."""
     if draw(st.booleans()):
         axis = np.array([draw(_unit) for _ in range(3)])
         if not np.linalg.norm(axis) > 1e-3:
@@ -212,86 +211,17 @@ def test_quat_normalize_rejects_zero():
 def test_rigid_transform_apply_matches_scipy(rng):
     q = quat_normalize(rng.normal(size=4))
     t = rng.normal(size=3)
-    T = RigidTransform(q, t, scale=1.7)
+    T = RigidTransform(q, t)
     pts = rng.normal(size=(30, 3))
-    expect = 1.7 * scipy_rotation(q).apply(pts) + t
+    expect = scipy_rotation(q).apply(pts) + t
     np.testing.assert_allclose(T.apply(pts), expect, atol=1e-12)
 
 
 def test_rigid_transform_validation():
     with pytest.raises(ValueError):
         RigidTransform(np.array([1.0, 1.0, 0.0, 0.0]), np.zeros(3))
-    with pytest.raises(ValueError):
-        RigidTransform(np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3), scale=0.0)
     ident = RigidTransform.identity()
     np.testing.assert_array_equal(ident.apply(np.ones((2, 3))), np.ones((2, 3)))
-
-
-def test_umeyama_recovers_known_transform(rng):
-    for _ in range(25):
-        n = int(rng.integers(3, 12))
-        src = rng.uniform(-5, 5, size=(n, 3))
-        while np.linalg.svd(src - src.mean(0), compute_uv=False)[1] < 1e-6:
-            src = rng.uniform(-5, 5, size=(n, 3))
-        rot = Rotation.random(random_state=int(rng.integers(1 << 31)))
-        t = rng.uniform(-10, 10, size=3)
-        dst = rot.apply(src) + t
-        T = umeyama_alignment(src, dst)
-        np.testing.assert_allclose(T.rotation_matrix(), rot.as_matrix(), atol=1e-9)
-        np.testing.assert_allclose(T.translation, t, atol=1e-9)
-        assert T.scale == 1.0
-
-
-def test_umeyama_with_scale(rng):
-    src = rng.uniform(-3, 3, size=(8, 3))
-    rot = Rotation.from_rotvec([0.3, -0.2, 0.9])
-    dst = 1.8 * rot.apply(src) + np.array([2.0, -1.0, 0.5])
-    T = umeyama_alignment(src, dst, with_scale=True)
-    assert abs(T.scale - 1.8) < 1e-9
-    np.testing.assert_allclose(T.apply(src), dst, atol=1e-9)
-
-
-def test_umeyama_quarter_turn_example():
-    src = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    rot = Rotation.from_euler("z", math.pi / 2.0)
-    dst = rot.apply(src) + np.array([1.0, 0.0, 0.0])
-    T = umeyama_alignment(src, dst)
-    np.testing.assert_allclose(T.rotation_matrix(), rot.as_matrix(), atol=1e-9)
-    np.testing.assert_allclose(T.translation, [1.0, 0.0, 0.0], atol=1e-9)
-
-
-def test_umeyama_noisy_residual(rng):
-    sigma = 1e-3
-    src = rng.uniform(-2, 2, size=(50, 3))
-    rot = Rotation.random(random_state=7)
-    dst = rot.apply(src) + np.array([0.3, 0.1, -0.2]) + rng.normal(0, sigma, size=(50, 3))
-    T = umeyama_alignment(src, dst)
-    resid = T.apply(src) - dst
-    rms = float(np.sqrt(np.mean(np.sum(resid**2, axis=1))))
-    assert rms <= 3.0 * sigma
-
-
-def test_umeyama_degenerate_inputs(rng):
-    line = np.outer(np.arange(5, dtype=float), [1.0, 2.0, 3.0])
-    with pytest.raises(ValueError):
-        umeyama_alignment(line, line + 1.0)
-    with pytest.raises(ValueError):
-        umeyama_alignment(np.zeros((2, 3)), np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        umeyama_alignment(np.zeros((4, 3)), np.zeros((5, 3)))
-
-
-def test_umeyama_reflection_guard(rng):
-    # near-planar clouds push the SVD toward an improper solution; the
-    # recovered matrix must still be a proper rotation
-    for _ in range(10):
-        src = rng.uniform(-1, 1, size=(6, 3))
-        src[:, 2] *= 1e-3
-        rot = Rotation.random(random_state=int(rng.integers(1 << 31)))
-        dst = rot.apply(src)
-        T = umeyama_alignment(src, dst)
-        assert abs(np.linalg.det(T.rotation_matrix()) - 1.0) < 1e-9
-        np.testing.assert_allclose(T.apply(src), dst, atol=1e-8)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from gatesim import refinement
 from gatesim.policies import SyntheticLearner, ZeroPolicy, expert_policy
 from gatesim.refinement import (
     LAYOUT_BOXES,
@@ -109,11 +110,11 @@ def test_partition_cell_bounds_tile_the_box():
 
 
 def test_default_partitions():
-    part = GridPartition.default("uav")
+    part = GridPartition.default("uav", PgrConfig().per_gate_counts)
     assert part.m == 256
     np.testing.assert_array_equal(part.lo, LAYOUT_BOXES["uav"][0])
     np.testing.assert_array_equal(part.hi, LAYOUT_BOXES["uav"][1])
-    assert GridPartition.default("quad").m == 256
+    assert GridPartition.default("quad", PgrConfig().per_gate_counts).m == 256
     assert GridPartition.default("uav", per_gate_counts=(2, 1, 1, 1)).m == 4
 
 
@@ -326,7 +327,8 @@ def test_resample_matches_categorical_draws():
     assert np.all(np.abs(counts - n * 0.25) <= 3 * sigma)
 
 
-def test_resample_all_infeasible_raises():
+def test_resample_all_infeasible_raises(monkeypatch):
+    monkeypatch.setattr(refinement, "RETRY_CAP", 3)
     # gate 2 strictly behind gate 1 everywhere in the box: observability
     # rejects every draw
     lo = np.array([-8.0, -0.5, 1.8, -0.05, -30.0, -0.5, 1.8, -0.05])
@@ -334,16 +336,17 @@ def test_resample_all_infeasible_raises():
     part = GridPartition(lo, hi, (1, 1, 1, 1, 2, 1, 1, 1))
     with pytest.raises(RuntimeError):
         resample(part, [0.5, 0.5], 4, "uav", expert_policy("uav"), _sim(),
-                 _SeedChain(0), cap=3)
+                 _SeedChain(0))
 
 
-def test_resample_partial_skips_are_counted():
+def test_resample_partial_skips_are_counted(monkeypatch):
+    monkeypatch.setattr(refinement, "RETRY_CAP", 5)
     # bin 0 of the x2 axis is entirely behind gate 1; bin 1 is fine
     lo = np.array([-8.0, -0.5, 1.8, -0.05, -24.0, -0.5, 1.8, -0.05])
     hi = np.array([-4.0, 0.5, 2.2, 0.05, 6.0, 0.5, 2.2, 0.05])
     part = GridPartition(lo, hi, (1, 1, 1, 1, 2, 1, 1, 1))
     samples, skipped = resample(part, [0.5, 0.5], 10, "uav", expert_policy("uav"),
-                                _sim(), _SeedChain(1), cap=5)
+                                _sim(), _SeedChain(1))
     assert skipped.get(0, 0) >= 1
     assert all(cell == 1 for cell, _, _ in samples)
     assert len(samples) + sum(skipped.values()) == 10
@@ -373,13 +376,14 @@ def test_build_validation_set():
         np.testing.assert_array_equal(l0, l1)
 
 
-def test_build_validation_set_empty_raises():
+def test_build_validation_set_empty_raises(monkeypatch):
+    monkeypatch.setattr(refinement, "RETRY_CAP", 3)
     lo = np.array([-8.0, -0.5, 1.8, -0.05, -30.0, -0.5, 1.8, -0.05])
     hi = np.array([-4.0, 0.5, 2.2, 0.05, -20.0, 0.5, 2.2, 0.05])
     part = GridPartition(lo, hi, (1, 1, 1, 1, 1, 1, 1, 1))
     config = PgrConfig(platform="uav", tick_hz=10.0)
     with pytest.raises(ValueError):
-        build_validation_set(part, config, expert_policy("uav"), cap=3)
+        build_validation_set(part, config, expert_policy("uav"))
 
 
 def test_pgr_config_coerces_json_numbers():
@@ -476,10 +480,8 @@ def test_pgr_run_shared_validation_set():
     learner = SyntheticLearner(part, expert_policy("uav"), n0=2.0)
     result = pgr_run(part, learner, expert, config, g_val=g_val)
     assert result.g_val is g_val
-    guided, uniform = pgr_pair(
-        part, *(SyntheticLearner(part, expert_policy("uav"), n0=2.0)
-                for _ in range(2)),
-        expert, config, g_val=g_val)
+    guided, uniform = pgr_pair(part, SyntheticLearner(part, expert_policy("uav"), n0=2.0),
+                               expert, config, g_val=g_val)
     assert guided.g_val is g_val and uniform.g_val is g_val
 
 
@@ -520,7 +522,7 @@ def test_pgr_pair_equals_two_independent_runs(seed, beta, iterations):
         return SyntheticLearner(part, expert_policy("uav"), n0=2.0)
 
     g_val = build_validation_set(part, config, expert)
-    guided, uniform = pgr_pair(part, learner(), learner(), expert, config, g_val)
+    guided, uniform = pgr_pair(part, learner(), expert, config, g_val)
     _same_result(guided, pgr_run(part, learner(), expert, config, g_val))
     _same_result(uniform, pgr_run(part, learner(), expert, replace(config, beta=1.0), g_val))
     # the runs fork after the first scoring: their histories share no array

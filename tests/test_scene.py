@@ -1,4 +1,4 @@
-"""Scene storage, validation, selection semantics, PLY I/O, world alignment."""
+"""Scene storage, validation, selection semantics and PLY I/O."""
 
 import json
 import tempfile
@@ -6,18 +6,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.spatial.transform import Rotation
 
 from conftest import random_scene, random_unit_quats, scipy_rotation, with_signed_zeros
-from gatesim.geometry import RigidTransform, quat_from_yaw, quat_to_mat
+from gatesim.geometry import quat_to_mat
 from gatesim.scene import (
     GaussianScene,
     SH_DC_COEFF,
     ScenePLYError,
     SceneValidationError,
-    align_to_world,
     load_objects_json,
     load_scene,
     read_scene,
@@ -178,14 +176,31 @@ def test_ply_binary_round_trip_bytes(rng):
     assert blob == again
 
 
-def test_ply_ascii_round_trip_exact(rng):
-    scene = random_scene(rng, 50)
-    back = load_scene(save_scene(scene, ascii_format=True))
-    np.testing.assert_array_equal(back.means, scene.means)
-    np.testing.assert_array_equal(back.rotations, scene.rotations)
-    np.testing.assert_array_equal(back.scales, scene.scales)
-    np.testing.assert_array_equal(back.colors, scene.colors)
-    np.testing.assert_array_equal(back.opacities, scene.opacities)
+_PROPS = "x y z scale_0 scale_1 scale_2 rot_0 rot_1 rot_2 rot_3 opacity red green blue".split()
+# hand-written native rows: signed zeros, an inexact decimal, the smallest
+# subnormal and the largest double, each of which must come back bit for bit
+_ASCII_ROWS = [
+    "-0.0 0.1 1.7976931348623157e308  5e-324 0.1 1.7976931348623157e308  "
+    "1 -0.0 0 0  0.1  -0.0 0.1 1",
+    "5e-324 -1.7976931348623157e308 -0.0  1 2.5 0.1  0.6 0.8 -0.0 0.0  5e-324  1 0.1 5e-324",
+]
+
+
+def _ascii_ply(props, rows) -> bytes:
+    header = ["ply", "format ascii 1.0", "comment hand-written", f"element vertex {len(rows)}"]
+    header += [f"property double {p}" for p in props] + ["end_header"]
+    return ("\n".join(header + rows) + "\n").encode("ascii")
+
+
+def test_ply_ascii_round_trip_exact():
+    scene = load_scene(_ascii_ply(_PROPS, _ASCII_ROWS))
+    table = np.array([[float(v) for v in row.split()] for row in _ASCII_ROWS])
+    want = {"means": table[:, 0:3], "scales": table[:, 3:6], "rotations": table[:, 6:10],
+            "opacities": table[:, 10], "colors": table[:, 11:14]}
+    back = load_scene(save_scene(scene))   # and the binary writer keeps them
+    for name, values in want.items():
+        assert getattr(scene, name).tobytes() == values.tobytes(), name
+        assert getattr(back, name).tobytes() == values.tobytes(), name
 
 
 def test_ply_empty_scene_round_trip():
@@ -266,18 +281,11 @@ def test_ply_truncated_payload(rng):
         load_scene(blob[:-8])
 
 
-def test_ply_missing_color_property(rng):
-    scene = random_scene(rng, 2)
-    blob = save_scene(scene, ascii_format=True)
-    # strip the color columns from the native layout
-    text = blob.decode()
-    for name in ("red", "green", "blue"):
-        text = text.replace(f"property double {name}\n", "")
-    lines = text.split("end_header\n")
-    head, body = lines[0] + "end_header\n", lines[1]
-    body = "\n".join(" ".join(row.split()[:11]) for row in body.strip().split("\n"))
+def test_ply_missing_color_property():
+    # the native rows with their color columns stripped
+    rows = [" ".join(row.split()[:11]) for row in _ASCII_ROWS]
     with pytest.raises(ScenePLYError, match="missing property 'red'"):
-        load_scene(head.encode() + body.encode())
+        load_scene(_ascii_ply(_PROPS[:11], rows))
 
 
 def test_ply_rejects_nan_field(rng):
@@ -330,14 +338,15 @@ def _signed_zero_scene(n, seed, zeros, objects):
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(st.integers(0, 20), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.3, 1.0]),
-       st.booleans(),
        st.dictionaries(st.text("abz_-", min_size=1, max_size=5),
                        st.lists(st.integers(0, 19), max_size=12), max_size=3))
-def test_ply_and_objects_json_round_trip_as_bytes(n, seed, zeros, ascii_format, objects):
-    """write_scene, read_scene, write_scene, in binary or ASCII PLY.
+@example(0, 0, 0.3, {"a": [1, 2]})                               # no gaussians, an emptied set
+@example(12, 1, 1.0, {"a": [0, 3, 3, 7], "b": [7, 3, 11], "z_": [19, 2]})   # every entry zero
+def test_ply_and_objects_json_round_trip_as_bytes(n, seed, zeros, objects):
+    """write_scene, read_scene, write_scene.
 
     The contract: every float comes back bit for bit, signed zeros included,
-    in either format, and the second PLY equals the first as bytes. Object
+    and the second PLY equals the first as bytes. Object
     index sets come back through np.unique: sorted and without repeats
     however they were given, as int64. So the second .objects.json is the
     first with each set normalized, and a further round trip changes nothing.
@@ -348,16 +357,14 @@ def test_ply_and_objects_json_round_trip_as_bytes(n, seed, zeros, ascii_format, 
     with tempfile.TemporaryDirectory() as tmp:
         paths = [Path(tmp, f"{k}.ply") for k in "abc"]
         sidecars = [p.with_suffix(".objects.json") for p in paths]
-        write_scene(paths[0], scene, ascii_format=ascii_format)
+        write_scene(paths[0], scene)
         back = read_scene(paths[0])
-        write_scene(paths[1], back, ascii_format=ascii_format)
-        write_scene(paths[2], read_scene(paths[1]), ascii_format=ascii_format)
+        write_scene(paths[1], back)
+        write_scene(paths[2], read_scene(paths[1]))
 
         assert paths[1].read_bytes() == paths[0].read_bytes()
         for name in ("means", "rotations", "scales", "colors", "opacities"):
             assert getattr(back, name).tobytes() == getattr(scene, name).tobytes(), name
-        # either format reads back what the other would have written
-        assert save_scene(back, not ascii_format) == save_scene(scene, not ascii_format)
 
         assert {k: (v.dtype, v.tolist()) for k, v in back.objects.items()} == \
             {k: (np.dtype(np.int64), v) for k, v in normalized.items()}
@@ -370,34 +377,3 @@ def test_ply_and_objects_json_round_trip_as_bytes(n, seed, zeros, ascii_format, 
         else:
             assert not any(p.exists() for p in sidecars)
 
-
-def test_align_to_world_identity(rng):
-    scene = random_scene(rng, 8)
-    pts = rng.uniform(-2, 2, size=(5, 3))
-    aligned, T = align_to_world(scene, [(p, p) for p in pts])
-    np.testing.assert_allclose(T.rotation_matrix(), np.eye(3), atol=1e-9)
-    np.testing.assert_allclose(T.translation, np.zeros(3), atol=1e-9)
-    np.testing.assert_allclose(aligned.means, scene.means, atol=1e-9)
-
-
-def test_align_to_world_maps_scene(rng):
-    scene = random_scene(rng, 10)
-    yaw = 0.8
-    T_true = RigidTransform(quat_from_yaw(yaw), np.array([1.0, -2.0, 0.5]))
-    src = rng.uniform(-3, 3, size=(6, 3))
-    aligned, T = align_to_world(scene, list(zip(src, T_true.apply(src))))
-    np.testing.assert_allclose(T.rotation_matrix(), T_true.rotation_matrix(), atol=1e-9)
-    np.testing.assert_allclose(aligned.means, T_true.apply(scene.means), atol=1e-9)
-    # rotations left-composed: check via matrices through the scipy oracle
-    want = Rotation.from_euler("z", yaw).as_matrix() @ scipy_rotation(scene.rotations[0]).as_matrix()
-    np.testing.assert_allclose(scipy_rotation(aligned.rotations[0]).as_matrix(), want, atol=1e-9)
-    np.testing.assert_array_equal(aligned.scales, scene.scales)
-
-
-def test_align_to_world_with_scale(rng):
-    scene = random_scene(rng, 4)
-    src = rng.uniform(-3, 3, size=(5, 3))
-    dst = 2.0 * src + np.array([0.0, 1.0, 0.0])
-    aligned, T = align_to_world(scene, list(zip(src, dst)), with_scale=True)
-    assert abs(T.scale - 2.0) < 1e-9
-    np.testing.assert_allclose(aligned.scales, 2.0 * scene.scales, atol=1e-12)

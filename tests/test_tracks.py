@@ -298,8 +298,8 @@ def test_reference_moving_gate_speeds():
 
 def test_track_from_layout():
     layout = [0.0, 1.0, 2.0, 0.3, 4.0, -1.0, 1.5, -0.2]
-    track = track_from_layout(layout, "quad", name="probe")
-    assert track.name == "probe" and track.platform == "quad"
+    track = track_from_layout(layout, "quad")
+    assert track.name == "layout" and track.platform == "quad"
     assert len(track.gates) == 2 and not any(g.moving for g in track.gates)
     np.testing.assert_array_equal(track.gates[0].pose_at(0)[0], [0.0, 1.0, 2.0])
     assert track.gates[0].pose_at(0)[1] == 0.3
