@@ -1,9 +1,10 @@
 """Vehicle dynamics: a kinematic fixed-wing model and a 12-state quadrotor.
 
 Both platforms sit behind the same stepping interface (state vector in,
-control vector in, fixed-dt RK4 step out) so the simulator can swap them, or
-any future platform, without changes. Steppers are pure and deterministic:
-identical inputs give bit-identical outputs.
+control vector in, fixed-dt RK4 step out as a tuple of state_dim Python
+floats, which the next step reads as it is) so the simulator can swap them,
+or any future platform, without changes. Steppers are pure and
+deterministic: identical inputs give bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -67,15 +68,21 @@ class UavDynamics:
         u_th = min(max(float(control[1]), -p.pitch_rate_max), p.pitch_rate_max)
         return u_psi, u_th
 
-    def step(self, state, control, dt: float | None = None) -> np.ndarray:
-        """One RK4 step, its four stages inline on floats. state and control
-        may be arrays or sequences of floats; they are unpacked as given. The
+    def step(self, state, control, dt: float | None = None) -> tuple:
+        """One RK4 step, its four stages inline on floats, returned as a tuple
+        of five floats. state and control may be arrays or sequences of
+        floats; arrays are read as lists of Python floats, whose arithmetic
+        is cheaper than that of numpy scalars and has the same bits. The
         rates read only yaw and pitch, so the stage positions are never
         formed; the pitch rate is zeroed while it pushes past the pin."""
         p = UavParams
         dt = p.dt if dt is None else dt
         if not 0.0 < dt <= 0.1:
             raise ValueError(f"uav dt must be in (0, 0.1], got {dt}")
+        if type(state) is np.ndarray:
+            state = state.tolist()
+        if type(control) is np.ndarray:
+            control = control.tolist()
         x, y, z, psi, th = state
         u_psi, u_th = control
         if not (isfinite(x) and isfinite(y) and isfinite(z) and isfinite(psi)
@@ -108,14 +115,12 @@ class UavDynamics:
 
         w = dt / 6.0
         th_new = th + w * (t1 + 2 * t2 + 2 * t3 + t4)
-        return np.array(
-            [
-                x + w * (x1 + 2 * x2 + 2 * x3 + x4),
-                y + w * (y1 + 2 * y2 + 2 * y3 + y4),
-                z + w * (z1 + 2 * z2 + 2 * z3 + z4),
-                wrap_angle(psi + w * (u_psi + 2 * u_psi + 2 * u_psi + u_psi)),
-                min(max(th_new, -th_max), th_max),
-            ]
+        return (
+            x + w * (x1 + 2 * x2 + 2 * x3 + x4),
+            y + w * (y1 + 2 * y2 + 2 * y3 + y4),
+            z + w * (z1 + 2 * z2 + 2 * z3 + z4),
+            wrap_angle(psi + w * (u_psi + 2 * u_psi + 2 * u_psi + u_psi)),
+            min(max(th_new, -th_max), th_max),
         )
 
 
@@ -204,13 +209,17 @@ class QuadDynamics:
                 (dpitch * cr + rb * cp * sr - qb) / tau_att,
                 (r_cmd - rb) / tau_att)
 
-    def step(self, state, control, dt: float | None = None) -> np.ndarray:
-        """One RK4 step on floats. state and control may be arrays or
-        sequences of floats; they are unpacked as given. The rates read no
-        position, so each stage moves only the other nine entries."""
+    def step(self, state, control, dt: float | None = None) -> tuple:
+        """One RK4 step on floats, returned as a tuple of twelve floats. state
+        and control may be arrays or sequences of floats; an array state is
+        read as a list of Python floats, and clamp_control makes the control
+        Python floats. The rates read no position, so each stage moves only
+        the other nine entries."""
         dt = QuadParams.dt if dt is None else dt
         if not 0.0 < dt <= 0.05:
             raise ValueError(f"quad dt must be in (0, 0.05], got {dt}")
+        if type(state) is np.ndarray:
+            state = state.tolist()
         if not all(map(isfinite, state)):
             raise _non_finite("quad state", state)
         if not all(map(isfinite, control)):
@@ -226,7 +235,7 @@ class QuadDynamics:
         w = dt / 6.0
         out = [a + w * (b + 2 * c + 2 * d + e) for a, b, c, d, e in zip(state, k1, k2, k3, k4)]
         out[8] = wrap_angle(out[8])
-        return np.array(out)
+        return tuple(out)
 
 
 PLATFORMS = {"uav": UavDynamics, "quad": QuadDynamics}

@@ -255,20 +255,24 @@ def _script_rotation(record) -> np.ndarray:
     return quat_from_axis_angle(record["axis"], float(record["angle"]))
 
 
-# the number fields of edit records; a NaN or inf in any of them would write
-# a scene that read_scene refuses
-_NUMBER_FIELDS = ("delta", "quaternion", "axis", "angle", "pivot", "factor", "offset", "rgb",
-                  "translation", "yaw")
+# the number fields of edit records and the shape each must have (a scale
+# factor is a scalar or a 3-vector, which scale checks); a NaN or inf in any
+# of them would write a scene that read_scene refuses
+_NUMBER_FIELDS = {"delta": (3,), "quaternion": (4,), "axis": (3,), "angle": (), "pivot": (3,),
+                  "factor": None, "offset": (3,), "rgb": (3,), "translation": (3,), "yaw": ()}
 
 
-def _check_finite(index: int, record) -> None:
-    for field in _NUMBER_FIELDS:
+def _check_numbers(index: int, record) -> None:
+    for field, shape in _NUMBER_FIELDS.items():
         if record.get(field) is None:
             continue
         try:
             values = np.asarray(record[field], dtype=np.float64)
         except (TypeError, ValueError):
             continue  # not numbers at all: the edit itself reports that
+        if shape is not None and values.shape != shape:
+            what = f"{shape[0]} numbers" if shape else "one number"
+            raise ValueError(f"edit record {index}: {field} must be {what}, got {record[field]}")
         if not np.isfinite(values).all():
             raise ValueError(f"edit record {index}: non-finite {field}: {record[field]}")
 
@@ -279,35 +283,46 @@ def apply_edit_script(scene: GaussianScene, ops, donor_loader=None) -> GaussianS
     A record's other keys are one of its op's forms in _RECORD_KEYS. 'add'
     resolves its donor through donor_loader(path); selections are
     object-id strings or {"box": [min, max]}. A record with an unknown op, a
-    missing or unread key, a malformed selection, or a NaN or inf in a
-    number field is refused with its index and the key's name.
+    missing or unread key, a malformed selection, or a number field of the
+    wrong shape or with a NaN or inf is refused with its index and the key's
+    name; a ValueError or KeyError from its edit is re-raised as a
+    ValueError with its index.
     """
     for index, record in enumerate(ops):
         _check_keys(index, record)
-        _check_finite(index, record)
-        op = record["op"]
+        _check_numbers(index, record)
         sel = _script_selection(index, record)
-        if op == "translate":
-            scene = translate(scene, sel, record["delta"])
-        elif op == "rotate":
-            scene = rotate(scene, sel, _script_rotation(record), record.get("pivot"))
-        elif op == "scale":
-            scene = scale(scene, sel, record["factor"], record.get("pivot"))
-        elif op == "duplicate":
-            scene, _ = duplicate(
-                scene, sel, record.get("offset", (0.0, 0.0, 0.0)), record.get("object_id")
-            )
-        elif op == "delete":
-            scene = delete(scene, sel)
-        elif op == "lighting":
-            scene = lighting(scene, sel, record["mode"], record["rgb"])
-        elif op == "add":
-            if donor_loader is None:
-                raise ValueError("edit script uses 'add' but no donor loader was given")
-            donor = donor_loader(record["scene"])
-            pose = RigidTransform(
-                quat_from_yaw(float(record.get("yaw", 0.0))),
-                np.asarray(record.get("translation", (0.0, 0.0, 0.0)), dtype=np.float64),
-            )
-            scene, _ = add(scene, donor, sel, pose, record.get("object_id"))
+        try:
+            scene = _apply_record(scene, record, sel, donor_loader)
+        except (ValueError, KeyError) as e:
+            # the plain text of a KeyError, whose str() is its message's repr
+            message = e.args[0] if isinstance(e, KeyError) and e.args else e
+            raise ValueError(f"edit record {index}: {message}") from e
     return scene
+
+
+def _apply_record(scene: GaussianScene, record, sel, donor_loader) -> GaussianScene:
+    """The scene after one checked edit record whose selection is sel."""
+    op = record["op"]
+    if op == "translate":
+        return translate(scene, sel, record["delta"])
+    if op == "rotate":
+        return rotate(scene, sel, _script_rotation(record), record.get("pivot"))
+    if op == "scale":
+        return scale(scene, sel, record["factor"], record.get("pivot"))
+    if op == "duplicate":
+        return duplicate(scene, sel, record.get("offset", (0.0, 0.0, 0.0)),
+                         record.get("object_id"))[0]
+    if op == "delete":
+        return delete(scene, sel)
+    if op == "lighting":
+        return lighting(scene, sel, record["mode"], record["rgb"])
+    # "add", the one op left in _RECORD_KEYS
+    if donor_loader is None:
+        raise ValueError("edit script uses 'add' but no donor loader was given")
+    donor = donor_loader(record["scene"])
+    pose = RigidTransform(
+        quat_from_yaw(float(record.get("yaw", 0.0))),
+        np.asarray(record.get("translation", (0.0, 0.0, 0.0)), dtype=np.float64),
+    )
+    return add(scene, donor, sel, pose, record.get("object_id"))[0]

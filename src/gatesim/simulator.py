@@ -156,6 +156,12 @@ def vehicle_camera_pose(dynamics, state: np.ndarray):
     return camera_pose(dynamics.position(state), dynamics.yaw(state), pitch)
 
 
+def _static_plane(gate: Gate):
+    """A static gate's (cx, cy, cz, nx, ny, nz) floats, read once per target;
+    None for a moving gate, whose plane is read at each step's time."""
+    return None if gate.moving else gate.frame_plane_at(0.0)[1]
+
+
 def _observe(policy, dynamics, track, t, state, target, history):
     if policy.observes == "mask":
         pose = vehicle_camera_pose(dynamics, state)
@@ -182,14 +188,16 @@ def rollout(
     returned; target is len(track.gates) after a missed last gate. The loop
     never mutates these arrays afterwards, and the observer must not either.
 
-    The loop copies nothing per dynamics step: the steppers return fresh
-    state arrays, and each tick's control is copied once from what the policy
-    returned, so the recorded trajectory can share them. The stepper reads
-    Python floats: the tick's control as one list, and each state as the one
-    list taken from it after the step, whose position also serves the arena
-    test and the gate side (geometry.plane_offset on the target's
-    frame_plane_at floats); position arrays are built only to resolve a
-    crossing.
+    The loop builds no array per dynamics step. Each step takes the tuple of
+    Python floats the step before returned, with the tick's control as one
+    list of floats, and the recorded trajectory appends that tuple; each
+    tick's control is copied once from what the policy returned, so the
+    recorded trajectory can share it. The new position serves the arena
+    test and the gate side (geometry.plane_offset on the target's center and
+    normal floats, read once per target for a static gate and at each step
+    for a moving one). Arrays are built only where they are read: the state
+    once per tick for the observation and the observer, the two positions
+    at a crossing, and Rollout.states at the end.
     """
     if policy.platform not in ("any", track.platform):
         raise ValueError(
@@ -205,7 +213,7 @@ def rollout(
         pos, yaw = track.initial_pose()
         state = dynamics.initial_state(pos, yaw)
     else:
-        state = np.asarray(init_state, dtype=np.float64).copy()
+        state = np.asarray(init_state, dtype=np.float64)
         if state.shape != (dynamics.state_dim,):
             raise ValueError(
                 f"init_state for a {track.platform!r} track must have shape "
@@ -221,8 +229,9 @@ def rollout(
     keep_history = observer is not None or policy.observes == "mask"
     history = np.zeros((HISTORY_LEN, dynamics.control_dim))
     record = config.record_trajectory
+    floats = state.tolist()
     times = [0.0]
-    states = [state]
+    states = [floats]
     controls = []
     t = 0.0
     target = 0
@@ -230,10 +239,11 @@ def rollout(
     # signed distance of the position to the target's plane: one step's end
     # distance is the next step's start distance, so each step computes one,
     # and detect_crossing runs only on a sign change it will confirm
-    d0 = signed_gate_distance(gates[0], t, state[:3])
-    floats = state.tolist()
+    d0 = signed_gate_distance(gates[0], t, floats[:3])
+    plane = _static_plane(gates[0])
 
     while terminal is None:
+        state = np.array(floats)
         obs = _observe(policy, dynamics, track, t, state, target, history)
         control = np.array(policy.evaluate(obs), dtype=np.float64)
         if observer is not None:
@@ -243,16 +253,15 @@ def rollout(
         u = control.tolist()
 
         for _ in range(n_steps):
-            prev, state = state, dynamics.step(floats, u, dt)
+            prev, floats = floats, dynamics.step(floats, u, dt)
             t_new = t + dt
-            floats = state.tolist()
             x, y, z = floats[0], floats[1], floats[2]
 
             if target < n_gates:
-                d1 = plane_offset(gates[target].frame_plane_at(t_new)[1], x, y, z)
+                d1 = plane_offset(plane or gates[target].frame_plane_at(t_new)[1], x, y, z)
                 # the same transition can cross several coincident gate planes
                 while d0 < 0.0 <= d1:
-                    p0, p1 = dynamics.position(prev), dynamics.position(state)
+                    p0, p1 = np.array(prev[:3]), np.array(floats[:3])
                     t_cross, p_prime, error = detect_crossing(gates[target], t, p0, t_new, p1)
                     outcome = classify_crossing(error, gates[target], track.vehicle_half_width)
                     records[target] = GateRecord(target, outcome, True, t_cross, p_prime, error)
@@ -264,6 +273,7 @@ def rollout(
                         if outcome == SUCCESS:
                             terminal = SUCCESS
                         break
+                    plane = _static_plane(gates[target])
                     d0 = signed_gate_distance(gates[target], t, p0)
                     d1 = signed_gate_distance(gates[target], t_new, p1)
                 d0 = d1
@@ -271,7 +281,7 @@ def rollout(
             t = t_new
             if record:
                 times.append(t)
-                states.append(state)
+                states.append(floats)
                 controls.append(control)
             # Arena.contains on the same floats: inside the closed box, and
             # False for a NaN coordinate

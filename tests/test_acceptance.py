@@ -278,7 +278,7 @@ def test_uav_constant_turn_circle_and_rk4_order(capsys):
         s = dyn.initial_state((0.0, 0.0, 2.0), yaw=0.0)
         for _ in range(round(2.0 / h)):
             s = dyn.step(s, (0.5, 0.15), h)
-        return s
+        return np.asarray(s)
 
     ref = endpoint(0.003125)
     e1 = float(np.linalg.norm(endpoint(0.05) - ref))

@@ -766,7 +766,13 @@ def test_edit_scene_refuses_a_scene_that_overflows(tmp_path, capsys, record):
      "got {'box': [[0, 0, 0]]}"),
     ({"op": "translate", "selection": "gate_1", "delta": [1, 0, 0], "pivto": 3},
      "translate does not read 'pivto'; it reads selection, delta"),
-], ids=["no-selection", "short-box", "unread-key"])
+    # a well-formed record whose edit fails is named too, by the plain text of
+    # a KeyError and by the key of a vector of the wrong length
+    ({"op": "translate", "selection": "gate_9", "delta": [1, 0, 0]},
+     "unknown object id: 'gate_9'"),
+    ({"op": "translate", "selection": "gate_1", "delta": [1, 0]},
+     "delta must be 3 numbers, got [1, 0]"),
+], ids=["no-selection", "short-box", "unread-key", "unknown-object", "short-delta"])
 def test_edit_scene_refuses_a_malformed_record(tmp_path, capsys, record, message):
     # these once died with a traceback (exit 1) or were applied (exit 0)
     write_scene(tmp_path / "scene.ply", track_splats(reference_track("uav-slalom")))

@@ -185,7 +185,7 @@ def test_quad_position_integrates_velocity():
         s = dyn.initial_state((0.0, 0.0, 1.0), yaw=0.0)
         for _ in range(round(2.0 / dt)):
             s = dyn.step(s, (1.0, 0.5, -0.2, 0.4), dt)
-        return s
+        return np.asarray(s)
 
     ref = endpoint(0.000625)
     err_c = float(np.linalg.norm(endpoint(0.01)[:6] - ref[:6]))
@@ -239,11 +239,18 @@ def test_step_reads_arrays_lists_and_tuples_alike(platform, data):
     value = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-6.0, 6.0))
     state = data.draw(st.lists(value, min_size=dyn.state_dim, max_size=dyn.state_dim))
     control = data.draw(st.lists(value, min_size=dyn.control_dim, max_size=dyn.control_dim))
-    want = dyn.step(np.array(state), np.array(control)).tobytes()
+    want = np.asarray(dyn.step(np.array(state), np.array(control))).tobytes()
     for as_state in (np.array, list, tuple):
         for as_control in (np.array, list, tuple):
             got = dyn.step(as_state(state), as_control(control))
-            assert type(got) is np.ndarray and got.tobytes() == want
+            assert type(got) is tuple and all(type(v) is float for v in got)
+            assert np.asarray(got).tobytes() == want
+    # a step reads the tuple the step before returned as it would the array
+    chained, stepped = tuple(state), np.array(state)
+    for _ in range(3):
+        chained = dyn.step(chained, control)
+        stepped = np.array(dyn.step(stepped, np.array(control)))
+    assert np.asarray(chained).tobytes() == stepped.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +352,7 @@ def test_fused_uav_step_matches_stage_function_rk4(data):
     control = [data.draw(_edge_floats(-5.0, 5.0, [ym, -ym, 0.0, 4.0, -4.0])),
                data.draw(_edge_floats(-5.0, 5.0, [pm, -pm, 0.0, -0.0, 3.0, -3.0]))]
     dt = data.draw(_edge_floats(1e-9, 0.1, [0.1, math.nextafter(0.0, 1.0), 1e-6, p.dt]))
-    got = dyn.step(np.array(state), np.array(control), dt)
+    got = np.asarray(dyn.step(np.array(state), np.array(control), dt))
     want = _uav_reference_step(dyn, state, control, dt)
     assert got.tobytes() == want.tobytes()
 
@@ -366,6 +373,6 @@ def test_fused_quad_step_matches_stage_function_rk4(data):
                for _ in range(3)]
     control.append(data.draw(_edge_floats(-4.0, 4.0, [p.yaw_rate_max, -p.yaw_rate_max, 3.0])))
     dt = data.draw(_edge_floats(1e-9, 0.05, [0.05, math.nextafter(0.0, 1.0), 1e-6, p.dt]))
-    got = dyn.step(np.array(state), np.array(control), dt)
+    got = np.asarray(dyn.step(np.array(state), np.array(control), dt))
     want = _quad_reference_step(dyn, state, control, dt)
     assert got.tobytes() == want.tobytes()

@@ -365,6 +365,13 @@ _BOX = {"box": [[-9.0, -9.0, -9.0], [9.0, 9.0, 9.0]]}
     ({"op": "delete", "selection": {"box": [[0, 0, 0], [1, 1]]}}, "selection must be an object"),
     ({"op": "delete", "selection": {**_BOX, "pad": 1}}, "selection must be an object id or"),
     ({"op": "add", "scene": "donor.ply", "selection": [0, 1]}, "selection must be an object"),
+    # number fields of the wrong shape, and a failure inside a well-formed edit
+    ({"op": "rotate", "selection": "a", "quaternion": [1, 0, 0]},
+     "quaternion must be 4 numbers, got [1, 0, 0]"),
+    ({"op": "rotate", "selection": "a", "axis": [0, 0, 1], "angle": [0.1]},
+     "angle must be one number, got [0.1]"),
+    ({"op": "delete", "selection": "b"}, "unknown object id: 'b'"),
+    ({"op": "scale", "selection": "a", "factor": -1.0}, "scale factors must be > 0, got -1.0"),
 ])
 def test_apply_edit_script_refuses_a_malformed_record(rng, record, message):
     # a well-formed record (a box selection) passes; the next is refused by its index

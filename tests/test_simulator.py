@@ -281,6 +281,39 @@ def test_rollout_calls_detect_crossing_only_for_crossings():
         assert [h[0] for h in hits] == [g.t_cross for g in roll.gates if g.crossed]
 
 
+@pytest.mark.parametrize("policy, track, init_state, terminal", [
+    (expert_policy("uav"), reference_track("uav-slalom"), None, SUCCESS),
+    (expert_policy("quad"), reference_track("quad-turn"), None, SUCCESS),
+    (expert_policy("quad"), reference_track("quad-drift"), None, SUCCESS),
+    (ZeroPolicy("uav"), _track([(8.0, 0.0, 2.0)]), [0.0, 0.0, 2.0, math.pi, 0.0], ARENA_EXIT),
+    (ZeroPolicy("uav"), _track([(0.0, -1.0, 2.0), (8.0, 0.0, 2.0)]),
+     [-6.0, 0.0, 2.0, 0.0, 0.0], FRAME_COLLISION),
+], ids=["uav-static", "quad-static", "quad-moving-gate", "arena-exit", "ring-strike"])
+@pytest.mark.parametrize("tick_hz", [50.0, 10.0])
+def test_rollout_steps_once_per_simulated_step_and_evaluates_once_per_tick(
+        policy, track, init_state, terminal, tick_hz):
+    # perfbench derives both counts from the duration (SimStats.add_rollout)
+    # and requires its dynamics.step and evaluate spans to equal them
+    counts = {"steps": 0, "ticks": 0}
+
+    def counted(name, method):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return method(*args, **kwargs)
+        return wrapper
+
+    dyn = platform_dynamics(track.platform)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(type(dyn), "step", counted("steps", type(dyn).step))
+        mp.setattr(type(policy), "evaluate", counted("ticks", type(policy).evaluate))
+        roll = rollout(policy, track, SimConfig(tick_hz=tick_hz), init_state=init_state)
+    dt = dyn.params.dt
+    steps = round(roll.duration / dt)
+    assert roll.terminal == terminal
+    assert counts["steps"] == steps == len(roll.times) - 1
+    assert counts["ticks"] == math.ceil(steps / steps_per_tick(tick_hz, dt))
+
+
 CROSSING_PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
 
