@@ -4,6 +4,7 @@ output formats."""
 import csv
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from conftest import step_ulps
 from gatesim import simulator
 from gatesim.dynamics import platform_dynamics
-from gatesim.geometry import plane_offset
+from gatesim.geometry import plane_offset, wrap_angle
 from gatesim.policies import ExpertUavPolicy, MaskCentroidPolicy, Policy, ZeroPolicy, expert_policy
 from gatesim.simulator import (
     ARENA_EXIT,
@@ -35,7 +36,14 @@ from gatesim.simulator import (
     steps_per_tick,
     trajectory_csv,
 )
-from gatesim.tracks import ARENAS, GATE_GEOMETRY, Gate, Track, reference_track
+from gatesim.tracks import (
+    ARENAS,
+    GATE_GEOMETRY,
+    Gate,
+    Track,
+    reference_track,
+    reference_track_names,
+)
 
 
 def _gate(center, yaw=0.0, platform="uav", keyframes=None):
@@ -566,6 +574,90 @@ def test_observer_targets_follow_the_gate_records():
     crossings = [g.t_cross for g in observed.gates if g.crossed]
     for t, _, target, _, _ in ticks:
         assert target == sum(1 for tc in crossings if tc <= t)
+
+
+# ---------------------------------------------------------------------------
+# the mirror oracle: reflecting a track across the xz-plane reflects its
+# closed loop
+# ---------------------------------------------------------------------------
+
+# the state entries that change sign under the reflection y -> -y: y, and
+# every angle, rate and velocity about the x or z axis or along y
+_MIRRORED_STATE = {"uav": [1, 3], "quad": [1, 4, 6, 8, 9, 11]}
+_MIRRORED_CONTROL = {"uav": [0], "quad": [1, 3]}
+_YAW = {"uav": 3, "quad": 8}
+# fixed before the first comparison was made, not fitted to it
+MIRROR_TOL = 1e-9
+
+
+def _mirror_track(track):
+    """The track reflected across the xz-plane: each keyframe's center y and
+    yaw negated, moving gates' schedules included; the arenas are symmetric
+    in y."""
+    gates = tuple(replace(g, keyframes=tuple((t, np.asarray(c) * (1.0, -1.0, 1.0), -yaw)
+                                             for t, c, yaw in g.keyframes))
+                  for g in track.gates)
+    return replace(track, gates=gates)
+
+
+def _mirror(values, columns):
+    out = np.array(values, dtype=np.float64)
+    out[..., columns] *= -1.0
+    return out
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(reference_track_names()),
+       st.lists(st.floats(-1.0, 1.0), min_size=12, max_size=12))
+@example("uav-slalom", None)
+@example("uav-shift", None)
+@example("uav-scatter", None)
+@example("quad-turn", None)
+@example("quad-scatter", None)
+@example("quad-drift", None)
+# finds of the search: a missed first gate, ring strikes on both platforms,
+# and the largest state difference on each platform (2.3e-14 and 3.1e-15)
+@example("uav-slalom", [0.08, 0.0, 0.0, 0.97, -0.939] + [0.0] * 7)
+@example("uav-shift", [0.258, 0.0, -1.0, 0.871, 0.051] + [0.0] * 7)
+@example("uav-scatter", [-0.2084471896486073, -0.14693816808036853, -0.5769714758964216, 0.0,
+                         0.7783923980193332] + [0.0] * 7)
+@example("quad-turn", [0.982, 0.0, 0.0, 0.209, -0.853, -0.23, -0.245, 0.0, 0.5, 0.09, 0.0, 0.0])
+@example("quad-scatter", [-0.561, 0.0, -0.637, -0.733, -0.561, -0.733, -0.637, 0.0, -0.637,
+                          -0.637, 0.301, -0.862])
+def test_mirrored_track_mirrors_the_rollout(name, offsets):
+    # offsets move every entry of the start state off the track's start pose
+    # (None keeps the pose), so the quad also starts with a velocity, a tilt
+    # and body rates; the expert flies both tracks
+    track = reference_track(name)
+    platform = track.platform
+    mirror = _mirror_track(track)
+    if offsets is None:
+        start = mirrored_start = None
+    else:
+        dyn = platform_dynamics(platform)
+        start = dyn.initial_state(*track.initial_pose()) + offsets[:dyn.state_dim]
+        mirrored_start = _mirror(start, _MIRRORED_STATE[platform])
+    a = rollout(expert_policy(platform), track, init_state=start)
+    b = rollout(expert_policy(platform), mirror, init_state=mirrored_start)
+
+    assert b.terminal == a.terminal
+    assert [g.outcome for g in b.gates] == [g.outcome for g in a.gates]
+    assert [g.crossed for g in b.gates] == [g.crossed for g in a.gates]
+    assert len(b.times) == len(a.times)
+    np.testing.assert_array_equal(b.times, a.times)
+    diff = b.states - _mirror(a.states, _MIRRORED_STATE[platform])
+    # wrap_angle maps both -pi and pi to pi, so yaws are compared on the circle
+    yaw = _YAW[platform]
+    diff[:, yaw] = [wrap_angle(d) for d in diff[:, yaw].tolist()]
+    assert np.abs(diff).max() <= MIRROR_TOL
+    np.testing.assert_allclose(b.controls, _mirror(a.controls, _MIRRORED_CONTROL[platform]),
+                               rtol=0.0, atol=MIRROR_TOL)
+    for g, h in zip(a.gates, b.gates):
+        if g.crossed:
+            assert abs(h.t_cross - g.t_cross) <= MIRROR_TOL
+            assert abs(h.error - g.error) <= MIRROR_TOL
+            np.testing.assert_allclose(h.point, _mirror(g.point, [1]), rtol=0.0,
+                                       atol=MIRROR_TOL)
 
 
 # ---------------------------------------------------------------------------
