@@ -10,7 +10,7 @@ deterministic: identical inputs give bit-identical outputs.
 from __future__ import annotations
 
 import math
-from math import isfinite
+from math import cos, isfinite, sin
 
 import numpy as np
 
@@ -33,6 +33,11 @@ class UavParams:
     yaw_rate_max = 1.5     # rad/s
     pitch_rate_max = 1.0   # rad/s
     dt = 0.02              # s
+
+
+# the constants the uav step reads, read from UavParams once
+_SPEED, _THETA_MAX = UavParams.speed, UavParams.theta_max
+_YAW_RATE_MAX, _PITCH_RATE_MAX = UavParams.yaw_rate_max, UavParams.pitch_rate_max
 
 
 class UavDynamics:
@@ -63,20 +68,26 @@ class UavDynamics:
 
     def clamp_control(self, control) -> tuple[float, float]:
         """The saturated rate commands; step applies the same clamp inline."""
-        p = UavParams
-        u_psi = min(max(float(control[0]), -p.yaw_rate_max), p.yaw_rate_max)
-        u_th = min(max(float(control[1]), -p.pitch_rate_max), p.pitch_rate_max)
-        return u_psi, u_th
+        u_psi, u_th = float(control[0]), float(control[1])
+        ym, pm = _YAW_RATE_MAX, _PITCH_RATE_MAX
+        return (-ym if u_psi < -ym else (ym if u_psi > ym else u_psi),
+                -pm if u_th < -pm else (pm if u_th > pm else u_th))
 
     def step(self, state, control, dt: float | None = None) -> tuple:
         """One RK4 step, its four stages inline on floats, returned as a tuple
         of five floats. state and control may be arrays or sequences of
         floats; arrays are read as lists of Python floats, whose arithmetic
-        is cheaper than that of numpy scalars and has the same bits. The
-        rates read only yaw and pitch, so the stage positions are never
-        formed; the pitch rate is zeroed while it pushes past the pin."""
-        p = UavParams
-        dt = p.dt if dt is None else dt
+        is cheaper than that of numpy scalars and has the same bits.
+
+        Each vector is checked with one sum: a finite sum means every entry
+        is finite, and only a non-finite sum (a NaN or inf entry, or finite
+        entries whose sum overflows) goes on to the per-entry test. Each clamp
+        is two comparisons, which give the value min(max(x, -b), b) gives,
+        -0.0 included. The rates read only yaw and pitch, so the stage
+        positions are never formed; the pitch rate is zeroed while it pushes
+        past the pin. When stage 2 has stage 1's pin state, its pitch rate is
+        stage 1's float, so stage 3 moves pitch as stage 2 did and is stage 2."""
+        dt = UavParams.dt if dt is None else dt
         if not 0.0 < dt <= 0.1:
             raise ValueError(f"uav dt must be in (0, 0.1], got {dt}")
         if type(state) is np.ndarray:
@@ -85,33 +96,39 @@ class UavDynamics:
             control = control.tolist()
         x, y, z, psi, th = state
         u_psi, u_th = control
-        if not (isfinite(x) and isfinite(y) and isfinite(z) and isfinite(psi)
-                and isfinite(th)):
+        if not isfinite(x + y + z + psi + th) and not (
+                isfinite(x) and isfinite(y) and isfinite(z) and isfinite(psi) and isfinite(th)):
             raise _non_finite("uav state", state)
-        if not (isfinite(u_psi) and isfinite(u_th)):
+        if not isfinite(u_psi + u_th) and not (isfinite(u_psi) and isfinite(u_th)):
             raise _non_finite("uav control", control)
-        u_psi = min(max(u_psi, -p.yaw_rate_max), p.yaw_rate_max)
-        u_th = min(max(u_th, -p.pitch_rate_max), p.pitch_rate_max)
-        v, th_max = p.speed, p.theta_max
+        ym, pm, th_max, v = _YAW_RATE_MAX, _PITCH_RATE_MAX, _THETA_MAX, _SPEED
+        u_psi = -ym if u_psi < -ym else (ym if u_psi > ym else u_psi)
+        u_th = -pm if u_th < -pm else (pm if u_th > pm else u_th)
+        up, down = u_th > 0.0, u_th < 0.0
         h = dt / 2.0
 
-        cth = math.cos(th)
-        x1, y1, z1 = v * math.cos(psi) * cth, v * math.sin(psi) * cth, v * math.sin(th)
-        t1 = 0.0 if (th >= th_max and u_th > 0.0) or (th <= -th_max and u_th < 0.0) else u_th
+        cth = cos(th)
+        x1, y1, z1 = v * cos(psi) * cth, v * sin(psi) * cth, v * sin(th)
+        pin1 = (th >= th_max and up) or (th <= -th_max and down)
+        t1 = 0.0 if pin1 else u_th
         # the yaw rate is constant, so stages 2 and 3 share their yaw
         psi2, th2 = psi + h * u_psi, th + h * t1
-        cpsi, spsi = math.cos(psi2), math.sin(psi2)
-        cth = math.cos(th2)
-        x2, y2, z2 = v * cpsi * cth, v * spsi * cth, v * math.sin(th2)
-        t2 = 0.0 if (th2 >= th_max and u_th > 0.0) or (th2 <= -th_max and u_th < 0.0) else u_th
-        th3 = th + h * t2
-        cth = math.cos(th3)
-        x3, y3, z3 = v * cpsi * cth, v * spsi * cth, v * math.sin(th3)
-        t3 = 0.0 if (th3 >= th_max and u_th > 0.0) or (th3 <= -th_max and u_th < 0.0) else u_th
+        cpsi, spsi = cos(psi2), sin(psi2)
+        cth = cos(th2)
+        x2, y2, z2 = v * cpsi * cth, v * spsi * cth, v * sin(th2)
+        pin2 = (th2 >= th_max and up) or (th2 <= -th_max and down)
+        t2 = 0.0 if pin2 else u_th
+        if pin2 == pin1:
+            x3, y3, z3, t3 = x2, y2, z2, t2
+        else:
+            th3 = th + h * t2
+            cth = cos(th3)
+            x3, y3, z3 = v * cpsi * cth, v * spsi * cth, v * sin(th3)
+            t3 = 0.0 if (th3 >= th_max and up) or (th3 <= -th_max and down) else u_th
         psi4, th4 = psi + dt * u_psi, th + dt * t3
-        cth = math.cos(th4)
-        x4, y4, z4 = v * math.cos(psi4) * cth, v * math.sin(psi4) * cth, v * math.sin(th4)
-        t4 = 0.0 if (th4 >= th_max and u_th > 0.0) or (th4 <= -th_max and u_th < 0.0) else u_th
+        cth = cos(th4)
+        x4, y4, z4 = v * cos(psi4) * cth, v * sin(psi4) * cth, v * sin(th4)
+        t4 = 0.0 if (th4 >= th_max and up) or (th4 <= -th_max and down) else u_th
 
         w = dt / 6.0
         th_new = th + w * (t1 + 2 * t2 + 2 * t3 + t4)
@@ -120,7 +137,7 @@ class UavDynamics:
             y + w * (y1 + 2 * y2 + 2 * y3 + y4),
             z + w * (z1 + 2 * z2 + 2 * z3 + z4),
             wrap_angle(psi + w * (u_psi + 2 * u_psi + 2 * u_psi + u_psi)),
-            min(max(th_new, -th_max), th_max),
+            -th_max if th_new < -th_max else (th_max if th_new > th_max else th_new),
         )
 
 
@@ -134,6 +151,11 @@ class QuadParams:
     v_cmd_max = 2.0        # m/s, command norm limit
     yaw_rate_max = 1.5     # rad/s
     dt = 0.01              # s
+
+
+# the constants the quad step reads, read from QuadParams once
+_TAU_V, _TAU_ATT, _TILT_MAX = QuadParams.tau_v, QuadParams.tau_att, QuadParams.tilt_max
+_V_CMD_MAX, _QUAD_YAW_RATE_MAX = QuadParams.v_cmd_max, QuadParams.yaw_rate_max
 
 
 class QuadDynamics:
@@ -167,14 +189,15 @@ class QuadDynamics:
         return float(state[8])
 
     def clamp_control(self, control):
-        """The command with its velocity norm and yaw rate saturated."""
-        p = QuadParams
-        vx, vy, vz, r = (float(v) for v in control)
+        """The command with its velocity norm and yaw rate saturated; step
+        applies the same clamp inline."""
+        vx, vy, vz, r = map(float, control)
         norm = math.sqrt(vx * vx + vy * vy + vz * vz)
-        if norm > p.v_cmd_max:
-            k = p.v_cmd_max / norm
+        if norm > _V_CMD_MAX:
+            k = _V_CMD_MAX / norm
             vx, vy, vz = vx * k, vy * k, vz * k
-        return vx, vy, vz, min(max(r, -p.yaw_rate_max), p.yaw_rate_max)
+        ym = _QUAD_YAW_RATE_MAX
+        return vx, vy, vz, -ym if r < -ym else (ym if r > ym else r)
 
     @staticmethod
     def _rates(s, k, h, vx_c, vy_c, vz_c, r_cmd) -> tuple:
@@ -192,18 +215,19 @@ class QuadDynamics:
             vx, vy, vz = vx + h * kvx, vy + h * kvy, vz + h * kvz
             roll, pitch, yaw = roll + h * kroll, pitch + h * kpitch, yaw + h * kyaw
             pb, qb, rb = pb + h * kp, qb + h * kq, rb + h * kr
-        p = QuadParams
-        tau_v, tau_att, tilt = p.tau_v, p.tau_att, p.tilt_max
-        cy, sy = math.cos(yaw), math.sin(yaw)
+        tau_v, tau_att, tilt = _TAU_V, _TAU_ATT, _TILT_MAX
+        cy, sy = cos(yaw), sin(yaw)
         ax = (cy * vx_c - sy * vy_c - vx) / tau_v
         ay = (sy * vx_c + cy * vy_c - vy) / tau_v
         az = (vz_c - vz) / tau_v
-        pitch_des = min(max((ax * cy + ay * sy) / GRAVITY, -tilt), tilt)
-        roll_des = min(max((ax * sy - ay * cy) / GRAVITY, -tilt), tilt)
+        pitch_des = (ax * cy + ay * sy) / GRAVITY
+        pitch_des = -tilt if pitch_des < -tilt else (tilt if pitch_des > tilt else pitch_des)
+        roll_des = (ax * sy - ay * cy) / GRAVITY
+        roll_des = -tilt if roll_des < -tilt else (tilt if roll_des > tilt else roll_des)
         droll = (roll_des - roll) / tau_att
         dpitch = (pitch_des - pitch) / tau_att
-        sr, cr = math.sin(roll), math.cos(roll)
-        sp, cp = math.sin(pitch), math.cos(pitch)
+        sr, cr = sin(roll), cos(roll)
+        sp, cp = sin(pitch), cos(pitch)
         return (vx, vy, vz, ax, ay, az, droll, dpitch, rb,
                 (droll - rb * sp - pb) / tau_att,
                 (dpitch * cr + rb * cp * sr - qb) / tau_att,
@@ -211,21 +235,31 @@ class QuadDynamics:
 
     def step(self, state, control, dt: float | None = None) -> tuple:
         """One RK4 step on floats, returned as a tuple of twelve floats. state
-        and control may be arrays or sequences of floats; an array state is
-        read as a list of Python floats, and clamp_control makes the control
-        Python floats. The rates read no position, so each stage moves only
-        the other nine entries."""
+        and control may be arrays or sequences of floats; arrays are read as
+        lists of Python floats, and the control's entries are made Python
+        floats as clamp_control makes them. Each vector is checked with one
+        sum and, only when that sum is not finite, entry by entry, as the uav
+        step checks; the clamps are clamp_control's, inline. The rates read no
+        position, so each stage moves only the other nine entries."""
         dt = QuadParams.dt if dt is None else dt
         if not 0.0 < dt <= 0.05:
             raise ValueError(f"quad dt must be in (0, 0.05], got {dt}")
         if type(state) is np.ndarray:
             state = state.tolist()
-        if not all(map(isfinite, state)):
+        if type(control) is np.ndarray:
+            control = control.tolist()
+        if not isfinite(sum(state)) and not all(map(isfinite, state)):
             raise _non_finite("quad state", state)
-        if not all(map(isfinite, control)):
+        if not isfinite(sum(control)) and not all(map(isfinite, control)):
             raise _non_finite("quad control", control)
         _, _, _, *s = state
-        vx_c, vy_c, vz_c, r_c = self.clamp_control(control)
+        vx_c, vy_c, vz_c, r_c = map(float, control)
+        norm = math.sqrt(vx_c * vx_c + vy_c * vy_c + vz_c * vz_c)
+        if norm > _V_CMD_MAX:
+            k = _V_CMD_MAX / norm
+            vx_c, vy_c, vz_c = vx_c * k, vy_c * k, vz_c * k
+        ym = _QUAD_YAW_RATE_MAX
+        r_c = -ym if r_c < -ym else (ym if r_c > ym else r_c)
         rates = self._rates
         h = dt / 2.0
         k1 = rates(s, None, h, vx_c, vy_c, vz_c, r_c)

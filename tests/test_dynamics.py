@@ -4,13 +4,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gatesim.dynamics import (
     GRAVITY,
     QuadDynamics,
+    QuadParams,
     UavDynamics,
+    UavParams,
     platform_dynamics,
 )
 from gatesim.geometry import wrap_angle
@@ -337,42 +339,92 @@ def _edge_floats(lo, hi, edges):
     return st.one_of(st.sampled_from(edges), st.floats(lo, hi))
 
 
+_TM, _YM, _PM = UavParams.theta_max, UavParams.yaw_rate_max, UavParams.pitch_rate_max
+_TM_IN = math.nextafter(_TM, 0.0)
+
+
 @settings(max_examples=250, deadline=None, derandomize=True, database=None)
-@given(st.data())
-def test_fused_uav_step_matches_stage_function_rk4(data):
-    dyn = UavDynamics()
-    p = dyn.params
-    tm, ym, pm = p.theta_max, p.yaw_rate_max, p.pitch_rate_max
-    state = [data.draw(st.floats(-50.0, 50.0)) for _ in range(3)]
-    state.append(data.draw(_edge_floats(-math.pi, math.pi, [-math.pi, math.pi, 0.0, -0.0])))
-    # pitch at the pin, just inside it, and past it (the clamp pulls it back)
-    state.append(data.draw(_edge_floats(-0.5, 0.5, [tm, -tm, math.nextafter(tm, 0.0),
-                                                    math.nextafter(-tm, 0.0), 0.0, -0.0])))
+@given(
+    st.tuples(*[st.floats(-50.0, 50.0)] * 3,
+              _edge_floats(-math.pi, math.pi, [-math.pi, math.pi, 0.0, -0.0]),
+              # pitch at the pin, just inside it, and past it (the clamp pulls it back)
+              _edge_floats(-0.5, 0.5, [_TM, -_TM, _TM_IN, -_TM_IN, 0.0, -0.0])),
     # rates inside, at and beyond saturation, both signs: outward and inward at a pin
-    control = [data.draw(_edge_floats(-5.0, 5.0, [ym, -ym, 0.0, 4.0, -4.0])),
-               data.draw(_edge_floats(-5.0, 5.0, [pm, -pm, 0.0, -0.0, 3.0, -3.0]))]
-    dt = data.draw(_edge_floats(1e-9, 0.1, [0.1, math.nextafter(0.0, 1.0), 1e-6, p.dt]))
+    st.tuples(_edge_floats(-5.0, 5.0, [_YM, -_YM, 0.0, 4.0, -4.0]),
+              _edge_floats(-5.0, 5.0, [_PM, -_PM, 0.0, -0.0, 3.0, -3.0])),
+    _edge_floats(1e-9, 0.1, [0.1, math.nextafter(0.0, 1.0), 1e-6, UavParams.dt]),
+)
+# the shared stage's edges: pitch at the pin and one ulp inside it, with an
+# outward and an inward rate (inside and outward, stage 2 pins where stage 1
+# did not), and signed zero pitches with signed zero rates
+@example((1.0, -2.0, 0.5, 0.3, _TM), (0.7, _PM), UavParams.dt)
+@example((1.0, -2.0, 0.5, 0.3, _TM), (0.7, -_PM), UavParams.dt)
+@example((1.0, -2.0, 0.5, 0.3, -_TM), (0.7, -_PM), UavParams.dt)
+@example((1.0, -2.0, 0.5, 0.3, -_TM), (0.7, _PM), UavParams.dt)
+@example((1.0, -2.0, 0.5, 0.3, _TM_IN), (0.7, _PM), UavParams.dt)
+@example((1.0, -2.0, 0.5, 0.3, _TM_IN), (0.7, -_PM), UavParams.dt)
+@example((1.0, -2.0, 0.5, 0.3, -_TM_IN), (0.7, -_PM), UavParams.dt)
+@example((1.0, -2.0, 0.5, 0.3, -_TM_IN), (0.7, _PM), UavParams.dt)
+@example((0.0, 0.0, -0.0, 0.0, 0.0), (0.0, 0.0), UavParams.dt)
+@example((0.0, 0.0, -0.0, 0.0, 0.0), (0.0, -0.0), UavParams.dt)
+@example((0.0, 0.0, -0.0, 0.0, -0.0), (0.0, 0.0), UavParams.dt)
+@example((0.0, 0.0, -0.0, 0.0, -0.0), (0.0, -0.0), UavParams.dt)
+def test_fused_uav_step_matches_stage_function_rk4(state, control, dt):
+    dyn = UavDynamics()
     got = np.asarray(dyn.step(np.array(state), np.array(control), dt))
     want = _uav_reference_step(dyn, state, control, dt)
     assert got.tobytes() == want.tobytes()
 
 
+_TILT, _VM, _QYM = QuadParams.tilt_max, QuadParams.v_cmd_max, QuadParams.yaw_rate_max
+
+
 @settings(max_examples=250, deadline=None, derandomize=True, database=None)
-@given(st.data())
-def test_fused_quad_step_matches_stage_function_rk4(data):
-    dyn = QuadDynamics()
-    p = dyn.params
-    state = [data.draw(st.floats(-20.0, 20.0)) for _ in range(3)]
-    state += [data.draw(_edge_floats(-4.0, 4.0, [0.0, -0.0, 2.0])) for _ in range(3)]
-    state += [data.draw(_edge_floats(-0.7, 0.7, [0.0, p.tilt_max, -p.tilt_max]))
-              for _ in range(2)]
-    state.append(data.draw(_edge_floats(-math.pi, math.pi, [-math.pi, math.pi, 0.0])))
-    state += [data.draw(_edge_floats(-3.0, 3.0, [0.0, -0.0])) for _ in range(3)]
+@given(
+    st.tuples(*[st.floats(-20.0, 20.0)] * 3,
+              *[_edge_floats(-4.0, 4.0, [0.0, -0.0, 2.0])] * 3,
+              *[_edge_floats(-0.7, 0.7, [0.0, _TILT, -_TILT])] * 2,
+              _edge_floats(-math.pi, math.pi, [-math.pi, math.pi, 0.0]),
+              *[_edge_floats(-3.0, 3.0, [0.0, -0.0])] * 3),
     # command norms inside and beyond v_cmd_max, yaw rates beyond saturation
-    control = [data.draw(_edge_floats(-6.0, 6.0, [0.0, p.v_cmd_max, -p.v_cmd_max, 5.0]))
-               for _ in range(3)]
-    control.append(data.draw(_edge_floats(-4.0, 4.0, [p.yaw_rate_max, -p.yaw_rate_max, 3.0])))
-    dt = data.draw(_edge_floats(1e-9, 0.05, [0.05, math.nextafter(0.0, 1.0), 1e-6, p.dt]))
+    st.tuples(*[_edge_floats(-6.0, 6.0, [0.0, _VM, -_VM, 5.0])] * 3,
+              _edge_floats(-4.0, 4.0, [_QYM, -_QYM, 3.0])),
+    _edge_floats(1e-9, 0.05, [0.05, math.nextafter(0.0, 1.0), 1e-6, QuadParams.dt]),
+)
+# roll and pitch at +-tilt_max and one ulp inside it, with the commanded
+# tilt saturated outward, saturated inward and level
+@example((0.0, 0.0, 1.0, -4.0, 4.0, 0.0, _TILT, _TILT, 0.0, 0.0, 0.0, 0.0),
+         (2.0, -2.0, 0.0, 1.5), QuadParams.dt)
+@example((0.0, 0.0, 1.0, 4.0, -4.0, 0.0, -_TILT, -_TILT, 0.0, 0.0, 0.0, 0.0),
+         (-2.0, 2.0, 0.0, -3.0), QuadParams.dt)
+@example((0.0, 0.0, 1.0, 4.0, -4.0, 0.0, _TILT, _TILT, 0.3, 0.5, -0.5, 0.2),
+         (-2.0, 2.0, 0.0, 0.0), QuadParams.dt)
+@example((0.0, 0.0, 1.0, 0.0, 0.0, 0.0, _TILT, -_TILT, 0.0, 0.0, 0.0, 0.0),
+         (0.0, 0.0, 0.0, 0.0), QuadParams.dt)
+@example((0.0, 0.0, 1.0, -4.0, 4.0, 0.0, math.nextafter(_TILT, 0.0),
+          math.nextafter(-_TILT, 0.0), 0.0, 0.0, 0.0, 0.0), (2.0, 0.0, 0.0, 0.0), 0.05)
+def test_fused_quad_step_matches_stage_function_rk4(state, control, dt):
+    dyn = QuadDynamics()
     got = np.asarray(dyn.step(np.array(state), np.array(control), dt))
     want = _quad_reference_step(dyn, state, control, dt)
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("platform, slot", [("uav", "state"), ("uav", "control"),
+                                            ("quad", "state"), ("quad", "control")])
+@pytest.mark.parametrize("big", [1e308, -1e308])
+def test_a_finite_vector_whose_sum_overflows_is_accepted(platform, slot, big):
+    # the steppers test one sum for finiteness and fall back to the per-entry
+    # test when it is not finite, so finite entries whose sum overflows pass
+    dyn = platform_dynamics(platform)
+    state = [0.5] * dyn.state_dim
+    control = [0.25] * dyn.control_dim
+    target = state if slot == "state" else control
+    target[0] = target[1] = big
+    assert not math.isfinite(sum(target))
+    reference = _uav_reference_step if platform == "uav" else _quad_reference_step
+    dt = dyn.params.dt
+    want = reference(dyn, state, control, dt).tobytes()
+    for as_vector in (np.array, list, tuple):
+        got = dyn.step(as_vector(state), as_vector(control), dt)
+        assert np.asarray(got).tobytes() == want
