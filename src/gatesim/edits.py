@@ -269,9 +269,10 @@ def _check_numbers(index: int, record) -> None:
         try:
             values = np.asarray(record[field], dtype=np.float64)
         except (TypeError, ValueError):
-            continue  # not numbers at all: the edit itself reports that
-        if shape is not None and values.shape != shape:
-            what = f"{shape[0]} numbers" if shape else "one number"
+            values = None  # not numbers at all
+        if values is None or (shape is not None and values.shape != shape):
+            what = ("one number or 3 numbers" if shape is None
+                    else f"{shape[0]} numbers" if shape else "one number")
             raise ValueError(f"edit record {index}: {field} must be {what}, got {record[field]}")
         if not np.isfinite(values).all():
             raise ValueError(f"edit record {index}: non-finite {field}: {record[field]}")
@@ -285,8 +286,8 @@ def apply_edit_script(scene: GaussianScene, ops, donor_loader=None) -> GaussianS
     object-id strings or {"box": [min, max]}. A record with an unknown op, a
     missing or unread key, a malformed selection, or a number field of the
     wrong shape or with a NaN or inf is refused with its index and the key's
-    name; a ValueError or KeyError from its edit is re-raised as a
-    ValueError with its index.
+    name; a ValueError or KeyError from its edit, or an OSError from
+    donor_loader, is re-raised as a ValueError with its index.
     """
     for index, record in enumerate(ops):
         _check_keys(index, record)
@@ -294,7 +295,7 @@ def apply_edit_script(scene: GaussianScene, ops, donor_loader=None) -> GaussianS
         sel = _script_selection(index, record)
         try:
             scene = _apply_record(scene, record, sel, donor_loader)
-        except (ValueError, KeyError) as e:
+        except (ValueError, KeyError, OSError) as e:
             # the plain text of a KeyError, whose str() is its message's repr
             message = e.args[0] if isinstance(e, KeyError) and e.args else e
             raise ValueError(f"edit record {index}: {message}") from e

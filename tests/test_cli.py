@@ -772,7 +772,13 @@ def test_edit_scene_refuses_a_scene_that_overflows(tmp_path, capsys, record):
      "unknown object id: 'gate_9'"),
     ({"op": "translate", "selection": "gate_1", "delta": [1, 0]},
      "delta must be 3 numbers, got [1, 0]"),
-], ids=["no-selection", "short-box", "unread-key", "unknown-object", "short-delta"])
+    # number fields that are not numbers, by their key too
+    ({"op": "translate", "selection": "gate_1", "delta": "abc"},
+     "delta must be 3 numbers, got abc"),
+    ({"op": "rotate", "selection": "gate_1", "axis": [0, 0, 1], "angle": "x"},
+     "angle must be one number, got x"),
+], ids=["no-selection", "short-box", "unread-key", "unknown-object", "short-delta",
+        "text-delta", "text-angle"])
 def test_edit_scene_refuses_a_malformed_record(tmp_path, capsys, record, message):
     # these once died with a traceback (exit 1) or were applied (exit 0)
     write_scene(tmp_path / "scene.ply", track_splats(reference_track("uav-slalom")))
@@ -781,6 +787,19 @@ def test_edit_scene_refuses_a_malformed_record(tmp_path, capsys, record, message
     assert main(["edit-scene", "--scene", str(tmp_path / "scene.ply"), "--script",
                  str(tmp_path / "script.json"), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: edit record 0: {message}\n"
+    assert not out.exists()
+
+
+def test_edit_scene_names_the_record_of_a_missing_donor(tmp_path, capsys):
+    # the donor path is read relative to the script's directory
+    write_scene(tmp_path / "scene.ply", track_splats(reference_track("uav-slalom")))
+    script = [{"op": "delete", "selection": "gate_1"}, {"op": "add", "scene": "nope.ply"}]
+    (tmp_path / "script.json").write_text(json.dumps(script))
+    out = tmp_path / "out.ply"
+    assert main(["edit-scene", "--scene", str(tmp_path / "scene.ply"), "--script",
+                 str(tmp_path / "script.json"), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: edit record 1: [Errno 2] No such file or "
+                                       f"directory: '{tmp_path / 'nope.ply'}'\n")
     assert not out.exists()
 
 

@@ -372,6 +372,10 @@ _BOX = {"box": [[-9.0, -9.0, -9.0], [9.0, 9.0, 9.0]]}
      "angle must be one number, got [0.1]"),
     ({"op": "delete", "selection": "b"}, "unknown object id: 'b'"),
     ({"op": "scale", "selection": "a", "factor": -1.0}, "scale factors must be > 0, got -1.0"),
+    ({"op": "scale", "selection": "a", "factor": "big"},
+     "factor must be one number or 3 numbers, got big"),
+    ({"op": "duplicate", "selection": "a", "offset": [1, "b", 0]},
+     "offset must be 3 numbers, got [1, 'b', 0]"),
 ])
 def test_apply_edit_script_refuses_a_malformed_record(rng, record, message):
     # a well-formed record (a box selection) passes; the next is refused by its index
