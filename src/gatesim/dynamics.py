@@ -79,11 +79,8 @@ class UavDynamics:
         floats; arrays are read as lists of Python floats, whose arithmetic
         is cheaper than that of numpy scalars and has the same bits.
 
-        Each vector is checked with one sum: a finite sum means every entry
-        is finite, and only a non-finite sum (a NaN or inf entry, or finite
-        entries whose sum overflows) goes on to the per-entry test. Each clamp
-        is two comparisons, which give the value min(max(x, -b), b) gives,
-        -0.0 included. The rates read only yaw and pitch, so the stage
+        Each clamp is two comparisons, which give the value min(max(x, -b), b)
+        gives, -0.0 included. The rates read only yaw and pitch, so the stage
         positions are never formed; the pitch rate is zeroed while it pushes
         past the pin. When stage 2 has stage 1's pin state, its pitch rate is
         stage 1's float, so stage 3 moves pitch as stage 2 did and is stage 2."""
@@ -96,10 +93,10 @@ class UavDynamics:
             control = control.tolist()
         x, y, z, psi, th = state
         u_psi, u_th = control
-        if not isfinite(x + y + z + psi + th) and not (
-                isfinite(x) and isfinite(y) and isfinite(z) and isfinite(psi) and isfinite(th)):
+        if not (isfinite(x) and isfinite(y) and isfinite(z) and isfinite(psi)
+                and isfinite(th)):
             raise _non_finite("uav state", state)
-        if not isfinite(u_psi + u_th) and not (isfinite(u_psi) and isfinite(u_th)):
+        if not (isfinite(u_psi) and isfinite(u_th)):
             raise _non_finite("uav control", control)
         ym, pm, th_max, v = _YAW_RATE_MAX, _PITCH_RATE_MAX, _THETA_MAX, _SPEED
         u_psi = -ym if u_psi < -ym else (ym if u_psi > ym else u_psi)
@@ -235,22 +232,19 @@ class QuadDynamics:
 
     def step(self, state, control, dt: float | None = None) -> tuple:
         """One RK4 step on floats, returned as a tuple of twelve floats. state
-        and control may be arrays or sequences of floats; arrays are read as
-        lists of Python floats, and the control's entries are made Python
-        floats as clamp_control makes them. Each vector is checked with one
-        sum and, only when that sum is not finite, entry by entry, as the uav
-        step checks; the clamps are clamp_control's, inline. The rates read no
-        position, so each stage moves only the other nine entries."""
+        and control may be arrays or sequences of floats; an array state is
+        read as a list of Python floats, and the control's entries are made
+        Python floats as clamp_control makes them. The clamps are
+        clamp_control's, inline. The rates read no position, so each stage
+        moves only the other nine entries."""
         dt = QuadParams.dt if dt is None else dt
         if not 0.0 < dt <= 0.05:
             raise ValueError(f"quad dt must be in (0, 0.05], got {dt}")
         if type(state) is np.ndarray:
             state = state.tolist()
-        if type(control) is np.ndarray:
-            control = control.tolist()
-        if not isfinite(sum(state)) and not all(map(isfinite, state)):
+        if not all(map(isfinite, state)):
             raise _non_finite("quad state", state)
-        if not isfinite(sum(control)) and not all(map(isfinite, control)):
+        if not all(map(isfinite, control)):
             raise _non_finite("quad control", control)
         _, _, _, *s = state
         vx_c, vy_c, vz_c, r_c = map(float, control)
