@@ -1,7 +1,6 @@
 """Mutation check: does the fast test suite fail on each listed mutant?
 
-    python3 tools/mutants.py [--list] [--only N [N ...]] [--scratch DIR]
-        [--timeout SECONDS]
+    python3 tools/mutants.py [--list] [--scratch DIR]
 
 A mutant is one exact text replacement in one source file, with the reason
 it is worth checking. Every mutant's old text must occur exactly once in its
@@ -15,9 +14,9 @@ default), and `python -m pytest -q -x -m "not slow"` runs there (without
 tests/test_mutants.py, which a mutated copy fails by design): first on the
 unmutated copy, which must pass, then once per mutant on a fresh copy with
 that one replacement applied. Each run prints `killed` (the suite failed, or
-ran past --timeout) or `survived` (it passed), with its wall time. A survivor
-is either a gap in the tests or an equivalent mutant, one that cannot change
-any result; the table in CHANGES.md says which.
+ran past TIMEOUT seconds) or `survived` (it passed), with its wall time. A
+survivor is either a gap in the tests or an equivalent mutant, one that cannot
+change any result; the table in CHANGES.md says which.
 """
 
 from __future__ import annotations
@@ -37,6 +36,8 @@ ROOT = Path(__file__).resolve().parent.parent
 # which a mutated copy no longer holds
 PYTEST = ["-m", "pytest", "-q", "-x", "-m", "not slow", "-p", "no:cacheprovider",
           "--ignore=tests/test_mutants.py"]
+# a run this long counts as killed: an unmutated fast suite takes about 70 s
+TIMEOUT = 900.0
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache",
                                 ".perfbench_work", "*.egg-info")
 
@@ -69,35 +70,6 @@ def _clamp_mutants(where: str, x: str, b: str, before: str = "", after: str = ""
 
 
 MUTANTS = [
-    # one-sum finiteness checks: without the exact fallback a finite vector
-    # whose sum overflows is refused; without the sum the check is the exact
-    # test alone
-    Mutant(DYNAMICS,
-           "if not isfinite(x + y + z + psi + th) and not (\n"
-           "                isfinite(x) and isfinite(y) and isfinite(z) and isfinite(psi)"
-           " and isfinite(th)):",
-           "if not isfinite(x + y + z + psi + th):",
-           "uav state: drop the exact fallback"),
-    Mutant(DYNAMICS,
-           "if not isfinite(u_psi + u_th) and not (isfinite(u_psi) and isfinite(u_th)):",
-           "if not isfinite(u_psi + u_th):",
-           "uav control: drop the exact fallback"),
-    Mutant(DYNAMICS,
-           "if not isfinite(sum(state)) and not all(map(isfinite, state)):",
-           "if not isfinite(sum(state)):",
-           "quad state: drop the exact fallback"),
-    Mutant(DYNAMICS,
-           "if not isfinite(sum(control)) and not all(map(isfinite, control)):",
-           "if not isfinite(sum(control)):",
-           "quad control: drop the exact fallback"),
-    Mutant(DYNAMICS, "if not isfinite(x + y + z + psi + th) and not (", "if not (",
-           "uav state: drop the sum test"),
-    Mutant(DYNAMICS, "if not isfinite(u_psi + u_th) and not (", "if not (",
-           "uav control: drop the sum test"),
-    Mutant(DYNAMICS, "if not isfinite(sum(state)) and not all(", "if not all(",
-           "quad state: drop the sum test"),
-    Mutant(DYNAMICS, "if not isfinite(sum(control)) and not all(", "if not all(",
-           "quad control: drop the sum test"),
     # the uav's shared RK4 stage
     Mutant(DYNAMICS, "if pin2 == pin1:", "if t2 == t1:",
            "uav shared stage: key it on t2 == t1, not on the pin state"),
@@ -129,8 +101,8 @@ def check(mutants) -> list:
     return problems
 
 
-def run_suite(tree: Path, timeout: float) -> tuple[bool, float]:
-    """(passed, seconds) of the fast suite in tree; a run past the timeout
+def run_suite(tree: Path) -> tuple[bool, float]:
+    """(passed, seconds) of the fast suite in tree; a run past TIMEOUT
     counts as failed."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(tree / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]),
@@ -138,7 +110,7 @@ def run_suite(tree: Path, timeout: float) -> tuple[bool, float]:
     t0 = time.perf_counter()
     try:
         res = subprocess.run([sys.executable, *PYTEST], cwd=tree, env=env,
-                             capture_output=True, timeout=timeout)
+                             capture_output=True, timeout=TIMEOUT)
         passed = res.returncode == 0
     except subprocess.TimeoutExpired:
         passed = False
@@ -154,39 +126,32 @@ def mutated_copy(scratch: Path, name: str, mutant: Mutant | None) -> Path:
     return tree
 
 
-def run(args, scratch: Path) -> int:
-    chosen = args.only or range(1, len(MUTANTS) + 1)
+def run(scratch: Path) -> int:
     base = mutated_copy(scratch, "base", None)
-    passed, seconds = run_suite(base, args.timeout)
+    passed, seconds = run_suite(base)
     shutil.rmtree(base)
     print(f"  0 unmutated: {'passed' if passed else 'FAILED'} in {seconds:.0f} s", flush=True)
     if not passed:
         print("error: the fast suite fails without a mutant", file=sys.stderr)
         return 1
     survived = 0
-    for i in chosen:
-        tree = mutated_copy(scratch, f"mutant{i}", MUTANTS[i - 1])
-        passed, seconds = run_suite(tree, args.timeout)
+    for i, mutant in enumerate(MUTANTS, 1):
+        tree = mutated_copy(scratch, f"mutant{i}", mutant)
+        passed, seconds = run_suite(tree)
         shutil.rmtree(tree)
         survived += passed
         print(f"{i:3d} {'survived' if passed else 'killed  '} {seconds:5.0f} s  "
-              f"{MUTANTS[i - 1].why}", flush=True)
-    print(f"{len(chosen) - survived} killed, {survived} survived")
+              f"{mutant.why}", flush=True)
+    print(f"{len(MUTANTS) - survived} killed, {survived} survived")
     return 0
 
 
 def parse_args(argv):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--list", action="store_true", help="print the mutants; run nothing")
-    p.add_argument("--only", type=int, nargs="+", metavar="N", help="run these mutants only")
     p.add_argument("--scratch", type=Path, default=None,
                    help="where the copies are made; default a temporary directory")
-    p.add_argument("--timeout", type=float, default=900.0,
-                   help="seconds before a run counts as killed (default 900)")
-    args = p.parse_args(argv)
-    if args.only and not all(1 <= n <= len(MUTANTS) for n in args.only):
-        p.error(f"--only takes mutant numbers from 1 to {len(MUTANTS)}")
-    return args
+    return p.parse_args(argv)
 
 
 def main(argv=None) -> int:
@@ -201,9 +166,9 @@ def main(argv=None) -> int:
         return 0
     if args.scratch is not None:
         args.scratch.mkdir(parents=True, exist_ok=True)
-        return run(args, args.scratch)
+        return run(args.scratch)
     with tempfile.TemporaryDirectory(prefix="mutants_") as scratch:
-        return run(args, Path(scratch))
+        return run(Path(scratch))
 
 
 if __name__ == "__main__":
