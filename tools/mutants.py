@@ -36,7 +36,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # which a mutated copy no longer holds
 PYTEST = ["-m", "pytest", "-q", "-x", "-m", "not slow", "-p", "no:cacheprovider",
           "--ignore=tests/test_mutants.py"]
-# a run this long counts as killed: an unmutated fast suite takes about 70 s
+# a run this long counts as killed; an unmutated fast suite takes about a minute
 TIMEOUT = 900.0
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache",
                                 ".perfbench_work", "*.egg-info")
