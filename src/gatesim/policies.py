@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,10 +35,13 @@ MASK_K_Y, MASK_K_Z, MASK_K_YAW = 0.4, 2.0, 2.5
 
 @dataclass
 class FullStateObs:
-    """Everything an expert may use: time, vehicle state, gates, target index."""
+    """Everything an expert may use: time, vehicle state, gates, target index.
+
+    state is any sequence of state_dim floats: an array, a list, or inside a
+    rollout the tuple of Python floats the last dynamics step returned."""
 
     t: float
-    state: np.ndarray
+    state: Sequence[float]
     gates: tuple
     target_index: int
 
@@ -64,6 +68,12 @@ class Policy:
 
     def train(self, records) -> None:
         pass
+
+
+def _floats(state):
+    """The state as a sequence of Python floats: an array as a list, anything
+    else as it is (a rollout's tuple of step floats)."""
+    return state.tolist() if type(state) is np.ndarray else state
 
 
 def _target_gate(obs: FullStateObs) -> Gate:
@@ -113,7 +123,7 @@ def gate_velocity(gate: Gate, t: float) -> np.ndarray:
 def expert_uav_control(obs: FullStateObs) -> np.ndarray:
     """Proportional guidance to the carrot: rate commands from bearing errors."""
     gate = _target_gate(obs)
-    x, y, z, psi, theta = obs.state[:5].tolist()
+    x, y, z, psi, theta = _floats(obs.state)[:5]
     (ax, ay, az), _, _, _ = _aim_point(gate, obs.t, (x, y, z), UavParams.speed)
     rx, ry, rz = ax - x, ay - y, az - z
     bearing = math.atan2(ry, rx)
@@ -128,8 +138,8 @@ def expert_quad_control(obs: FullStateObs) -> np.ndarray:
     vy/vz (plus the known gate velocity as feedforward); yaw aligns with the
     gate normal."""
     gate = _target_gate(obs)
-    x, y, z = obs.state[:3].tolist()
-    psi = float(obs.state[8])
+    state = _floats(obs.state)
+    x, y, z, psi = state[0], state[1], state[2], state[8]
     (ax, ay, az), _, gate_yaw, t_hit = _aim_point(gate, obs.t, (x, y, z), QUAD_CRUISE_SPEED)
     left = (-math.sin(psi), math.cos(psi), 0.0)
     ff = gate_velocity(gate, t_hit).tolist() if gate.moving else [0.0, 0.0, 0.0]
@@ -471,9 +481,12 @@ class SyntheticLearner(Policy):
             self._gates = obs.gates
         key = (self._cell, self.counts[self._cell])
         if key != self._sigma_key:
-            self._sigma_key, self._sigma = key, self.sigma(self._cell)
-        # the bits and generator state of rng.normal(0.0, sigma), drawn faster
-        return u + (0.0 + self._sigma * self._rng.standard_normal(len(self._sigma)))
+            self._sigma_key, self._sigma = key, self.sigma(self._cell).tolist()
+        sigma = self._sigma
+        # the bits and generator state of rng.normal(0.0, sigma), drawn faster,
+        # and of u + that noise, summed on floats
+        z = self._rng.standard_normal(len(sigma)).tolist()
+        return np.array([a + (0.0 + s * b) for a, s, b in zip(_floats(u), sigma, z)])
 
     def train(self, records) -> None:
         for rec in records:

@@ -19,7 +19,7 @@ import numpy as np
 from .dynamics import platform_dynamics
 from .render import DEFAULT_CAMERA, camera_pose, point_in_view
 from .simulator import SUCCESS, Rollout, SimConfig, metrics, rollout, steps_per_tick
-from .tracks import track_from_layout
+from .tracks import Track, track_from_layout
 
 
 @dataclass(frozen=True)
@@ -89,14 +89,14 @@ LAYOUT_BOXES = {
 }
 
 
-def observability_check(layout, platform: str) -> bool:
-    """Gate-2 center visible from a camera crossing gate-1 orthogonally.
+def observability_check(track: Track) -> bool:
+    """Gate-2 center visible from a camera crossing gate-1 orthogonally, on a
+    two-gate track (a layout's, from track_from_layout).
 
     Additionally requires gate-1 to be visible from the track's start pose;
     the start pose looks straight at gate-1 so this only rejects degenerate
     clipped poses.
     """
-    track = track_from_layout(layout, platform)
     g1, g2 = track.gates
     c1, yaw1 = g1.pose_at(0.0)
     c2, _ = g2.pose_at(0.0)
@@ -106,10 +106,10 @@ def observability_check(layout, platform: str) -> bool:
     return point_in_view(DEFAULT_CAMERA, camera_pose(pos, yaw), c1)
 
 
-def feasibility_check(layout, platform: str, expert, sim: SimConfig,
+def feasibility_check(track: Track, expert, sim: SimConfig,
                       rng: np.random.Generator | None = None):
-    """(ok, rollout): whether the expert crosses both gates within the timeout."""
-    track = track_from_layout(layout, platform)
+    """(ok, rollout): whether the expert crosses every gate of the track within
+    the timeout."""
     roll = rollout(expert, track, sim, rng=rng)
     return roll.all_success, roll
 
@@ -268,9 +268,11 @@ def accept_cells(partition, cells, platform, expert, sim, seeds):
         rng = seeds.rng()
         for _ in range(RETRY_CAP):
             layout = partition.sample(cell, rng)
-            if not observability_check(layout, platform):
+            # one track serves both checks
+            track = track_from_layout(layout, platform)
+            if not observability_check(track):
                 continue
-            ok, roll = feasibility_check(layout, platform, expert, sim, rng=seeds.rng())
+            ok, roll = feasibility_check(track, expert, sim, rng=seeds.rng())
             if ok:
                 samples.append((cell, layout, roll))
                 break

@@ -162,14 +162,6 @@ def _static_plane(gate: Gate):
     return None if gate.moving else gate.frame_plane_at(0.0)[1]
 
 
-def _observe(policy, dynamics, track, t, state, target, history):
-    if policy.observes == "mask":
-        pose = vehicle_camera_pose(dynamics, state)
-        mask = gate_mask(list(track.gates), DEFAULT_CAMERA, pose, t=t)
-        return MaskObs(mask, history.copy())
-    return FullStateObs(t, state.copy(), track.gates, target)
-
-
 def rollout(
     policy,
     track: Track,
@@ -192,12 +184,14 @@ def rollout(
     Python floats the step before returned, with the tick's control as one
     list of floats, and the recorded trajectory appends that tuple; each
     tick's control is copied once from what the policy returned, so the
-    recorded trajectory can share it. The new position serves the arena
-    test and the gate side (geometry.plane_offset on the target's center and
-    normal floats, read once per target for a static gate and at each step
-    for a moving one). Arrays are built only where they are read: the state
-    once per tick for the observation and the observer, the two positions
-    at a crossing, and Rollout.states at the end.
+    recorded trajectory can share it. A full-state policy is given that
+    tuple as FullStateObs.state: it is immutable, so it needs no copy. The
+    new position serves the arena test and the gate side (the offset
+    n . (p - c) of geometry.plane_offset, on the target's center and normal
+    floats, kept as locals for a static gate and read at each step for a
+    moving one). Arrays are built only where they are read: the state once
+    per tick for a mask policy's camera pose and for the observer, the two
+    positions at a crossing, and Rollout.states at the end.
     """
     if policy.platform not in ("any", track.platform):
         raise ValueError(
@@ -225,11 +219,13 @@ def rollout(
     (xl, xh), (yl, yh), (zl, zh) = track.arena.bounds
     n_gates = len(gates)
     records = [GateRecord(i, outcome=TIMEOUT) for i in range(n_gates)]
-    # only mask policies and observers read the history
-    keep_history = observer is not None or policy.observes == "mask"
+    sees_mask = policy.observes == "mask"
+    # only mask policies and observers read the state array and the history
+    keep_history = observer is not None or sees_mask
     history = np.zeros((HISTORY_LEN, dynamics.control_dim))
     record = config.record_trajectory
-    floats = state.tolist()
+    step = dynamics.step
+    floats = tuple(state.tolist())
     times = [0.0]
     states = [floats]
     controls = []
@@ -241,10 +237,17 @@ def rollout(
     # and detect_crossing runs only on a sign change it will confirm
     d0 = signed_gate_distance(gates[0], t, floats[:3])
     plane = _static_plane(gates[0])
+    if plane is not None:
+        cx, cy, cz, nx, ny, nz = plane
 
     while terminal is None:
-        state = np.array(floats)
-        obs = _observe(policy, dynamics, track, t, state, target, history)
+        if keep_history:
+            state = np.array(floats)
+        if sees_mask:
+            pose = vehicle_camera_pose(dynamics, state)
+            obs = MaskObs(gate_mask(list(gates), DEFAULT_CAMERA, pose, t=t), history.copy())
+        else:
+            obs = FullStateObs(t, floats, gates, target)
         control = np.array(policy.evaluate(obs), dtype=np.float64)
         if observer is not None:
             observer(t, state, target, history, control)
@@ -253,12 +256,15 @@ def rollout(
         u = control.tolist()
 
         for _ in range(n_steps):
-            prev, floats = floats, dynamics.step(floats, u, dt)
+            prev, floats = floats, step(floats, u, dt)
             t_new = t + dt
             x, y, z = floats[0], floats[1], floats[2]
 
             if target < n_gates:
-                d1 = plane_offset(plane or gates[target].frame_plane_at(t_new)[1], x, y, z)
+                if plane is None:
+                    d1 = plane_offset(gates[target].frame_plane_at(t_new)[1], x, y, z)
+                else:
+                    d1 = nx * (x - cx) + ny * (y - cy) + nz * (z - cz)
                 # the same transition can cross several coincident gate planes
                 while d0 < 0.0 <= d1:
                     p0, p1 = np.array(prev[:3]), np.array(floats[:3])
@@ -274,6 +280,8 @@ def rollout(
                             terminal = SUCCESS
                         break
                     plane = _static_plane(gates[target])
+                    if plane is not None:
+                        cx, cy, cz, nx, ny, nz = plane
                     d0 = signed_gate_distance(gates[target], t, p0)
                     d1 = signed_gate_distance(gates[target], t_new, p1)
                 d0 = d1

@@ -300,6 +300,39 @@ def test_expert_factory_and_zero_policy():
         Policy().evaluate(None)
 
 
+def _expert_gates(platform):
+    """A static gate, a moving one and a yawed static one: targets 0-2, and 3
+    past the last gate."""
+    moving = ((0.0, np.array([3.0, -1.0, 1.5]), 0.2), (6.0, np.array([4.0, 1.5, 2.0]), -0.3))
+    return (_gate((2.0, 0.5, 1.0), platform=platform),
+            _gate(None, platform=platform, keyframes=moving),
+            _gate((6.0, -2.0, 2.5), yaw=2.5, platform=platform))
+
+
+_STATE_DIM = {"uav": 5, "quad": 12}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["uav", "quad"]),
+       st.lists(st.one_of(st.sampled_from([0.0, -0.0, math.pi, -math.pi]),
+                          st.floats(-10.0, 10.0)), min_size=12, max_size=12),
+       st.floats(0.0, 8.0), st.integers(0, 3))
+@example("uav", [0.0] * 12, 0.0, 0)
+@example("quad", [0.0] * 12, 0.0, 1)
+@example("uav", [3.0, -1.0, 1.5, math.pi, -0.0] + [0.0] * 7, 0.0, 1)      # on the moving gate
+@example("quad", [1.0, 0.5, 1.0] + [-0.0] * 5 + [-math.pi] + [0.0] * 3, 7.5, 3)
+def test_expert_controls_of_a_tuple_state_are_those_of_the_array(platform, values, t, target):
+    # a rollout hands the expert the step's tuple of floats; cli export-dataset
+    # and the tests hand it an array row: the controls have the same bits
+    gates = _expert_gates(platform)
+    state = np.array(values[:_STATE_DIM[platform]])
+    expert = expert_policy(platform)
+    from_array = expert.evaluate(FullStateObs(t, state, gates, target))
+    from_tuple = expert.evaluate(FullStateObs(t, tuple(state.tolist()), gates, target))
+    assert type(from_tuple) is np.ndarray
+    assert from_tuple.tobytes() == from_array.tobytes()
+
+
 @pytest.mark.parametrize("factory", [expert_policy, ZeroPolicy], ids=lambda f: f.__name__)
 def test_unknown_platform_is_refused(factory):
     with pytest.raises(ValueError, match=r"^unknown platform 'boat'; accepted: quad, uav$"):

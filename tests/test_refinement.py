@@ -30,6 +30,7 @@ from gatesim.refinement import (
     worst_grid_loss,
 )
 from gatesim.simulator import MISS, SUCCESS, TIMEOUT, GateRecord, Rollout, SimConfig
+from gatesim.tracks import track_from_layout
 
 # a friendly uav box: both gates near the straight centerline, so every
 # sampled layout is observable and easily flown by the expert
@@ -123,28 +124,32 @@ def test_default_partitions():
 # ---------------------------------------------------------------------------
 
 
+def _uav(layout):
+    return track_from_layout(layout, "uav")
+
+
 def test_observable_straight_pair():
-    assert observability_check([-6, 0, 2, 0, 5, 0, 2, 0], "uav")
+    assert observability_check(_uav([-6, 0, 2, 0, 5, 0, 2, 0]))
 
 
 def test_unobservable_gate_behind():
-    assert not observability_check([-6, 0, 2, 0, -10, 0, 2, 0], "uav")
+    assert not observability_check(_uav([-6, 0, 2, 0, -10, 0, 2, 0]))
 
 
 def test_unobservable_outside_fov():
     # lateral: half-FOV is atan(80/60), i.e. 8 m sideways at 6 m ahead is the
     # inclusive limit
-    assert observability_check([-6, 0, 2, 0, 0, 8.0, 2, 0], "uav")
-    assert observability_check([-6, 0, 2, 0, 0, -8.0, 2, 0], "uav")
-    assert not observability_check([-6, 0, 2, 0, 0, 8.01, 2, 0], "uav")
+    assert observability_check(_uav([-6, 0, 2, 0, 0, 8.0, 2, 0]))
+    assert observability_check(_uav([-6, 0, 2, 0, 0, -8.0, 2, 0]))
+    assert not observability_check(_uav([-6, 0, 2, 0, 0, 8.01, 2, 0]))
     # vertical: 28 m above at 6 m ahead is far outside
-    assert not observability_check([-6, 0, 2, 0, 0, 0, 30, 0], "uav")
+    assert not observability_check(_uav([-6, 0, 2, 0, 0, 0, 30, 0]))
 
 
 def test_unobservable_degenerate_start():
     # gate 1 on the arena wall: the clipped start pose coincides with the
     # gate center, so gate 1 cannot be seen from the start
-    assert not observability_check([-19.5, 0, 2, 0, 0, 0, 2, 0], "uav")
+    assert not observability_check(_uav([-19.5, 0, 2, 0, 0, 0, 2, 0]))
 
 
 def test_observability_rigid_motion_invariant():
@@ -161,16 +166,16 @@ def test_observability_rigid_motion_invariant():
                         z + shift[2], yaw + phi]
             return out
 
-        assert observability_check(move(base_true), "uav")
-        assert not observability_check(move(base_false), "uav")
+        assert observability_check(_uav(move(base_true)))
+        assert not observability_check(_uav(move(base_false)))
 
 
 def test_feasibility_straight_and_reversed():
     expert = expert_policy("uav")
-    ok, roll = feasibility_check([-6, 0, 2, 0, 5, 0, 2, 0], "uav", expert, _sim())
+    ok, roll = feasibility_check(_uav([-6, 0, 2, 0, 5, 0, 2, 0]), expert, _sim())
     assert ok and roll.all_success
     # gate 2 facing backwards: the approach side is unreachable in time
-    ok, roll = feasibility_check([-6, 0, 2, 0, 5, 0, 2, math.pi], "uav", expert, _sim())
+    ok, roll = feasibility_check(_uav([-6, 0, 2, 0, 5, 0, 2, math.pi]), expert, _sim())
     assert not ok
     assert roll.terminal == TIMEOUT
 
@@ -261,7 +266,6 @@ def test_grid_losses_per_cell_means():
     ell, stats = grid_losses(expert, layouts, part, "uav", 1.0, _sim(), _SeedChain(0))
     # the expert is deterministic, so per-cell means can be recomputed directly
     from gatesim.simulator import rollout
-    from gatesim.tracks import track_from_layout
 
     manual = [task_loss(rollout(expert, track_from_layout(l, "uav"), _sim())) for _, l in layouts]
     assert ell[0] == pytest.approx((manual[0] + manual[1]) / 2.0, abs=1e-12)

@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import step_ulps
@@ -16,6 +16,7 @@ from gatesim import simulator
 from gatesim.dynamics import platform_dynamics
 from gatesim.geometry import plane_offset, wrap_angle
 from gatesim.policies import ExpertUavPolicy, MaskCentroidPolicy, Policy, ZeroPolicy, expert_policy
+from gatesim.render import DEFAULT_CAMERA, camera_pose, gate_mask
 from gatesim.simulator import (
     ARENA_EXIT,
     FRAME_COLLISION,
@@ -576,6 +577,41 @@ def test_observer_targets_follow_the_gate_records():
         assert target == sum(1 for tc in crossings if tc <= t)
 
 
+class _StateProbe(Policy):
+    """The platform's expert, keeping the state of each observation."""
+
+    def __init__(self, platform):
+        self.platform = platform
+        self.expert = expert_policy(platform)
+        self.states = []
+
+    def evaluate(self, obs):
+        self.states.append(obs.state)
+        return self.expert.evaluate(obs)
+
+
+@pytest.mark.parametrize("name", ["uav-slalom", "quad-drift"])
+def test_full_state_policy_sees_the_step_tuple_and_the_observer_an_array(name):
+    track = reference_track(name)
+    config = SimConfig(tick_hz=10.0)
+    probe = _StateProbe(track.platform)
+    ticks = []
+    roll = rollout(probe, track, config, observer=lambda *tick: ticks.append(tick))
+    _assert_same_rollout(roll, rollout(expert_policy(track.platform), track, config))
+
+    spt = steps_per_tick(config.tick_hz, platform_dynamics(track.platform).params.dt)
+    assert len(probe.states) == len(ticks) == math.ceil((len(roll.times) - 1) / spt)
+    for k, (seen, (_, state, _, _, _)) in enumerate(zip(probe.states, ticks)):
+        row = roll.states[k * spt]
+        # the tuple the last step returned (the start state's on the first
+        # tick), Python floats with the recorded row's bits
+        assert type(seen) is tuple
+        assert all(type(v) is float for v in seen)
+        assert np.array(seen).tobytes() == row.tobytes()
+        assert type(state) is np.ndarray
+        assert state.tobytes() == row.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # the mirror oracle: reflecting a track across the xz-plane reflects its
 # closed loop
@@ -658,6 +694,61 @@ def test_mirrored_track_mirrors_the_rollout(name, offsets):
             assert abs(h.error - g.error) <= MIRROR_TOL
             np.testing.assert_allclose(h.point, _mirror(g.point, [1]), rtol=0.0,
                                        atol=MIRROR_TOL)
+
+
+def _ring_edge_ties(track, pose, t, tol=1e-9):
+    """The pixels whose ray meets a gate's plane in front of the camera
+    within tol of one of its ring's edges, in plain numpy arithmetic: where
+    the rounding of the pose can decide a mask bit."""
+    camera = DEFAULT_CAMERA
+    v, u = np.mgrid[0:camera.height, 0:camera.width].astype(np.float64)
+    rays = np.stack([(u - camera.cx) / camera.fx, (v - camera.cy) / camera.fy,
+                     np.ones_like(u)], axis=-1) @ pose.rotation_matrix().T
+    ties = np.zeros(u.shape, dtype=bool)
+    for gate in track.gates:
+        center, _, normal, lateral, up = gate.frame_at(t)
+        depth = ((center - pose.translation) @ normal) / (rays @ normal)
+        q = pose.translation + depth[..., None] * rays - center
+        a, b = q @ lateral, q @ up
+        r = np.hypot(a, b) if gate.shape == "circular" else np.maximum(abs(a), abs(b))
+        edge = np.minimum(abs(r - gate.inner_half), abs(r - gate.outer_half))
+        ties |= (depth > 0.0) & (edge <= tol)
+    return ties
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([n for n in reference_track_names() if n.startswith("quad")]),
+       st.integers(0, 2), st.floats(0.3, 4.0), st.floats(-0.5, 0.5), st.floats(-0.4, 0.4),
+       st.floats(-0.4, 0.4), st.floats(0.0, 10.0))
+@example("quad-drift", 0, 1.5, 0.0, 0.0, 0.0, 0.0)
+@example("quad-turn", 1, 0.5, 0.3, -0.2, 0.4, 3.0)
+@example("quad-scatter", 2, 2.0, -0.8, 0.5, -0.5, 6.0)
+# a find: 0.3 m before quad-drift's moving gate on its axis, the rays of
+# columns 2 and 158 (x = -+1.3) meet the plane at the inner edge, 0.39 m
+@example("quad-drift", 1, 0.3, 0.0, 0.0, 0.0, 0.0)
+def test_mirrored_track_mirrors_the_gate_mask(name, gate, standoff, side, rise, turn, t):
+    # a pose before one of the track's gates (its frame at t, so moving gates
+    # are met), and its mirror image: y and yaw negated, level as a quad's
+    # camera is. The mirrored mask is the mask reflected about the principal
+    # column cx: pixel column u's ray has x = u - cx, so column u mirrors
+    # column 2 cx - u, and column 0 has no partner in the frame. The two
+    # poses' rotations round differently (camera_pose goes through a
+    # quaternion), so a bit may differ where a ray meets a ring edge within
+    # rounding; everywhere else the masks agree exactly
+    track = reference_track(name)
+    mirror = _mirror_track(track)
+    center, yaw, normal, lateral, up = track.gates[gate % len(track.gates)].frame_at(t)
+    pos = center - standoff * normal + side * lateral + rise * up
+    camera = DEFAULT_CAMERA
+    assert camera.cx == camera.width / 2
+    pose = camera_pose(pos, yaw + turn)
+    mirrored_pose = camera_pose(pos * (1.0, -1.0, 1.0), -(yaw + turn))
+    mask = gate_mask(list(track.gates), camera, pose, t=t)
+    mirrored = gate_mask(list(mirror.gates), camera, mirrored_pose, t=t)
+    assume(mask.any())   # a pose that sees no ring mirrors trivially
+    differ = mirrored[:, 1:] != mask[:, :0:-1]
+    ties = _ring_edge_ties(mirror, mirrored_pose, t)[:, 1:] | _ring_edge_ties(track, pose, t)[:, :0:-1]
+    assert not (differ & ~ties).any()
 
 
 # ---------------------------------------------------------------------------
