@@ -10,7 +10,7 @@ deterministic: identical inputs give bit-identical outputs.
 from __future__ import annotations
 
 import math
-from math import cos, fmod, isfinite, pi, sin
+from math import cos, isfinite, sin
 
 import numpy as np
 
@@ -38,7 +38,6 @@ class UavParams:
 # the constants the uav step reads, read from UavParams once
 _SPEED, _THETA_MAX = UavParams.speed, UavParams.theta_max
 _YAW_RATE_MAX, _PITCH_RATE_MAX = UavParams.yaw_rate_max, UavParams.pitch_rate_max
-_TWO_PI = 2.0 * pi   # geometry.wrap_angle's period, for the uav step's inline wrap
 
 
 class UavDynamics:
@@ -130,15 +129,11 @@ class UavDynamics:
 
         w = dt / 6.0
         th_new = th + w * (t1 + 2 * t2 + 2 * t3 + t4)
-        # geometry.wrap_angle of the new yaw, inline
-        r = fmod(psi + w * (u_psi + 2 * u_psi + 2 * u_psi + u_psi) + pi, _TWO_PI)
-        if r <= 0.0:
-            r += _TWO_PI
         return (
             x + w * (x1 + 2 * x2 + 2 * x3 + x4),
             y + w * (y1 + 2 * y2 + 2 * y3 + y4),
             z + w * (z1 + 2 * z2 + 2 * z3 + z4),
-            r - pi,
+            wrap_angle(psi + w * (u_psi + 2 * u_psi + 2 * u_psi + u_psi)),
             -th_max if th_new < -th_max else (th_max if th_new > th_max else th_new),
         )
 

@@ -369,8 +369,6 @@ _TM_IN = math.nextafter(_TM, 0.0)
 @example((0.0, 0.0, -0.0, 0.0, 0.0), (0.0, -0.0), UavParams.dt)
 @example((0.0, 0.0, -0.0, 0.0, -0.0), (0.0, 0.0), UavParams.dt)
 @example((0.0, 0.0, -0.0, 0.0, -0.0), (0.0, -0.0), UavParams.dt)
-# the inline yaw wrap at its edge: a new yaw of exactly -pi wraps to pi
-@example((0.0, 0.0, 0.0, -math.pi, 0.0), (0.0, 0.0), UavParams.dt)
 def test_fused_uav_step_matches_stage_function_rk4(state, control, dt):
     dyn = UavDynamics()
     got = np.asarray(dyn.step(np.array(state), np.array(control), dt))

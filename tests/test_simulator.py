@@ -707,11 +707,13 @@ def _ring_edge_ties(track, pose, t, tol=1e-9):
     ties = np.zeros(u.shape, dtype=bool)
     for gate in track.gates:
         center, _, normal, lateral, up = gate.frame_at(t)
-        depth = ((center - pose.translation) @ normal) / (rays @ normal)
-        q = pose.translation + depth[..., None] * rays - center
-        a, b = q @ lateral, q @ up
-        r = np.hypot(a, b) if gate.shape == "circular" else np.maximum(abs(a), abs(b))
-        edge = np.minimum(abs(r - gate.inner_half), abs(r - gate.outer_half))
+        # a ray along the plane meets it at an infinite or NaN depth: no tie
+        with np.errstate(divide="ignore", invalid="ignore"):
+            depth = ((center - pose.translation) @ normal) / (rays @ normal)
+            q = pose.translation + depth[..., None] * rays - center
+            a, b = q @ lateral, q @ up
+            r = np.hypot(a, b) if gate.shape == "circular" else np.maximum(abs(a), abs(b))
+            edge = np.minimum(abs(r - gate.inner_half), abs(r - gate.outer_half))
         ties |= (depth > 0.0) & (edge <= tol)
     return ties
 
@@ -747,7 +749,8 @@ def test_mirrored_track_mirrors_the_gate_mask(name, gate, standoff, side, rise, 
     mirrored = gate_mask(list(mirror.gates), camera, mirrored_pose, t=t)
     assume(mask.any())   # a pose that sees no ring mirrors trivially
     differ = mirrored[:, 1:] != mask[:, :0:-1]
-    ties = _ring_edge_ties(mirror, mirrored_pose, t)[:, 1:] | _ring_edge_ties(track, pose, t)[:, :0:-1]
+    ties = (_ring_edge_ties(mirror, mirrored_pose, t)[:, 1:]
+            | _ring_edge_ties(track, pose, t)[:, :0:-1])
     assert not (differ & ~ties).any()
 
 

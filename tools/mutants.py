@@ -87,9 +87,6 @@ MUTANTS = [
     *_clamp_mutants("quad clamp_control yaw rate", "r", "ym", before="vz, "),
     *_clamp_mutants("quad rates pitch tilt", "pitch_des", "tilt", before="pitch_des = "),
     *_clamp_mutants("quad rates roll tilt", "roll_des", "tilt", before="roll_des = "),
-    # the uav step's inline wrap_angle
-    Mutant(DYNAMICS, "if r <= 0.0:", "if r < 0.0:",
-           "uav step yaw wrap: < for <=, so a new yaw of -pi stays -pi"),
     # the rollout's full-state tick on floats
     Mutant(SIMULATOR, "nx * (x - cx) + ny * (y - cy)", "nx * (x - cx) - ny * (y - cy)",
            "rollout static plane offset: the y term's sign flipped"),
