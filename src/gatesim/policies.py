@@ -481,12 +481,9 @@ class SyntheticLearner(Policy):
             self._gates = obs.gates
         key = (self._cell, self.counts[self._cell])
         if key != self._sigma_key:
-            self._sigma_key, self._sigma = key, self.sigma(self._cell).tolist()
-        sigma = self._sigma
-        # the bits and generator state of rng.normal(0.0, sigma), drawn faster,
-        # and of u + that noise, summed on floats
-        z = self._rng.standard_normal(len(sigma)).tolist()
-        return np.array([a + (0.0 + s * b) for a, s, b in zip(_floats(u), sigma, z)])
+            self._sigma_key, self._sigma = key, self.sigma(self._cell)
+        # the bits and generator state of rng.normal(0.0, sigma), drawn faster
+        return u + (0.0 + self._sigma * self._rng.standard_normal(len(self._sigma)))
 
     def train(self, records) -> None:
         for rec in records:

@@ -186,12 +186,12 @@ def rollout(
     tick's control is copied once from what the policy returned, so the
     recorded trajectory can share it. A full-state policy is given that
     tuple as FullStateObs.state: it is immutable, so it needs no copy. The
-    new position serves the arena test and the gate side (the offset
-    n . (p - c) of geometry.plane_offset, on the target's center and normal
-    floats, kept as locals for a static gate and read at each step for a
-    moving one). Arrays are built only where they are read: the state once
-    per tick for a mask policy's camera pose and for the observer, the two
-    positions at a crossing, and Rollout.states at the end.
+    new position serves the arena test and the gate side (geometry.plane_offset
+    on the target's center and normal floats, read once per target for a
+    static gate and at each step for a moving one). Arrays are built only
+    where they are read: the state once per tick for a mask policy's camera
+    pose and for the observer, the two positions at a crossing, and
+    Rollout.states at the end.
     """
     if policy.platform not in ("any", track.platform):
         raise ValueError(
@@ -237,8 +237,6 @@ def rollout(
     # and detect_crossing runs only on a sign change it will confirm
     d0 = signed_gate_distance(gates[0], t, floats[:3])
     plane = _static_plane(gates[0])
-    if plane is not None:
-        cx, cy, cz, nx, ny, nz = plane
 
     while terminal is None:
         if keep_history:
@@ -261,10 +259,7 @@ def rollout(
             x, y, z = floats[0], floats[1], floats[2]
 
             if target < n_gates:
-                if plane is None:
-                    d1 = plane_offset(gates[target].frame_plane_at(t_new)[1], x, y, z)
-                else:
-                    d1 = nx * (x - cx) + ny * (y - cy) + nz * (z - cz)
+                d1 = plane_offset(plane or gates[target].frame_plane_at(t_new)[1], x, y, z)
                 # the same transition can cross several coincident gate planes
                 while d0 < 0.0 <= d1:
                     p0, p1 = np.array(prev[:3]), np.array(floats[:3])
@@ -280,8 +275,6 @@ def rollout(
                             terminal = SUCCESS
                         break
                     plane = _static_plane(gates[target])
-                    if plane is not None:
-                        cx, cy, cz, nx, ny, nz = plane
                     d0 = signed_gate_distance(gates[target], t, p0)
                     d1 = signed_gate_distance(gates[target], t_new, p1)
                 d0 = d1

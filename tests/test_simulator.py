@@ -5,6 +5,7 @@ import csv
 import io
 import math
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -696,6 +697,22 @@ def test_mirrored_track_mirrors_the_rollout(name, offsets):
                                        atol=MIRROR_TOL)
 
 
+class _MatrixPose(NamedTuple):
+    """A camera pose given by its rotation matrix and translation, the two
+    things gate_mask reads of a pose."""
+
+    matrix: np.ndarray
+    translation: np.ndarray
+
+    def rotation_matrix(self) -> np.ndarray:
+        return self.matrix
+
+
+# the signs that mirror a world-from-camera rotation: world y (row 1) and
+# camera x (column 0) negated
+_MIRRORED_ROTATION = np.array([[-1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, 1.0]])
+
+
 def _ring_edge_ties(track, pose, t, tol=1e-9):
     """The pixels whose ray meets a gate's plane in front of the camera
     within tol of one of its ring's edges, in plain numpy arithmetic: where
@@ -733,10 +750,7 @@ def test_mirrored_track_mirrors_the_gate_mask(name, gate, standoff, side, rise, 
     # are met), and its mirror image: y and yaw negated, level as a quad's
     # camera is. The mirrored mask is the mask reflected about the principal
     # column cx: pixel column u's ray has x = u - cx, so column u mirrors
-    # column 2 cx - u, and column 0 has no partner in the frame. The two
-    # poses' rotations round differently (camera_pose goes through a
-    # quaternion), so a bit may differ where a ray meets a ring edge within
-    # rounding; everywhere else the masks agree exactly
+    # column 2 cx - u, and column 0 has no partner in the frame
     track = reference_track(name)
     mirror = _mirror_track(track)
     center, yaw, normal, lateral, up = track.gates[gate % len(track.gates)].frame_at(t)
@@ -744,14 +758,26 @@ def test_mirrored_track_mirrors_the_gate_mask(name, gate, standoff, side, rise, 
     camera = DEFAULT_CAMERA
     assert camera.cx == camera.width / 2
     pose = camera_pose(pos, yaw + turn)
-    mirrored_pose = camera_pose(pos * (1.0, -1.0, 1.0), -(yaw + turn))
     mask = gate_mask(list(track.gates), camera, pose, t=t)
-    mirrored = gate_mask(list(mirror.gates), camera, mirrored_pose, t=t)
     assume(mask.any())   # a pose that sees no ring mirrors trivially
-    differ = mirrored[:, 1:] != mask[:, :0:-1]
-    ties = (_ring_edge_ties(mirror, mirrored_pose, t)[:, 1:]
-            | _ring_edge_ties(track, pose, t)[:, :0:-1])
-    assert not (differ & ~ties).any()
+    # the exact mirror of the pose: world y and camera x negated in its
+    # rotation matrix, which is all gate_mask reads of a rotation. Its mask
+    # is the reflected mask on every pixel
+    exact_pose = _MatrixPose(pose.rotation_matrix() * _MIRRORED_ROTATION,
+                             pos * (1.0, -1.0, 1.0))
+    exact = gate_mask(list(mirror.gates), camera, exact_pose, t=t)
+    np.testing.assert_array_equal(exact[:, 1:], mask[:, :0:-1])
+    # camera_pose of the mirrored yaw goes through a quaternion, so its
+    # rotation need not be that mirror bit for bit; where it is not, a bit
+    # may differ only where a ray meets a ring edge within rounding
+    mirrored_pose = camera_pose(pos * (1.0, -1.0, 1.0), -(yaw + turn))
+    mirrored = gate_mask(list(mirror.gates), camera, mirrored_pose, t=t)
+    differ = mirrored != exact
+    if np.array_equal(mirrored_pose.rotation_matrix(), exact_pose.matrix):
+        assert not differ.any()
+    else:
+        ties = _ring_edge_ties(mirror, mirrored_pose, t) | _ring_edge_ties(mirror, exact_pose, t)
+        assert not (differ & ~ties).any()
 
 
 # ---------------------------------------------------------------------------

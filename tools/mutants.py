@@ -51,7 +51,6 @@ class Mutant(NamedTuple):
 
 DYNAMICS = "src/gatesim/dynamics.py"
 SIMULATOR = "src/gatesim/simulator.py"
-POLICIES = "src/gatesim/policies.py"
 
 
 def _clamp(x: str, b: str, before: str = "", after: str = "") -> str:
@@ -88,19 +87,11 @@ MUTANTS = [
     *_clamp_mutants("quad rates pitch tilt", "pitch_des", "tilt", before="pitch_des = "),
     *_clamp_mutants("quad rates roll tilt", "roll_des", "tilt", before="roll_des = "),
     # the rollout's full-state tick on floats
-    Mutant(SIMULATOR, "nx * (x - cx) + ny * (y - cy)", "nx * (x - cx) - ny * (y - cy)",
-           "rollout static plane offset: the y term's sign flipped"),
-    Mutant(SIMULATOR, "                    if plane is not None:\n"
-                      "                        cx, cy, cz, nx, ny, nz = plane\n", "",
-           "rollout static plane offset: the next static target keeps the last one's floats"),
     Mutant(SIMULATOR, "        if keep_history:\n            state = np.array(floats)",
            "        if sees_mask:\n            state = np.array(floats)",
            "rollout state array: built for mask policies only, not for the observer"),
     Mutant(SIMULATOR, "floats = tuple(state.tolist())", "floats = state.tolist()",
            "rollout start state: a list, which the first tick's policy could change"),
-    # the learner's noise on floats
-    Mutant(POLICIES, "a + (0.0 + s * b)", "a - (0.0 + s * b)",
-           "learner noise sum: the noise subtracted"),
 ]
 
 
