@@ -55,7 +55,13 @@ class MaskObs:
 
 
 class Policy:
-    """evaluate(obs) -> control. Stateful policies re-seed in reset()."""
+    """evaluate(obs) -> control. Stateful policies re-seed in reset().
+
+    Every policy here returns its control as a tuple of Python floats, one
+    per control channel. A rollout turns whatever evaluate returns into such
+    a tuple once per tick (float() of each entry, the bits of a float64 array
+    of it), so a policy may also return an array or any other sequence of
+    numbers."""
 
     platform = "any"
     observes = "full_state"
@@ -120,7 +126,7 @@ def gate_velocity(gate: Gate, t: float) -> np.ndarray:
     )
 
 
-def expert_uav_control(obs: FullStateObs) -> np.ndarray:
+def expert_uav_control(obs: FullStateObs) -> tuple:
     """Proportional guidance to the carrot: rate commands from bearing errors."""
     gate = _target_gate(obs)
     x, y, z, psi, theta = _floats(obs.state)[:5]
@@ -130,10 +136,10 @@ def expert_uav_control(obs: FullStateObs) -> np.ndarray:
     elevation = math.atan2(rz, math.hypot(rx, ry))
     u_psi = UAV_K_YAW * wrap_angle(bearing - psi)
     u_theta = UAV_K_PITCH * (elevation - theta)
-    return np.array([u_psi, u_theta])
+    return (u_psi, u_theta)
 
 
-def expert_quad_control(obs: FullStateObs) -> np.ndarray:
+def expert_quad_control(obs: FullStateObs) -> tuple:
     """Constant forward speed; lateral/vertical offsets of the carrot drive
     vy/vz (plus the known gate velocity as feedforward); yaw aligns with the
     gate normal."""
@@ -146,14 +152,14 @@ def expert_quad_control(obs: FullStateObs) -> np.ndarray:
     vy = QUAD_K_Y * dot((ax - x, ay - y, az - z), left) + dot(ff, left)
     vz = QUAD_K_Z * (az - z) + ff[2]
     r = QUAD_K_YAW * wrap_angle(gate_yaw - psi)
-    return np.array([QUAD_CRUISE_SPEED, vy, vz, r])
+    return (QUAD_CRUISE_SPEED, vy, vz, r)
 
 
 class ExpertUavPolicy(Policy):
     platform = "uav"
     observes = "full_state"
 
-    def evaluate(self, obs: FullStateObs) -> np.ndarray:
+    def evaluate(self, obs: FullStateObs) -> tuple:
         return expert_uav_control(obs)
 
 
@@ -161,7 +167,7 @@ class ExpertQuadPolicy(Policy):
     platform = "quad"
     observes = "full_state"
 
-    def evaluate(self, obs: FullStateObs) -> np.ndarray:
+    def evaluate(self, obs: FullStateObs) -> tuple:
         return expert_quad_control(obs)
 
 
@@ -187,8 +193,8 @@ class ZeroPolicy(Policy):
         self.platform = platform
         self._dim = platform_dynamics(platform).control_dim
 
-    def evaluate(self, obs) -> np.ndarray:
-        return np.zeros(self._dim)
+    def evaluate(self, obs) -> tuple:
+        return (0.0,) * self._dim
 
 
 # ---------------------------------------------------------------------------
@@ -302,13 +308,13 @@ class MaskCentroidPolicy(Policy):
         self.reset()
 
     def reset(self, rng=None) -> None:
-        self._hold = np.zeros(2)
+        self._hold = (0.0, 0.0)
 
-    def evaluate(self, obs: MaskObs) -> np.ndarray:
+    def evaluate(self, obs: MaskObs) -> tuple:
         found = largest_component_centroid(obs.mask)
         if found is None:
             vy, r = self._hold
-            return np.array([0.0, vy, 0.0, r])
+            return (0.0, vy, 0.0, r)
         (ux, uy), _ = found
         camera = DEFAULT_CAMERA
         ex = (camera.cx - ux) / camera.width
@@ -316,8 +322,8 @@ class MaskCentroidPolicy(Policy):
         vy = MASK_K_Y * ex
         vz = MASK_K_Z * ey
         r = MASK_K_YAW * ex
-        self._hold = np.array([vy, r])
-        return np.array([QUAD_CRUISE_SPEED, vy, vz, r])
+        self._hold = (vy, r)
+        return (QUAD_CRUISE_SPEED, vy, vz, r)
 
 
 @dataclass(frozen=True)
@@ -429,7 +435,7 @@ class NoisyMaskPolicy(Policy):
         self._rng = rng if rng is not None else np.random.default_rng(0)
         self.inner.reset()
 
-    def evaluate(self, obs: MaskObs) -> np.ndarray:
+    def evaluate(self, obs: MaskObs) -> tuple:
         noisy = noisy_perception(obs.mask, PERCEPTION_NOISE, self._rng)
         return self.inner.evaluate(MaskObs(noisy, obs.history))
 
@@ -473,7 +479,7 @@ class SyntheticLearner(Policy):
     def sigma(self, cell: int) -> np.ndarray:
         return self.sigma0 / math.sqrt(1.0 + self.counts[cell] / self.n0)
 
-    def evaluate(self, obs: FullStateObs) -> np.ndarray:
+    def evaluate(self, obs: FullStateObs) -> tuple:
         u = self.expert.evaluate(obs)
         # a rollout passes the same gates tuple on every tick
         if obs.gates is not self._gates:
@@ -481,9 +487,11 @@ class SyntheticLearner(Policy):
             self._gates = obs.gates
         key = (self._cell, self.counts[self._cell])
         if key != self._sigma_key:
-            self._sigma_key, self._sigma = key, self.sigma(self._cell)
-        # the bits and generator state of rng.normal(0.0, sigma), drawn faster
-        return u + (0.0 + self._sigma * self._rng.standard_normal(len(self._sigma)))
+            self._sigma_key, self._sigma = key, self.sigma(self._cell).tolist()
+        # the bits and generator state of rng.normal(0.0, sigma) added to u,
+        # drawn faster and summed per channel on floats
+        z = self._rng.standard_normal(len(self._sigma)).tolist()
+        return tuple([a + (0.0 + s * e) for a, s, e in zip(u, self._sigma, z)])
 
     def train(self, records) -> None:
         for rec in records:

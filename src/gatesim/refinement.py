@@ -42,6 +42,9 @@ class GridPartition:
             raise ValueError("partition bounds must satisfy lo < hi")
         if np.any(self.counts < 1):
             raise ValueError("bin counts must be >= 1")
+        # (lo, width, count) per dimension as Python numbers, for cell_of
+        object.__setattr__(self, "_bins", tuple(zip(self.lo.tolist(), self.widths.tolist(),
+                                                    self.counts.tolist())))
 
     @property
     def m(self) -> int:
@@ -53,11 +56,21 @@ class GridPartition:
         return (self.hi - self.lo) / self.counts
 
     def cell_of(self, layout) -> int:
-        """Cell index of a layout; out-of-box layouts clip to the edge bins."""
-        v = np.asarray(layout, dtype=np.float64).reshape(8)
-        bins = np.floor((v - self.lo) / self.widths).astype(np.int64)
-        bins = np.clip(bins, 0, self.counts - 1)
-        return int(np.ravel_multi_index(bins, self.counts))
+        """Cell index of a layout; out-of-box layouts clip to the edge bins.
+
+        Per dimension the bin is floor((v - lo) / width) clamped to
+        [0, count - 1], and the bins make a row-major index, on Python
+        numbers: the index of np.floor, np.clip and np.ravel_multi_index on
+        the arrays for every layout whose floor fits an int64. (Past that,
+        the array formula's int64 cast sends a layout to bin 0 and this one
+        to the edge bin it lies beyond; a NaN goes to bin 0 in both.)"""
+        values = np.asarray(layout, dtype=np.float64).reshape(8).tolist()
+        cell = 0
+        for v, (lo, width, count) in zip(values, self._bins):
+            q = (v - lo) / width
+            # int() truncates, which is floor on [0, count)
+            cell = cell * count + (int(q) if 0.0 <= q < count else count - 1 if q >= count else 0)
+        return cell
 
     def cell_bounds(self, cell: int) -> tuple[np.ndarray, np.ndarray]:
         bins = np.array(np.unravel_index(cell, self.counts))

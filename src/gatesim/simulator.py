@@ -175,23 +175,30 @@ def rollout(
     The timeout is tested after each whole policy tick, so a rollout may run
     up to one tick period past it.
 
+    The policy's control, whatever sequence of numbers evaluate returns, is
+    turned once per tick into a tuple of Python floats (float() of each
+    entry: the bits of np.array(control, dtype=np.float64), so float32 or
+    integer entries are widened before any step reads them). That one tuple
+    is what the steps take, what the recorded controls and the mask history
+    hold, and what the observer is given.
+
     observer(t, state, target, history, control), when given, is called once
-    per policy tick with the history the policy was given and the control it
-    returned; target is len(track.gates) after a missed last gate. The loop
-    never mutates these arrays afterwards, and the observer must not either.
+    per policy tick with the history the policy was given and that control
+    tuple; target is len(track.gates) after a missed last gate. The loop
+    never mutates the state and history arrays afterwards, and the observer
+    must not either.
 
     The loop builds no array per dynamics step. Each step takes the tuple of
-    Python floats the step before returned, with the tick's control as one
-    list of floats, and the recorded trajectory appends that tuple; each
-    tick's control is copied once from what the policy returned, so the
-    recorded trajectory can share it. A full-state policy is given that
-    tuple as FullStateObs.state: it is immutable, so it needs no copy. The
-    new position serves the arena test and the gate side (geometry.plane_offset
-    on the target's center and normal floats, read once per target for a
-    static gate and at each step for a moving one). Arrays are built only
-    where they are read: the state once per tick for a mask policy's camera
-    pose and for the observer, the two positions at a crossing, and
-    Rollout.states at the end.
+    Python floats the step before returned, with the tick's control tuple,
+    and the recorded trajectory appends both tuples. A full-state policy is
+    given the state tuple as FullStateObs.state: it is immutable, so it
+    needs no copy. The new position serves the arena test and the gate side
+    (geometry.plane_offset on the target's center and normal floats, read
+    once per target for a static gate and at each step for a moving one).
+    Arrays are built only where they are read: the state once per tick for
+    a mask policy's camera pose and for the observer, the mask history, the
+    two positions at a crossing, and Rollout.states and Rollout.controls at
+    the end.
     """
     if policy.platform not in ("any", track.platform):
         raise ValueError(
@@ -246,12 +253,11 @@ def rollout(
             obs = MaskObs(gate_mask(list(gates), DEFAULT_CAMERA, pose, t=t), history.copy())
         else:
             obs = FullStateObs(t, floats, gates, target)
-        control = np.array(policy.evaluate(obs), dtype=np.float64)
+        u = tuple(map(float, policy.evaluate(obs)))
         if observer is not None:
-            observer(t, state, target, history, control)
+            observer(t, state, target, history, u)
         if keep_history:
-            history = np.concatenate((history[1:], control[None]))
-        u = control.tolist()
+            history = np.concatenate((history[1:], [u]))
 
         for _ in range(n_steps):
             prev, floats = floats, step(floats, u, dt)
@@ -283,7 +289,7 @@ def rollout(
             if record:
                 times.append(t)
                 states.append(floats)
-                controls.append(control)
+                controls.append(u)
             # Arena.contains on the same floats: inside the closed box, and
             # False for a NaN coordinate
             if terminal is None and not (xl <= x <= xh and yl <= y <= yh and zl <= z <= zh):

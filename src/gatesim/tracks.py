@@ -88,6 +88,13 @@ def _plane_floats(frame: GateFrame) -> tuple:
     return (*frame.center.tolist(), *frame.normal.tolist())
 
 
+def _clip(p: float, lo: float, hi: float) -> float:
+    """np.clip(p, lo, hi) on floats: a tie with a bound gives the bound (so
+    -0.0 against a bound of 0.0 gives 0.0) and a NaN p stays NaN."""
+    p = lo if p <= lo else p
+    return hi if p >= hi else p
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -202,23 +209,34 @@ class Track:
     def nominal_speed(self) -> float:
         return NOMINAL_SPEED[self.platform]
 
+    def _start(self) -> tuple[tuple, float]:
+        """The start position as three floats, and the start yaw.
+
+        center - INIT_STANDOFF * normal of gate 1 at t = 0, clamped to 0.5 m
+        inside the arena, on the plane's floats: the bits of
+        np.clip(center - k * normal, lo + 0.5, hi - 0.5)."""
+        frame, (cx, cy, cz, nx, ny, nz) = self.gates[0].frame_plane_at(0.0)
+        k = INIT_STANDOFF[self.platform]
+        (xl, xh), (yl, yh), (zl, zh) = self.arena.bounds
+        pos = (_clip(cx - k * nx, xl + 0.5, xh - 0.5),
+               _clip(cy - k * ny, yl + 0.5, yh - 0.5),
+               _clip(cz - k * nz, zl + 0.5, zh - 0.5))
+        return pos, frame.yaw
+
     def initial_pose(self) -> tuple[np.ndarray, float]:
         """Start pose: on gate 1's approach axis, facing it, inside the arena."""
-        center, yaw, normal, _, _ = self.gates[0].frame_at(0.0)
-        pos = center - INIT_STANDOFF[self.platform] * normal
-        pos = np.clip(pos, self.arena.lo + 0.5, self.arena.hi - 0.5)
-        return pos, yaw
+        pos, yaw = self._start()
+        return np.array(pos), yaw
 
     def timeout(self) -> float:
         """3x the straight-line gate-to-gate time at nominal speed, min 4 s."""
-        pos, _ = self.initial_pose()
+        (px, py, pz), _ = self._start()
         t = 0.0
-        prev = pos
         for g in self.gates:
-            c = g.pose_at(0.0)[0]
-            d = (c - prev).tolist()
+            cx, cy, cz = g.frame_plane_at(0.0)[1][:3]
+            d = (cx - px, cy - py, cz - pz)
             t += math.sqrt(dot(d, d)) / self.nominal_speed
-            prev = c
+            px, py, pz = cx, cy, cz
         return max(4.0, 3.0 * t)
 
 

@@ -265,7 +265,8 @@ def test_quad_expert_feedforward_is_gate_velocity():
     _, center, yaw, _ = _aim_point(moving, 0.0, obs.state[:3], 1.0)
     frozen = _gate(center, yaw=yaw, platform="quad")
     u_frozen = expert_quad_control(_quad_obs((0.0, 0.0, 1.0), gate=frozen))
-    np.testing.assert_allclose(u_moving - u_frozen, [0.0, 0.25, 0.0, 0.0], atol=1e-12)
+    assert type(u_moving) is tuple and type(u_frozen) is tuple
+    np.testing.assert_allclose(np.subtract(u_moving, u_frozen), [0.0, 0.25, 0.0, 0.0], atol=1e-12)
 
 
 def test_gate_velocity():
@@ -323,14 +324,16 @@ _STATE_DIM = {"uav": 5, "quad": 12}
 @example("quad", [1.0, 0.5, 1.0] + [-0.0] * 5 + [-math.pi] + [0.0] * 3, 7.5, 3)
 def test_expert_controls_of_a_tuple_state_are_those_of_the_array(platform, values, t, target):
     # a rollout hands the expert the step's tuple of floats; cli export-dataset
-    # and the tests hand it an array row: the controls have the same bits
+    # and the tests hand it an array row: the controls are tuples of Python
+    # floats with the same bits
     gates = _expert_gates(platform)
     state = np.array(values[:_STATE_DIM[platform]])
     expert = expert_policy(platform)
     from_array = expert.evaluate(FullStateObs(t, state, gates, target))
     from_tuple = expert.evaluate(FullStateObs(t, tuple(state.tolist()), gates, target))
-    assert type(from_tuple) is np.ndarray
-    assert from_tuple.tobytes() == from_array.tobytes()
+    assert type(from_tuple) is tuple and type(from_array) is tuple
+    assert all(type(v) is float for v in from_tuple + from_array)
+    assert np.array(from_tuple).tobytes() == np.array(from_array).tobytes()
 
 
 @pytest.mark.parametrize("factory", [expert_policy, ZeroPolicy], ids=lambda f: f.__name__)
@@ -765,7 +768,9 @@ def test_noisy_mask_policy_starts_from_the_rollout_default_stream():
     reset = NoisyMaskPolicy(MaskCentroidPolicy())
     reset.reset(np.random.default_rng(0))
     for _ in range(3):
-        assert fresh.evaluate(obs).tobytes() == reset.evaluate(obs).tobytes()
+        u_fresh, u_reset = fresh.evaluate(obs), reset.evaluate(obs)
+        assert type(u_fresh) is tuple and type(u_reset) is tuple
+        assert np.array(u_fresh).tobytes() == np.array(u_reset).tobytes()
     assert fresh._rng.bit_generator.state == reset._rng.bit_generator.state
 
 
@@ -947,14 +952,16 @@ def test_learner_noise_matches_sigma():
     obs = FullStateObs(0.0, np.array([0.0, 0.0, 0.25, 0.0, 0.0]), (gate,), 0)
     clean = expert_uav_control(obs)
     learner.reset(np.random.default_rng(100))
-    errs = np.stack([learner.evaluate(obs) - clean for _ in range(4000)])
+    assert type(learner.evaluate(obs)) is tuple
+    learner.reset(np.random.default_rng(100))
+    errs = np.stack([np.subtract(learner.evaluate(obs), clean) for _ in range(4000)])
     np.testing.assert_allclose(errs.std(axis=0), learner.sigma(0), rtol=0.05)
     np.testing.assert_allclose(errs.mean(axis=0), 0.0, atol=0.02)
     # training shrinks the error in that grid only
     layout = layout_of_gates((gate,))
     learner.train([TrainingRecord(layout, 0, 0.0) for _ in range(60)])
     learner.reset(np.random.default_rng(101))
-    errs = np.stack([learner.evaluate(obs) - clean for _ in range(4000)])
+    errs = np.stack([np.subtract(learner.evaluate(obs), clean) for _ in range(4000)])
     np.testing.assert_allclose(errs.std(axis=0), 0.2 * CONTROL_LIMITS["uav"], rtol=0.05)
 
 
@@ -978,7 +985,9 @@ def test_learner_starts_from_the_rollout_default_stream():
                     for _ in range(2))
     reset.reset(np.random.default_rng(0))
     for _ in range(3):
-        assert fresh.evaluate(obs).tobytes() == reset.evaluate(obs).tobytes()
+        u_fresh, u_reset = fresh.evaluate(obs), reset.evaluate(obs)
+        assert type(u_fresh) is tuple and type(u_reset) is tuple
+        assert np.array(u_fresh).tobytes() == np.array(u_reset).tobytes()
 
 
 class _UncachedLearner(SyntheticLearner):

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gatesim import refinement
 from gatesim.policies import SyntheticLearner, ZeroPolicy, expert_policy
@@ -94,6 +96,51 @@ def test_partition_boundary_bins():
     # out-of-box layouts clip to the edge bins
     assert part.cell_of(np.full(8, -10.0)) == 0
     assert part.cell_of(np.full(8, 10.0)) == part.m - 1
+
+
+def _array_cell_of(part, layout):
+    """The array formula of cell_of: np.floor, np.clip, np.ravel_multi_index."""
+    v = np.asarray(layout, dtype=np.float64).reshape(8)
+    bins = np.floor((v - part.lo) / part.widths).astype(np.int64)
+    bins = np.clip(bins, 0, part.counts - 1)
+    return int(np.ravel_multi_index(bins, part.counts))
+
+
+def _coordinate(part, i, spec):
+    """One layout coordinate from its spec: ("unit", u) at lo + u (hi - lo),
+    u in [-0.5, 1.5] reaching outside the box; ("edge", k) on the k-th bin
+    edge lo + k * width, k clamped to the bin count; ("hi",) on the upper
+    bound itself; ("far", x) at x, far outside."""
+    lo, hi, width, count = (float(part.lo[i]), float(part.hi[i]), float(part.widths[i]),
+                            int(part.counts[i]))
+    kind = spec[0]
+    if kind == "unit":
+        return lo + spec[1] * (hi - lo)
+    if kind == "edge":
+        return lo + min(spec[1], count) * width
+    return hi if kind == "hi" else spec[1]
+
+
+_SPEC = st.one_of(st.tuples(st.just("unit"), st.floats(-0.5, 1.5)),
+                  st.tuples(st.just("edge"), st.integers(0, 5)),
+                  st.just(("hi",)),
+                  st.tuples(st.just("far"), st.sampled_from([-1e12, -1e6, 1e6, 1e12])))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(LAYOUT_BOXES)), st.tuples(*[st.integers(1, 5)] * 4),
+       st.lists(_SPEC, min_size=8, max_size=8))
+@example("uav", (2, 2, 2, 2), [("hi",)] * 8)                       # the upper bound: the top cell
+@example("quad", (3, 2, 5, 4), [("edge", 1)] * 8)                  # on the first inner edges
+@example("uav", (3, 3, 3, 3), [("edge", 2)] * 4 + [("edge", 0)] * 4)
+@example("quad", (1, 4, 2, 3), [("edge", 5)] * 8)                  # the top edge, lo + n * width
+@example("uav", (2, 1, 2, 1), [("far", -1e12), ("far", 1e12)] * 4)
+def test_cell_of_matches_the_array_formula(platform, counts, specs):
+    part = GridPartition.default(platform, counts)
+    layout = [_coordinate(part, i, spec) for i, spec in enumerate(specs)]
+    cell = part.cell_of(layout)
+    assert type(cell) is int
+    assert cell == _array_cell_of(part, layout) == part.cell_of(np.array(layout))
 
 
 def test_partition_cell_bounds_tile_the_box():

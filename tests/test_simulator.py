@@ -613,6 +613,52 @@ def test_full_state_policy_sees_the_step_tuple_and_the_observer_an_array(name):
         assert state.tobytes() == row.tobytes()
 
 
+class _Float32Expert(Policy):
+    """The platform's expert with its control rounded to float32 and returned
+    in the given form."""
+
+    def __init__(self, platform, form):
+        self.platform = platform
+        self.expert = expert_policy(platform)
+        self.form = form
+
+    def evaluate(self, obs):
+        return self.form(np.array(self.expert.evaluate(obs), dtype=np.float32))
+
+
+# one control, as a policy may return it; the steppers compute in float32 on
+# np.float32 entries, so the rollout must widen each form before a step
+_CONTROL_FORMS = {
+    "float64 tuple": lambda u: tuple(u.tolist()),
+    "float32 array": lambda u: u,
+    "list of float32": list,
+    "tuple of float32": tuple,
+}
+
+
+@pytest.mark.parametrize("name", ["uav-slalom", "quad-drift"])
+def test_rollout_widens_every_control_form_to_the_same_bytes(name):
+    track = reference_track(name)
+    config = SimConfig(tick_hz=10.0)
+    rolls = {}
+    for form, make in _CONTROL_FORMS.items():
+        ticks = []
+        rolls[form] = rollout(_Float32Expert(track.platform, make), track, config,
+                              observer=lambda *tick: ticks.append(tick))
+        # the observer, the recording and the steps share one tuple of floats
+        for _, _, _, history, control in ticks:
+            assert type(control) is tuple and all(type(v) is float for v in control)
+            assert history.dtype == np.float64
+    ref = rolls["float64 tuple"]
+    assert len(ref.controls) > 0
+    for form, roll in rolls.items():
+        assert roll.controls.dtype == roll.states.dtype == np.float64, form
+        assert roll.times.tobytes() == ref.times.tobytes(), form
+        assert roll.states.tobytes() == ref.states.tobytes(), form
+        assert roll.controls.tobytes() == ref.controls.tobytes(), form
+        _assert_same_rollout(roll, ref)
+
+
 # ---------------------------------------------------------------------------
 # the mirror oracle: reflecting a track across the xz-plane reflects its
 # closed loop

@@ -9,9 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gatesim.geometry import dot
 from gatesim.tracks import (
     ARENAS,
     GATE_GEOMETRY,
+    INIT_STANDOFF,
+    Arena,
     Gate,
     Track,
     gate_axes,
@@ -444,3 +447,92 @@ def test_static_gate_frame_is_read_only_and_owns_its_center(center, yaw):
     copy = pickle.loads(pickle.dumps(g))
     assert not copy.frame_at(0.0).center.flags.writeable
     assert [_bits(a) for a in copy.frame_at(0.0)] == [_bits(a) for a in frame]
+
+
+# ---------------------------------------------------------------------------
+# the start pose and timeout on floats against their array formulas
+# ---------------------------------------------------------------------------
+
+
+def _array_initial_pose(track):
+    """Track.initial_pose as an array formula: np.clip of the standoff point."""
+    center, yaw, normal, _, _ = track.gates[0].frame_at(0.0)
+    pos = np.clip(center - INIT_STANDOFF[track.platform] * normal,
+                  track.arena.lo + 0.5, track.arena.hi - 0.5)
+    return pos, yaw
+
+
+def _array_timeout(track):
+    """Track.timeout on arrays, each leg the root of geometry.dot's sum."""
+    prev, _ = _array_initial_pose(track)
+    t = 0.0
+    for g in track.gates:
+        c = g.pose_at(0.0)[0]
+        d = (c - prev).tolist()
+        t += math.sqrt(dot(d, d)) / track.nominal_speed
+        prev = c
+    return max(4.0, 3.0 * t)
+
+
+def _one_gate(platform, center, yaw, arena=None):
+    geo = GATE_GEOMETRY[platform]
+    gate = Gate.static(geo["shape"], geo["inner_half"], geo["ring"], center, yaw)
+    return Track("one-gate", platform, (gate,), arena or ARENAS[platform])
+
+
+def _clamped_start_tracks():
+    """(track, axis, side) for one-gate tracks whose unclamped start point
+    lies below ("lo") or above ("hi") the clamp range on each axis, or on one
+    of its bounds ("on"), on both platforms; the standoff runs along x or y
+    with the gate's yaw, and z is the gate's own."""
+    cases = []
+    for platform, arena in ARENAS.items():
+        (xl, xh), (yl, yh), (zl, zh) = arena.bounds
+        xm, ym, zm = (xl + xh) / 2, (yl + yh) / 2, (zl + zh) / 2
+        cases += [
+            (_one_gate(platform, (xl + 1.0, ym, zm), 0.0), 0, "lo"),
+            (_one_gate(platform, (xh - 1.0, ym, zm), math.pi), 0, "hi"),
+            (_one_gate(platform, (xm, yl + 1.0, zm), math.pi / 2), 1, "lo"),
+            (_one_gate(platform, (xm, yh - 1.0, zm), -math.pi / 2), 1, "hi"),
+            (_one_gate(platform, (xm, ym, zl + 0.2), 0.0), 2, "lo"),
+            (_one_gate(platform, (xm, ym, zh - 0.2), 0.0), 2, "hi"),
+            # the standoff point lands exactly on the lower x bound
+            (_one_gate(platform, (xl + 0.5 + INIT_STANDOFF[platform], ym, zm), 0.0), 0, "on"),
+        ]
+    # -0.0 on a bound of 0.0: np.clip gives the bound, +0.0
+    zero = Arena("zero", np.array([-20.0, -10.0, -0.5]), np.array([20.0, 10.0, 4.0]))
+    cases.append((_one_gate("uav", (0.0, 0.0, -0.0), 0.0, zero), 2, "on"))
+    return cases
+
+
+def _moving_first_gate_track():
+    """Two uav gates, the first moving on a schedule that t = 0 falls inside."""
+    moving = _uav_gate(None, keyframes=((-1.0, np.array([-4.0, 1.0, 1.5]), 0.3),
+                                        (2.0, np.array([-2.0, -1.0, 2.5]), -0.2)))
+    return Track("moving", "uav", (moving, _uav_gate((9.0, 2.0, 2.0), 0.1)), ARENAS["uav"])
+
+
+def _start_pose_tracks():
+    named = [(reference_track(n), n) for n in reference_track_names()]
+    clamped = [(t, f"{t.platform}-axis{axis}-{side}") for t, axis, side in _clamped_start_tracks()]
+    return named + clamped + [(_moving_first_gate_track(), "moving-first-gate")]
+
+
+@pytest.mark.parametrize("track", [t for t, _ in _start_pose_tracks()],
+                         ids=[name for _, name in _start_pose_tracks()])
+def test_start_pose_and_timeout_have_the_bits_of_the_array_formulas(track):
+    pos, yaw = track.initial_pose()
+    want_pos, want_yaw = _array_initial_pose(track)
+    assert type(pos) is np.ndarray and pos.dtype == np.float64 and pos.shape == (3,)
+    assert pos.tobytes() == want_pos.tobytes()
+    assert _bits(yaw) == _bits(want_yaw)
+    assert _bits(track.timeout()) == _bits(_array_timeout(track))
+
+
+@pytest.mark.parametrize("track, axis, side", _clamped_start_tracks())
+def test_clamped_start_cases_reach_the_clamp(track, axis, side):
+    # each case exercises the bound it names
+    center, _, normal, _, _ = track.gates[0].frame_at(0.0)
+    p = (center - INIT_STANDOFF[track.platform] * normal)[axis]
+    lo, hi = track.arena.lo[axis] + 0.5, track.arena.hi[axis] - 0.5
+    assert {"lo": p < lo, "hi": p > hi, "on": p == lo}[side]

@@ -51,6 +51,8 @@ class Mutant(NamedTuple):
 
 DYNAMICS = "src/gatesim/dynamics.py"
 SIMULATOR = "src/gatesim/simulator.py"
+TRACKS = "src/gatesim/tracks.py"
+REFINEMENT = "src/gatesim/refinement.py"
 
 
 def _clamp(x: str, b: str, before: str = "", after: str = "") -> str:
@@ -92,6 +94,18 @@ MUTANTS = [
            "rollout state array: built for mask policies only, not for the observer"),
     Mutant(SIMULATOR, "floats = tuple(state.tolist())", "floats = state.tolist()",
            "rollout start state: a list, which the first tick's policy could change"),
+    # float controls and the float rollout set-up
+    Mutant(SIMULATOR, "u = tuple(map(float, policy.evaluate(obs)))", "u = policy.evaluate(obs)",
+           "rollout control: what the policy returned, unconverted"),
+    Mutant(SIMULATOR, "u = tuple(map(float, policy.evaluate(obs)))",
+           "u = policy.evaluate(obs)\n        u = u if type(u) is tuple else tuple(map(float, u))",
+           "rollout control: a tuple passed through unconverted, so float32 entries stay"),
+    Mutant(TRACKS, "_clip(cx - k * nx, xl + 0.5, xh - 0.5)", "_clip(cx - k * nx, xh - 0.5, xl + 0.5)",
+           "start pose: swap the x clamp's bounds"),
+    Mutant(TRACKS, "p = lo if p <= lo else p", "p = lo if p < lo else p",
+           "start pose clamp: a tie keeps the point, not the bound (-0.0 on a bound of 0.0)"),
+    Mutant(REFINEMENT, "0.0 <= q < count else count - 1 if q >= count else 0", "0.0 <= q else 0",
+           "cell_of: no clamp to the top bin, so the upper bound is out of the grid"),
 ]
 
 
