@@ -1,9 +1,10 @@
 """Vehicle dynamics: a kinematic fixed-wing model and a 12-state quadrotor.
 
-Both platforms sit behind the same stepping interface (state vector in,
-control vector in, fixed-dt RK4 step out as a tuple of state_dim Python
-floats, which the next step reads as it is) so the simulator can swap them,
-or any future platform, without changes. Steppers are pure and
+Both platforms sit behind the same stepping interface so the simulator can
+swap them, or any future platform, without changes. A state is a tuple of
+state_dim Python floats everywhere: initial_state returns one, and step
+takes one with a tuple of control_dim Python floats and a dt and returns
+the next, which the step after reads as it is. Steppers are pure and
 deterministic: identical inputs give bit-identical outputs.
 """
 
@@ -12,16 +13,14 @@ from __future__ import annotations
 import math
 from math import cos, isfinite, sin
 
-import numpy as np
-
 from .geometry import wrap_angle
 
 GRAVITY = 9.81
 
 
 def _non_finite(what: str, values) -> ValueError:
-    """The refusal of a state or control vector holding NaN or inf."""
-    return ValueError(f"non-finite {what}: {np.asarray(values).tolist()}")
+    """The refusal of a state or control tuple holding NaN or inf."""
+    return ValueError(f"non-finite {what}: {list(values)}")
 
 
 class UavParams:
@@ -56,41 +55,33 @@ class UavDynamics:
     control_dim = 2
     params = UavParams
 
-    def initial_state(self, position, yaw: float) -> np.ndarray:
-        p = np.asarray(position, dtype=np.float64)
-        return np.array([p[0], p[1], p[2], wrap_angle(yaw), 0.0])
+    def initial_state(self, position, yaw: float) -> tuple:
+        """Level flight at position (any 3-sequence of numbers) with the
+        wrapped yaw, as a tuple of five Python floats."""
+        x, y, z = map(float, position)
+        return (x, y, z, wrap_angle(yaw), 0.0)
 
-    def position(self, state: np.ndarray) -> np.ndarray:
+    def position(self, state: tuple) -> tuple:
         return state[:3]
 
-    def yaw(self, state: np.ndarray) -> float:
-        return float(state[3])
+    def yaw(self, state: tuple) -> float:
+        return state[3]
 
-    def clamp_control(self, control) -> tuple[float, float]:
-        """The saturated rate commands; step applies the same clamp inline."""
-        u_psi, u_th = float(control[0]), float(control[1])
-        ym, pm = _YAW_RATE_MAX, _PITCH_RATE_MAX
-        return (-ym if u_psi < -ym else (ym if u_psi > ym else u_psi),
-                -pm if u_th < -pm else (pm if u_th > pm else u_th))
-
-    def step(self, state, control, dt: float | None = None) -> tuple:
-        """One RK4 step, its four stages inline on floats, returned as a tuple
-        of five floats. state and control may be arrays or sequences of
-        floats; arrays are read as lists of Python floats, whose arithmetic
-        is cheaper than that of numpy scalars and has the same bits.
+    def step(self, state: tuple, control: tuple, dt: float) -> tuple:
+        """One RK4 step, its four stages inline on Python floats, whose
+        arithmetic is cheaper than that of numpy scalars and has the same
+        bits; state and control are tuples of floats, and the next state is
+        returned as a tuple of five floats.
 
         Each clamp is two comparisons, which give the value min(max(x, -b), b)
-        gives, -0.0 included. The rates read only yaw and pitch, so the stage
-        positions are never formed; the pitch rate is zeroed while it pushes
-        past the pin. When stage 2 has stage 1's pin state, its pitch rate is
-        stage 1's float, so stage 3 moves pitch as stage 2 did and is stage 2."""
-        dt = UavParams.dt if dt is None else dt
+        gives, -0.0 included: the yaw and pitch rates to +-yaw_rate_max and
+        +-pitch_rate_max, and the new pitch to +-theta_max. The rates read
+        only yaw and pitch, so the stage positions are never formed; the
+        pitch rate is zeroed while it pushes past the pin. When stage 2 has
+        stage 1's pin state, its pitch rate is stage 1's float, so stage 3
+        moves pitch as stage 2 did and is stage 2."""
         if not 0.0 < dt <= 0.1:
             raise ValueError(f"uav dt must be in (0, 0.1], got {dt}")
-        if type(state) is np.ndarray:
-            state = state.tolist()
-        if type(control) is np.ndarray:
-            control = control.tolist()
         x, y, z, psi, th = state
         u_psi, u_th = control
         if not (isfinite(x) and isfinite(y) and isfinite(z) and isfinite(psi)
@@ -173,28 +164,17 @@ class QuadDynamics:
     control_dim = 4
     params = QuadParams
 
-    def initial_state(self, position, yaw: float) -> np.ndarray:
-        s = np.zeros(12)
-        s[:3] = np.asarray(position, dtype=np.float64)
-        s[8] = wrap_angle(yaw)
-        return s
+    def initial_state(self, position, yaw: float) -> tuple:
+        """Hover at position (any 3-sequence of numbers) with the wrapped yaw,
+        as a tuple of twelve Python floats."""
+        x, y, z = map(float, position)
+        return (x, y, z, 0.0, 0.0, 0.0, 0.0, 0.0, wrap_angle(yaw), 0.0, 0.0, 0.0)
 
-    def position(self, state: np.ndarray) -> np.ndarray:
+    def position(self, state: tuple) -> tuple:
         return state[:3]
 
-    def yaw(self, state: np.ndarray) -> float:
-        return float(state[8])
-
-    def clamp_control(self, control):
-        """The command with its velocity norm and yaw rate saturated; step
-        applies the same clamp inline."""
-        vx, vy, vz, r = map(float, control)
-        norm = math.sqrt(vx * vx + vy * vy + vz * vz)
-        if norm > _V_CMD_MAX:
-            k = _V_CMD_MAX / norm
-            vx, vy, vz = vx * k, vy * k, vz * k
-        ym = _QUAD_YAW_RATE_MAX
-        return vx, vy, vz, -ym if r < -ym else (ym if r > ym else r)
+    def yaw(self, state: tuple) -> float:
+        return state[8]
 
     @staticmethod
     def _rates(s, k, h, vx_c, vy_c, vz_c, r_cmd) -> tuple:
@@ -230,24 +210,20 @@ class QuadDynamics:
                 (dpitch * cr + rb * cp * sr - qb) / tau_att,
                 (r_cmd - rb) / tau_att)
 
-    def step(self, state, control, dt: float | None = None) -> tuple:
-        """One RK4 step on floats, returned as a tuple of twelve floats. state
-        and control may be arrays or sequences of floats; an array state is
-        read as a list of Python floats, and the control's entries are made
-        Python floats as clamp_control makes them. The clamps are
-        clamp_control's, inline. The rates read no position, so each stage
-        moves only the other nine entries."""
-        dt = QuadParams.dt if dt is None else dt
+    def step(self, state: tuple, control: tuple, dt: float) -> tuple:
+        """One RK4 step on Python floats: state and control are tuples of
+        floats, and the next state is returned as a tuple of twelve floats.
+        The command's velocity is scaled to norm v_cmd_max when it is longer
+        and its yaw rate clamped to +-yaw_rate_max. The rates read no
+        position, so each stage moves only the other nine entries."""
         if not 0.0 < dt <= 0.05:
             raise ValueError(f"quad dt must be in (0, 0.05], got {dt}")
-        if type(state) is np.ndarray:
-            state = state.tolist()
         if not all(map(isfinite, state)):
             raise _non_finite("quad state", state)
         if not all(map(isfinite, control)):
             raise _non_finite("quad control", control)
         _, _, _, *s = state
-        vx_c, vy_c, vz_c, r_c = map(float, control)
+        vx_c, vy_c, vz_c, r_c = control
         norm = math.sqrt(vx_c * vx_c + vy_c * vy_c + vz_c * vz_c)
         if norm > _V_CMD_MAX:
             k = _V_CMD_MAX / norm

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,11 +36,11 @@ MASK_K_Y, MASK_K_Z, MASK_K_YAW = 0.4, 2.0, 2.5
 class FullStateObs:
     """Everything an expert may use: time, vehicle state, gates, target index.
 
-    state is any sequence of state_dim floats: an array, a list, or inside a
-    rollout the tuple of Python floats the last dynamics step returned."""
+    state is the tuple of state_dim Python floats that the dynamics hand
+    out: inside a rollout the one the last step returned."""
 
     t: float
-    state: Sequence[float]
+    state: tuple
     gates: tuple
     target_index: int
 
@@ -74,12 +73,6 @@ class Policy:
 
     def train(self, records) -> None:
         pass
-
-
-def _floats(state):
-    """The state as a sequence of Python floats: an array as a list, anything
-    else as it is (a rollout's tuple of step floats)."""
-    return state.tolist() if type(state) is np.ndarray else state
 
 
 def _target_gate(obs: FullStateObs) -> Gate:
@@ -129,7 +122,7 @@ def gate_velocity(gate: Gate, t: float) -> np.ndarray:
 def expert_uav_control(obs: FullStateObs) -> tuple:
     """Proportional guidance to the carrot: rate commands from bearing errors."""
     gate = _target_gate(obs)
-    x, y, z, psi, theta = _floats(obs.state)[:5]
+    x, y, z, psi, theta = obs.state
     (ax, ay, az), _, _, _ = _aim_point(gate, obs.t, (x, y, z), UavParams.speed)
     rx, ry, rz = ax - x, ay - y, az - z
     bearing = math.atan2(ry, rx)
@@ -144,7 +137,7 @@ def expert_quad_control(obs: FullStateObs) -> tuple:
     vy/vz (plus the known gate velocity as feedforward); yaw aligns with the
     gate normal."""
     gate = _target_gate(obs)
-    state = _floats(obs.state)
+    state = obs.state
     x, y, z, psi = state[0], state[1], state[2], state[8]
     (ax, ay, az), _, gate_yaw, t_hit = _aim_point(gate, obs.t, (x, y, z), QUAD_CRUISE_SPEED)
     left = (-math.sin(psi), math.cos(psi), 0.0)

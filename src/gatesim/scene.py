@@ -208,6 +208,8 @@ def _parse_ply_header(data: bytes):
         elif parts[0] == "element":
             if len(parts) != 3:
                 raise ScenePLYError(f"malformed element line: {raw.strip()!r}")
+            if not parts[2].isdigit():
+                raise ScenePLYError(f"element count is not an integer >= 0: {raw.strip()!r}")
             if parts[1] == "vertex":
                 count = int(parts[2])
                 in_vertex = True

@@ -144,15 +144,15 @@ def classify_crossing(error: float, gate: Gate, vehicle_half_width: float) -> st
 def jittered_initial_pose(track: Track, rng: np.random.Generator):
     """The track's start pose with bounded position/yaw perturbation."""
     pos, yaw = track.initial_pose()
-    pos = pos + rng.uniform(-POS_JITTER, POS_JITTER, size=3)
+    pos = np.asarray(pos) + rng.uniform(-POS_JITTER, POS_JITTER, size=3)
     pos = np.clip(pos, track.arena.lo + 0.2, track.arena.hi - 0.2)
     return pos, yaw + rng.uniform(-YAW_JITTER, YAW_JITTER)
 
 
-def vehicle_camera_pose(dynamics, state: np.ndarray):
-    """Pose of the onboard camera: it pitches with a uav airframe and stays
-    level on a quad."""
-    pitch = float(state[4]) if dynamics.platform == "uav" else 0.0
+def vehicle_camera_pose(dynamics, state: tuple):
+    """Pose of the onboard camera at a state tuple: it pitches with a uav
+    airframe and stays level on a quad."""
+    pitch = state[4] if dynamics.platform == "uav" else 0.0
     return camera_pose(dynamics.position(state), dynamics.yaw(state), pitch)
 
 
@@ -167,7 +167,7 @@ def rollout(
     track: Track,
     config: SimConfig | None = None,
     rng: np.random.Generator | None = None,
-    init_state: np.ndarray | None = None,
+    init_state=None,
     observer=None,
 ) -> Rollout:
     """Run one episode; terminal on last-gate success, ring strike, arena
@@ -183,22 +183,23 @@ def rollout(
     hold, and what the observer is given.
 
     observer(t, state, target, history, control), when given, is called once
-    per policy tick with the history the policy was given and that control
-    tuple; target is len(track.gates) after a missed last gate. The loop
-    never mutates the state and history arrays afterwards, and the observer
-    must not either.
+    per policy tick with the state tuple, the history the policy was given
+    and that control tuple; target is len(track.gates) after a missed last
+    gate. The loop never mutates the history array afterwards, and the
+    observer must not either.
 
-    The loop builds no array per dynamics step. Each step takes the tuple of
-    Python floats the step before returned, with the tick's control tuple,
-    and the recorded trajectory appends both tuples. A full-state policy is
-    given the state tuple as FullStateObs.state: it is immutable, so it
-    needs no copy. The new position serves the arena test and the gate side
-    (geometry.plane_offset on the target's center and normal floats, read
-    once per target for a static gate and at each step for a moving one).
-    Arrays are built only where they are read: the state once per tick for
-    a mask policy's camera pose and for the observer, the mask history, the
-    two positions at a crossing, and Rollout.states and Rollout.controls at
-    the end.
+    The state is a tuple of Python floats throughout: the track's start pose
+    through dynamics.initial_state, or init_state (any sequence of
+    state_dim numbers) made one tuple once. Each step takes the tuple the
+    step before returned, with the tick's control tuple, and the recorded
+    trajectory appends both tuples. A full-state policy is given the state
+    tuple as FullStateObs.state, a mask policy's camera pose and the
+    observer read it, and it is immutable, so none needs a copy. The new
+    position serves the arena test and the gate side (geometry.plane_offset
+    on the target's center and normal floats, read once per target for a
+    static gate and at each step for a moving one). Arrays are built only
+    where they are read: the mask history, the two positions at a crossing,
+    and Rollout.states and Rollout.controls at the end.
     """
     if policy.platform not in ("any", track.platform):
         raise ValueError(
@@ -211,8 +212,7 @@ def rollout(
     timeout = config.timeout if config.timeout is not None else track.timeout()
 
     if init_state is None:
-        pos, yaw = track.initial_pose()
-        state = dynamics.initial_state(pos, yaw)
+        state = dynamics.initial_state(*track.initial_pose())
     else:
         state = np.asarray(init_state, dtype=np.float64)
         if state.shape != (dynamics.state_dim,):
@@ -220,6 +220,7 @@ def rollout(
                 f"init_state for a {track.platform!r} track must have shape "
                 f"({dynamics.state_dim},), got {state.shape}"
             )
+        state = tuple(state.tolist())
     policy.reset(rng if rng is not None else np.random.default_rng(0))
 
     gates = track.gates
@@ -227,14 +228,13 @@ def rollout(
     n_gates = len(gates)
     records = [GateRecord(i, outcome=TIMEOUT) for i in range(n_gates)]
     sees_mask = policy.observes == "mask"
-    # only mask policies and observers read the state array and the history
+    # only mask policies and observers read the history
     keep_history = observer is not None or sees_mask
     history = np.zeros((HISTORY_LEN, dynamics.control_dim))
     record = config.record_trajectory
     step = dynamics.step
-    floats = tuple(state.tolist())
     times = [0.0]
-    states = [floats]
+    states = [state]
     controls = []
     t = 0.0
     target = 0
@@ -242,17 +242,15 @@ def rollout(
     # signed distance of the position to the target's plane: one step's end
     # distance is the next step's start distance, so each step computes one,
     # and detect_crossing runs only on a sign change it will confirm
-    d0 = signed_gate_distance(gates[0], t, floats[:3])
+    d0 = signed_gate_distance(gates[0], t, state[:3])
     plane = _static_plane(gates[0])
 
     while terminal is None:
-        if keep_history:
-            state = np.array(floats)
         if sees_mask:
             pose = vehicle_camera_pose(dynamics, state)
             obs = MaskObs(gate_mask(list(gates), DEFAULT_CAMERA, pose, t=t), history.copy())
         else:
-            obs = FullStateObs(t, floats, gates, target)
+            obs = FullStateObs(t, state, gates, target)
         u = tuple(map(float, policy.evaluate(obs)))
         if observer is not None:
             observer(t, state, target, history, u)
@@ -260,15 +258,15 @@ def rollout(
             history = np.concatenate((history[1:], [u]))
 
         for _ in range(n_steps):
-            prev, floats = floats, step(floats, u, dt)
+            prev, state = state, step(state, u, dt)
             t_new = t + dt
-            x, y, z = floats[0], floats[1], floats[2]
+            x, y, z = state[0], state[1], state[2]
 
             if target < n_gates:
                 d1 = plane_offset(plane or gates[target].frame_plane_at(t_new)[1], x, y, z)
                 # the same transition can cross several coincident gate planes
                 while d0 < 0.0 <= d1:
-                    p0, p1 = np.array(prev[:3]), np.array(floats[:3])
+                    p0, p1 = np.array(prev[:3]), np.array(state[:3])
                     t_cross, p_prime, error = detect_crossing(gates[target], t, p0, t_new, p1)
                     outcome = classify_crossing(error, gates[target], track.vehicle_half_width)
                     records[target] = GateRecord(target, outcome, True, t_cross, p_prime, error)
@@ -288,7 +286,7 @@ def rollout(
             t = t_new
             if record:
                 times.append(t)
-                states.append(floats)
+                states.append(state)
                 controls.append(u)
             # Arena.contains on the same floats: inside the closed box, and
             # False for a NaN coordinate

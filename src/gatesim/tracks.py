@@ -209,8 +209,9 @@ class Track:
     def nominal_speed(self) -> float:
         return NOMINAL_SPEED[self.platform]
 
-    def _start(self) -> tuple[tuple, float]:
-        """The start position as three floats, and the start yaw.
+    def initial_pose(self) -> tuple[tuple, float]:
+        """Start pose: on gate 1's approach axis, facing it, inside the arena,
+        as the position's three floats and the yaw.
 
         center - INIT_STANDOFF * normal of gate 1 at t = 0, clamped to 0.5 m
         inside the arena, on the plane's floats: the bits of
@@ -223,14 +224,9 @@ class Track:
                _clip(cz - k * nz, zl + 0.5, zh - 0.5))
         return pos, frame.yaw
 
-    def initial_pose(self) -> tuple[np.ndarray, float]:
-        """Start pose: on gate 1's approach axis, facing it, inside the arena."""
-        pos, yaw = self._start()
-        return np.array(pos), yaw
-
     def timeout(self) -> float:
         """3x the straight-line gate-to-gate time at nominal speed, min 4 s."""
-        (px, py, pz), _ = self._start()
+        (px, py, pz), _ = self.initial_pose()
         t = 0.0
         for g in self.gates:
             cx, cy, cz = g.frame_plane_at(0.0)[1][:3]

@@ -44,11 +44,11 @@ def test_census_counts_defaulted_parameters_and_dataclass_fields():
     assert census.census(SOURCE) == 6
 
 
-# the settable values of each module of src/gatesim (66 in all); a change that
+# the settable values of each module of src/gatesim (64 in all); a change that
 # adds one must raise its module's limit here, in view, and a new module starts
 # at 0
 LIMITS = {
-    "__init__.py": 0, "cli.py": 2, "dynamics.py": 2, "edits.py": 8, "geometry.py": 2,
+    "__init__.py": 0, "cli.py": 2, "dynamics.py": 0, "edits.py": 8, "geometry.py": 2,
     "policies.py": 8, "refinement.py": 15, "render.py": 12, "scene.py": 2,
     "simulator.py": 11, "tracks.py": 4,
 }

@@ -54,9 +54,9 @@ def test_uav_speed_exact(rng):
     for _ in range(20):
         yaw = rng.uniform(-math.pi, math.pi)
         pitch = rng.uniform(-0.4, 0.4)
-        s = np.array([0.0, 0.0, 0.0, yaw, pitch])
+        s = (0.0, 0.0, 0.0, yaw, pitch)
         # with no rate command the heading holds, so a step is a straight line
-        moved = np.linalg.norm(np.asarray(dyn.step(s, [0.0, 0.0]))[:3] - s[:3])
+        moved = np.linalg.norm(np.subtract(dyn.step(s, (0.0, 0.0), dyn.params.dt)[:3], s[:3]))
         assert abs(moved / dyn.params.dt - 7.0) < 1e-9 * 7.0
 
 
@@ -77,19 +77,22 @@ def test_uav_pitch_pins_at_limit():
 
 def test_uav_yaw_wraps():
     dyn = UavDynamics()
-    s = np.array([0.0, 0.0, 0.0, math.pi - 0.01, 0.0])
+    s = (0.0, 0.0, 0.0, math.pi - 0.01, 0.0)
     s = dyn.step(s, (1.5, 0.0), 0.02)
     assert -math.pi < s[3] <= math.pi
     assert s[3] < 0.0
 
 
 def test_uav_control_saturation():
+    # rates beyond saturation step as the saturated rates do, and the
+    # saturated rates step differently from rates inside them
     dyn = UavDynamics()
-    assert dyn.clamp_control((99.0, -99.0)) == (1.5, -1.0)
     s0 = dyn.initial_state((0, 0, 0), 0.0)
-    a = dyn.step(s0, (99.0, 0.0), 0.02)
-    b = dyn.step(s0, (1.5, 0.0), 0.02)
-    np.testing.assert_array_equal(a, b)
+    a = dyn.step(s0, (99.0, -99.0), 0.02)
+    b = dyn.step(s0, (1.5, -1.0), 0.02)
+    assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    inside = dyn.step(s0, (1.4, -0.9), 0.02)
+    assert a[3] != inside[3] and a[4] != inside[4]
 
 
 def test_uav_dt_and_finite_guards():
@@ -100,7 +103,7 @@ def test_uav_dt_and_finite_guards():
     with pytest.raises(ValueError):
         dyn.step(s, (0, 0), dt=0.2)
     with pytest.raises(ValueError):
-        dyn.step(np.array([0, 0, np.nan, 0, 0]), (0, 0), 0.02)
+        dyn.step((0.0, 0.0, math.nan, 0.0, 0.0), (0.0, 0.0), 0.02)
     with pytest.raises(ValueError):
         dyn.step(s, (np.inf, 0), 0.02)
 
@@ -151,29 +154,35 @@ def test_quad_tilt_stays_bounded(rng):
     s = dyn.initial_state((0.0, 0.0, 1.0), yaw=0.0)
     for _ in range(400):
         u = rng.uniform(-1, 1, size=4) * [2.0, 2.0, 2.0, 1.5]
-        s = dyn.step(s, u, 0.01)
+        s = dyn.step(s, tuple(u.tolist()), 0.01)
         assert abs(s[6]) <= 0.6 and abs(s[7]) <= 0.6
 
 
 def test_quad_velocity_norm_clamp():
+    # a command beyond the norm limit steps as the command scaled to the
+    # limit does, a yaw rate beyond saturation as the saturated rate; held,
+    # the scaled command is the velocity the quad settles at
     dyn = QuadDynamics()
-    vx, vy, vz, r = dyn.clamp_control((3.0, 4.0, 0.0, 9.0))
-    assert math.hypot(vx, vy) == pytest.approx(2.0, abs=1e-12)
-    assert abs(vx / vy - 3.0 / 4.0) < 1e-12
-    assert r == 1.5
+    s0 = dyn.initial_state((0.0, 0.0, 1.0), 0.0)
+    k = 2.0 / 5.0
+    a = dyn.step(s0, (3.0, 4.0, 0.0, 9.0), 0.01)
+    b = dyn.step(s0, (3.0 * k, 4.0 * k, 0.0 * k, 1.5), 0.01)
+    assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    s = _run(dyn, s0, (3.0, 4.0, 0.0, 0.0), duration=6.0, dt=0.01)
+    assert math.hypot(s[3], s[4]) == pytest.approx(2.0, abs=1e-6)
+    assert abs(s[3] / s[4] - 3.0 / 4.0) < 1e-6
 
 
 def test_quad_dt_and_finite_guards():
     dyn = QuadDynamics()
     s = dyn.initial_state((0, 0, 0), 0.0)
     with pytest.raises(ValueError):
-        dyn.step(s, np.zeros(4), dt=0.06)
+        dyn.step(s, (0.0,) * 4, dt=0.06)
     with pytest.raises(ValueError):
-        dyn.step(s, np.zeros(4), dt=-0.01)
-    bad = s.copy()
-    bad[5] = np.nan
+        dyn.step(s, (0.0,) * 4, dt=-0.01)
+    bad = s[:5] + (math.nan,) + s[6:]
     with pytest.raises(ValueError):
-        dyn.step(bad, np.zeros(4), 0.01)
+        dyn.step(bad, (0.0,) * 4, 0.01)
 
 
 def test_quad_position_integrates_velocity():
@@ -199,10 +208,10 @@ def test_steppers_are_deterministic(rng):
     for platform in ("uav", "quad"):
         dyn = platform_dynamics(platform)
         s = dyn.initial_state(rng.normal(size=3), yaw=0.4)
-        u = rng.normal(size=dyn.control_dim)
-        a = dyn.step(s, u)
-        b = dyn.step(s.copy(), u.copy())
-        np.testing.assert_array_equal(a, b)
+        u = tuple(rng.normal(size=dyn.control_dim).tolist())
+        a = dyn.step(s, u, dyn.params.dt)
+        b = dyn.step(tuple(list(s)), tuple(list(u)), dyn.params.dt)
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 def test_platform_factory():
@@ -214,45 +223,18 @@ def test_platform_factory():
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(st.sampled_from(["uav", "quad"]), st.sampled_from(["state", "control"]), st.data(),
-       st.sampled_from([math.nan, math.inf, -math.inf]), st.booleans())
-def test_steppers_refuse_non_finite_inputs(platform, slot, data, bad, as_list):
+       st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_steppers_refuse_non_finite_inputs(platform, slot, data, bad):
     dyn = platform_dynamics(platform)
     finite = st.floats(-3.0, 3.0)
-    state = np.array(data.draw(st.lists(finite, min_size=dyn.state_dim,
-                                        max_size=dyn.state_dim)))
-    control = np.array(data.draw(st.lists(finite, min_size=dyn.control_dim,
-                                          max_size=dyn.control_dim)))
+    state = data.draw(st.lists(finite, min_size=dyn.state_dim, max_size=dyn.state_dim))
+    control = data.draw(st.lists(finite, min_size=dyn.control_dim, max_size=dyn.control_dim))
     target = state if slot == "state" else control
     target[data.draw(st.integers(0, len(target) - 1))] = bad
-    if as_list:
-        state, control = state.tolist(), control.tolist()
     with pytest.raises(ValueError) as err:
-        dyn.step(state, control)
-    # the message names the platform and slot and lists the whole vector
-    assert str(err.value) == f"non-finite {platform} {slot}: {np.asarray(target).tolist()}"
-
-
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(st.sampled_from(["uav", "quad"]), st.data())
-def test_step_reads_arrays_lists_and_tuples_alike(platform, data):
-    # step unpacks state and control as given, so an array's numpy scalars and
-    # a sequence's Python floats must give the same bytes
-    dyn = platform_dynamics(platform)
-    value = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-6.0, 6.0))
-    state = data.draw(st.lists(value, min_size=dyn.state_dim, max_size=dyn.state_dim))
-    control = data.draw(st.lists(value, min_size=dyn.control_dim, max_size=dyn.control_dim))
-    want = np.asarray(dyn.step(np.array(state), np.array(control))).tobytes()
-    for as_state in (np.array, list, tuple):
-        for as_control in (np.array, list, tuple):
-            got = dyn.step(as_state(state), as_control(control))
-            assert type(got) is tuple and all(type(v) is float for v in got)
-            assert np.asarray(got).tobytes() == want
-    # a step reads the tuple the step before returned as it would the array
-    chained, stepped = tuple(state), np.array(state)
-    for _ in range(3):
-        chained = dyn.step(chained, control)
-        stepped = np.array(dyn.step(stepped, np.array(control)))
-    assert np.asarray(chained).tobytes() == stepped.tobytes()
+        dyn.step(tuple(state), tuple(control), dyn.params.dt)
+    # the message names the platform and slot and lists the whole tuple
+    assert str(err.value) == f"non-finite {platform} {slot}: {target}"
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +254,10 @@ def _uav_reference_step(dyn, state, control, dt):
         cth = math.cos(th)
         return (v * math.cos(psi) * cth, v * math.sin(psi) * cth, v * math.sin(th), u_psi, u_th)
 
-    x, y, z, psi, th = np.asarray(state, dtype=np.float64).tolist()
-    u_psi, u_th = dyn.clamp_control(np.asarray(control, dtype=np.float64).tolist())
+    x, y, z, psi, th = state
+    u_psi, u_th = control
+    u_psi = min(max(u_psi, -p.yaw_rate_max), p.yaw_rate_max)
+    u_th = min(max(u_th, -p.pitch_rate_max), p.pitch_rate_max)
     k1 = deriv(x, y, z, psi, th, u_psi, u_th)
     h = dt / 2.0
     k2 = deriv(x + h * k1[0], y + h * k1[1], z + h * k1[2],
@@ -322,8 +306,13 @@ def _quad_reference_step(dyn, state, control, dt):
     def add(a, k, h):
         return tuple(ai + h * ki for ai, ki in zip(a, k))
 
-    s = tuple(np.asarray(state, dtype=np.float64).tolist())
-    u = dyn.clamp_control(np.asarray(control, dtype=np.float64).tolist())
+    s = state
+    vx, vy, vz, r = control
+    norm = math.sqrt(vx * vx + vy * vy + vz * vz)
+    if norm > p.v_cmd_max:
+        k = p.v_cmd_max / norm
+        vx, vy, vz = vx * k, vy * k, vz * k
+    u = (vx, vy, vz, min(max(r, -p.yaw_rate_max), p.yaw_rate_max))
     k1 = deriv(s, *u)
     k2 = deriv(add(s, k1, dt / 2.0), *u)
     k3 = deriv(add(s, k2, dt / 2.0), *u)
@@ -371,9 +360,10 @@ _TM_IN = math.nextafter(_TM, 0.0)
 @example((0.0, 0.0, -0.0, 0.0, -0.0), (0.0, -0.0), UavParams.dt)
 def test_fused_uav_step_matches_stage_function_rk4(state, control, dt):
     dyn = UavDynamics()
-    got = np.asarray(dyn.step(np.array(state), np.array(control), dt))
+    got = dyn.step(state, control, dt)
+    assert type(got) is tuple and all(type(v) is float for v in got)
     want = _uav_reference_step(dyn, state, control, dt)
-    assert got.tobytes() == want.tobytes()
+    assert np.asarray(got).tobytes() == want.tobytes()
 
 
 _TILT, _VM, _QYM = QuadParams.tilt_max, QuadParams.v_cmd_max, QuadParams.yaw_rate_max
@@ -405,6 +395,48 @@ _TILT, _VM, _QYM = QuadParams.tilt_max, QuadParams.v_cmd_max, QuadParams.yaw_rat
           math.nextafter(-_TILT, 0.0), 0.0, 0.0, 0.0, 0.0), (2.0, 0.0, 0.0, 0.0), 0.05)
 def test_fused_quad_step_matches_stage_function_rk4(state, control, dt):
     dyn = QuadDynamics()
-    got = np.asarray(dyn.step(np.array(state), np.array(control), dt))
+    got = dyn.step(state, control, dt)
+    assert type(got) is tuple and all(type(v) is float for v in got)
     want = _quad_reference_step(dyn, state, control, dt)
-    assert got.tobytes() == want.tobytes()
+    assert np.asarray(got).tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the start state tuple against the array formula it replaced
+# ---------------------------------------------------------------------------
+
+
+def _array_initial_state(dyn, position, yaw):
+    """initial_state as it was written on arrays."""
+    if dyn.platform == "uav":
+        p = np.asarray(position, dtype=np.float64)
+        return np.array([p[0], p[1], p[2], wrap_angle(yaw), 0.0])
+    s = np.zeros(12)
+    s[:3] = np.asarray(position, dtype=np.float64)
+    s[8] = wrap_angle(yaw)
+    return s
+
+
+_PI_BELOW = math.nextafter(math.pi, 0.0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["uav", "quad"]),
+       st.tuples(*[_edge_floats(-50.0, 50.0, [0.0, -0.0])] * 3),
+       # yaws at and one ulp inside +-pi, and a turn or more away from them
+       _edge_floats(-10.0, 10.0, [math.pi, -math.pi, _PI_BELOW, -_PI_BELOW,
+                                  3.0 * math.pi, -3.0 * math.pi, 0.0, -0.0]),
+       # a trial's start pose is an array and a numpy yaw, a track's three floats
+       st.sampled_from([tuple, list, np.array]), st.sampled_from([float, np.float64]))
+@example("uav", (-0.0, 0.0, -0.0), math.pi, tuple, float)
+@example("uav", (0.0, -0.0, 2.0), -math.pi, np.array, np.float64)
+@example("quad", (-0.0, -0.0, -0.0), -math.pi, tuple, float)
+@example("quad", (1.0, -0.0, 0.0), math.pi, np.array, np.float64)
+@example("quad", (1.0, 2.0, 3.0), -0.0, list, float)
+def test_initial_state_has_the_bits_of_the_array_formula(platform, position, yaw, form, yaw_type):
+    dyn = platform_dynamics(platform)
+    got = dyn.initial_state(form(position), yaw_type(yaw))
+    assert type(got) is tuple and len(got) == dyn.state_dim
+    assert all(type(v) is float for v in got)
+    want = _array_initial_state(dyn, position, yaw)
+    assert np.asarray(got).tobytes() == want.tobytes()

@@ -322,18 +322,18 @@ _STATE_DIM = {"uav": 5, "quad": 12}
 @example("quad", [0.0] * 12, 0.0, 1)
 @example("uav", [3.0, -1.0, 1.5, math.pi, -0.0] + [0.0] * 7, 0.0, 1)      # on the moving gate
 @example("quad", [1.0, 0.5, 1.0] + [-0.0] * 5 + [-math.pi] + [0.0] * 3, 7.5, 3)
-def test_expert_controls_of_a_tuple_state_are_those_of_the_array(platform, values, t, target):
-    # a rollout hands the expert the step's tuple of floats; cli export-dataset
-    # and the tests hand it an array row: the controls are tuples of Python
-    # floats with the same bits
+def test_expert_controls_of_a_state_tuple_are_python_floats(platform, values, t, target):
+    # a rollout and cli export-dataset hand the expert a state tuple of Python
+    # floats: the control is a tuple of control_dim finite Python floats, the
+    # same bits on every call
     gates = _expert_gates(platform)
-    state = np.array(values[:_STATE_DIM[platform]])
+    state = tuple(values[:_STATE_DIM[platform]])
     expert = expert_policy(platform)
-    from_array = expert.evaluate(FullStateObs(t, state, gates, target))
-    from_tuple = expert.evaluate(FullStateObs(t, tuple(state.tolist()), gates, target))
-    assert type(from_tuple) is tuple and type(from_array) is tuple
-    assert all(type(v) is float for v in from_tuple + from_array)
-    assert np.array(from_tuple).tobytes() == np.array(from_array).tobytes()
+    u = expert.evaluate(FullStateObs(t, state, gates, target))
+    assert type(u) is tuple and len(u) == platform_dynamics(platform).control_dim
+    assert all(type(v) is float and math.isfinite(v) for v in u)
+    again = expert.evaluate(FullStateObs(t, state, gates, target))
+    assert np.array(again).tobytes() == np.array(u).tobytes()
 
 
 @pytest.mark.parametrize("factory", [expert_policy, ZeroPolicy], ids=lambda f: f.__name__)
@@ -344,19 +344,27 @@ def test_unknown_platform_is_refused(factory):
 
 @pytest.mark.parametrize("platform", ["uav", "quad"])
 def test_control_limits_are_the_clamp_bounds(platform):
-    # on each channel alone, a command at the limit passes the stepper's clamp
-    # unchanged and one beyond it comes back at the limit, in either direction
+    # on each channel alone, in either direction, the bytes of ten steps tell
+    # the stepper's clamp: a command one ulp inside the limit flies otherwise
+    # than one at it, so the limit passes the clamp unchanged, and one beyond
+    # it flies as the limit does, so it comes back at the limit
     dyn = platform_dynamics(platform)
     limits = CONTROL_LIMITS[platform].tolist()
     assert len(limits) == dyn.control_dim
+
+    def stepped(channel, value):
+        u = [0.0] * dyn.control_dim
+        u[channel] = value
+        states = [dyn.initial_state((0.0, 0.0, 2.0), 0.3)]
+        for _ in range(10):
+            states.append(dyn.step(states[-1], tuple(u), dyn.params.dt))
+        return np.array(states).tobytes()
+
     for i, limit in enumerate(limits):
         for sign in (1.0, -1.0):
-            at = [0.0] * dyn.control_dim
-            at[i] = sign * limit
-            assert dyn.clamp_control(at) == tuple(at)
-            beyond = list(at)
-            beyond[i] = 2.0 * sign * limit
-            assert dyn.clamp_control(beyond) == tuple(at)
+            at = stepped(i, sign * limit)
+            assert stepped(i, sign * math.nextafter(limit, 0.0)) != at
+            assert stepped(i, 2.0 * sign * limit) == at
 
 
 # ---------------------------------------------------------------------------

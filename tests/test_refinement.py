@@ -157,6 +157,58 @@ def test_partition_cell_bounds_tile_the_box():
         assert np.all(v >= lo - 1e-12) and np.all(v <= hi + 1e-12)
 
 
+_BOX = st.one_of(
+    st.sampled_from(sorted(LAYOUT_BOXES)).map(lambda name: LAYOUT_BOXES[name]),
+    # any box: a lower corner and a positive extent per dimension
+    st.tuples(st.lists(st.floats(-1e3, 1e3), min_size=8, max_size=8),
+              st.lists(st.floats(1e-3, 1e3), min_size=8, max_size=8))
+      .map(lambda b: (np.array(b[0]), np.array(b[0]) + np.array(b[1]))))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_BOX, st.lists(st.integers(1, 5), min_size=8, max_size=8), st.floats(0.0, 1.0),
+       st.integers(0, 2**32 - 1))
+@example(LAYOUT_BOXES["uav"], [5] * 8, 0.0, 0)                       # the first cell
+@example(LAYOUT_BOXES["quad"], [5] * 8, 1.0, 1)                      # the last cell
+@example(LAYOUT_BOXES["uav"], [3, 1, 2, 1, 3, 1, 2, 1], 0.5, 2)
+def test_partition_sample_round_trips_through_cell_of_for_any_box(box, counts, at, seed):
+    part = GridPartition(box[0], box[1], counts)
+    cell = min(int(at * part.m), part.m - 1)
+    rng = np.random.default_rng(seed)
+    for _ in range(5):
+        assert part.cell_of(part.sample(cell, rng)) == cell
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_BOX, st.lists(st.integers(1, 5), min_size=8, max_size=8),
+       st.lists(st.one_of(st.tuples(st.just("unit"), st.floats(0.0, 1.0)),
+                          st.tuples(st.just("edge"), st.integers(0, 5)), st.just(("hi",))),
+                min_size=8, max_size=8))
+@example(LAYOUT_BOXES["uav"], [2] * 8, [("hi",)] * 8)                # the upper corner
+@example(LAYOUT_BOXES["uav"], [3] * 8, [("edge", 1)] * 8)            # on inner edges
+@example(LAYOUT_BOXES["quad"], [5] * 8, [("edge", 4)] * 8)
+def test_partition_cell_bounds_tile_the_box_for_any_point(box, counts, specs):
+    # the first cell starts at the lower corner and the last ends at the
+    # upper one; neighbouring cells meet where one ends and the next starts;
+    # each point of the box lies in the bounds of the cell cell_of gives it
+    part = GridPartition(box[0], box[1], counts)
+    tol = 1e-12 * np.maximum(np.abs(part.lo), np.abs(part.hi))
+    lo0, _ = part.cell_bounds(0)
+    assert lo0.tobytes() == part.lo.tobytes()
+    _, hi_last = part.cell_bounds(part.m - 1)
+    assert np.all(np.abs(hi_last - part.hi) <= tol)
+    layout = np.array([_coordinate(part, i, spec) for i, spec in enumerate(specs)])
+    cell = part.cell_of(layout)
+    lo, hi = part.cell_bounds(cell)
+    assert np.all(lo - tol <= layout) and np.all(layout <= hi + tol)
+    bins = np.array(np.unravel_index(cell, part.counts))
+    for d in np.flatnonzero(bins + 1 < part.counts):
+        up = bins.copy()
+        up[d] += 1
+        next_lo, _ = part.cell_bounds(int(np.ravel_multi_index(up, part.counts)))
+        assert abs(next_lo[d] - hi[d]) <= tol[d]
+
+
 def test_default_partitions():
     part = GridPartition.default("uav", PgrConfig().per_gate_counts)
     assert part.m == 256
@@ -269,6 +321,21 @@ def test_weights_sum_and_floor(rng):
         w = weights(ell, beta)
         assert abs(w.sum() - 1.0) < 1e-12
         assert w.min() >= beta / m - 1e-15
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e6)), min_size=1, max_size=60),
+       st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+@example([0.0, 0.0, 0.0], 0.3)                                        # all zero: uniform
+@example([1.0], 0.0)
+@example([5e-324, 0.0, 1e6], 0.05)                                   # a subnormal beside a large one
+@example([1.0, 0.0, 0.0], 1.0)
+def test_weights_sum_to_one_above_the_floor(losses, beta):
+    w = weights(losses, beta)
+    m = len(losses)
+    assert w.shape == (m,)
+    assert abs(w.sum() - 1.0) < 1e-12
+    assert w.min() >= beta / m
 
 
 def test_weights_validation():

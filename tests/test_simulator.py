@@ -513,12 +513,21 @@ class _ReusedControl(Policy):
 
 def test_rollout_records_each_tick_control_and_does_not_alias_the_start():
     track = _track([(0.0, 0.0, 2.0)])
-    start = platform_dynamics("uav").initial_state((-6.0, 0.0, 2.0), 0.0)
+    # init_state may be any sequence; an array the caller changes afterwards
+    # must not reach the rollout
+    start = np.array(platform_dynamics("uav").initial_state((-6.0, 0.0, 2.0), 0.0))
     given_start = start.copy()
     policy = _ReusedControl()
-    roll = rollout(policy, track, SimConfig(tick_hz=10.0, timeout=0.5), init_state=start)
+    ticks = []
+    roll = rollout(policy, track, SimConfig(tick_hz=10.0, timeout=0.5), init_state=start,
+                   observer=lambda *tick: ticks.append(tick))
     start += 1.0
     np.testing.assert_array_equal(roll.states[0], given_start)
+    # the start array is made one tuple of Python floats, which the first
+    # tick observes
+    first = ticks[0][1]
+    assert type(first) is tuple and all(type(v) is float for v in first)
+    assert np.array(first).tobytes() == given_start.tobytes()
     # each tick's control was copied before the policy rewrote its array
     spt = 5
     assert len(roll.controls) == policy.calls * spt
@@ -527,9 +536,10 @@ def test_rollout_records_each_tick_control_and_does_not_alias_the_start():
             np.testing.assert_array_equal(row, [0.1 * (k + 1), -0.05 * (k + 1)])
     # every recorded state is the step of the one before it
     dyn = platform_dynamics("uav")
-    for i in range(len(roll.controls)):
-        np.testing.assert_array_equal(roll.states[i + 1],
-                                      dyn.step(roll.states[i], roll.controls[i]))
+    states, controls = roll.states.tolist(), roll.controls.tolist()
+    for i in range(len(controls)):
+        np.testing.assert_array_equal(
+            roll.states[i + 1], dyn.step(tuple(states[i]), tuple(controls[i]), dyn.params.dt))
 
 
 def _assert_same_rollout(a, b):
@@ -592,7 +602,7 @@ class _StateProbe(Policy):
 
 
 @pytest.mark.parametrize("name", ["uav-slalom", "quad-drift"])
-def test_full_state_policy_sees_the_step_tuple_and_the_observer_an_array(name):
+def test_full_state_policy_and_the_observer_see_the_step_tuple(name):
     track = reference_track(name)
     config = SimConfig(tick_hz=10.0)
     probe = _StateProbe(track.platform)
@@ -605,12 +615,12 @@ def test_full_state_policy_sees_the_step_tuple_and_the_observer_an_array(name):
     for k, (seen, (_, state, _, _, _)) in enumerate(zip(probe.states, ticks)):
         row = roll.states[k * spt]
         # the tuple the last step returned (the start state's on the first
-        # tick), Python floats with the recorded row's bits
+        # tick), Python floats with the recorded row's bits; the observer is
+        # handed that same tuple
         assert type(seen) is tuple
         assert all(type(v) is float for v in seen)
         assert np.array(seen).tobytes() == row.tobytes()
-        assert type(state) is np.ndarray
-        assert state.tobytes() == row.tobytes()
+        assert state is seen
 
 
 class _Float32Expert(Policy):
@@ -718,7 +728,7 @@ def test_mirrored_track_mirrors_the_rollout(name, offsets):
         start = mirrored_start = None
     else:
         dyn = platform_dynamics(platform)
-        start = dyn.initial_state(*track.initial_pose()) + offsets[:dyn.state_dim]
+        start = np.add(dyn.initial_state(*track.initial_pose()), offsets[:dyn.state_dim])
         mirrored_start = _mirror(start, _MIRRORED_STATE[platform])
     a = rollout(expert_policy(platform), track, init_state=start)
     b = rollout(expert_policy(platform), mirror, init_state=mirrored_start)

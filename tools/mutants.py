@@ -78,22 +78,13 @@ MUTANTS = [
            "uav shared stage: key it on t2 == t1, not on the pin state"),
     Mutant(DYNAMICS, "if pin2 == pin1:", "if True:",
            "uav shared stage: share it even when stage 2 changes the pin state"),
-    # every clamp of the steppers and of clamp_control
+    # every clamp of the steppers
     *_clamp_mutants("uav step yaw rate", "u_psi", "ym", before="u_psi = "),
     *_clamp_mutants("uav step pitch rate", "u_th", "pm", before="u_th = "),
     *_clamp_mutants("uav step pitch", "th_new", "th_max"),
-    *_clamp_mutants("uav clamp_control yaw rate", "u_psi", "ym", before="(", after=","),
-    *_clamp_mutants("uav clamp_control pitch rate", "u_th", "pm", after=")"),
     *_clamp_mutants("quad step yaw rate", "r_c", "ym", before="r_c = "),
-    *_clamp_mutants("quad clamp_control yaw rate", "r", "ym", before="vz, "),
     *_clamp_mutants("quad rates pitch tilt", "pitch_des", "tilt", before="pitch_des = "),
     *_clamp_mutants("quad rates roll tilt", "roll_des", "tilt", before="roll_des = "),
-    # the rollout's full-state tick on floats
-    Mutant(SIMULATOR, "        if keep_history:\n            state = np.array(floats)",
-           "        if sees_mask:\n            state = np.array(floats)",
-           "rollout state array: built for mask policies only, not for the observer"),
-    Mutant(SIMULATOR, "floats = tuple(state.tolist())", "floats = state.tolist()",
-           "rollout start state: a list, which the first tick's policy could change"),
     # float controls and the float rollout set-up
     Mutant(SIMULATOR, "u = tuple(map(float, policy.evaluate(obs)))", "u = policy.evaluate(obs)",
            "rollout control: what the policy returned, unconverted"),
@@ -106,6 +97,18 @@ MUTANTS = [
            "start pose clamp: a tie keeps the point, not the bound (-0.0 on a bound of 0.0)"),
     Mutant(REFINEMENT, "0.0 <= q < count else count - 1 if q >= count else 0", "0.0 <= q else 0",
            "cell_of: no clamp to the top bin, so the upper bound is out of the grid"),
+    # the one state form: start tuples and the tuple the rollout reads
+    Mutant(DYNAMICS, "return (x, y, z, wrap_angle(yaw), 0.0)", "return (x, y, z, yaw, 0.0)",
+           "uav initial_state: the yaw left unwrapped"),
+    Mutant(DYNAMICS, "(x, y, z, 0.0, 0.0, 0.0, 0.0, 0.0, wrap_angle(yaw), 0.0, 0.0, 0.0)",
+           "(x, y, z, 0.0, 0.0, 0.0, 0.0, wrap_angle(yaw), 0.0, 0.0, 0.0, 0.0)",
+           "quad initial_state: the yaw in the pitch slot"),
+    Mutant(SIMULATOR, "state = tuple(state.tolist())", "state = tuple(state)",
+           "rollout init_state: a tuple of numpy scalars, not of Python floats"),
+    Mutant(SIMULATOR, "state = tuple(state.tolist())", "state = state.tolist()",
+           "rollout init_state: a list, which the first tick's policy could change"),
+    Mutant(SIMULATOR, "pitch = state[4] if", "pitch = state[3] if",
+           "vehicle_camera_pose: the uav pitch read from the yaw slot"),
 ]
 
 
