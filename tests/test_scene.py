@@ -270,7 +270,7 @@ def test_sh_dc_coefficient_value():
     (b"ply\nformat ascii 1.0\nelement face 3\nelement vertex 0\nend_header\n",
      "non-empty element"),
     # a count is a whole number: a negative one would drop rows from the end
-    (b"ply\nformat ascii 1.0\nelement vertex -1\nproperty float x\nend_header\n0\n1\n",
+    (_ascii_ply(_PROPS, _ASCII_ROWS).replace(b"element vertex 2", b"element vertex -1"),
      r"^element count is not an integer >= 0: 'element vertex -1'$"),
     (b"ply\nformat binary_little_endian 1.0\nelement vertex 1.5\nproperty float x\n"
      b"end_header\n\x00\x00\x00\x00", r"^element count is not an integer >= 0: 'element vertex 1.5'$"),
