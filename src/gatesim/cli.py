@@ -448,7 +448,7 @@ def cmd_export_dataset(args) -> int:
     for trial, ticks in enumerate(trial_ticks):
         for tick, (t, state, target, history, control) in enumerate(ticks):
             pose = vehicle_camera_pose(dyn, state)
-            mask = gate_mask(list(track.gates), camera, pose, t=t)
+            mask = gate_mask(track.gates, camera, pose, t=t)
             stem = out / f"t{trial:02d}" / f"frame{tick:05d}"
             _write(stem.with_suffix(".pgm"), pgm_bytes(mask))
             if scene is not None:
@@ -529,7 +529,7 @@ def cmd_render(args) -> int:
             pos = args.position
         pose = camera_pose(pos, yaw, args.pitch)
         if args.mask:
-            mask = gate_mask(list(track.gates), camera, pose, t=t)
+            mask = gate_mask(track.gates, camera, pose, t=t)
             _write(Path(args.mask), pgm_bytes(mask))
             print(f"mask: {args.mask}")
     else:

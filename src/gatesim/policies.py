@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import QuadParams, UavParams, check_platform, platform_dynamics
-from .geometry import dot, plane_offset, wrap_angle
+from .geometry import dot, wrap_angle
 from .render import DEFAULT_CAMERA
 from .tracks import NOMINAL_SPEED, Gate
 
@@ -80,8 +80,8 @@ def _target_gate(obs: FullStateObs) -> Gate:
 
 
 def _aim_point(gate: Gate, t: float, position, speed: float):
-    """Lead-predicted carrot point near the gate plane, as (aim, center, yaw,
-    t_aim) with aim a tuple of three floats; position is any 3-sequence.
+    """Lead-predicted carrot point near the gate plane, as (aim, yaw, t_aim)
+    with aim a tuple of three floats; position is three floats.
 
     The gate pose is predicted at the estimated arrival time (two fixed-point
     passes), which turns pursuit of a moving gate into a collision course.
@@ -90,7 +90,7 @@ def _aim_point(gate: Gate, t: float, position, speed: float):
     bearing never becomes singular at the hand-off.
 
     A static gate's frame does not depend on time, so it skips the passes:
-    its aim, center and yaw are the same, and the returned time is t itself.
+    its aim and yaw are the same, and the returned time is t itself.
     Only the quad expert reads that time, and only for a moving gate.
 
     The lead distance and the side test n . (position - center) <
@@ -100,30 +100,30 @@ def _aim_point(gate: Gate, t: float, position, speed: float):
     t_go = 0.0
     if gate.moving:
         for _ in range(2):
-            d = (gate.frame_at(t + t_go).center - position).tolist()
+            d = [c - p for c, p in zip(gate.frame_at(t + t_go).center, position)]
             t_go = math.sqrt(dot(d, d)) / speed
-    frame, plane = gate.frame_plane_at(t + t_go)
-    cx, cy, cz, nx, ny, nz = plane
-    if plane_offset(plane, *position) < -AIM_STANDOFF:
+    (cx, cy, cz), yaw, (nx, ny, nz), _, _ = gate.frame_at(t + t_go)
+    px, py, pz = position
+    if nx * (px - cx) + ny * (py - cy) + nz * (pz - cz) < -AIM_STANDOFF:
         aim = (cx - AIM_STANDOFF * nx, cy - AIM_STANDOFF * ny, cz - AIM_STANDOFF * nz)
     else:
         aim = (cx + AIM_STANDOFF * nx, cy + AIM_STANDOFF * ny, cz + AIM_STANDOFF * nz)
-    return aim, frame.center, frame.yaw, t + t_go
+    return aim, yaw, t + t_go
 
 
-def gate_velocity(gate: Gate, t: float) -> np.ndarray:
-    """Finite-difference center velocity of the pose schedule."""
+def gate_velocity(gate: Gate, t: float) -> tuple:
+    """Finite-difference center velocity of the pose schedule, as three floats."""
     h = VELOCITY_STEP
-    return (gate.pose_at(t + h)[0] - gate.pose_at(max(t - h, 0.0))[0]) / (
-        t + h - max(t - h, 0.0)
-    )
+    t0 = max(t - h, 0.0)
+    ahead, behind = gate.frame_at(t + h).center, gate.frame_at(t0).center
+    return tuple([(a - b) / (t + h - t0) for a, b in zip(ahead, behind)])
 
 
 def expert_uav_control(obs: FullStateObs) -> tuple:
     """Proportional guidance to the carrot: rate commands from bearing errors."""
     gate = _target_gate(obs)
     x, y, z, psi, theta = obs.state
-    (ax, ay, az), _, _, _ = _aim_point(gate, obs.t, (x, y, z), UavParams.speed)
+    (ax, ay, az), _, _ = _aim_point(gate, obs.t, (x, y, z), UavParams.speed)
     rx, ry, rz = ax - x, ay - y, az - z
     bearing = math.atan2(ry, rx)
     elevation = math.atan2(rz, math.hypot(rx, ry))
@@ -139,9 +139,9 @@ def expert_quad_control(obs: FullStateObs) -> tuple:
     gate = _target_gate(obs)
     state = obs.state
     x, y, z, psi = state[0], state[1], state[2], state[8]
-    (ax, ay, az), _, gate_yaw, t_hit = _aim_point(gate, obs.t, (x, y, z), QUAD_CRUISE_SPEED)
+    (ax, ay, az), gate_yaw, t_hit = _aim_point(gate, obs.t, (x, y, z), QUAD_CRUISE_SPEED)
     left = (-math.sin(psi), math.cos(psi), 0.0)
-    ff = gate_velocity(gate, t_hit).tolist() if gate.moving else [0.0, 0.0, 0.0]
+    ff = gate_velocity(gate, t_hit) if gate.moving else (0.0, 0.0, 0.0)
     vy = QUAD_K_Y * dot((ax - x, ay - y, az - z), left) + dot(ff, left)
     vz = QUAD_K_Z * (az - z) + ff[2]
     r = QUAD_K_YAW * wrap_angle(gate_yaw - psi)
@@ -195,7 +195,7 @@ class ZeroPolicy(Policy):
 # ---------------------------------------------------------------------------
 
 
-def _mask_window(mask: np.ndarray, pad: int = 0):
+def _mask_window(mask: np.ndarray, pad: int):
     """(rows, cols) slices of the mask's bounding box grown by pad px and
     clipped to the frame; None for an empty mask."""
     rows = np.flatnonzero(mask.any(axis=1))
@@ -495,8 +495,8 @@ def layout_of_gates(gates) -> np.ndarray:
     """Flatten the first two gates' (center, yaw) at t=0 into an 8-vector."""
     vals = []
     for g in gates[:2]:
-        c, yaw = g.pose_at(0.0)
-        vals.extend([c[0], c[1], c[2], yaw])
+        (x, y, z), yaw, _, _, _ = g.frame_at(0.0)
+        vals.extend([x, y, z, yaw])
     if len(gates) == 1:
         vals = vals * 2
     return np.asarray(vals, dtype=np.float64)

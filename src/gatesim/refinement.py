@@ -26,8 +26,11 @@ from .tracks import Track, track_from_layout
 class GridPartition:
     """Axis-aligned binning of the 8-dim layout box.
 
-    Cells are half-open along every dimension except that the top bin also
-    includes the upper bound, so the cells tile the box exactly.
+    cell_of puts every layout in one cell (half-open bins, the top bin also
+    taking the upper bound). cell_bounds tiles the box only within rounding:
+    its edges lo + b * width and cell_of's (v - lo) / width round apart, so a
+    point on an inner edge, the lower corner cell_bounds(c)[0] of many cells
+    among them, can map to the neighbouring cell.
     """
 
     lo: np.ndarray
@@ -111,23 +114,22 @@ def observability_check(track: Track) -> bool:
     clipped poses.
     """
     g1, g2 = track.gates
-    c1, yaw1 = g1.pose_at(0.0)
-    c2, _ = g2.pose_at(0.0)
+    c1, yaw1, _, _, _ = g1.frame_at(0.0)
+    c2 = g2.frame_at(0.0).center
     if not point_in_view(DEFAULT_CAMERA, camera_pose(c1, yaw1), c2):
         return False
     pos, yaw = track.initial_pose()
     return point_in_view(DEFAULT_CAMERA, camera_pose(pos, yaw), c1)
 
 
-def feasibility_check(track: Track, expert, sim: SimConfig,
-                      rng: np.random.Generator | None = None):
+def feasibility_check(track: Track, expert, sim: SimConfig, rng: np.random.Generator):
     """(ok, rollout): whether the expert crosses every gate of the track within
     the timeout."""
     roll = rollout(expert, track, sim, rng=rng)
     return roll.all_success, roll
 
 
-def task_loss(roll: Rollout, lambda_pos: float = 1.0) -> float:
+def task_loss(roll: Rollout, lambda_pos: float) -> float:
     """Mean per-gate loss: 1 for any failed gate, lambda * error on success."""
     per_gate = [
         lambda_pos * g.error if g.outcome == SUCCESS else 1.0 for g in roll.gates

@@ -16,7 +16,6 @@ import numpy as np
 
 from .geometry import RigidTransform, dot, mat_to_quat
 from .scene import GaussianScene
-from .tracks import Gate
 
 ZNEAR = 0.05
 COV2D_DILATION = 0.3         # px^2, keeps sub-pixel splats visible
@@ -399,7 +398,7 @@ def gate_mask(
     pose: RigidTransform | None = None,
     t: float = 0.0,
 ) -> np.ndarray:
-    """Exact gate-ring mask by ray casting through pixel centers.
+    """Exact ring mask of a sequence of gates, ray cast through pixel centers.
 
     A pixel is set when its ray hits any gate's ring solid (between the
     inner and outer boundary, both inclusive) at positive depth. Square
@@ -481,8 +480,6 @@ def gate_mask(
     floors and the coordinate limit, a larger one widens the bands.
     """
     pose = pose if pose is not None else RigidTransform.identity()
-    if isinstance(gates, Gate):
-        gates = [gates]
     rays = _camera_rays(camera)
     r_wc = pose.rotation_matrix()
     r_cw = r_wc.T
@@ -493,15 +490,14 @@ def gate_mask(
 
     mask = np.zeros((camera.height, camera.width), dtype=bool)
     for gate in gates:
-        center, _, normal, lateral, up = gate.frame_at(t)
-        c, n, l, w = center.tolist(), normal.tolist(), lateral.tolist(), up.tolist()
+        c, _, n, l, w = gate.frame_at(t)
         rel = [c[0] - o[0], c[1] - o[1], c[2] - o[2]]
         lat_cam, up_cam = [dot(col, l) for col in cols], [dot(col, w) for col in cols]
         window = _ring_window(camera, [dot(col, rel) for col in cols], lat_cam, up_cam,
                               gate.outer_half)
         if window is None:
             continue
-        exact = (r_cw, origin, center, normal, lateral, up, gate)
+        exact = (r_cw, origin, c, n, l, w, gate)
         sure = _sure_ring(rays, window, cols, o, rel, c, n, l, w, lat_cam, up_cam, gate)
         if sure is None:
             mask[window] |= _cast_exact(rays[window], *exact)

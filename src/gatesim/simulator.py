@@ -96,7 +96,8 @@ class Rollout:
 def signed_gate_distance(gate: Gate, t: float, position) -> float:
     """n . (p - c) of the position (any 3-sequence) from the gate's plane at
     t, in geometry.dot's fixed order."""
-    return float(plane_offset(gate.frame_plane_at(t)[1], *position))
+    center, _, normal, _, _ = gate.frame_at(t)
+    return float(plane_offset((*center, *normal), *position))
 
 
 def detect_crossing(gate: Gate, t0: float, p0: np.ndarray, t1: float, p1: np.ndarray):
@@ -126,7 +127,7 @@ def detect_crossing(gate: Gate, t0: float, p0: np.ndarray, t1: float, p1: np.nda
     t_cross = t0 + s * (t1 - t0)
     p = p0 + s * (p1 - p0)
     center, _, normal, lateral, up = gate.frame_at(t_cross)
-    p_prime = p - dot(normal, p - center) * normal
+    p_prime = p - dot(normal, p - center) * np.array(normal)
     q = p_prime - center
     error = math.hypot(dot(q, lateral), dot(q, up))
     return t_cross, p_prime, error
@@ -159,7 +160,10 @@ def vehicle_camera_pose(dynamics, state: tuple):
 def _static_plane(gate: Gate):
     """A static gate's (cx, cy, cz, nx, ny, nz) floats, read once per target;
     None for a moving gate, whose plane is read at each step's time."""
-    return None if gate.moving else gate.frame_plane_at(0.0)[1]
+    if gate.moving:
+        return None
+    center, _, normal, _, _ = gate.frame_at(0.0)
+    return (*center, *normal)
 
 
 def rollout(
@@ -248,7 +252,7 @@ def rollout(
     while terminal is None:
         if sees_mask:
             pose = vehicle_camera_pose(dynamics, state)
-            obs = MaskObs(gate_mask(list(gates), DEFAULT_CAMERA, pose, t=t), history.copy())
+            obs = MaskObs(gate_mask(gates, DEFAULT_CAMERA, pose, t=t), history.copy())
         else:
             obs = FullStateObs(t, state, gates, target)
         u = tuple(map(float, policy.evaluate(obs)))
@@ -263,7 +267,8 @@ def rollout(
             x, y, z = state[0], state[1], state[2]
 
             if target < n_gates:
-                d1 = plane_offset(plane or gates[target].frame_plane_at(t_new)[1], x, y, z)
+                d1 = (plane_offset(plane, x, y, z) if plane
+                      else signed_gate_distance(gates[target], t_new, (x, y, z)))
                 # the same transition can cross several coincident gate planes
                 while d0 < 0.0 <= d1:
                     p0, p1 = np.array(prev[:3]), np.array(state[:3])

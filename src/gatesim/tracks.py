@@ -62,30 +62,22 @@ ARENAS = {
 }
 
 
-def gate_axes(yaw: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(normal, lateral, up) unit axes of an upright gate at a given yaw."""
+def gate_axes(yaw: float) -> tuple[tuple, tuple, tuple]:
+    """(normal, lateral, up) unit axes of an upright gate at a given yaw, each
+    a tuple of three floats."""
     c, s = math.cos(yaw), math.sin(yaw)
-    return (
-        np.array([c, s, 0.0]),
-        np.array([-s, c, 0.0]),
-        np.array([0.0, 0.0, 1.0]),
-    )
+    return (c, s, 0.0), (-s, c, 0.0), (0.0, 0.0, 1.0)
 
 
 class GateFrame(NamedTuple):
     """A gate's pose at one time: center, yaw, and the (normal, lateral, up)
-    axes of gate_axes(yaw)."""
+    axes of gate_axes(yaw); every vector a tuple of three Python floats."""
 
-    center: np.ndarray
+    center: tuple
     yaw: float
-    normal: np.ndarray
-    lateral: np.ndarray
-    up: np.ndarray
-
-
-def _plane_floats(frame: GateFrame) -> tuple:
-    """(cx, cy, cz, nx, ny, nz): the frame's center and normal as Python floats."""
-    return (*frame.center.tolist(), *frame.normal.tolist())
+    normal: tuple
+    lateral: tuple
+    up: tuple
 
 
 def _clip(p: float, lo: float, hi: float) -> float:
@@ -95,25 +87,28 @@ def _clip(p: float, lo: float, hi: float) -> float:
     return hi if p >= hi else p
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
+def _keyframe(t, center, yaw) -> tuple:
+    """(time, center, yaw) as Python floats, the center a tuple of three."""
+    x, y, z = center
+    return float(t), (float(x), float(y), float(z)), float(yaw)
 
 
 @dataclass(frozen=True)
 class Gate:
     """One ring gate with a piecewise-linear pose schedule.
 
-    keyframes: tuple of (time, center(3,), yaw), strictly increasing times.
-    Pose is linearly interpolated (yaw along the shortest arc) and clamped to
-    the first/last keyframe outside the schedule. A static gate computes its
-    frame once, with read-only arrays, and its plane's floats with it.
+    keyframes: tuple of (time, center(3,), yaw), strictly increasing times,
+    stored as Python floats (the center a tuple of three). The pose is
+    linearly interpolated (yaw along the shortest arc) and clamped to the
+    first/last keyframe outside the schedule. A static gate computes its
+    frame once.
     """
 
     shape: str
     inner_half: float
     ring: float
     keyframes: tuple
+    _static_frame = None   # not a field: a static gate's one frame, set once
 
     def __post_init__(self):
         if self.shape not in (SQUARE, CIRCULAR):
@@ -122,25 +117,16 @@ class Gate:
             raise ValueError("gate opening and ring depth must be > 0")
         if not self.keyframes:
             raise ValueError("gate needs at least one keyframe")
+        object.__setattr__(self, "keyframes", tuple(_keyframe(*k) for k in self.keyframes))
         times = [k[0] for k in self.keyframes]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("keyframe times must be strictly increasing")
-        frame = plane = None
         if not self.moving:
-            center, yaw = self.pose_at(0.0)
-            frame = GateFrame(_read_only(center), yaw, *map(_read_only, gate_axes(yaw)))
-            plane = _plane_floats(frame)
-        object.__setattr__(self, "_static_frame", frame)
-        object.__setattr__(self, "_static_plane", plane)
-
-    def __reduce__(self):
-        # unpickling goes through __init__, which rebuilds the read-only frame
-        return Gate, (self.shape, self.inner_half, self.ring, self.keyframes)
+            object.__setattr__(self, "_static_frame", self.frame_at(0.0))
 
     @staticmethod
     def static(shape, inner_half, ring, center, yaw) -> "Gate":
-        c = np.array(center, dtype=np.float64)
-        return Gate(shape, inner_half, ring, ((0.0, c, float(yaw)),))
+        return Gate(shape, inner_half, ring, ((0.0, center, yaw),))
 
     @property
     def outer_half(self) -> float:
@@ -150,35 +136,23 @@ class Gate:
     def moving(self) -> bool:
         return len(self.keyframes) > 1
 
-    def pose_at(self, t: float) -> tuple[np.ndarray, float]:
-        kf = self.keyframes
-        if t <= kf[0][0]:
-            return np.asarray(kf[0][1], float).copy(), float(kf[0][2])
-        if t >= kf[-1][0]:
-            return np.asarray(kf[-1][1], float).copy(), float(kf[-1][2])
-        for (t0, c0, y0), (t1, c1, y1) in zip(kf, kf[1:]):
-            if t <= t1:
-                s = (t - t0) / (t1 - t0)
-                center = (1 - s) * np.asarray(c0, float) + s * np.asarray(c1, float)
-                yaw = wrap_angle(y0 + s * wrap_angle(y1 - y0))
-                return center, yaw
-        raise AssertionError("unreachable")
-
     def frame_at(self, t: float) -> GateFrame:
-        """The pose at t with its axes; a static gate's cached frame is shared
-        by every caller and must not be mutated."""
+        """The pose at t with its axes; a static gate's one frame at every t."""
         if self._static_frame is not None:
             return self._static_frame
-        center, yaw = self.pose_at(t)
+        kf = self.keyframes
+        if t <= kf[0][0]:
+            _, center, yaw = kf[0]
+        elif t >= kf[-1][0]:
+            _, center, yaw = kf[-1]
+        else:
+            for (t0, c0, y0), (t1, c1, y1) in zip(kf, kf[1:]):
+                if t <= t1:
+                    break
+            s = (t - t0) / (t1 - t0)
+            center = tuple([(1 - s) * a + s * b for a, b in zip(c0, c1)])
+            yaw = wrap_angle(y0 + s * wrap_angle(y1 - y0))
         return GateFrame(center, yaw, *gate_axes(yaw))
-
-    def frame_plane_at(self, t: float) -> tuple[GateFrame, tuple]:
-        """frame_at(t), and its center and normal as the six Python floats
-        (cx, cy, cz, nx, ny, nz); a static gate's are shared by every caller."""
-        if self._static_frame is not None:
-            return self._static_frame, self._static_plane
-        frame = self.frame_at(t)
-        return frame, _plane_floats(frame)
 
     def success_threshold(self, vehicle_half_width: float) -> float:
         """Largest center error still clearing the opening."""
@@ -214,22 +188,22 @@ class Track:
         as the position's three floats and the yaw.
 
         center - INIT_STANDOFF * normal of gate 1 at t = 0, clamped to 0.5 m
-        inside the arena, on the plane's floats: the bits of
+        inside the arena, on the frame's floats: the bits of
         np.clip(center - k * normal, lo + 0.5, hi - 0.5)."""
-        frame, (cx, cy, cz, nx, ny, nz) = self.gates[0].frame_plane_at(0.0)
+        (cx, cy, cz), yaw, (nx, ny, nz), _, _ = self.gates[0].frame_at(0.0)
         k = INIT_STANDOFF[self.platform]
         (xl, xh), (yl, yh), (zl, zh) = self.arena.bounds
         pos = (_clip(cx - k * nx, xl + 0.5, xh - 0.5),
                _clip(cy - k * ny, yl + 0.5, yh - 0.5),
                _clip(cz - k * nz, zl + 0.5, zh - 0.5))
-        return pos, frame.yaw
+        return pos, yaw
 
     def timeout(self) -> float:
         """3x the straight-line gate-to-gate time at nominal speed, min 4 s."""
         (px, py, pz), _ = self.initial_pose()
         t = 0.0
         for g in self.gates:
-            cx, cy, cz = g.frame_plane_at(0.0)[1][:3]
+            cx, cy, cz = g.frame_at(0.0).center
             d = (cx - px, cy - py, cz - pz)
             t += math.sqrt(dot(d, d)) / self.nominal_speed
             px, py, pz = cx, cy, cz
@@ -256,12 +230,10 @@ def track_from_layout(layout, platform: str) -> Track:
 
     layout = [x1, y1, z1, yaw1, x2, y2, z2, yaw2] in the platform arena.
     """
-    layout = np.asarray(layout, dtype=np.float64).reshape(8)
+    v = np.asarray(layout, dtype=np.float64).reshape(8).tolist()
     geo = GATE_GEOMETRY[platform]
-    gates = tuple(
-        Gate.static(geo["shape"], geo["inner_half"], geo["ring"], layout[4 * i : 4 * i + 3], layout[4 * i + 3])
-        for i in range(2)
-    )
+    gates = tuple(Gate.static(geo["shape"], geo["inner_half"], geo["ring"], v[i : i + 3], v[i + 3])
+                  for i in (0, 4))
     return Track("layout", platform, gates, ARENAS[platform])
 
 
@@ -281,7 +253,7 @@ def track_to_dict(track: Track) -> dict:
                 "inner_half": g.inner_half,
                 "ring": g.ring,
                 "keyframes": [
-                    {"t": t, "center": [float(v) for v in c], "yaw": float(y)}
+                    {"t": t, "center": list(c), "yaw": y}
                     for t, c, y in g.keyframes
                 ],
             }
@@ -381,7 +353,8 @@ def gate_splats(gate: Gate, t: float = 0.0, color=(1.0, 1.0, 1.0)) -> GaussianSc
     ring depth, which keeps neighboring splats overlapping at 3 sigma.
     """
     spacing = gate.ring / 3.0
-    center, _, _, lateral, up = gate.frame_at(t)
+    frame = gate.frame_at(t)
+    center, lateral, up = (np.array(v) for v in (frame.center, frame.lateral, frame.up))
 
     r = gate.outer_half
     n_side = max(3, int(math.ceil(2 * r / spacing)) + 1)

@@ -53,6 +53,12 @@ def step_ulps(x: float, n: int) -> float:
     return x
 
 
+def frame_arrays(gate, t=0.0):
+    """gate.frame_at(t) with each of its vectors a numpy array."""
+    c, yaw, n, lateral, up = gate.frame_at(t)
+    return np.array(c), yaw, np.array(n), np.array(lateral), np.array(up)
+
+
 def read_netpbm(blob: bytes) -> np.ndarray:
     """The pixels of a binary PPM (H, W, 3) or PGM (H, W) with the fixed
     header that render.ppm_bytes and pgm_bytes write."""

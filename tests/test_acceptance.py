@@ -167,7 +167,7 @@ def _oracle_mask(gate, camera, position, yaw, pitch):
     r10, r11, r12 = rot[1]
     r20, r21, r22 = rot[2]
 
-    center, gyaw = gate.pose_at(0.0)
+    _, center, gyaw = gate.keyframes[0]
     gz = Rotation.from_euler("z", gyaw).as_matrix()
     nx, ny, nz = gz @ (1.0, 0.0, 0.0)
     lx, ly, lz = gz @ (0.0, 1.0, 0.0)

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from conftest import step_ulps
+from conftest import frame_arrays, step_ulps
 from gatesim import policies
 from gatesim.dynamics import platform_dynamics
 from gatesim.geometry import dot
@@ -88,13 +88,13 @@ def test_uav_expert_pitch_channel():
 def test_aim_point_switches_sides():
     gate = _gate((10.0, 0.0, 2.0))
     # far on the approach side: carrot sits 1 m before the plane
-    aim, _, _, _ = _aim_point(gate, 0.0, np.array([0.0, 0.0, 2.0]), 7.0)
+    aim, _, _ = _aim_point(gate, 0.0, np.array([0.0, 0.0, 2.0]), 7.0)
     np.testing.assert_allclose(aim, [9.0, 0.0, 2.0])
     # inside the standoff or past the plane: carrot flips to the far side,
     # so the bearing keeps pointing through the gate
-    aim, _, _, _ = _aim_point(gate, 0.0, np.array([9.5, 0.0, 2.0]), 7.0)
+    aim, _, _ = _aim_point(gate, 0.0, np.array([9.5, 0.0, 2.0]), 7.0)
     np.testing.assert_allclose(aim, [11.0, 0.0, 2.0])
-    aim, _, _, _ = _aim_point(gate, 0.0, np.array([10.3, 0.0, 2.0]), 7.0)
+    aim, _, _ = _aim_point(gate, 0.0, np.array([10.3, 0.0, 2.0]), 7.0)
     np.testing.assert_allclose(aim, [11.0, 0.0, 2.0])
 
 
@@ -107,25 +107,25 @@ def test_aim_point_leads_moving_gate():
         keyframes=((0.0, np.array([2.0, 0.0, 1.0]), 0.0), (8.0, np.array([2.0, 2.0, 1.0]), 0.0)),
     )
     pos = np.array([0.0, 0.0, 1.0])
-    aim, center, _, t_hit = _aim_point(gate, 0.0, pos, 1.0)
-    t1 = float(np.linalg.norm(gate.pose_at(0.0)[0] - pos))          # first pass
-    t2 = float(np.linalg.norm(gate.pose_at(t1)[0] - pos))           # second pass
-    np.testing.assert_allclose(center, gate.pose_at(t2)[0])
+    aim, _, t_hit = _aim_point(gate, 0.0, pos, 1.0)
+    t1 = float(np.linalg.norm(gate.frame_at(0.0).center - pos))    # first pass
+    t2 = float(np.linalg.norm(gate.frame_at(t1).center - pos))     # second pass
     assert t_hit == pytest.approx(t2)
-    np.testing.assert_allclose(aim, center - [1.0, 0.0, 0.0])
+    np.testing.assert_allclose(aim, np.subtract(gate.frame_at(t2).center, [1.0, 0.0, 0.0]))
 
 
 def test_aim_point_of_a_static_gate_skips_the_lead_passes(rng):
     # a static frame does not depend on time, so the lead passes cannot move
-    # the aim, center or yaw; the returned time is the query time itself
+    # the aim or yaw; the returned time is the query time itself
     for _ in range(50):
         gate = _gate(rng.uniform(-5.0, 5.0, 3), yaw=rng.uniform(-math.pi, math.pi))
         pos, t = rng.uniform(-8.0, 8.0, 3), rng.uniform(0.0, 10.0)
-        aim, center, yaw, t_aim = _aim_point(gate, t, pos, 7.0)
+        aim, yaw, t_aim = _aim_point(gate, t, pos, 7.0)
         frame = gate.frame_at(t + 123.0)
-        side = -1.0 if dot(frame.normal, pos - frame.center) < -AIM_STANDOFF else 1.0
-        np.testing.assert_array_equal(aim, frame.center + side * AIM_STANDOFF * frame.normal)
-        assert center is frame.center and yaw == frame.yaw and t_aim == t
+        center, normal = np.array(frame.center), np.array(frame.normal)
+        side = -1.0 if dot(normal, pos - center) < -AIM_STANDOFF else 1.0
+        np.testing.assert_array_equal(aim, center + side * AIM_STANDOFF * normal)
+        assert yaw == frame.yaw and t_aim == t
 
 
 # zero, subnormal, ordinary and huge offsets; squares of the huge ones overflow
@@ -146,9 +146,9 @@ def test_aim_point_distance_is_the_root_of_the_fixed_order_dot(offset, speed):
     pos = -np.array(offset)
     t_go = 0.0
     for _ in range(2):
-        d = (gate.pose_at(t_go)[0] - pos).tolist()
+        d = (gate.frame_at(t_go).center - pos).tolist()
         t_go = math.sqrt(dot(d, d)) / speed
-    _, _, _, t_hit = _aim_point(gate, 0.0, pos, speed)
+    _, _, t_hit = _aim_point(gate, 0.0, tuple(pos.tolist()), speed)
     assert np.float64(t_hit).tobytes() == np.float64(t_go).tobytes()
 
 
@@ -163,16 +163,17 @@ def _numpy_aim_point(gate, t, position, speed):
     t_go = 0.0
     if gate.moving:
         for _ in range(2):
-            d = gate.frame_at(t + t_go).center - position
+            d = np.array(gate.frame_at(t + t_go).center) - position
             t_go = math.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2]) / speed
     center, yaw, normal, _, _ = gate.frame_at(t + t_go)
+    center, normal = np.array(center), np.array(normal)
     terms = normal * (position - center)
     signed = terms[0] + terms[1] + terms[2]
     if signed < -AIM_STANDOFF:
         aim = center - AIM_STANDOFF * normal
     else:
         aim = center + AIM_STANDOFF * normal
-    return aim, center, yaw, t + t_go
+    return aim, yaw, t + t_go
 
 
 # signed zeros, short and long values, and large coordinates
@@ -200,28 +201,25 @@ def test_aim_point_matches_the_numpy_aim_point_bit_for_bit(moving, yaw, center, 
     # a moving gate slides along its lateral axis at a fixed yaw, so a point
     # placed off the start frame keeps its offset along the normal at every
     # time the lead passes may pick
-    start = _gate(center, yaw=yaw)
-    frame = start.frame_at(0.0)
-    gate = start
+    gate = _gate(center, yaw=yaw)
+    c, _, n, lateral, up = frame_arrays(gate)
     if moving:
-        end = frame.center + 3.0 * frame.lateral
-        gate = _gate(None, keyframes=((0.0, frame.center, yaw), (8.0, end, yaw)))
+        gate = _gate(None, keyframes=((0.0, c, yaw), (8.0, c + 3.0 * lateral, yaw)))
     if kind == "standoff":
         # exactly at -AIM_STANDOFF along the normal, or a few ulps either side
         # of it, where the order of the side's sum decides the side; the
         # in-plane offset comes from the free draw
         k = step_ulps(-AIM_STANDOFF, ulps)
         s, u = free[0], free[1]
-        pos = frame.center + s * frame.lateral + u * frame.up + k * frame.normal
+        pos = c + s * lateral + u * up + k * n
     else:
         pos = np.array(free)
     with np.errstate(all="ignore"):
         want = _numpy_aim_point(gate, t, pos, speed)
         got = _aim_point(gate, t, tuple(pos.tolist()), speed)
     assert np.array(got[0]).tobytes() == want[0].tobytes()
-    assert got[1].tobytes() == want[1].tobytes()
+    assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
     assert np.float64(got[2]).tobytes() == np.float64(want[2]).tobytes()
-    assert np.float64(got[3]).tobytes() == np.float64(want[3]).tobytes()
 
 
 def test_aim_point_on_the_standoff_aims_past_the_gate():
@@ -262,8 +260,8 @@ def test_quad_expert_feedforward_is_gate_velocity():
     u_moving = expert_quad_control(obs)
     # freeze the gate at its predicted pose: the tracking terms match and the
     # only difference left is the velocity feedforward
-    _, center, yaw, _ = _aim_point(moving, 0.0, obs.state[:3], 1.0)
-    frozen = _gate(center, yaw=yaw, platform="quad")
+    _, yaw, t_hit = _aim_point(moving, 0.0, obs.state[:3], 1.0)
+    frozen = _gate(moving.frame_at(t_hit).center, yaw=yaw, platform="quad")
     u_frozen = expert_quad_control(_quad_obs((0.0, 0.0, 1.0), gate=frozen))
     assert type(u_moving) is tuple and type(u_frozen) is tuple
     np.testing.assert_allclose(np.subtract(u_moving, u_frozen), [0.0, 0.25, 0.0, 0.0], atol=1e-12)

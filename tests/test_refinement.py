@@ -271,10 +271,12 @@ def test_observability_rigid_motion_invariant():
 
 def test_feasibility_straight_and_reversed():
     expert = expert_policy("uav")
-    ok, roll = feasibility_check(_uav([-6, 0, 2, 0, 5, 0, 2, 0]), expert, _sim())
+    ok, roll = feasibility_check(_uav([-6, 0, 2, 0, 5, 0, 2, 0]), expert, _sim(),
+                                 np.random.default_rng(0))
     assert ok and roll.all_success
     # gate 2 facing backwards: the approach side is unreachable in time
-    ok, roll = feasibility_check(_uav([-6, 0, 2, 0, 5, 0, 2, math.pi]), expert, _sim())
+    ok, roll = feasibility_check(_uav([-6, 0, 2, 0, 5, 0, 2, math.pi]), expert, _sim(),
+                                 np.random.default_rng(0))
     assert not ok
     assert roll.terminal == TIMEOUT
 
@@ -295,10 +297,10 @@ def _fake_rollout(outcomes_errors):
 
 def test_task_loss():
     roll = _fake_rollout([(SUCCESS, 0.2), (MISS, 3.0)])
-    assert task_loss(roll) == pytest.approx((0.2 + 1.0) / 2.0)
+    assert task_loss(roll, 1.0) == pytest.approx((0.2 + 1.0) / 2.0)
     assert task_loss(roll, lambda_pos=2.0) == pytest.approx((0.4 + 1.0) / 2.0)
-    assert task_loss(_fake_rollout([(TIMEOUT, None)])) == 1.0
-    assert task_loss(_fake_rollout([(SUCCESS, 0.1), (SUCCESS, 0.3)])) == pytest.approx(0.2)
+    assert task_loss(_fake_rollout([(TIMEOUT, None)]), 1.0) == 1.0
+    assert task_loss(_fake_rollout([(SUCCESS, 0.1), (SUCCESS, 0.3)]), 1.0) == pytest.approx(0.2)
 
 
 def test_weights_proportional_example():
@@ -381,7 +383,8 @@ def test_grid_losses_per_cell_means():
     # the expert is deterministic, so per-cell means can be recomputed directly
     from gatesim.simulator import rollout
 
-    manual = [task_loss(rollout(expert, track_from_layout(l, "uav"), _sim())) for _, l in layouts]
+    manual = [task_loss(rollout(expert, track_from_layout(l, "uav"), _sim()), 1.0)
+              for _, l in layouts]
     assert ell[0] == pytest.approx((manual[0] + manual[1]) / 2.0, abs=1e-12)
     assert ell[1] == pytest.approx(manual[2], abs=1e-12)
     assert stats["gates"] == 6

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_scene, read_netpbm, step_ulps, with_signed_zeros
+from conftest import frame_arrays, random_scene, read_netpbm, step_ulps, with_signed_zeros
 from gatesim import render
 from gatesim.geometry import RigidTransform
 from gatesim.render import (
@@ -387,7 +387,7 @@ def test_gate_mask_annulus_radii():
     cam = PinholeCamera(160, 120, 100.0, 100.0, 80.0, 60.0)
     gate = Gate.static("circular", 0.39, 0.10, (5.0, 0.0, 1.5), math.pi)
     pose = camera_pose((0.0, 0.0, 1.5), yaw=0.0)
-    mask = gate_mask(gate, cam, pose)
+    mask = gate_mask([gate], cam, pose)
     assert not mask[60, 80]            # principal point: inside the opening
     assert not mask[60, 87]            # 7 px: still inside (< 7.8)
     assert mask[60, 88]                # 8 px: on the ring
@@ -401,7 +401,7 @@ def test_gate_mask_square_uses_max_norm():
     cam = PinholeCamera(160, 120, 50.0, 50.0, 80.0, 60.0)
     gate = Gate.static("square", 1.0, 0.2, (5.0, 0.0, 1.5), math.pi)
     pose = camera_pose((0.0, 0.0, 1.5), yaw=0.0)
-    mask = gate_mask(gate, cam, pose)
+    mask = gate_mask([gate], cam, pose)
     # inner half-extent 1.0 at 5 m with f=50 projects to 10 px
     assert not mask[60, 80]
     assert mask[60, 91]                 # 11 px along the axis: ring
@@ -413,7 +413,7 @@ def test_gate_mask_square_uses_max_norm():
 def test_gate_mask_behind_camera_empty():
     gate = Gate.static("square", 1.0, 0.2, (-5.0, 0.0, 1.5), 0.0)
     pose = camera_pose((0.0, 0.0, 1.5), yaw=0.0)
-    assert not gate_mask(gate, DEFAULT_CAMERA, pose).any()
+    assert not gate_mask([gate], DEFAULT_CAMERA, pose).any()
 
 
 def test_gate_mask_moving_gate_uses_schedule_time():
@@ -421,8 +421,8 @@ def test_gate_mask_moving_gate_uses_schedule_time():
                 ((0.0, np.array([3.0, -1.0, 1.5]), math.pi),
                  (4.0, np.array([3.0, 1.0, 1.5]), math.pi)))
     pose = camera_pose((0.0, 0.0, 1.5), yaw=0.0)
-    m0 = gate_mask(gate, DEFAULT_CAMERA, pose, t=0.0)
-    m2 = gate_mask(gate, DEFAULT_CAMERA, pose, t=2.0)
+    m0 = gate_mask([gate], DEFAULT_CAMERA, pose, t=0.0)
+    m2 = gate_mask([gate], DEFAULT_CAMERA, pose, t=2.0)
     ys0, xs0 = np.nonzero(m0)
     ys2, xs2 = np.nonzero(m2)
     # gate drifts from the camera's right toward center
@@ -444,8 +444,7 @@ def _full_frame_mask(gates, camera, pose, t=0.0):
 
     mask = np.zeros((h, w), dtype=bool)
     for gate in gates:
-        center, yaw = gate.pose_at(t)
-        normal, lateral, up = gate_axes(yaw)
+        center, _, normal, lateral, up = frame_arrays(gate, t)
         denom = dirs[0] * normal[0] + dirs[1] * normal[1] + dirs[2] * normal[2]
         rel = center - origin
         # a ray along the plane meets it at an infinite or NaN depth, and is no hit
@@ -486,8 +485,7 @@ def _gate_and_pose(draw):
     else:
         gate = Gate.static(shape, inner, ring, center, yaw)
         t = 0.0
-    c, gyaw = gate.pose_at(t)
-    normal, lateral, up = gate_axes(gyaw)
+    c, gyaw, normal, lateral, up = frame_arrays(gate, t)
     place = draw(st.sampled_from(["free", "looking", "plane", "close", "away", "through"]))
     side = draw(st.floats(-1.0, 1.0))
     lift = draw(st.floats(-1.0, 1.0))
@@ -517,7 +515,7 @@ def _gate_and_pose(draw):
 @given(_gate_and_pose())
 def test_gate_mask_window_matches_full_frame(case):
     gate, camera, pose, t = case
-    assert np.array_equal(gate_mask(gate, camera, pose, t=t),
+    assert np.array_equal(gate_mask([gate], camera, pose, t=t),
                           _full_frame_mask([gate], camera, pose, t=t))
 
 
@@ -531,7 +529,7 @@ def test_gate_mask_several_gates_match_full_frame(rng):
 
 
 def _window_of(gate, camera, pose, t=0.0):
-    center, _, _, lateral, up = gate.frame_at(t)
+    center, _, _, lateral, up = frame_arrays(gate, t)
     r_wc = pose.rotation_matrix()
     return _ring_window(camera, ((center - pose.translation) @ r_wc).tolist(),
                         (lateral @ r_wc).tolist(), (up @ r_wc).tolist(), gate.outer_half)
@@ -592,7 +590,7 @@ def _boundary_case(draw):
         yaw = math.atan2(ray[1], ray[0]) + math.pi / 2 + draw(st.sampled_from([1e-3, 1e-6, 1e-9]))
     else:
         yaw = draw(_angle)
-    normal, lateral, up = gate_axes(yaw)
+    normal, lateral, up = (np.array(v) for v in gate_axes(yaw))
     # the in-plane direction at the boundary: the circle's radius, or a point
     # on the square's edge
     if shape == "circular":
@@ -627,7 +625,7 @@ def test_gate_mask_at_the_ring_boundary_matches_full_frame(case):
     gate, camera, pose, t = case
     batches, patch = _spy_exact()
     with patch:
-        got = gate_mask(gate, camera, pose, t=t)
+        got = gate_mask([gate], camera, pose, t=t)
     assert np.array_equal(got, _full_frame_mask([gate], camera, pose, t=t))
     # the pixel aimed at the boundary is too close to it for the sure test
     assert batches and sum(math.prod(b) for b in batches) >= 1
@@ -638,7 +636,7 @@ def test_gate_mask_at_the_ring_boundary_matches_full_frame(case):
 def test_cast_exact_has_the_bits_of_the_windowed_mask(case, seed):
     gate, camera, pose, t = case
     window = _window_of(gate, camera, pose, t)
-    mask = gate_mask(gate, camera, pose, t=t)
+    mask = gate_mask([gate], camera, pose, t=t)
     if window is None:
         assert not mask.any()
         return
@@ -678,7 +676,7 @@ def test_cast_exact_has_the_bits_of_the_windowed_mask(case, seed):
 ])
 def test_gate_mask_boundary_cases_match_full_frame(gate, quat, position):
     pose = RigidTransform(np.array(quat), np.array(position))
-    assert np.array_equal(gate_mask(gate, DEFAULT_CAMERA, pose),
+    assert np.array_equal(gate_mask([gate], DEFAULT_CAMERA, pose),
                           _full_frame_mask([gate], DEFAULT_CAMERA, pose))
 
 
@@ -692,8 +690,7 @@ def _in_plane_case(draw):
     inner, ring = draw(st.floats(0.05, 2.0)), draw(st.floats(0.02, 0.6))
     shift = np.array([draw(st.sampled_from([0.0, 37.5, -1e3, 1e4])) for _ in range(3)])
     gate = Gate.static(shape, inner, ring, shift + [draw(_coord) for _ in range(3)], draw(_angle))
-    c, yaw = gate.pose_at(0.0)
-    normal, lateral, up = gate_axes(yaw)
+    c, _, normal, lateral, up = frame_arrays(gate)
     phi = draw(_angle)
     edge = math.cos(phi) * lateral + math.sin(phi) * up
     rad = draw(st.floats(0.0, 2.0)) * (inner + ring)
@@ -720,7 +717,7 @@ def test_gate_mask_with_the_camera_in_the_gate_plane_matches_full_frame(case):
     gate, pose = case
     batches, patch = _spy_exact()
     with patch:
-        got = gate_mask(gate, DEFAULT_CAMERA, pose)
+        got = gate_mask([gate], DEFAULT_CAMERA, pose)
     assert np.array_equal(got, _full_frame_mask([gate], DEFAULT_CAMERA, pose))
     # gate_mask's docstring: a window whose N is within rounding of zero,
     # |N| <= 8 u eta / RING_MARGIN + 1e-300, is cast whole
@@ -768,7 +765,7 @@ def test_mask_translation_consistency(rng):
     moved_splats = translate(splats, "gate", offset)
 
     pose = camera_pose((0.0, 0.0, 1.5), yaw=0.0)
-    analytic = gate_mask(moved_gate, DEFAULT_CAMERA, pose)
+    analytic = gate_mask([moved_gate], DEFAULT_CAMERA, pose)
     splatted = render_scene(moved_splats, DEFAULT_CAMERA, pose).alpha >= 0.5
     both = analytic | splatted
     agree = (analytic == splatted).mean()

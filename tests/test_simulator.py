@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import step_ulps
+from conftest import frame_arrays, step_ulps
 from gatesim import simulator
 from gatesim.dynamics import platform_dynamics
 from gatesim.geometry import plane_offset, wrap_angle
@@ -28,6 +28,7 @@ from gatesim.simulator import (
     GateRecord,
     Rollout,
     SimConfig,
+    _static_plane,
     classify_crossing,
     detect_crossing,
     events_csv,
@@ -779,7 +780,7 @@ def _ring_edge_ties(track, pose, t, tol=1e-9):
                      np.ones_like(u)], axis=-1) @ pose.rotation_matrix().T
     ties = np.zeros(u.shape, dtype=bool)
     for gate in track.gates:
-        center, _, normal, lateral, up = gate.frame_at(t)
+        center, _, normal, lateral, up = frame_arrays(gate, t)
         # a ray along the plane meets it at an infinite or NaN depth: no tie
         with np.errstate(divide="ignore", invalid="ignore"):
             depth = ((center - pose.translation) @ normal) / (rays @ normal)
@@ -809,7 +810,7 @@ def test_mirrored_track_mirrors_the_gate_mask(name, gate, standoff, side, rise, 
     # column 2 cx - u, and column 0 has no partner in the frame
     track = reference_track(name)
     mirror = _mirror_track(track)
-    center, yaw, normal, lateral, up = track.gates[gate % len(track.gates)].frame_at(t)
+    center, yaw, normal, lateral, up = frame_arrays(track.gates[gate % len(track.gates)], t)
     pos = center - standoff * normal + side * lateral + rise * up
     camera = DEFAULT_CAMERA
     assert camera.cx == camera.width / 2
@@ -858,8 +859,9 @@ _KINDS = ["near", "near", "ulps", "ulps", "random", "special"]
 @example(4, 1e6, "ulps", False, 0.0, -1, (None,) * 3)
 @example(3, 1.0, "special", True, 0.0, 0, (math.nan, -0.0, math.inf))
 def test_gate_side_is_the_index_order_sum(seed, scale, kind, moving, k, ulps, special):
-    # the rollout's per-step side (plane_offset on the target's plane floats
-    # and the state's floats) and signed_gate_distance on position arrays,
+    # the rollout's per-step side (plane_offset on a static target's plane
+    # floats, signed_gate_distance on a moving one's frame at the step's time,
+    # each on the state's floats) and signed_gate_distance on position arrays,
     # which detect_crossing and the rollout's coincident-plane loop use, both
     # give the bits of n0*(p0 - c0) + n1*(p1 - c1) + n2*(p2 - c2), summed in
     # index order; coordinates come from a seeded generator, since
@@ -871,7 +873,7 @@ def test_gate_side_is_the_index_order_sum(seed, scale, kind, moving, k, ulps, sp
         keyframes = ((0.0, center, yaw), (2.0, center + rng.uniform(-1.0, 1.0, 3), -yaw))
     gate = _gate(center, yaw=yaw, keyframes=keyframes)
     t = float(rng.uniform(0.0, 2.0))
-    c, _, n, lateral, up = gate.frame_at(t)
+    c, _, n, lateral, up = frame_arrays(gate, t)
     if kind == "near":
         s, u = rng.uniform(-scale, scale, 2)
         p = c + s * lateral + u * up + k * n
@@ -892,7 +894,9 @@ def test_gate_side_is_the_index_order_sum(seed, scale, kind, moving, k, ulps, sp
         terms = n * (p - c)
         want = float(terms[0] + terms[1] + terms[2])
         by_array = signed_gate_distance(gate, t, p)
-    by_floats = plane_offset(gate.frame_plane_at(t)[1], *p.tolist())
+    plane = _static_plane(gate)
+    by_floats = (plane_offset(plane, *p.tolist()) if plane
+                 else signed_gate_distance(gate, t, tuple(p.tolist())))
     for got in (by_array, by_floats):
         assert type(got) is float
         assert got == want or math.isnan(got) and math.isnan(want)
@@ -900,9 +904,10 @@ def test_gate_side_is_the_index_order_sum(seed, scale, kind, moving, k, ulps, sp
 
 
 def test_static_plane_side_is_the_float_sum_away_from_the_plane():
-    # the rollout's per-step side on a static gate's shared plane floats
+    # the rollout's per-step side on a static gate's plane floats
     gate = _gate((5.0, 0.0, 2.0))
-    plane = gate.frame_plane_at(0.0)[1]
+    plane = _static_plane(gate)
+    assert plane == (5.0, 0.0, 2.0, 1.0, 0.0, 0.0)
     assert plane_offset(plane, 3.0, 1.0, 4.0) == -2.0
     assert plane_offset(plane, 6.5, -9.0, 0.0) == 1.5
     assert plane_offset(plane, 5.0, 7.0, 1.0) == 0.0

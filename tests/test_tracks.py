@@ -3,19 +3,22 @@
 import json
 import math
 import pickle
+from copy import deepcopy
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gatesim.geometry import dot
+from conftest import frame_arrays
+from gatesim.geometry import dot, wrap_angle
 from gatesim.tracks import (
     ARENAS,
     GATE_GEOMETRY,
     INIT_STANDOFF,
     Arena,
     Gate,
+    GateFrame,
     Track,
     gate_axes,
     gate_splats,
@@ -79,13 +82,9 @@ def test_static_gate_pose_is_constant():
     g = _uav_gate((2.0, -1.0, 1.5), yaw=0.4)
     assert not g.moving
     for t in (-1.0, 0.0, 3.7, 100.0):
-        c, y = g.pose_at(t)
-        np.testing.assert_array_equal(c, [2.0, -1.0, 1.5])
-        assert y == 0.4
-    # returned centers are copies, not views into the schedule
-    c, _ = g.pose_at(0.0)
-    c[0] = 99.0
-    np.testing.assert_array_equal(g.pose_at(0.0)[0], [2.0, -1.0, 1.5])
+        frame = g.frame_at(t)
+        assert frame.center == (2.0, -1.0, 1.5)
+        assert frame.yaw == 0.4
 
 
 def test_moving_gate_linear_interpolation():
@@ -98,10 +97,8 @@ def test_moving_gate_linear_interpolation():
         ),
     )
     assert g.moving
-    c, _ = g.pose_at(2.0)
-    np.testing.assert_allclose(c, [0.5, 0.0, 1.0])
-    c, _ = g.pose_at(1.0)
-    np.testing.assert_allclose(c, [0.25, 0.0, 1.0])
+    np.testing.assert_allclose(g.frame_at(2.0).center, [0.5, 0.0, 1.0])
+    np.testing.assert_allclose(g.frame_at(1.0).center, [0.25, 0.0, 1.0])
 
 
 def test_moving_gate_clamps_outside_schedule():
@@ -112,11 +109,11 @@ def test_moving_gate_clamps_outside_schedule():
             (3.0, np.array([2.0, 0.0, 1.0]), 0.5),
         ),
     )
-    c, y = g.pose_at(-5.0)
-    np.testing.assert_array_equal(c, [0.0, 0.0, 1.0])
+    c, y, _, _, _ = g.frame_at(-5.0)
+    assert c == (0.0, 0.0, 1.0)
     assert y == 0.1
-    c, y = g.pose_at(10.0)
-    np.testing.assert_array_equal(c, [2.0, 0.0, 1.0])
+    c, y, _, _, _ = g.frame_at(10.0)
+    assert c == (2.0, 0.0, 1.0)
     assert y == 0.5
 
 
@@ -128,7 +125,7 @@ def test_moving_gate_hits_waypoints_exactly():
     )
     g = _uav_gate(None, keyframes=kf)
     for t, c, y in kf:
-        cc, yy = g.pose_at(t)
+        cc, yy, _, _, _ = g.frame_at(t)
         np.testing.assert_array_equal(cc, c)
         # interior waypoints pass through an angle wrap, costing one ulp
         assert abs(yy - y) < 1e-12
@@ -144,7 +141,7 @@ def test_moving_gate_yaw_takes_shortest_arc():
             (2.0, np.zeros(3), -3.0),
         ),
     )
-    _, y = g.pose_at(1.0)
+    y = g.frame_at(1.0).yaw
     assert abs(abs(y) - math.pi) < 1e-12
 
 
@@ -304,10 +301,8 @@ def test_track_from_layout():
     track = track_from_layout(layout, "quad")
     assert track.name == "layout" and track.platform == "quad"
     assert len(track.gates) == 2 and not any(g.moving for g in track.gates)
-    np.testing.assert_array_equal(track.gates[0].pose_at(0)[0], [0.0, 1.0, 2.0])
-    assert track.gates[0].pose_at(0)[1] == 0.3
-    np.testing.assert_array_equal(track.gates[1].pose_at(0)[0], [4.0, -1.0, 1.5])
-    assert track.gates[1].pose_at(0)[1] == -0.2
+    assert track.gates[0].frame_at(0)[:2] == ((0.0, 1.0, 2.0), 0.3)
+    assert track.gates[1].frame_at(0)[:2] == ((4.0, -1.0, 1.5), -0.2)
     with pytest.raises(ValueError):
         track_from_layout([0.0] * 7, "quad")
 
@@ -317,7 +312,7 @@ def test_gate_splats_tile_the_ring():
     scene = gate_splats(g)
     assert len(scene) > 0
     normal, lateral, up = gate_axes(0.6)
-    rel = scene.means - g.pose_at(0.0)[0]
+    rel = scene.means - g.frame_at(0.0).center
     # splats lie in the gate plane
     assert np.abs(rel @ normal).max() < 1e-12
     # square ring: max-norm distance from the axis inside [inner, outer]
@@ -346,9 +341,9 @@ def test_gate_splats_follow_schedule():
     g = track.gates[1]
     early = gate_splats(g, t=0.0)
     late = gate_splats(g, t=100.0)
-    c0, _ = g.pose_at(0.0)
-    c1, _ = g.pose_at(100.0)
-    np.testing.assert_allclose(late.means.mean(axis=0) - early.means.mean(axis=0), c1 - c0, atol=1e-9)
+    c0, c1 = g.frame_at(0.0).center, g.frame_at(100.0).center
+    np.testing.assert_allclose(late.means.mean(axis=0) - early.means.mean(axis=0),
+                               np.subtract(c1, c0), atol=1e-9)
 
 
 def test_track_splats_object_tags():
@@ -396,57 +391,136 @@ def test_arena_contains_matches_the_array_test(name, data):
 
 
 _finite = st.floats(-50.0, 50.0)
-_yaws = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([0.0, -0.0, math.pi, -math.pi]))
+_coords = st.one_of(_finite, st.sampled_from([0.0, -0.0]))
+_triples = st.tuples(_coords, _coords, _coords)
+# near, at and across the +-pi seam, so arcs cross it both ways
+_yaws = st.one_of(st.floats(-10.0, 10.0),
+                  st.sampled_from([0.0, -0.0, math.pi, -math.pi, 3.0, -3.0, 3.1, -3.1,
+                                   math.nextafter(math.pi, 0.0), 3 * math.pi]))
+CENTER_FORMS = {
+    "list": list,
+    "tuple": tuple,
+    "array": np.array,
+    "np.float64s": lambda c: [np.float64(v) for v in c],
+}
 
 
 def _bits(a):
     return np.asarray(a, dtype=np.float64).tobytes()
 
 
+def _numpy_pose(keyframes, t):
+    """The pose formula the gate frame replaced, on float64 arrays: clamped
+    to the first and last keyframes, linear in between, yaw along the
+    shortest arc."""
+    kf = keyframes
+    if t <= kf[0][0]:
+        return np.asarray(kf[0][1], float).copy(), float(kf[0][2])
+    if t >= kf[-1][0]:
+        return np.asarray(kf[-1][1], float).copy(), float(kf[-1][2])
+    for (t0, c0, y0), (t1, c1, y1) in zip(kf, kf[1:]):
+        if t <= t1:
+            s = (t - t0) / (t1 - t0)
+            center = (1 - s) * np.asarray(c0, float) + s * np.asarray(c1, float)
+            return center, wrap_angle(y0 + s * wrap_angle(y1 - y0))
+    raise AssertionError("unreachable")
+
+
+def _numpy_axes(yaw):
+    """The (normal, lateral, up) axes as the arrays the gate frame replaced."""
+    c, s = math.cos(yaw), math.sin(yaw)
+    return np.array([c, s, 0.0]), np.array([-s, c, 0.0]), np.array([0.0, 0.0, 1.0])
+
+
+def _check_frame(frame, keyframes, t):
+    """frame has the bits of the numpy formulas at t, as Python floats."""
+    center, yaw = _numpy_pose(keyframes, t)
+    assert type(frame) is GateFrame and type(frame.yaw) is float
+    for v in (frame.center, frame.normal, frame.lateral, frame.up):
+        assert type(v) is tuple and len(v) == 3 and all(type(x) is float for x in v)
+    assert _bits(frame.center) == _bits(center) and _bits(frame.yaw) == _bits(yaw)
+    assert [_bits(a) for a in frame[2:]] == [_bits(a) for a in _numpy_axes(yaw)]
+
+
 @PROPERTY
-@given(st.sampled_from(sorted(GATE_GEOMETRY)), st.tuples(_finite, _finite, _finite), _yaws,
-       st.floats(-1e3, 1e3))
-def test_static_gate_frame_is_its_pose_and_axes(platform, center, yaw, t):
+@given(st.sampled_from(sorted(GATE_GEOMETRY)), _triples, st.sampled_from(sorted(CENTER_FORMS)),
+       _yaws, st.floats(-1e3, 1e3))
+@example("uav", (-0.0, 0.0, 1.0), "array", -math.pi, 0.0)
+@example("quad", (1.0, -0.0, 2.0), "np.float64s", 3 * math.pi, -1.0)
+def test_static_gate_frame_is_its_pose_and_axes(platform, center, form, yaw, t):
     geo = GATE_GEOMETRY[platform]
-    g = Gate.static(geo["shape"], geo["inner_half"], geo["ring"], center, yaw)
+    g = Gate.static(geo["shape"], geo["inner_half"], geo["ring"], CENTER_FORMS[form](center), yaw)
     frame = g.frame_at(t)
-    c, y = g.pose_at(t)
-    assert _bits(frame.center) == _bits(c) and _bits(frame.yaw) == _bits(y)
-    assert [_bits(a) for a in frame[2:]] == [_bits(a) for a in gate_axes(y)]
+    _check_frame(frame, ((0.0, center, yaw),), t)
     # computed once: every time gets the same frame
     assert g.frame_at(t + 1.0) is frame
 
 
-@PROPERTY
-@given(st.tuples(_finite, _finite, _finite), st.tuples(_finite, _finite, _finite), _yaws,
-       _yaws, st.floats(-1.0, 5.0))
-def test_moving_gate_frame_is_its_pose_and_axes(c0, c1, y0, y1, t):
-    g = _uav_gate(None, keyframes=((0.0, np.array(c0), y0), (4.0, np.array(c1), y1)))
-    frame = g.frame_at(t)
-    c, y = g.pose_at(t)
-    assert _bits(frame.center) == _bits(c) and _bits(frame.yaw) == _bits(y)
-    assert [_bits(a) for a in frame[2:]] == [_bits(a) for a in gate_axes(y)]
-    assert frame.center.flags.writeable
+@st.composite
+def _schedules(draw):
+    """2-4 keyframes at strictly increasing times, centers in any form."""
+    times = [draw(st.floats(-5.0, 5.0))]
+    for _ in range(draw(st.integers(1, 3))):
+        times.append(times[-1] + draw(st.floats(0.01, 4.0)))
+    return tuple((t, CENTER_FORMS[draw(st.sampled_from(sorted(CENTER_FORMS)))](draw(_triples)),
+                  draw(_yaws)) for t in times)
+
+
+def _time(keyframes, where, u):
+    """A time before the schedule, on a keyframe, inside it or after it, u in
+    [0, 1] choosing which."""
+    first, last = keyframes[0][0], keyframes[-1][0]
+    return {"before": first - 10.0 * u,
+            "on": keyframes[min(int(u * len(keyframes)), len(keyframes) - 1)][0],
+            "inside": first + u * (last - first),
+            "after": last + 10.0 * u}[where]
+
+
+PINNED_SCHEDULE = ((0.0, np.array([-0.0, 0.0, 1.0]), -math.pi), (2.0, [1.0, 2.0, -0.0], 3.0),
+                   (4.0, (np.float64(-1.0), np.float64(0.5), np.float64(2.0)), -3.1))
 
 
 @PROPERTY
-@given(st.tuples(_finite, _finite, _finite), _yaws)
+@given(_schedules(), st.sampled_from(["before", "on", "inside", "after"]), st.floats(0.0, 1.0))
+# the first keyframe's own time: -0.0 and -pi come back as they are
+@example(PINNED_SCHEDULE, "on", 0.0)
+# inside a segment, and across the +-pi seam
+@example(PINNED_SCHEDULE, "inside", 0.3)
+@example(PINNED_SCHEDULE, "inside", 0.7)
+def test_moving_gate_frame_is_its_pose_and_axes(keyframes, where, u):
+    t = _time(keyframes, where, u)
+    _check_frame(_uav_gate(None, keyframes=keyframes).frame_at(t), keyframes, t)
+
+
+@PROPERTY
+@given(_triples, _yaws)
 def test_static_gate_frame_is_read_only_and_owns_its_center(center, yaw):
     given_center = np.array(center)
     g = _uav_gate(given_center, yaw)
     frame = g.frame_at(0.0)
     for a in (frame.center, frame.normal, frame.lateral, frame.up):
-        assert not a.flags.writeable
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             a[0] = 1.0
     # mutating the caller's array moves neither the frame nor the schedule
     given_center += 7.0
     assert _bits(frame.center) == _bits(center)
-    assert _bits(g.pose_at(0.0)[0]) == _bits(center)
-    # a pickled gate (as sent to worker processes) rebuilds the same frame
-    copy = pickle.loads(pickle.dumps(g))
-    assert not copy.frame_at(0.0).center.flags.writeable
-    assert [_bits(a) for a in copy.frame_at(0.0)] == [_bits(a) for a in frame]
+    assert _bits(g.keyframes[0][1]) == _bits(center)
+
+
+@PROPERTY
+@given(_triples, _yaws, _schedules(), st.floats(-10.0, 10.0))
+def test_pickled_and_copied_tracks_keep_their_keyframes_and_frames(center, yaw, schedule, t):
+    # pool payloads carry Tracks: a copy must fly the very same gates
+    track = Track("t", "uav", (_uav_gate(center, yaw), _uav_gate(None, keyframes=schedule)),
+                  ARENAS["uav"])
+    for copy in (pickle.loads(pickle.dumps(track)), deepcopy(track)):
+        for g, h in zip(track.gates, copy.gates):
+            assert h.keyframes == g.keyframes
+            assert [_bits(k[1]) for k in h.keyframes] == [_bits(k[1]) for k in g.keyframes]
+            for when in (0.0, t):
+                assert [_bits(a) for a in h.frame_at(when)] == [_bits(a) for a in g.frame_at(when)]
+        static = copy.gates[0]
+        assert static.frame_at(t) is static.frame_at(0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +530,7 @@ def test_static_gate_frame_is_read_only_and_owns_its_center(center, yaw):
 
 def _array_initial_pose(track):
     """Track.initial_pose as an array formula: np.clip of the standoff point."""
-    center, yaw, normal, _, _ = track.gates[0].frame_at(0.0)
+    center, yaw, normal, _, _ = frame_arrays(track.gates[0])
     pos = np.clip(center - INIT_STANDOFF[track.platform] * normal,
                   track.arena.lo + 0.5, track.arena.hi - 0.5)
     return pos, yaw
@@ -467,7 +541,7 @@ def _array_timeout(track):
     prev, _ = _array_initial_pose(track)
     t = 0.0
     for g in track.gates:
-        c = g.pose_at(0.0)[0]
+        c = np.array(g.frame_at(0.0).center)
         d = (c - prev).tolist()
         t += math.sqrt(dot(d, d)) / track.nominal_speed
         prev = c
@@ -533,6 +607,6 @@ def test_start_pose_and_timeout_have_the_bits_of_the_array_formulas(track):
 def test_clamped_start_cases_reach_the_clamp(track, axis, side):
     # each case exercises the bound it names
     center, _, normal, _, _ = track.gates[0].frame_at(0.0)
-    p = (center - INIT_STANDOFF[track.platform] * normal)[axis]
+    p = center[axis] - INIT_STANDOFF[track.platform] * normal[axis]
     lo, hi = track.arena.lo[axis] + 0.5, track.arena.hi[axis] - 0.5
     assert {"lo": p < lo, "hi": p > hi, "on": p == lo}[side]

@@ -16,7 +16,9 @@ unmutated copy, which must pass, then once per mutant on a fresh copy with
 that one replacement applied. Each run prints `killed` (the suite failed, or
 ran past TIMEOUT seconds) or `survived` (it passed), with its wall time. A
 survivor is either a gap in the tests or an equivalent mutant, one that cannot
-change any result; the table in CHANGES.md says which.
+change any result; the table in CHANGES.md says which. A mutant whose reason
+starts with "speed only" is equivalent by design (it undoes a cache), so only
+a test of the cache itself can kill it.
 """
 
 from __future__ import annotations
@@ -109,6 +111,15 @@ MUTANTS = [
            "rollout init_state: a list, which the first tick's policy could change"),
     Mutant(SIMULATOR, "pitch = state[4] if", "pitch = state[3] if",
            "vehicle_camera_pose: the uav pitch read from the yaw slot"),
+    # the gate frame of Python floats
+    Mutant(TRACKS, "center = tuple([(1 - s) * a + s * b for a, b in zip(c0, c1)])",
+           "center = tuple([s * a + (1 - s) * b for a, b in zip(c0, c1)])",
+           "moving gate frame: the interpolation weights swapped"),
+    Mutant(TRACKS, "if t <= kf[0][0]:", "if t < kf[0][0]:",
+           "moving gate frame: at the first keyframe's time, interpolate (s = 0) instead "
+           "of returning the keyframe, which turns -0.0 into 0.0 and wraps the yaw"),
+    Mutant(TRACKS, "if self._static_frame is not None:", "if False:",
+           "speed only: the static frame cache off, so every call recomputes the same frame"),
 ]
 
 
